@@ -14,17 +14,23 @@ The codimension-1 part receives contributions from four graph families
 * the one-loop graph:                         the irreducible boundary term,
 * one-edge separating graphs:                 the delta_{h,S} terms.
 
-Node insertions at an edge are resolved by brute force: both insertion
-indices run over 0..r-2 and the topological vertex values zero out every
-mismatched pair.  For one-edge graphs the gluing map onto the boundary
-divisor has degree equal to the automorphism order of the graph, so the two
-cancel and the divisor coefficient is the plain contraction sum; the golden
-totals pin this convention.
+Node insertions at an edge are summed over the nonzero entries of the edge
+constant term.  A topological vertex value depends only on the vertex genus
+and on its insertion sum mod r-1, so for fixed a the coefficient of
+delta_{h,S} depends only on (h, sum of a_i over S mod r-1).
+:func:`assemble_relation` therefore walks the divisor basis and contracts
+once per such residue class, at most (g+1)(r-1) times, instead of once per
+graph.  For one-edge graphs the gluing map onto the boundary divisor has
+degree equal to the automorphism order of the graph, so the two cancel and
+the divisor coefficient is the plain contraction sum; the golden totals pin
+this convention.  :func:`graph_contribution_terms` keeps the per-graph
+enumeration as the test oracle; both paths share the per-family sums.
 
 Symbolic-in-r relations are supported in genus 1 (where the contributing
 index patterns are independent of r): every divisor coefficient is a
 polynomial in r of degree at most 3, recovered by exact interpolation from
-numeric assemblies with an extra consistency sample.
+numeric assemblies with extra consistency samples, once per distinct column
+of sampled values.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Sequence, Union
 
 from .cohft import (
@@ -44,9 +49,10 @@ from .cohft import (
     topological_value,
     witten_degree,
 )
-from .linalg import RationalMatrix, determinant, rank_and_solve, rref
+from .linalg import RationalMatrix, determinant, rref
 from .rpoly import RPoly, poly_interpolate
 from .strata import (
+    DELTA_SEP,
     DivisorClass,
     GraphContribution,
     UnsupportedGenusError,
@@ -170,10 +176,7 @@ class RelationSet:
 
     def rank(self) -> int:
         rows = [v for v in self.vectors() if any(x != 0 for x in v)]
-        if not rows:
-            return 0
-        rank, _ = rank_and_solve(RationalMatrix(rows))
-        return rank
+        return _rank(rows)
 
     def reduced_rows(self) -> list[tuple[int, ...]]:
         """Row-reduced basis of the span as primitive integer vectors."""
@@ -193,6 +196,14 @@ class GraphTerm:
     coefficient: Fraction
     phi_exponent: PhiExponent
     scale: ScaleFactor
+
+
+def _rank(rows: list[tuple[Fraction, ...]]) -> int:
+    """Rank as the pivot count of the reduced row echelon form."""
+    if not rows:
+        return 0
+    _, pivots = rref(RationalMatrix(rows))
+    return len(pivots)
 
 
 def _is_zero(c: Coefficient) -> bool:
@@ -283,106 +294,159 @@ def edge_constant_term(p: int, q: int, theory: RSpinTheory) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Numeric assembly
+# Per-family sums, shared by the per-graph oracle and the per-class assembly
 # ---------------------------------------------------------------------------
 
-def _graph_phi(contribution: GraphContribution, a_vec: Sequence[int], theory: RSpinTheory) -> PhiExponent:
-    """Exponent carried by a graph: vertex factors, one factor r-2 per edge,
-    and the rescaled-basis factor of the primary legs.  Dilaton legs
-    contribute nothing."""
+EdgeEntries = tuple[tuple[tuple[int, int], Fraction], ...]
+
+
+def _edge_entries(theory: RSpinTheory) -> EdgeEntries:
+    """Nonzero edge constant terms, each with its insertion pair (p, q).
+
+    The constant term -(inverse R_1)^q_{r-2-p} vanishes unless
+    q = r-3-p mod r-1, so only that pair is built for each p.
+    """
     r = theory.r
+    entries = []
+    for p in range(r - 1):
+        q = (r - 3 - p) % (r - 1)
+        entry = edge_constant_term(p, q, theory)
+        if entry != 0:
+            entries.append(((p, q), entry))
+    return tuple(entries)
+
+
+def _leg_sum(g: int, insertions: Sequence[int], i: int, theory: RSpinTheory) -> Fraction:
+    """psi_{i+1} coefficient: one psi power on leg i of the smooth graph,
+    which the first-order inverse R-matrix moves to every index b."""
+    total = Fraction(0)
+    for b in range(theory.dimension):
+        entry = r_inverse_entry(1, insertions[i], b, theory)
+        if entry == 0:
+            continue
+        moved = list(insertions)
+        moved[i] = b
+        value, _ = topological_value(g, moved, theory)
+        total += entry * value
+    return total
+
+
+def _dilaton_sum(g: int, a_vec: tuple[int, ...], theory: RSpinTheory) -> Fraction:
+    """kappa_1 coefficient: psi^2 on the dilaton leg pushes forward to
+    kappa_1; the dilaton series carries an explicit minus sign and inserts
+    along the unit direction."""
+    return -_leg_sum(g, a_vec + (0,), len(a_vec), theory)
+
+
+def _loop_sum(
+    g: int, a_vec: Sequence[int], theory: RSpinTheory, edges: EdgeEntries
+) -> Fraction:
+    """delta_irr coefficient: the one-loop graph on a genus g-1 vertex."""
+    total = Fraction(0)
+    for (p, q), entry in edges:
+        value, _ = topological_value(g - 1, list(a_vec) + [p, q], theory)
+        total += entry * value
+    return total
+
+
+def _separating_sum(
+    g: int, h: int, a0: list[int], a1: list[int], theory: RSpinTheory, edges: EdgeEntries
+) -> Fraction:
+    """delta_{h,S} coefficient: genus-h vertex with insertions a0 joined by
+    one edge to a genus g-h vertex with insertions a1."""
+    total = Fraction(0)
+    for (p, q), entry in edges:
+        value0, _ = topological_value(h, a0 + [p], theory)
+        if value0 == 0:
+            continue
+        value1, _ = topological_value(g - h, a1 + [q], theory)
+        total += entry * value0 * value1
+    return total
+
+
+def _family_phi(
+    vertex_genera: Sequence[int], edge_count: int, a_vec: Sequence[int], r: int
+) -> PhiExponent:
+    """Exponent carried by a graph family: vertex factors, one factor r-2 per
+    edge, and the rescaled-basis factor of the primary legs.  Dilaton legs
+    contribute nothing."""
     total = Fraction(sum(a_vec))
-    for v in contribution.graph.vertices:
-        total += Fraction((v.genus - 1) * (r - 2))
-    total += Fraction(len(contribution.graph.edges) * (r - 2))
+    for genus in vertex_genera:
+        total += Fraction((genus - 1) * (r - 2))
+    total += Fraction(edge_count * (r - 2))
     return PhiExponent.of(total)
 
+
+# ---------------------------------------------------------------------------
+# Numeric assembly
+# ---------------------------------------------------------------------------
 
 def graph_contribution_terms(
     g: int, n: int, a_vec: Sequence[int], theory: RSpinTheory
 ) -> list[GraphTerm]:
     """Per-graph, per-divisor coefficients of the codimension-1 part.
 
+    This is the brute-force oracle for :func:`assemble_relation`: it
+    rebuilds the edge constant terms on every call, walks every enumerated
+    graph and contracts each one on its own.
     Zero contributions are kept so callers can see each graph vanish
-    individually.  The overall r^(g-1) prefactor is applied by
-    :func:`assemble_relation`, not here.
+    individually.  The overall r^(g-1) prefactor is not applied here.
     """
-    r = theory.r
     a_vec = tuple(a_vec)
     scale = ScaleFactor(power_m=1, sign=1)
+    edges = _edge_entries(theory)
     terms: list[GraphTerm] = []
 
     for contribution in enumerate_contributing_graphs(g, n, theory):
-        phi = _graph_phi(contribution, a_vec, theory)
+        graph = contribution.graph
+        phi = _family_phi(
+            [v.genus for v in graph.vertices], len(graph.edges), a_vec, theory.r
+        )
         kind = contribution.kind
 
         if kind == "leg_psi":
-            for i in range(1, n + 1):
-                total = Fraction(0)
-                for b in range(r - 1):
-                    entry = r_inverse_entry(1, a_vec[i - 1], b, theory)
-                    if entry == 0:
-                        continue
-                    insertions = list(a_vec)
-                    insertions[i - 1] = b
-                    value, _ = topological_value(g, insertions, theory)
-                    total += entry * value
-                terms.append(
-                    GraphTerm(contribution, psi(i), total, phi, scale)
-                )
+            for i in range(n):
+                total = _leg_sum(g, a_vec, i, theory)
+                terms.append(GraphTerm(contribution, psi(i + 1), total, phi, scale))
 
         elif kind == "dilaton_kappa":
-            # psi^2 on the dilaton leg pushes forward to kappa_1; the dilaton
-            # series carries an explicit minus sign and inserts along the
-            # unit direction.
-            total = Fraction(0)
-            for b in range(r - 1):
-                entry = r_inverse_entry(1, 0, b, theory)
-                if entry == 0:
-                    continue
-                value, _ = topological_value(g, list(a_vec) + [b], theory)
-                total += entry * value
-            terms.append(
-                GraphTerm(contribution, kappa1(), -total, phi, scale)
-            )
+            total = _dilaton_sum(g, a_vec, theory)
+            terms.append(GraphTerm(contribution, kappa1(), total, phi, scale))
 
         elif kind == "loop_edge":
-            total = Fraction(0)
-            for p in range(r - 1):
-                for q in range(r - 1):
-                    entry = edge_constant_term(p, q, theory)
-                    if entry == 0:
-                        continue
-                    value, _ = topological_value(
-                        g - 1, list(a_vec) + [p, q], theory
-                    )
-                    total += entry * value
-            terms.append(
-                GraphTerm(contribution, delta_irr(), total, phi, scale)
-            )
+            total = _loop_sum(g, a_vec, theory, edges)
+            terms.append(GraphTerm(contribution, delta_irr(), total, phi, scale))
 
         elif kind == "separating_edge":
-            v0, v1 = contribution.graph.vertices
+            v0, v1 = graph.vertices
             a0 = [a_vec[i - 1] for i in sorted(v0.markings)]
             a1 = [a_vec[i - 1] for i in sorted(v1.markings)]
-            total = Fraction(0)
-            for p in range(r - 1):
-                value0, _ = topological_value(v0.genus, a0 + [p], theory)
-                if value0 == 0:
-                    continue
-                for q in range(r - 1):
-                    entry = edge_constant_term(p, q, theory)
-                    if entry == 0:
-                        continue
-                    value1, _ = topological_value(v1.genus, a1 + [q], theory)
-                    total += entry * value0 * value1
-            divisor = divisor_class_of(contribution.graph, g, n)
+            total = _separating_sum(g, v0.genus, a0, a1, theory, edges)
+            divisor = divisor_class_of(graph, g, n)
             terms.append(GraphTerm(contribution, divisor, total, phi, scale))
 
         else:  # pragma: no cover - enumeration emits only the kinds above
             raise AssemblyError(f"unknown contribution kind {kind}")
 
     return terms
+
+
+def _check_family_exponents(
+    g: int, n: int, separating_genera: set[int], a_vec: tuple[int, ...], r: int
+) -> PhiExponent:
+    """The shared exponent of the relation; every graph family must carry it."""
+    expected = PhiExponent.of(Fraction(sum(a_vec) + (g - 1) * (r - 2)))
+    families = [("dilaton_kappa", (g,), 0), ("loop_edge", (g - 1,), 1)]
+    if n:
+        families.insert(0, ("leg_psi", (g,), 0))
+    families += [("separating_edge", (h, g - h), 1) for h in sorted(separating_genera)]
+    for kind, genera, edge_count in families:
+        phi = _family_phi(genera, edge_count, a_vec, r)
+        if phi != expected:
+            raise AssemblyError(
+                f"graph {kind} carries exponent {phi}, expected {expected}"
+            )
+    return expected
 
 
 def assemble_relation(
@@ -398,8 +462,12 @@ def assemble_relation(
     Raises :class:`DegreeGateError` when the degree bookkeeping reports no
     relation.  A non-integral auxiliary exponent is allowed: every graph
     contribution then vanishes through the congruence conditions and the
-    zero relation is returned.  All contributions must agree on their
+    zero relation is returned.  All graph families must agree on their
     exponent; disagreement is an assembly error, not a warning.
+
+    Separating classes are contracted once per key (h, sum of a over S mod
+    r-1), which fixes every vertex value of the graph, and the result is
+    shared by every class with that key.
     """
     a_vec = tuple(a_vec)
     if len(a_vec) != n:
@@ -418,25 +486,29 @@ def assemble_relation(
     if not gate.relation_exists:
         raise DegreeGateError(g, n, a_vec, r)
 
-    terms = graph_contribution_terms(g, n, a_vec, theory)
-    expected_phi = PhiExponent.of(Fraction(sum(a_vec) + (g - 1) * (r - 2)))
-    for term in terms:
-        if term.phi_exponent != expected_phi or term.scale != ScaleFactor(1, 1):
-            raise AssemblyError(
-                f"graph {term.contribution.kind} carries exponent "
-                f"{term.phi_exponent}, expected {expected_phi}"
-            )
+    separating = [d for d in divisor_generators(g, n) if d.kind == DELTA_SEP]
+    expected_phi = _check_family_exponents(
+        g, n, {d.h for d in separating}, a_vec, r
+    )
+    edges = _edge_entries(theory)
+
+    coefficients: dict[DivisorClass, Fraction] = {}
+    for i in range(n):
+        coefficients[psi(i + 1)] = _leg_sum(g, a_vec, i, theory)
+    coefficients[kappa1()] = _dilaton_sum(g, a_vec, theory)
+    coefficients[delta_irr()] = _loop_sum(g, a_vec, theory, edges)
+    by_key: dict[tuple[int, int], Fraction] = {}
+    for divisor in separating:
+        key = (divisor.h, sum(a_vec[i - 1] for i in divisor.markings) % (r - 1))
+        if key not in by_key:
+            a0 = [a_vec[i - 1] for i in sorted(divisor.markings)]
+            a1 = [a_vec[i] for i in range(n) if i + 1 not in divisor.markings]
+            by_key[key] = _separating_sum(g, divisor.h, a0, a1, theory, edges)
+        coefficients[divisor] = by_key[key]
 
     prefactor = Fraction(r ** (g - 1))
-    coefficients: dict[DivisorClass, Fraction] = {}
-    for term in terms:
-        if term.coefficient == 0:
-            continue
-        coefficients[term.divisor] = (
-            coefficients.get(term.divisor, Fraction(0)) + term.coefficient * prefactor
-        )
     return Relation(
-        coefficients=coefficients,
+        coefficients={d: c * prefactor for d, c in coefficients.items()},
         phi_exponent=expected_phi,
         scale=ScaleFactor(power_m=1, sign=1),
         provenance=Provenance(g=g, n=n, a_vec=a_vec, r_mode=r),
@@ -448,24 +520,24 @@ def _assemble_symbolic(g: int, n: int, a_vec: tuple[int, ...]) -> Relation:
 
     Only genus 1 has an r-independent contribution pattern (the auxiliary
     exponent is -1 for every r), so only genus 1 is supported symbolically.
+    Divisors with the same column of sampled values share one interpolant.
     """
     if g != 1:
         raise UnsupportedGenusError(
             "symbolic-in-r assembly is only meaningful in genus 1"
         )
     basis = divisor_generators(g, n)
-    numeric = {
-        rr: assemble_relation(g, n, a_vec, rr) for rr in _SYMBOLIC_SAMPLE_RS
-    }
+    numeric = [assemble_relation(g, n, a_vec, rr) for rr in _SYMBOLIC_SAMPLE_RS]
+    xs = [Fraction(rr) for rr in _SYMBOLIC_SAMPLE_RS]
+    interpolants: dict[tuple[Fraction, ...], RPoly] = {}
     coefficients: dict[DivisorClass, RPoly] = {}
     for divisor in basis:
-        samples = [
-            (Fraction(rr), numeric[rr].coefficients.get(divisor, Fraction(0)))
-            for rr in _SYMBOLIC_SAMPLE_RS
-        ]
-        coefficients[divisor] = poly_interpolate(
-            samples, degree_bound=_SYMBOLIC_DEGREE_BOUND
-        )
+        column = tuple(rel.coefficients.get(divisor, Fraction(0)) for rel in numeric)
+        if column not in interpolants:
+            interpolants[column] = poly_interpolate(
+                list(zip(xs, column)), degree_bound=_SYMBOLIC_DEGREE_BOUND
+            )
+        coefficients[divisor] = interpolants[column]
     # Numerator of the shared exponent, as a polynomial in r.
     phi_num = RPoly((sum(a_vec) - 2 * (g - 1), g - 1))
     return Relation(
@@ -648,10 +720,7 @@ def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
     rank_left = a.rank()
     rank_right = b.rank()
     rows = [v for v in a.vectors() + b.vectors() if any(x != 0 for x in v)]
-    if rows:
-        rank_union, _ = rank_and_solve(RationalMatrix(rows))
-    else:
-        rank_union = 0
+    rank_union = _rank(rows)
     return SpanReport(
         equal=rank_left == rank_right == rank_union,
         rank_left=rank_left,
@@ -663,16 +732,31 @@ def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
 def admissible_leg_vectors(g: int, n: int, r: int, D: int = 1) -> list[tuple[int, ...]]:
     """Leg vectors whose relation is potentially nonzero: the degree gate
     passes and the topological parity condition sum(a) = g - 1 + D mod r - 1
-    holds.  In genus 1 these are exactly the n unit vectors."""
-    out = []
-    for a_vec in iter_product(range(r - 1), repeat=n):
-        report = phi_degree(g, D, a_vec, r)
-        if not report.relation_exists:
-            continue
-        if (sum(a_vec) - (g - 1) - D) % (r - 1) != 0:
-            continue
-        out.append(a_vec)
-    return out
+    holds.  In genus 1 these are exactly the n unit vectors.
+
+    Both conditions depend only on sum(a), so the allowed sums are fixed
+    first and the vectors with those sums are enumerated directly, in
+    lexicographic order.
+    """
+    top = r - 2
+    # The gate passes iff sum(a) + offset < 0.
+    offset = phi_degree(g, D, (), r).value
+    sums = [
+        s for s in range(min(-offset, n * top + 1))
+        if (s - (g - 1) - D) % (r - 1) == 0
+    ]
+
+    def vectors(length: int, used: int):
+        if length == 0:
+            yield ()
+            return
+        for x in range(top + 1):
+            # Keep x only if some allowed sum stays reachable.
+            if any(used + x <= s <= used + x + (length - 1) * top for s in sums):
+                for rest in vectors(length - 1, used + x):
+                    yield (x,) + rest
+
+    return list(vectors(n, 0)) if sums else []
 
 
 def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:

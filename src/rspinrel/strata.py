@@ -15,6 +15,7 @@ codimension families are excluded with a recorded reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .cohft import RSpinTheory
@@ -119,7 +120,12 @@ def canonical_divisor(d: DivisorClass, g: int, n: int) -> DivisorClass:
 def divisor_generators(g: int, n: int) -> list[DivisorClass]:
     """Ordered generators of degree-2 cohomology: psi's, kappa_1, the
     irreducible boundary, then canonical separating classes sorted by
-    (h, subset)."""
+    (h, subset).  Built once per (g, n); each call returns a fresh list."""
+    return list(_divisor_generators(g, n))
+
+
+@lru_cache(maxsize=None)
+def _divisor_generators(g: int, n: int) -> tuple[DivisorClass, ...]:
     if g < 1:
         raise UnsupportedGenusError("genus-0 generators are out of scope")
     if 2 * g - 2 + n <= 0:
@@ -137,7 +143,7 @@ def divisor_generators(g: int, n: int) -> list[DivisorClass]:
                 except StabilityError:
                     continue
     gens.extend(sorted(seps, key=DivisorClass.sort_key))
-    return gens
+    return tuple(gens)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,15 @@ from itertools import permutations, product
 import pytest
 
 from rspinrel.cohft import PhiExponent, RSpinTheory, ScaleFactor, phi_degree
+from rspinrel.linalg import RationalMatrix, rank_and_solve
 from rspinrel.relations import (
+    AssemblyError,
     BasisMismatchError,
     DegreeGateError,
     Relation,
     RelationSet,
     Provenance,
+    _edge_entries,
     ac_relations,
     admissible_leg_vectors,
     assemble_relation,
@@ -22,8 +25,30 @@ from rspinrel.relations import (
     spans_equal,
     system_matrix_det,
 )
-from rspinrel.rpoly import RPoly
+from rspinrel.rpoly import RPoly, poly_interpolate
 from rspinrel.strata import delta_irr, delta_sep, divisor_generators, kappa1, psi
+
+
+def scan_admissible_leg_vectors(g, n, r, D=1):
+    """Oracle for admissible_leg_vectors: the full scan of all (r-1)^n
+    vectors, each checked against the gate and the parity condition."""
+    out = []
+    for a_vec in product(range(r - 1), repeat=n):
+        if not phi_degree(g, D, a_vec, r).relation_exists:
+            continue
+        if (sum(a_vec) - (g - 1) - D) % (r - 1) != 0:
+            continue
+        out.append(a_vec)
+    return out
+
+
+def per_graph_coefficients(g, n, a_vec, r):
+    """Oracle for assemble_relation: r^(g-1) times the per-divisor sum of
+    the per-graph terms, zero coefficients dropped."""
+    sums = {}
+    for term in graph_contribution_terms(g, n, a_vec, RSpinTheory(r)):
+        sums[term.divisor] = sums.get(term.divisor, Fraction(0)) + term.coefficient
+    return {d: c * r ** (g - 1) for d, c in sums.items() if c != 0}
 
 
 def reference(g, n, coeffs):
@@ -210,10 +235,73 @@ class TestDegreeGate:
                 )
                 assert sorted(admissible_leg_vectors(1, n, r)) == expected
 
+    def test_admissible_vectors_match_full_scan(self):
+        for g in range(1, 5):
+            for n in range(0, 6):
+                for r in range(3, 8):
+                    for D in range(0, 3):
+                        assert admissible_leg_vectors(g, n, r, D) == (
+                            scan_admissible_leg_vectors(g, n, r, D)
+                        ), (g, n, r, D)
+
     def test_admissible_vectors_higher_genus(self):
         assert admissible_leg_vectors(2, 0, 3) == [()]
         assert admissible_leg_vectors(2, 0, 4) == []
         assert admissible_leg_vectors(3, 0, 3) == []
+
+
+class TestOracleEquivalence:
+    def test_numeric_assembly_matches_per_graph_sum(self):
+        # Every gate-passing leg vector, admissible or not: the zero
+        # relations must come out zero on both sides.
+        seen_zero = seen_nonzero = 0
+        for g in (1, 2, 3):
+            for n in range(0, 6):
+                if 2 * g - 2 + n <= 0:
+                    continue
+                for r in range(3, 8):
+                    for a_vec in product(range(r - 1), repeat=n):
+                        if not phi_degree(g, 1, a_vec, r).relation_exists:
+                            continue
+                        rel = assemble_relation(g, n, a_vec, r)
+                        expected = per_graph_coefficients(g, n, a_vec, r)
+                        assert rel.coefficients == expected, (g, n, a_vec, r)
+                        seen_zero += not expected
+                        seen_nonzero += bool(expected)
+        assert seen_zero and seen_nonzero
+
+    def test_symbolic_matches_per_divisor_interpolation(self):
+        rs = (3, 4, 5, 6, 7, 8)
+        for n in range(1, 6):
+            basis = divisor_generators(1, n)
+            for a_vec in product((0, 1), repeat=n):
+                if not phi_degree(1, 1, a_vec, 3).relation_exists:
+                    continue
+                rel = assemble_relation(1, n, a_vec, symbolic=True)
+                numeric = [per_graph_coefficients(1, n, a_vec, r) for r in rs]
+                for divisor in basis:
+                    samples = [(r, c.get(divisor, 0)) for r, c in zip(rs, numeric)]
+                    expected = poly_interpolate(samples, degree_bound=3)
+                    got = rel.coefficients.get(divisor, RPoly.zero())
+                    assert got == expected, (n, a_vec, divisor)
+
+    @pytest.mark.parametrize("family", ["smooth", "loop", "separating"])
+    def test_wrong_family_exponent_raises(self, monkeypatch, family):
+        # Fault injection: one graph family reports a shifted exponent.
+        import rspinrel.relations as relations_module
+
+        original = relations_module._family_phi
+        signature = {"smooth": (1, 0), "loop": (1, 1), "separating": (2, 1)}[family]
+
+        def skewed(genera, edge_count, a_vec, r):
+            phi = original(genera, edge_count, a_vec, r)
+            if (len(genera), edge_count) == signature:
+                return PhiExponent.of(phi.numerator + 1)
+            return phi
+
+        monkeypatch.setattr(relations_module, "_family_phi", skewed)
+        with pytest.raises(AssemblyError):
+            assemble_relation(1, 3, (1, 0, 0), 3)
 
 
 class TestBookkeeping:
@@ -259,9 +347,16 @@ class TestSpans:
 
     def test_equivalence_genus_one(self):
         for n in range(1, 7):
-            for r in (3, 4, 5):
+            for r in range(3, 13) if n <= 5 else (3, 4, 5):
                 report = spans_equal(ppz_relation_set(1, n, r), ac_relations(1, n))
                 assert report.equal and report.rank_left == n + 1, (n, r, report)
+
+    def test_rank_matches_rank_and_solve(self):
+        for g, n in ((1, 1), (1, 3), (1, 4), (2, 2), (3, 0)):
+            relation_set = ppz_relation_set(g, n, 3)
+            rows = [v for v in relation_set.vectors() if any(v)]
+            expected = rank_and_solve(RationalMatrix(rows))[0] if rows else 0
+            assert relation_set.rank() == expected, (g, n)
 
     def test_equivalence_genus_two(self):
         for n in range(0, 6):
@@ -296,6 +391,17 @@ class TestEdgeFactor:
                     assert edge_constant_term(p, q, theory) == edge_constant_term(
                         q, p, theory
                     )
+
+    def test_entries_are_every_nonzero_constant_term(self):
+        for r in range(3, 13):
+            theory = RSpinTheory(r)
+            full = {}
+            for p in range(r - 1):
+                for q in range(r - 1):
+                    entry = edge_constant_term(p, q, theory)
+                    if entry != 0:
+                        full[(p, q)] = entry
+            assert dict(_edge_entries(theory)) == full, r
 
     def test_series_divisibility_through_order_two(self):
         # The consistency equation inside the series expansion exercises the

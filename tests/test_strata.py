@@ -74,6 +74,14 @@ class TestDivisorGenerators:
         with pytest.raises(UnsupportedGenusError):
             divisor_generators(0, 5)
 
+    def test_each_call_returns_a_fresh_list(self):
+        gens = divisor_generators(1, 3)
+        gens.reverse()
+        gens.append(psi(9))
+        again = divisor_generators(1, 3)
+        assert again is not gens
+        assert again[0] == psi(1) and len(again) == 2**3 + 1
+
     def test_unstable_rejected(self):
         with pytest.raises(StabilityError):
             divisor_generators(1, 0)
