@@ -224,7 +224,14 @@ def _cmd_pm_table(args) -> int:
     start = time.perf_counter()
     rows = []
     for m in range(args.m_max + 1):
-        rows.append([str(p_polynomial(m, a, args.r)) for a in range(args.r - 1)])
+        values = [p_polynomial(m, a, args.r) for a in range(args.r - 1)]
+        try:
+            rows.append([str(value) for value in values])
+        except ValueError:  # past Python's limit on int-to-decimal conversion
+            raise ValueError(
+                f"the entries of row m={m} are too long to print in decimal; "
+                f"lower --m-max below {m}"
+            ) from None
     elapsed_ms = round(1000 * (time.perf_counter() - start), 3)
     record = {
         "schema_version": SCHEMA_VERSION,

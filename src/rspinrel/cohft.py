@@ -6,7 +6,9 @@ taken at the semisimple shift point along the second basis direction.  This
 module holds everything that is a pure function of r:
 
 * the coefficient polynomials P_m(r, a) defined by a two-sum recursion,
-  numerically and symbolically in r,
+  numerically and symbolically in r; the numeric table is built bottom up,
+  one row of integer numerators over a common denominator per m, at O(r)
+  big-integer operations per row and so O(m r) for a table up to m,
 * the entries of the R-matrix of the theory and of its inverse (without the
   uniform scalar factor, which callers accumulate in :class:`ScaleFactor`),
 * degree-zero (topological) values of the theory,
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple, Sequence, Union
 
 from .cyclotomic import CyclotomicField
@@ -128,16 +131,59 @@ class PhiDegreeReport(NamedTuple):
     d_integral: bool           # value divisible by r - 1
 
 
-@lru_cache(maxsize=None)
-def p_polynomial(m: int, a: int, r: int) -> Fraction:
-    """P_m(r, a) by the two-sum recursion with P_0 = 1.
+# Last table row built for each r, as r -> (m, numerators, denominator) with
+# P_m(r, a) = numerators[a] / denominator.  An entry is replaced whole, never
+# mutated, so a reader always sees one consistent row.
+_last_rows: dict[int, tuple[int, tuple[int, ...], int]] = {}
 
-    Memoized behind the standard library's internally locked LRU cache, so
-    concurrent sweeps over r stay safe.  For m >= 1:
+
+def _p_row(m: int, r: int) -> tuple[tuple[int, ...], int]:
+    """Row m of the P table for r, as integer numerators over one denominator.
+
+    Continues from the stored row when it is not past m, else from P_0 = 1.
+    Row k is D_k P_k(r, a) with D_k = D_{k-1} 4kr(r-1), divided by the gcd of
+    its numerators and D_k: times D_k, the recursion's first sum becomes
+    2kr(r-1) times a prefix sum over b <= a, and its second sum, which does
+    not depend on a, becomes one integer subtracted from every entry.
+    """
+    stored = _last_rows.get(r)
+    start, row, den = stored if stored and stored[0] <= m else (0, (1,) * (r - 1), 1)
+    for k in range(start + 1, m + 1):
+        two_kr = 2 * k * r
+        second = sum(
+            (r - 1 - b) * (two_kr - b) * (two_kr - r - 2 * b) * row[b - 1]
+            for b in range(1, r - 1)
+        )
+        scale = two_kr * (r - 1)
+        prefix = 0
+        numerators = [-second]
+        for b in range(1, r - 1):
+            prefix += (two_kr - r - 2 * b) * row[b - 1]
+            numerators.append(scale * prefix - second)
+        den *= 2 * scale
+        common = gcd(den, *numerators)
+        row = tuple(x // common for x in numerators)
+        den //= common
+    _last_rows[r] = (m, row, den)
+    return row, den
+
+
+@lru_cache(maxsize=1024)
+def p_polynomial(m: int, a: int, r: int) -> Fraction:
+    """P_m(r, a), defined by P_0 = 1 and, for m >= 1, the two-sum recursion
 
         P_m(r,a) = 1/2 sum_{b=1}^{a} (2mr - r - 2b) P_{m-1}(r, b-1)
                  - 1/(4mr(r-1)) sum_{b=1}^{r-2}
                        (r-1-b)(2mr - b)(2mr - r - 2b) P_{m-1}(r, b-1)
+
+    The value is read from a row of the table built bottom up in integers
+    (``_p_row``): O(r) big-integer operations per row, so O(m r) for the
+    whole table up to m.  Only the last row built for each r is kept; a
+    request for an earlier m rebuilds from P_0, and the bounded LRU cache in
+    front absorbs repeated lookups.  Both are safe under concurrent sweeps
+    over r: the standard library's LRU cache locks internally, and the row
+    store only ever swaps in a finished immutable row, so racing callers can
+    cost one another a rebuild but never see a wrong or partial row.
     """
     if r < 3:
         raise ValueError("r must be at least 3")
@@ -145,22 +191,8 @@ def p_polynomial(m: int, a: int, r: int) -> Fraction:
         raise ValueError("m must be nonnegative")
     if not 0 <= a <= r - 2:
         raise ValueError(f"index a={a} out of range 0..{r - 2}")
-    if m == 0:
-        return Fraction(1)
-    first = Fraction(0)
-    for b in range(1, a + 1):
-        first += (2 * m * r - r - 2 * b) * p_polynomial(m - 1, b - 1, r)
-    first /= 2
-    second = Fraction(0)
-    for b in range(1, r - 1):
-        second += (
-            (r - 1 - b)
-            * (2 * m * r - b)
-            * (2 * m * r - r - 2 * b)
-            * p_polynomial(m - 1, b - 1, r)
-        )
-    second /= 4 * m * r * (r - 1)
-    return first - second
+    numerators, den = _p_row(m, r)
+    return Fraction(numerators[a], den)
 
 
 def p_polynomial_symbolic(m: int, a: int) -> RPoly:

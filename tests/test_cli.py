@@ -1,9 +1,12 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+import rspinrel.cli as cli_module
 from rspinrel.cli import main
+from rspinrel.cohft import p_polynomial
 from rspinrel.linalg import RationalMatrix, rank_and_solve
 
 
@@ -200,6 +203,38 @@ class TestPmTableCommand:
         assert code == 0
         record = json.loads(out)
         assert record["table"][0]["values"] == ["1", "1", "1", "1"]
+
+    def test_deep_table_keeps_cache_bounded(self, capsys):
+        code, _, _ = run(
+            capsys, ["pm-table", "--m-max", "200", "--r", "24", "--format", "json"]
+        )
+        assert code == 0
+        info = p_polynomial.cache_info()
+        assert info.maxsize == 1024
+        assert info.currsize <= info.maxsize
+
+    def test_unprintable_row_refused_where_it_starts(self, capsys, monkeypatch):
+        # Python refuses to print integers past a digit limit (4300 by
+        # default, which row 930 at r=3 exceeds); the table must stop there.
+        requested = []
+
+        def recording(m, a, r):
+            requested.append(m)
+            return p_polynomial(m, a, r)
+
+        monkeypatch.setattr(cli_module, "p_polynomial", recording)
+        code, out, err = run(capsys, ["pm-table", "--m-max", "1000", "--r", "3"])
+        assert code == 1
+        assert out == ""
+        match = re.fullmatch(
+            r"error: the entries of row m=(\d+) are too long to print in "
+            r"decimal; lower --m-max below \1\n",
+            err,
+        )
+        assert match, err
+        first_bad = int(match.group(1))
+        assert max(requested) == first_bad
+        assert all(str(p_polynomial(first_bad - 1, a, 3)) for a in range(2))
 
 
 class TestSelftestCommand:

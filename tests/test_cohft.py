@@ -1,7 +1,12 @@
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rspinrel import cohft
 from rspinrel.cohft import (
     PhiExponent,
     RSpinTheory,
@@ -23,6 +28,27 @@ from rspinrel.rpoly import RPoly
 
 def p1_closed(a, r):
     return Fraction(a * (r - 1 - a), 2) - Fraction((2 * r - 1) * (r - 2), 24)
+
+
+@lru_cache(maxsize=None)
+def p_by_recursion(m, a, r):
+    """Oracle: the memoised two-sum recursion in Fractions, entry by entry."""
+    if m == 0:
+        return Fraction(1)
+    first = Fraction(0)
+    for b in range(1, a + 1):
+        first += (2 * m * r - r - 2 * b) * p_by_recursion(m - 1, b - 1, r)
+    first /= 2
+    second = Fraction(0)
+    for b in range(1, r - 1):
+        second += (
+            (r - 1 - b)
+            * (2 * m * r - b)
+            * (2 * m * r - r - 2 * b)
+            * p_by_recursion(m - 1, b - 1, r)
+        )
+    second /= 4 * m * r * (r - 1)
+    return first - second
 
 
 class TestPPolynomial:
@@ -61,6 +87,73 @@ class TestPPolynomial:
             p_polynomial(1, 5, 3)
         with pytest.raises(ValueError):
             p_polynomial(1, -1, 4)
+
+
+class TestPTableOracle:
+    """The bottom-up integer rows against the Fraction recursion."""
+
+    @pytest.mark.parametrize("r", range(3, 13))
+    def test_every_entry_up_to_m_300(self, r):
+        for m in range(301):
+            for a in range(r - 1):
+                assert p_polynomial(m, a, r) == p_by_recursion(m, a, r), (m, a)
+
+    @pytest.mark.parametrize("m,r", [(200, 24), (100, 40)])
+    def test_deep_rows_at_wide_r(self, m, r):
+        for a in range(r - 1):
+            assert p_polynomial(m, a, r) == p_by_recursion(m, a, r), a
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(st.integers(0, 60), st.integers(3, 30), st.integers(0, 28)),
+            min_size=1,
+            max_size=12,
+        ),
+        order=st.sampled_from(("drawn", "ascending", "descending")),
+    )
+    def test_any_call_order(self, calls, order):
+        # A cold LRU cache sends every call to the row store, so an earlier m
+        # than the stored row's forces the rebuild from P_0.
+        if order != "drawn":
+            calls = sorted(calls, reverse=order == "descending")
+        p_polynomial.cache_clear()
+        for m, r, a in calls:
+            a %= r - 1
+            assert p_polynomial(m, a, r) == p_by_recursion(m, a, r), (m, a, r)
+
+    def test_concurrent_callers_share_the_row_store(self):
+        # Threads sweep m in opposite directions over the same r values, so
+        # they keep replacing one another's stored rows.
+        calls = [(m, r, a) for r in (3, 5, 8) for m in range(41) for a in range(r - 1)]
+        expected = {call: p_by_recursion(call[0], call[2], call[1]) for call in calls}
+        wrong = []
+
+        def sweep(order):
+            for m, r, a in order:
+                if p_polynomial(m, a, r) != expected[m, r, a]:
+                    wrong.append((m, r, a))
+
+        p_polynomial.cache_clear()
+        orders = [calls, calls[::-1], calls[1::2] + calls[::2], calls[::-2]]
+        threads = [threading.Thread(target=sweep, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_deep_row_on_cold_cache_returns(self):
+        # The recursion overflowed the interpreter stack here.
+        p_polynomial.cache_clear()
+        cohft._last_rows.pop(3, None)
+        assert isinstance(p_polynomial(1500, 0, 3), Fraction)
 
 
 class TestPSymbolic:
