@@ -1,14 +1,18 @@
 """Exact dense linear algebra over the rationals (and polynomial entries).
 
-Everything here targets the small systems that arise when comparing spans of
-divisor relations (at most a few dozen rows and columns), so the algorithms
-are the simple exact ones: Gauss-Jordan over Fraction for rank/nullspace,
-fraction-free Bareiss elimination for determinants, and memoized minor
-expansion for matrices with polynomial entries.
+Rank, nullspace and reduced row echelon form come from one fraction-free
+Gauss-Jordan elimination in integers (:func:`rref`): every row is scaled to a
+primitive integer vector, each update is a cross-multiplication, and each
+updated row is divided by its content again, so entries stay as small as the
+reduced rows themselves.  This is what compares the spans of divisor
+relations, with one column per divisor class (thousands of columns for 12
+markings).  Determinants use fraction-free Bareiss elimination for rational
+entries and memoized minor expansion for matrices with polynomial entries.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,12 +45,6 @@ class RationalMatrix:
         self.rows = len(rows)
         self.cols = width
 
-    def determinant(self):
-        return determinant(self)
-
-    def rank_and_nullspace(self):
-        return rank_and_solve(self)
-
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
@@ -55,73 +53,84 @@ def _as_matrix(m) -> RationalMatrix:
     return m if isinstance(m, RationalMatrix) else RationalMatrix(m)
 
 
+def primitive_int_vector(row: Sequence) -> tuple[int, ...]:
+    """The primitive integer multiple of a rational row whose first nonzero
+    entry is positive; a zero row stays zero."""
+    try:
+        denom = math.lcm(*[x.denominator for x in row])
+    except AttributeError:
+        raise ValueError("rational entries required") from None
+    ints = [x.numerator * (denom // x.denominator) for x in row]
+    content = math.gcd(*ints)
+    if content == 0:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        content = -content
+    return tuple(ints) if content == 1 else tuple([x // content for x in ints])
+
+
+def rref(m) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced row echelon form of a rational matrix, as primitive integer
+    rows with a positive pivot (nonzero rows only), and the pivot columns.
+
+    ``m`` is a :class:`RationalMatrix` or a sequence of rows of ints and
+    Fractions.  Each row of the result is the unique primitive integer
+    multiple of the corresponding row of the rational reduced form.
+    """
+    if isinstance(m, RationalMatrix):
+        if m.is_polynomial:
+            raise ValueError("rref requires rational entries")
+        m = m.entries
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("matrix rows have unequal lengths")
+    rows = [list(row) for row in map(primitive_int_vector, m) if any(row)]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        piv = rows[rank]
+        pv = piv[col]
+        if pv < 0:
+            piv = rows[rank] = [-y for y in piv]
+            pv = -pv
+        dependent = False
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != rank:
+                row = [pv * x - f * y for x, y in zip(row, piv)]
+                content = math.gcd(*row)
+                rows[i] = [x // content for x in row] if content > 1 else row
+                dependent = dependent or content == 0
+        pivots.append(col)
+        if dependent:  # rows that cancelled to zero: drop them
+            rows[rank + 1:] = [row for row in rows[rank + 1:] if any(row)]
+    return [tuple(row) for row in rows], pivots
+
+
 def rank_and_solve(m) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Exact rank and a basis of the right nullspace of a rational matrix.
 
     Each basis vector v satisfies M v = 0 exactly, and
-    rank + len(basis) == cols.
+    rank + len(basis) == cols.  Both are read off :func:`rref`.
     """
     mat = _as_matrix(m)
-    if mat.is_polynomial:
-        raise ValueError("rank_and_solve requires rational entries")
-    rows = [list(row) for row in mat.entries]
-    ncols = mat.cols
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    rows, pivots = rref(mat)
+    pivot_set = set(pivots)
     basis: list[tuple[Fraction, ...]] = []
-    for free in free_cols:
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row_idx, piv_col in enumerate(pivots):
-            v[piv_col] = -rows[row_idx][free]
-        basis.append(tuple(v))
-    return rank, basis
-
-
-def rref(m) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (nonzero rows only) and pivot columns."""
-    mat = _as_matrix(m)
-    if mat.is_polynomial:
-        raise ValueError("rref requires rational entries")
-    rows = [list(row) for row in mat.entries]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(mat.cols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for free in range(mat.cols):
+        if free in pivot_set:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
+        v = [Fraction(0)] * mat.cols
+        v[free] = Fraction(1)
+        for row, piv_col in zip(rows, pivots):
+            v[piv_col] = Fraction(-row[free], row[piv_col])
+        basis.append(tuple(v))
+    return len(pivots), basis
 
 
 def determinant(m):

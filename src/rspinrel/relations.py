@@ -35,7 +35,6 @@ of sampled values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
@@ -49,7 +48,7 @@ from .cohft import (
     topological_value,
     witten_degree,
 )
-from .linalg import RationalMatrix, determinant, rref
+from .linalg import RationalMatrix, determinant, primitive_int_vector, rref
 from .rpoly import RPoly, poly_interpolate
 from .strata import (
     DELTA_SEP,
@@ -125,10 +124,12 @@ class Relation:
     def is_symbolic(self) -> bool:
         return any(isinstance(c, RPoly) for c in self.coefficients.values())
 
-    def vector(self, basis: Sequence[DivisorClass]) -> tuple[Coefficient, ...]:
-        missing = set(self.coefficients) - set(basis)
-        if missing:
-            raise BasisMismatchError(f"classes outside the basis: {missing}")
+    def vector(
+        self, basis: Sequence[DivisorClass], members: frozenset | None = None
+    ) -> tuple[Coefficient, ...]:
+        """Coefficients in basis order; ``members`` is ``frozenset(basis)``
+        when the caller already has it."""
+        _check_support(self.coefficients, members or frozenset(basis))
         zero = Fraction(0)
         return tuple(self.coefficients.get(d, zero) for d in basis)
 
@@ -137,7 +138,7 @@ class Relation:
         vec = self.vector(basis)
         if any(isinstance(c, RPoly) for c in vec):
             raise ValueError("normalized_vector requires a numeric relation")
-        return _primitive_int_vector(vec)
+        return primitive_int_vector(vec)
 
     def scaled(self, factor: Coefficient) -> "Relation":
         return Relation(
@@ -168,23 +169,19 @@ class RelationSet:
     relations: list[Relation]
 
     def __post_init__(self):
+        self._members = frozenset(self.basis)
         for rel in self.relations:
-            rel.vector(self.basis)  # raises on basis mismatch
+            _check_support(rel.coefficients, self._members)
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
-        return [rel.vector(self.basis) for rel in self.relations]
+        return [rel.vector(self.basis, self._members) for rel in self.relations]
 
     def rank(self) -> int:
-        rows = [v for v in self.vectors() if any(x != 0 for x in v)]
-        return _rank(rows)
+        return len(rref(self.vectors())[1])
 
     def reduced_rows(self) -> list[tuple[int, ...]]:
         """Row-reduced basis of the span as primitive integer vectors."""
-        rows = [v for v in self.vectors() if any(x != 0 for x in v)]
-        if not rows:
-            return []
-        reduced, _ = rref(RationalMatrix(rows))
-        return [_primitive_int_vector(tuple(row)) for row in reduced]
+        return rref(self.vectors())[0]
 
 
 @dataclass(frozen=True)
@@ -198,37 +195,16 @@ class GraphTerm:
     scale: ScaleFactor
 
 
-def _rank(rows: list[tuple[Fraction, ...]]) -> int:
-    """Rank as the pivot count of the reduced row echelon form."""
-    if not rows:
-        return 0
-    _, pivots = rref(RationalMatrix(rows))
-    return len(pivots)
+def _check_support(coefficients: dict, members: frozenset) -> None:
+    missing = coefficients.keys() - members
+    if missing:
+        raise BasisMismatchError(f"classes outside the basis: {missing}")
 
 
 def _is_zero(c: Coefficient) -> bool:
     if isinstance(c, RPoly):
         return c.is_zero()
     return c == 0
-
-
-def _primitive_int_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    if all(x == 0 for x in vec):
-        return tuple(0 for _ in vec)
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +531,10 @@ def _assemble_symbolic(g: int, n: int, a_vec: tuple[int, ...]) -> Relation:
 def extract_r_coefficients(rel: Relation) -> RelationSet:
     """Split a symbolic relation into one relation per power of r.
 
-    The relation is first normalized to a primitive joint integer form
-    (denominators cleared across all coefficients, global content removed),
-    then the coefficient of each power of r gives one relation.  Redundant
-    relations are kept; span analysis is a separate concern.
+    The coefficient of each power of r, highest first, gives one relation,
+    normalized to its primitive integer vector (denominators cleared, content
+    removed, first nonzero coefficient positive).  Redundant relations are
+    kept; span analysis is a separate concern.
     """
     if not rel.is_symbolic() and not rel.is_zero():
         raise ValueError("extraction needs a symbolic-mode relation")
@@ -566,44 +542,25 @@ def extract_r_coefficients(rel: Relation) -> RelationSet:
     if prov.r_mode != SYMBOLIC:
         raise ValueError("extraction needs a symbolic-mode relation")
     basis = tuple(divisor_generators(prov.g, prov.n))
-    polys = [rel.coefficients.get(d, RPoly.zero()) for d in basis]
-    polys = [p if isinstance(p, RPoly) else RPoly((p,)) for p in polys]
+    columns = []
+    for d in basis:
+        c = rel.coefficients.get(d, RPoly.zero())
+        columns.append(c.coeffs if isinstance(c, RPoly) else (c,))
 
-    # Joint content normalization across every coefficient of every power.
-    all_coeffs = [c for p in polys for c in p.coeffs]
-    denom_lcm = 1
-    for c in all_coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [[int(c * denom_lcm) for c in p.coeffs] for p in polys]
-    g = 0
-    for row in ints:
-        for v in row:
-            g = math.gcd(g, abs(v))
-    if g:
-        ints = [[v // g for v in row] for row in ints]
-
-    max_deg = max((len(row) for row in ints), default=0)
+    max_deg = max(map(len, columns), default=0)
     relations = []
     for power in range(max_deg - 1, -1, -1):
-        coeffs = {}
-        for divisor, row in zip(basis, ints):
-            value = Fraction(row[power]) if power < len(row) else Fraction(0)
-            if value != 0:
-                coeffs[divisor] = value
-        if not coeffs:
+        vec = primitive_int_vector(
+            [col[power] if power < len(col) else 0 for col in columns]
+        )
+        if not any(vec):
             continue
-        row_rel = Relation(
-            coefficients=coeffs,
+        relations.append(Relation(
+            coefficients={d: Fraction(v) for d, v in zip(basis, vec) if v},
             phi_exponent=rel.phi_exponent,
             scale=rel.scale,
             provenance=replace(prov, r_mode=f"r^{power}"),
-        )
-        # Content-normalize each extracted row as well.
-        vec = _primitive_int_vector(row_rel.vector(basis))
-        row_rel.coefficients = {
-            d: Fraction(v) for d, v in zip(basis, vec) if v != 0
-        }
-        relations.append(row_rel)
+        ))
     return RelationSet(basis=basis, relations=relations)
 
 
@@ -717,10 +674,10 @@ def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
     """Whether two relation sets span the same subspace over the rationals."""
     if a.basis != b.basis:
         raise BasisMismatchError("relation sets use different generator bases")
-    rank_left = a.rank()
-    rank_right = b.rank()
-    rows = [v for v in a.vectors() + b.vectors() if any(x != 0 for x in v)]
-    rank_union = _rank(rows)
+    left, _ = rref(a.vectors())
+    right, _ = rref(b.vectors())
+    rank_left, rank_right = len(left), len(right)
+    rank_union = len(rref(left + right)[1])
     return SpanReport(
         equal=rank_left == rank_right == rank_union,
         rank_left=rank_left,

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,10 @@ import rspinrel.cli as cli_module
 from rspinrel.cli import main
 from rspinrel.cohft import p_polynomial
 from rspinrel.linalg import RationalMatrix, rank_and_solve
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+sys.path.insert(0, ROOT)
+from perfbench import measure, workloads  # noqa: E402
 
 
 def run(capsys, argv):
@@ -244,3 +251,37 @@ class TestSelftestCommand:
         assert len(record["verdicts"]) == 11
         all_pass = all(v["verdict"] == "PASS" for v in record["verdicts"])
         assert code == (0 if all_pass else 1)
+
+
+def _linalg_heavy(argv):
+    """Golden grid points whose time goes mostly into row reduction: genus-1
+    full sets and span checks at n = 6, 7 and the genus-2 span check at n = 8."""
+    if argv[0] not in ("verify-ac", "relations") or "--symbolic" in argv:
+        return False
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    if "--a" in opts:
+        return False
+    g, n = opts["--g"], opts["--n"]
+    return (g == "1" and n in ("6", "7")) or (g == "2" and n == "8" and argv[0] == "verify-ac")
+
+
+class TestGoldenOutputs:
+    """Cold CLI processes reproduce the benchmark's golden exit codes and
+    output digests (``perfbench/golden.json``) on the linalg-heavy points."""
+
+    GOLDEN = json.load(open(os.path.join(ROOT, "perfbench", "golden.json")))
+
+    @pytest.mark.parametrize(
+        "argv", [a for a in workloads.grid_points() if _linalg_heavy(a)], ids=workloads.key
+    )
+    def test_cold_run_matches_golden(self, argv):
+        env = dict(os.environ, PYTHONHASHSEED=str(workloads.hash_seed(argv)))
+        src = os.path.join(ROOT, "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        result = subprocess.run(
+            [sys.executable, "-m", "rspinrel.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        expected = self.GOLDEN[workloads.key(argv)]
+        assert result.returncode == expected["exit"], result.stderr
+        assert measure.digest(result.returncode, result.stdout) == expected["digest"]

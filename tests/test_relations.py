@@ -1,10 +1,12 @@
+import os
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
 from rspinrel.cohft import PhiExponent, RSpinTheory, ScaleFactor, phi_degree
-from rspinrel.linalg import RationalMatrix, rank_and_solve
+from rspinrel.linalg import RationalMatrix, primitive_int_vector, rank_and_solve
 from rspinrel.relations import (
     AssemblyError,
     BasisMismatchError,
@@ -27,6 +29,10 @@ from rspinrel.relations import (
 )
 from rspinrel.rpoly import RPoly, poly_interpolate
 from rspinrel.strata import delta_irr, delta_sep, divisor_generators, kappa1, psi
+from test_linalg import fraction_rref
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from perfbench.workloads import G1_NR  # noqa: E402
 
 
 def scan_admissible_leg_vectors(g, n, r, D=1):
@@ -380,6 +386,47 @@ class TestSpans:
         sets = {r: ppz_relation_set(1, 3, r) for r in (3, 4, 5)}
         for ra, rb in ((3, 4), (3, 5), (4, 5)):
             assert spans_equal(sets[ra], sets[rb]).equal
+
+    def test_relation_outside_basis_rejected(self):
+        stray = reference(1, 3, {psi(3): 1})
+        with pytest.raises(BasisMismatchError):
+            RelationSet(basis=tuple(divisor_generators(1, 2)), relations=[stray])
+        with pytest.raises(BasisMismatchError):
+            stray.vector(tuple(divisor_generators(1, 2)))
+
+
+# The benchmark's genus-1 grid up to six markings, and genus 2 at r = 3.
+ORACLE_CASES = [(1, n, r) for n, r in G1_NR if n <= 6] + [(2, n, 3) for n in range(9)]
+
+
+class TestIntegerEliminationOracle:
+    """Reduced rows and span ranks against plain Fraction Gauss-Jordan."""
+
+    @pytest.mark.parametrize("g,n,r", ORACLE_CASES)
+    def test_matches_fraction_rref(self, g, n, r):
+        computed, reference_set = ppz_relation_set(g, n, r), ac_relations(g, n)
+        left, right = computed.vectors(), reference_set.vectors()
+        oracle_rows, oracle_pivots = fraction_rref(left)
+        assert computed.reduced_rows() == [primitive_int_vector(row) for row in oracle_rows]
+        assert computed.rank() == len(oracle_pivots)
+        report = spans_equal(computed, reference_set)
+        expected = tuple(len(fraction_rref(rows)[1]) for rows in (left, right, left + right))
+        assert (report.rank_left, report.rank_right, report.rank_union) == expected
+        assert report.equal
+
+    def test_ranks_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+
+        def sympy_rank(rows):
+            grid = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+            return sympy.Matrix(grid).rank() if grid else 0
+
+        for g, n, r in ((1, 3, 3), (1, 4, 5), (1, 5, 3), (2, 3, 3), (2, 5, 3)):
+            computed, reference_set = ppz_relation_set(g, n, r), ac_relations(g, n)
+            left, right = computed.vectors(), reference_set.vectors()
+            report = spans_equal(computed, reference_set)
+            expected = (sympy_rank(left), sympy_rank(right), sympy_rank(left + right))
+            assert (report.rank_left, report.rank_right, report.rank_union) == expected, (g, n, r)
 
 
 class TestEdgeFactor:
