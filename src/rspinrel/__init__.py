@@ -6,70 +6,52 @@ markings, extracts their per-power-of-r consequences, pulls the genus-2
 relation back along forgetful maps, and verifies everything against the known
 complete set of degree-2 relations.  All arithmetic is exact: rationals,
 polynomials in r, and cyclotomic integers.
+
+The names below are importable from the package itself, but a submodule is
+loaded only when one of its names is first asked for (PEP 562), so a process
+that runs one CLI subcommand loads only the modules that subcommand uses.
 """
 
-from .cohft import (
-    IdempotentReport,
-    PhiDegreeReport,
-    PhiExponent,
-    RSpinTheory,
-    ScaleFactor,
-    StructureConstants,
-    idempotent_check,
-    p_polynomial,
-    p_polynomial_symbolic,
-    phi_degree,
-    quantum_structure_constants,
-    r_forward_entry,
-    r_forward_matrix,
-    r_inverse_entry,
-    r_inverse_matrix,
-    topological_value,
-    witten_degree,
-)
-from .linalg import RationalMatrix, determinant, rank_and_solve
-from .relations import (
-    AssemblyError,
-    BasisMismatchError,
-    DegreeGateError,
-    GraphTerm,
-    Relation,
-    RelationSet,
-    SpanReport,
-    SystemDetReport,
-    ac_relations,
-    admissible_leg_vectors,
-    assemble_relation,
-    edge_constant_term,
-    edge_series_coefficients,
-    extract_r_coefficients,
-    graph_contribution_terms,
-    ppz_relation_set,
-    pullback_genus2,
-    spans_equal,
-    system_matrix_det,
-)
-from .rpoly import InterpolationError, Rational, RPoly, poly_eval, poly_interpolate
-from .selftest import CriterionResult, run_acceptance
-from .strata import (
-    DivisorClass,
-    ExcludedFamily,
-    GraphContribution,
-    StabilityError,
-    StableGraph,
-    UnsupportedGenusError,
-    Vertex,
-    automorphism_order,
-    canonical_divisor,
-    delta_irr,
-    delta_sep,
-    divisor_class_of,
-    divisor_generators,
-    enumerate_contributing_graphs,
-    excluded_contributions,
-    kappa1,
-    placement_count,
-    psi,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "cohft": (
+        "DegreeGateError", "IdempotentReport", "PhiDegreeReport", "PhiExponent",
+        "RSpinTheory", "ScaleFactor", "StructureConstants", "idempotent_check",
+        "p_polynomial", "p_polynomial_symbolic", "phi_degree",
+        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
+        "r_inverse_entry", "r_inverse_matrix", "topological_value", "witten_degree",
+    ),
+    "linalg": ("RationalMatrix", "determinant", "rank_and_solve"),
+    "relations": (
+        "AssemblyError", "BasisMismatchError", "GraphTerm", "Relation",
+        "RelationSet", "SpanReport", "SystemDetReport", "ac_relations",
+        "admissible_leg_vectors", "assemble_relation", "edge_constant_term",
+        "edge_series_coefficients", "extract_r_coefficients",
+        "graph_contribution_terms", "ppz_relation_set", "pullback_genus2",
+        "spans_equal", "system_matrix_det",
+    ),
+    "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_eval", "poly_interpolate"),
+    "selftest": ("CriterionResult", "run_acceptance"),
+    "strata": (
+        "DivisorClass", "ExcludedFamily", "GraphContribution", "StabilityError",
+        "StableGraph", "UnsupportedGenusError", "Vertex", "automorphism_order",
+        "canonical_divisor", "delta_irr", "delta_sep", "divisor_class_of",
+        "divisor_generators", "enumerate_contributing_graphs",
+        "excluded_contributions", "kappa1", "placement_count", "psi",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

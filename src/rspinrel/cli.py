@@ -15,19 +15,12 @@ import json
 import sys
 import time
 
-from .cohft import p_polynomial, phi_degree
-from .relations import (
-    DegreeGateError,
-    Relation,
-    ac_relations,
-    assemble_relation,
-    extract_r_coefficients,
-    ppz_relation_set,
-    pullback_genus2,
-    spans_equal,
-)
-from .selftest import run_acceptance
-from .strata import StabilityError, UnsupportedGenusError, divisor_generators
+# The module docstring is the --help text.  A process loads only what its
+# subcommand runs: module level needs cohft alone, which is all that --help,
+# pm-table and the up-front refusals use, and the other subcommands import
+# their modules once their arguments pass.  p_polynomial stays a module global
+# because callers and tests patch it here.
+from .cohft import DegreeGateError, p_polynomial, phi_degree
 
 SCHEMA_VERSION = 1
 
@@ -59,20 +52,25 @@ def _format_terms(names: list[str], coeffs: list[int]) -> str:
     return text + " = 0"
 
 
-def _emit(record: dict, fmt: str, text_lines: list[str]) -> None:
+def _emit(record: dict, fmt: str, text_lines) -> None:
+    """Print ``record`` as JSON, or else the lines ``text_lines()`` yields."""
     if fmt == "json":
         print(json.dumps(record, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
-def _cmd_relations(args) -> int:
-    g, n = args.g, args.n
+def _check_space(g: int, n: int) -> None:
     if g < 1:
         raise UsageError("genus must be at least 1 (genus 0 is out of scope)")
     if 2 * g - 2 + n <= 0:
         raise UsageError(f"(g, n) = ({g}, {n}) is unstable")
+
+
+def _cmd_relations(args) -> int:
+    g, n = args.g, args.n
+    _check_space(g, n)
     if args.symbolic and args.r is not None:
         raise UsageError("--r and --symbolic are mutually exclusive")
     if not args.symbolic and args.r is None:
@@ -88,31 +86,38 @@ def _cmd_relations(args) -> int:
             raise UsageError(f"cannot parse leg vector {args.a!r}")
         if len(a_vec) != n:
             raise UsageError(f"leg vector length {len(a_vec)} != n = {n}")
+    if args.symbolic and g != 1:
+        raise UsageError("symbolic mode is supported in genus 1 only")
+    if not args.symbolic and a_vec is None:
+        # Refuse up front when no leg vector can pass the degree gate; the
+        # all-zero vector minimizes the gated quantity over all leg choices.
+        report = phi_degree(g, 1, (0,) * n, args.r)
+        if not report.relation_exists:
+            raise DegreeGateError(g, n, (0,) * n, args.r)
+
+    from .relations import (
+        assemble_relation,
+        extract_r_coefficients,
+        ppz_relation_set,
+        pullback_genus2,
+    )
+    from .strata import divisor_generators
 
     start = time.perf_counter()
     notes: list[str] = []
     basis = tuple(divisor_generators(g, n))
-    names = [d.render() for d in basis]
     payloads: list[dict] = []
-    lines: list[str] = []
 
     if args.symbolic:
-        if g != 1:
-            raise UsageError("symbolic mode is supported in genus 1 only")
         a_choices = [a_vec] if a_vec is not None else [
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         ]
-        extracted: list[Relation] = []
         for choice in a_choices:
             symbolic = assemble_relation(g, n, choice, symbolic=True)
-            extracted.extend(extract_r_coefficients(symbolic).relations)
-        payloads = [rel.payload(basis) for rel in extracted]
-        lines.append(f"relations g={g} n={n} r=symbolic ({len(extracted)} extracted)")
-        for rel, payload in zip(extracted, payloads):
-            lines.append(
-                f"  [{rel.provenance.r_mode}, a={list(rel.provenance.a_vec)}] "
-                + _format_terms(payload["generators"], payload["coeffs"])
+            payloads.extend(
+                rel.payload(basis) for rel in extract_r_coefficients(symbolic).relations
             )
+        header = f"relations g={g} n={n} r=symbolic ({len(payloads)} extracted)"
     elif a_vec is not None:
         if g == 2 and n > 0:
             # Marked genus-2 relations are pullbacks of the unmarked one,
@@ -125,23 +130,15 @@ def _cmd_relations(args) -> int:
             rel = pullback_genus2(base, n)
         else:
             rel = assemble_relation(g, n, a_vec, args.r)
+        header = f"relations g={g} n={n} r={args.r} a={list(a_vec)}"
         if rel.is_zero():
             notes.append("zero relation: every graph contribution vanishes")
-            lines.append(f"relations g={g} n={n} r={args.r} a={list(a_vec)}: 0 = 0")
+            header += ": 0 = 0"
         else:
             payloads = [rel.payload(basis)]
-            lines.append(f"relations g={g} n={n} r={args.r} a={list(a_vec)}")
-            lines.append(
-                "  " + _format_terms(payloads[0]["generators"], payloads[0]["coeffs"])
-            )
     else:
-        # Refuse up front when no leg vector can pass the degree gate; the
-        # all-zero vector minimizes the gated quantity over all leg choices.
-        report = phi_degree(g, 1, (0,) * n, args.r)
-        if not report.relation_exists:
-            raise DegreeGateError(g, n, (0,) * n, args.r)
-        relation_set = ppz_relation_set(g, n, args.r)
-        rows = relation_set.reduced_rows()
+        rows = ppz_relation_set(g, n, args.r).reduced_rows()
+        names = [d.render() for d in basis]
         payloads = [
             {"generators": names, "coeffs": list(row), "g": g, "n": n,
              "a": None, "r": args.r}
@@ -153,16 +150,8 @@ def _cmd_relations(args) -> int:
                 notes.append(
                     "auxiliary degree is not an integer multiple of r-1"
                 )
-        lines.append(
-            f"relations g={g} n={n} r={args.r} ({len(rows)} normalized relations)"
-        )
-        for payload in payloads:
-            lines.append(
-                "  " + _format_terms(payload["generators"], payload["coeffs"])
-            )
+        header = f"relations g={g} n={n} r={args.r} ({len(rows)} normalized relations)"
 
-    for note in notes:
-        lines.append(f"  note: {note}")
     elapsed_ms = round(1000 * (time.perf_counter() - start), 3)
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -179,11 +168,27 @@ def _cmd_relations(args) -> int:
         "notes": notes,
         "elapsed_ms": elapsed_ms,
     }
-    _emit(record, args.format, lines)
+
+    def text_lines():
+        yield header
+        for payload in payloads:
+            # Symbolic relations carry their power of r and leg vector.
+            label = f"[{payload['r']}, a={payload['a']}] " if args.symbolic else ""
+            yield "  " + label + _format_terms(payload["generators"], payload["coeffs"])
+        for note in notes:
+            yield f"  note: {note}"
+
+    _emit(record, args.format, text_lines)
     return 0
 
 
 def _cmd_verify_ac(args) -> int:
+    _check_space(args.g, args.n)
+    if args.r < 3:
+        raise UsageError("r must be at least 3")
+
+    from .relations import ac_relations, ppz_relation_set, spans_equal
+
     start = time.perf_counter()
     computed = ppz_relation_set(args.g, args.n, args.r)
     reference = ac_relations(args.g, args.n)
@@ -207,12 +212,15 @@ def _cmd_verify_ac(args) -> int:
         "notes": [],
         "elapsed_ms": elapsed_ms,
     }
-    lines = [
-        f"verify-ac g={args.g} n={args.n} r={args.r}: {verdict} "
-        f"(computed rank {report.rank_left}, reference rank {report.rank_right}, "
-        f"union rank {report.rank_union})"
-    ]
-    _emit(record, args.format, lines)
+
+    def text_lines():
+        yield (
+            f"verify-ac g={args.g} n={args.n} r={args.r}: {verdict} "
+            f"(computed rank {report.rank_left}, reference rank {report.rank_right}, "
+            f"union rank {report.rank_union})"
+        )
+
+    _emit(record, args.format, text_lines)
     return 0 if report.equal else 1
 
 
@@ -243,18 +251,26 @@ def _cmd_pm_table(args) -> int:
         "notes": [],
         "elapsed_ms": elapsed_ms,
     }
-    width = max(6, max((len(v) for row in rows for v in row), default=6)) + 1
-    header = "m \\ a |" + "".join(f"{a:>{width}}" for a in range(args.r - 1))
-    lines = [f"P_m(r, a) for r={args.r}", header, "-" * len(header)]
-    for m, row in enumerate(rows):
-        lines.append(f"{m:>5} |" + "".join(f"{v:>{width}}" for v in row))
-    _emit(record, args.format, lines)
+
+    def text_lines():
+        width = max(6, max((len(v) for row in rows for v in row), default=6)) + 1
+        header = "m \\ a |" + "".join(f"{a:>{width}}" for a in range(args.r - 1))
+        yield f"P_m(r, a) for r={args.r}"
+        yield header
+        yield "-" * len(header)
+        for m, row in enumerate(rows):
+            yield f"{m:>5} |" + "".join(f"{v:>{width}}" for v in row)
+
+    _emit(record, args.format, text_lines)
     return 0
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_acceptance
+
     results = run_acceptance()
     fmt = "json" if args.json else args.format
+    passed = sum(res.passed for res in results)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": "selftest",
@@ -273,10 +289,13 @@ def _cmd_selftest(args) -> int:
         "notes": [],
         "elapsed_ms": round(1000 * sum(res.elapsed_s for res in results), 3),
     }
-    lines = [res.line() for res in results]
-    passed = sum(res.passed for res in results)
-    lines.append(f"{passed}/{len(results)} criteria passed")
-    _emit(record, fmt, lines)
+
+    def text_lines():
+        for res in results:
+            yield res.line()
+        yield f"{passed}/{len(results)} criteria passed"
+
+    _emit(record, fmt, text_lines)
     return 0 if passed == len(results) else 1
 
 
@@ -326,7 +345,7 @@ def main(argv=None) -> int:
     except DegreeGateError as exc:
         print(f"refused: {exc} (target codimension D = 1)", file=sys.stderr)
         return 2
-    except (StabilityError, UnsupportedGenusError, ValueError) as exc:
+    except ValueError as exc:  # StabilityError and UnsupportedGenusError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

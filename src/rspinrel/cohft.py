@@ -15,7 +15,12 @@ module holds everything that is a pure function of r:
 * the quantum product at the shift point, with its idempotent basis checked
   in exact cyclotomic arithmetic,
 * codimension bookkeeping: the intrinsic class degree and the auxiliary
-  exponent that gates the existence of a divisor relation.
+  exponent that gates the existence of a divisor relation, and
+  :class:`DegreeGateError`, the refusal raised when that gate is closed.
+
+This is the one library module that every CLI subcommand loads, so it imports
+only :mod:`rspinrel.rpoly` at module level; :mod:`rspinrel.cyclotomic` is
+loaded by :func:`idempotent_check`, its only user.
 
 For the record: the Euler field of the underlying Frobenius structure at the
 shift point is (r-1) phi^(r/(r-1)) along the second rescaled basis vector.
@@ -31,7 +36,6 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Sequence, Union
 
-from .cyclotomic import CyclotomicField
 from .rpoly import RPoly, poly_interpolate
 
 
@@ -298,6 +302,8 @@ def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
     cyclotomic arithmetic, along with the geometric-sum identity
     1 + zeta^x + ... + zeta^((r-2)x) = 0 for x != 0 mod r-1 that drives it.
     """
+    from .cyclotomic import CyclotomicField
+
     m = theory.r - 1
     field = CyclotomicField(m)
     failures: list[str] = []
@@ -363,3 +369,16 @@ def phi_degree(g: int, D: int, a_vec: Sequence[int], r: int) -> PhiDegreeReport:
         relation_exists=value < 0,
         d_integral=value % (r - 1) == 0,
     )
+
+
+class DegreeGateError(ValueError):
+    """No relation exists at this degree: the class degree is not exceeded."""
+
+    def __init__(self, g: int, n: int, a_vec: tuple[int, ...], r: int):
+        self.witten_degree = witten_degree(g, n, a_vec, r)
+        self.report = phi_degree(g, 1, a_vec, r)
+        super().__init__(
+            f"no relation in codimension D = 1 for (g, n, a, r) = "
+            f"({g}, {n}, {list(a_vec)}, {r}): the class has degree "
+            f"{self.witten_degree} and the degree-1 part need not vanish"
+        )

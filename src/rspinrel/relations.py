@@ -40,13 +40,13 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .cohft import (
+    DegreeGateError,
     PhiExponent,
     RSpinTheory,
     ScaleFactor,
     phi_degree,
     r_inverse_entry,
     topological_value,
-    witten_degree,
 )
 from .linalg import RationalMatrix, determinant, primitive_int_vector, rref
 from .rpoly import RPoly, poly_interpolate
@@ -70,19 +70,6 @@ SYMBOLIC = "symbolic"
 # coefficients, plus consistency samples beyond the 4 needed nodes.
 _SYMBOLIC_SAMPLE_RS = (3, 4, 5, 6, 7, 8)
 _SYMBOLIC_DEGREE_BOUND = 3
-
-
-class DegreeGateError(ValueError):
-    """No relation exists at this degree: the class degree is not exceeded."""
-
-    def __init__(self, g: int, n: int, a_vec: tuple[int, ...], r: int):
-        self.witten_degree = witten_degree(g, n, a_vec, r)
-        self.report = phi_degree(g, 1, a_vec, r)
-        super().__init__(
-            f"no relation in codimension D = 1 for (g, n, a, r) = "
-            f"({g}, {n}, {list(a_vec)}, {r}): the class has degree "
-            f"{self.witten_degree} and the degree-1 part need not vanish"
-        )
 
 
 class AssemblyError(RuntimeError):

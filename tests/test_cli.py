@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -21,6 +22,17 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cold_run(argv, *python_flags, hash_seed=0):
+    """One cold ``python -m rspinrel.cli`` process on the sources in ``src``."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "rspinrel.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
 
 def span_rank(rows):
@@ -196,6 +208,18 @@ class TestVerifyAcCommand:
         code, _, err = run(capsys, ["verify-ac", "--g", "7", "--n", "0", "--r", "3"])
         assert code == 1
 
+    @pytest.mark.parametrize("g,n,r", [
+        (1, 2, 1), (3, 1, 1), (1, 2, 0), (1, 2, -3), (1, 2, 2),
+        (0, 3, 3), (-1, 5, 3), (1, 0, 3), (2, -3, 3),
+    ])
+    def test_invalid_arguments_refused_like_relations(self, g, n, r):
+        result = cold_run(["verify-ac", "--g", str(g), "--n", str(n), "--r", str(r)])
+        assert "Traceback" not in result.stderr
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "usage: rspinrel" in result.stderr
+
 
 class TestPmTableCommand:
     def test_first_order_row(self, capsys):
@@ -244,6 +268,61 @@ class TestPmTableCommand:
         assert all(str(p_polynomial(first_bad - 1, a, 3)) for a in range(2))
 
 
+class TestTextOutput:
+    """Text-mode stdout is byte-identical to the output these sha256 digests
+    were recorded from; ``golden.json`` pins only the JSON records."""
+
+    @pytest.mark.parametrize("argv,sha256", [
+        ("pm-table --m-max 6 --r 7",
+         "6361ded14dd6c0f29c94f7ec9db3a3d8739d4bf7d98950f6a8708a2f2dc1f4ce"),
+        ("relations --g 1 --n 3 --r 3",
+         "ac28cea1b975cf35b4e628aa2228e2bf7de25de96f96a1af0f81cd20fedbef7f"),
+        ("relations --g 1 --n 3 --r 3 --a 1,0,0",
+         "003ce55f0b8b89a5ac6595d2efa9a317500b615312fb32f0befb18c4c0cb80eb"),
+        ("relations --g 1 --n 3 --symbolic",
+         "67d293a8a75e774074fd61b006165b27da6f1df53901db8b37e444d1ae4a981d"),
+        ("relations --g 2 --n 3 --r 3",
+         "eaff379ebee5ac67718d35c8ad26937808121423e675b55735f49d233420e985"),
+        ("verify-ac --g 1 --n 4 --r 3",
+         "3bf6ff3bea0cd7cc6ab4b6d1a770c72fb898391037d0889a3cecded38a26ce0b"),
+    ])
+    def test_text_stdout_digest(self, capsys, argv, sha256):
+        code, out, _ = run(capsys, argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256, out
+
+
+class TestColdImports:
+    """A cold process loads only the library modules its subcommand uses."""
+
+    HEAVY = {"rspinrel.relations", "rspinrel.strata", "rspinrel.linalg",
+             "rspinrel.selftest", "rspinrel.cyclotomic"}
+
+    @staticmethod
+    def loaded_modules(argv):
+        result = cold_run(argv, "-X", "importtime")
+        assert "Traceback" not in result.stderr
+        # Lines read "import time: <self us> | <cumulative us> | <module>".
+        return {line.rsplit("|", 1)[1].strip()
+                for line in result.stderr.splitlines()
+                if line.startswith("import time:") and line.count("|") == 2}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["pm-table", "--m-max", "3", "--r", "5"]])
+    def test_help_and_pm_table_load_no_relation_modules(self, argv):
+        loaded = self.loaded_modules(argv)
+        assert "rspinrel.cohft" in loaded
+        assert not loaded & self.HEAVY
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--g", "1", "--n", "2", "--r", "3"],
+        ["verify-ac", "--g", "1", "--n", "2", "--r", "3"],
+    ])
+    def test_relation_commands_skip_selftest_and_cyclotomic(self, argv):
+        loaded = self.loaded_modules(argv)
+        assert "rspinrel.relations" in loaded
+        assert not loaded & {"rspinrel.selftest", "rspinrel.cyclotomic"}
+
+
 class TestSelftestCommand:
     def test_json_verdicts_and_exit_code(self, capsys):
         code, out, _ = run(capsys, ["selftest", "--json"])
@@ -275,13 +354,7 @@ class TestGoldenOutputs:
         "argv", [a for a in workloads.grid_points() if _linalg_heavy(a)], ids=workloads.key
     )
     def test_cold_run_matches_golden(self, argv):
-        env = dict(os.environ, PYTHONHASHSEED=str(workloads.hash_seed(argv)))
-        src = os.path.join(ROOT, "src")
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        result = subprocess.run(
-            [sys.executable, "-m", "rspinrel.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        result = cold_run(argv, hash_seed=workloads.hash_seed(argv))
         expected = self.GOLDEN[workloads.key(argv)]
         assert result.returncode == expected["exit"], result.stderr
         assert measure.digest(result.returncode, result.stdout) == expected["digest"]

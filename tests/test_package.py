@@ -1,0 +1,79 @@
+"""The package namespace: every exported name resolves lazily to the object
+in its home module, and ``import rspinrel`` alone loads no submodule."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import rspinrel
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+# The names the package exported when it imported every submodule eagerly,
+# by the module each was imported from.
+EXPORTED = {
+    "cohft": (
+        "IdempotentReport", "PhiDegreeReport", "PhiExponent", "RSpinTheory",
+        "ScaleFactor", "StructureConstants", "idempotent_check", "p_polynomial",
+        "p_polynomial_symbolic", "phi_degree", "quantum_structure_constants",
+        "r_forward_entry", "r_forward_matrix", "r_inverse_entry",
+        "r_inverse_matrix", "topological_value", "witten_degree",
+    ),
+    "linalg": ("RationalMatrix", "determinant", "rank_and_solve"),
+    "relations": (
+        "AssemblyError", "BasisMismatchError", "DegreeGateError", "GraphTerm",
+        "Relation", "RelationSet", "SpanReport", "SystemDetReport",
+        "ac_relations", "admissible_leg_vectors", "assemble_relation",
+        "edge_constant_term", "edge_series_coefficients",
+        "extract_r_coefficients", "graph_contribution_terms",
+        "ppz_relation_set", "pullback_genus2", "spans_equal",
+        "system_matrix_det",
+    ),
+    "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_eval", "poly_interpolate"),
+    "selftest": ("CriterionResult", "run_acceptance"),
+    "strata": (
+        "DivisorClass", "ExcludedFamily", "GraphContribution", "StabilityError",
+        "StableGraph", "UnsupportedGenusError", "Vertex", "automorphism_order",
+        "canonical_divisor", "delta_irr", "delta_sep", "divisor_class_of",
+        "divisor_generators", "enumerate_contributing_graphs",
+        "excluded_contributions", "kappa1", "placement_count", "psi",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [(module, name) for module, names in EXPORTED.items() for name in names],
+)
+def test_exported_name_is_the_home_module_object(module, name):
+    home = importlib.import_module(f"rspinrel.{module}")
+    assert getattr(rspinrel, name) is getattr(home, name)
+
+
+def test_star_import_names_unchanged():
+    assert sorted(rspinrel.__all__) == sorted(
+        name for names in EXPORTED.values() for name in names
+    )
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rspinrel.no_such_name
+    with pytest.raises(ImportError):
+        from rspinrel import no_such_name  # noqa: F401
+
+
+def test_bare_import_loads_no_submodule():
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rspinrel; "
+         "print(sorted(m for m in sys.modules if m.startswith('rspinrel.')))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "[]"
