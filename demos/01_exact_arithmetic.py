@@ -11,7 +11,6 @@ from rspinrel import (
     InterpolationError,
     RPoly,
     determinant,
-    poly_eval,
     poly_interpolate,
     rank_and_solve,
 )
@@ -24,7 +23,7 @@ print("(-5/24) / (1/12) =", Fraction(-5, 24) / Fraction(1, 12))
 r = RPoly.variable()
 p = (r - 1) * (r - 2) * Fraction(1, 24)
 print("\n(r-1)(r-2)/24 =", p)
-print("value at r=3:", poly_eval(p, 3))  # 1/12
+print("value at r=3:", p(3))  # 1/12
 
 # Interpolation recovers a polynomial from exact samples.  One more sample
 # than the degree bound needs is supplied, and it must agree -- inconsistent

@@ -55,9 +55,8 @@ for m in (1, 2):
           all(x == 0 for row in residual for x in row))
 
 # Degree-zero values of the field theory on a vertex.
-value, phi = topological_value(1, (0, 0), RSpinTheory(3))
-print("\ngenus-1 vertex with two unit insertions at r=3:", value,
-      "with exponent numerator", phi.numerator)
+print("\ngenus-1 vertex with two unit insertions at r=3:",
+      topological_value(1, (0, 0), RSpinTheory(3)))
 
 # The quantum product at the shift point is a cyclic group algebra; its
 # discrete-Fourier basis diagonalizes it, checked in cyclotomic arithmetic.

@@ -11,8 +11,6 @@ from rspinrel import (
     divisor_class_of,
     divisor_generators,
     enumerate_contributing_graphs,
-    excluded_contributions,
-    placement_count,
 )
 
 # Generator lists.  Separating boundary classes are canonical with respect to
@@ -36,15 +34,9 @@ print("\ncontributing graphs for (g=1, n=2):")
 contribs = enumerate_contributing_graphs(1, 2, theory)
 for c in contribs:
     edge_note = f"{len(c.graph.edges)} edge(s)" if c.graph.edges else "smooth"
-    print(f"  {c.kind:>16}: {edge_note}, |Aut| = {c.automorphism_order}, "
-          f"gluing degree = {c.pushforward_degree}")
-print("total decoration placements:", placement_count(contribs))
+    print(f"  {c.kind:>16}: {edge_note}")
 
 print("\nboundary classes of the one-edge graphs:")
 for c in contribs:
     if c.graph.edges:
         print(f"  {c.kind} -> {divisor_class_of(c.graph, 1, 2).render()}")
-
-print("\nfamilies excluded from the enumeration:")
-for record in excluded_contributions(1, 2):
-    print(f"  {record.description}: {record.reason}")

@@ -18,11 +18,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cohft": (
-        "DegreeGateError", "IdempotentReport", "PhiDegreeReport", "PhiExponent",
-        "RSpinTheory", "ScaleFactor", "StructureConstants", "idempotent_check",
-        "p_polynomial", "p_polynomial_symbolic", "phi_degree",
-        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
-        "r_inverse_entry", "r_inverse_matrix", "topological_value", "witten_degree",
+        "DegreeGateError", "IdempotentReport", "PhiDegreeReport", "RSpinTheory",
+        "StructureConstants", "idempotent_check", "p_polynomial",
+        "p_polynomial_symbolic", "phi_degree", "quantum_structure_constants",
+        "r_forward_entry", "r_forward_matrix", "r_inverse_entry",
+        "r_inverse_matrix", "topological_value", "witten_degree",
     ),
     "linalg": ("RationalMatrix", "determinant", "rank_and_solve"),
     "relations": (
@@ -33,14 +33,13 @@ _EXPORTS = {
         "graph_contribution_terms", "ppz_relation_set", "pullback_genus2",
         "spans_equal", "system_matrix_det",
     ),
-    "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_eval", "poly_interpolate"),
+    "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),
     "strata": (
-        "DivisorClass", "ExcludedFamily", "GraphContribution", "StabilityError",
-        "StableGraph", "UnsupportedGenusError", "Vertex", "automorphism_order",
-        "canonical_divisor", "delta_irr", "delta_sep", "divisor_class_of",
-        "divisor_generators", "enumerate_contributing_graphs",
-        "excluded_contributions", "kappa1", "placement_count", "psi",
+        "DivisorClass", "GraphContribution", "StabilityError", "StableGraph",
+        "UnsupportedGenusError", "Vertex", "canonical_divisor", "delta_irr",
+        "delta_sep", "divisor_class_of", "divisor_generators",
+        "enumerate_contributing_graphs", "kappa1", "psi",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

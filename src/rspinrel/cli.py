@@ -52,6 +52,19 @@ def _format_terms(names: list[str], coeffs: list[int]) -> str:
     return text + " = 0"
 
 
+def _relation_record(names: list[str], coeffs, prov) -> dict:
+    """One JSON relation: generator names, primitive integer coefficients and
+    the (g, n, a, r) the relation came from."""
+    return {
+        "generators": names,
+        "coeffs": list(coeffs),
+        "g": prov.g,
+        "n": prov.n,
+        "a": list(prov.a_vec) if prov.a_vec is not None else None,
+        "r": prov.r_mode,
+    }
+
+
 def _emit(record: dict, fmt: str, text_lines) -> None:
     """Print ``record`` as JSON, or else the lines ``text_lines()`` yields."""
     if fmt == "json":
@@ -95,7 +108,9 @@ def _cmd_relations(args) -> int:
         if not report.relation_exists:
             raise DegreeGateError(g, n, (0,) * n, args.r)
 
+    from .linalg import primitive_int_vector
     from .relations import (
+        Provenance,
         assemble_relation,
         extract_r_coefficients,
         ppz_relation_set,
@@ -106,6 +121,7 @@ def _cmd_relations(args) -> int:
     start = time.perf_counter()
     notes: list[str] = []
     basis = tuple(divisor_generators(g, n))
+    names = [d.render() for d in basis]
     payloads: list[dict] = []
 
     if args.symbolic:
@@ -114,8 +130,10 @@ def _cmd_relations(args) -> int:
         ]
         for choice in a_choices:
             symbolic = assemble_relation(g, n, choice, symbolic=True)
+            extracted = extract_r_coefficients(symbolic)
             payloads.extend(
-                rel.payload(basis) for rel in extract_r_coefficients(symbolic).relations
+                _relation_record(names, primitive_int_vector(vec), rel.provenance)
+                for rel, vec in zip(extracted.relations, extracted.vectors())
             )
         header = f"relations g={g} n={n} r=symbolic ({len(payloads)} extracted)"
     elif a_vec is not None:
@@ -135,15 +153,13 @@ def _cmd_relations(args) -> int:
             notes.append("zero relation: every graph contribution vanishes")
             header += ": 0 = 0"
         else:
-            payloads = [rel.payload(basis)]
+            payloads = [
+                _relation_record(names, rel.normalized_vector(basis), rel.provenance)
+            ]
     else:
         rows = ppz_relation_set(g, n, args.r).reduced_rows()
-        names = [d.render() for d in basis]
-        payloads = [
-            {"generators": names, "coeffs": list(row), "g": g, "n": n,
-             "a": None, "r": args.r}
-            for row in rows
-        ]
+        prov = Provenance(g=g, n=n, a_vec=None, r_mode=args.r)
+        payloads = [_relation_record(names, row, prov) for row in rows]
         if not rows:
             notes.append("zero relation: every graph contribution vanishes")
             if not report.d_integral:

@@ -10,7 +10,7 @@ module holds everything that is a pure function of r:
   one row of integer numerators over a common denominator per m, at O(r)
   big-integer operations per row and so O(m r) for a table up to m,
 * the entries of the R-matrix of the theory and of its inverse (without the
-  uniform scalar factor, which callers accumulate in :class:`ScaleFactor`),
+  uniform scalar factor, which scales a relation as a whole),
 * degree-zero (topological) values of the theory,
 * the quantum product at the shift point, with its idempotent basis checked
   in exact cyclotomic arithmetic,
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .rpoly import RPoly, poly_interpolate
 
@@ -53,10 +53,6 @@ class RSpinTheory:
     def dimension(self) -> int:
         return self.r - 1
 
-    @property
-    def unit_index(self) -> int:
-        return 0
-
     def check_index(self, a: int) -> None:
         if not 0 <= a <= self.r - 2:
             raise ValueError(f"basis index {a} out of range 0..{self.r - 2}")
@@ -69,45 +65,6 @@ class RSpinTheory:
     def metric_matrix(self) -> list[list[Fraction]]:
         d = self.dimension
         return [[self.metric(a, b) for b in range(d)] for a in range(d)]
-
-
-@dataclass(frozen=True)
-class PhiExponent:
-    """Exponent of the codimension-tracking variable, as numerator/(r - 1).
-
-    The denominator is always the fixed polynomial r - 1, so only the
-    numerator is stored (a Fraction in numeric mode, an RPoly in symbolic
-    mode).  Exponents are equal iff their numerators are equal; they are
-    deliberately never reduced.
-    """
-
-    numerator: Union[Fraction, RPoly]
-
-    def __add__(self, other: "PhiExponent") -> "PhiExponent":
-        return PhiExponent(self.numerator + other.numerator)
-
-    @classmethod
-    def of(cls, value) -> "PhiExponent":
-        if isinstance(value, RPoly):
-            return cls(value)
-        return cls(Fraction(value))
-
-
-@dataclass(frozen=True)
-class ScaleFactor:
-    """Omitted uniform scalar [r(r-1) phi^(r/(r-1))]^(-power_m) with a sign."""
-
-    power_m: int = 0
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.power_m < 0:
-            raise ValueError("scale power must be nonnegative")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def combine(self, other: "ScaleFactor") -> "ScaleFactor":
-        return ScaleFactor(self.power_m + other.power_m, self.sign * other.sign)
 
 
 @dataclass(frozen=True)
@@ -221,8 +178,7 @@ def r_inverse_entry(m: int, a: int, b: int, theory: RSpinTheory) -> Fraction:
     """Entry of the inverse R-matrix (upper index b, lower index a) at order m.
 
     Equals P_m(r, a) when b + m = a mod r - 1 and 0 otherwise.  The uniform
-    scalar [r(r-1) phi^(r/(r-1))]^(-m) is not folded in; callers track it in
-    a ScaleFactor.
+    scalar [r(r-1) phi^(r/(r-1))]^(-m) is not folded in.
     """
     theory.check_index(a)
     theory.check_index(b)
@@ -256,24 +212,18 @@ def r_forward_matrix(m: int, theory: RSpinTheory) -> list[list[Fraction]]:
     return [[r_forward_entry(m, a, b, theory) for a in range(d)] for b in range(d)]
 
 
-def topological_value(
-    g: int, insertions: Sequence[int], theory: RSpinTheory
-) -> tuple[Fraction, PhiExponent]:
-    """Degree-zero value of the shifted theory on one vertex.
-
-    Returns ((r-1)^g, exponent (g-1)(r-2)/(r-1)) when g - 1 - sum(insertions)
-    is divisible by r - 1, and (0, same exponent) otherwise.
-    """
+def topological_value(g: int, insertions: Sequence[int], theory: RSpinTheory) -> Fraction:
+    """Degree-zero value of the shifted theory on one vertex: (r-1)^g when
+    g - 1 - sum(insertions) is divisible by r - 1, and 0 otherwise."""
     n = len(insertions)
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"unstable vertex (g={g}, n={n})")
     for a in insertions:
         theory.check_index(a)
     r = theory.r
-    exponent = PhiExponent.of(Fraction((g - 1) * (r - 2)))
     if (g - 1 - sum(insertions)) % (r - 1) == 0:
-        return Fraction((r - 1) ** g), exponent
-    return Fraction(0), exponent
+        return Fraction((r - 1) ** g)
+    return Fraction(0)
 
 
 def quantum_structure_constants(theory: RSpinTheory) -> StructureConstants:

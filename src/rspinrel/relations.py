@@ -41,9 +41,7 @@ from typing import Sequence, Union
 
 from .cohft import (
     DegreeGateError,
-    PhiExponent,
     RSpinTheory,
-    ScaleFactor,
     phi_degree,
     r_inverse_entry,
     topological_value,
@@ -53,7 +51,6 @@ from .rpoly import RPoly, poly_interpolate
 from .strata import (
     DELTA_SEP,
     DivisorClass,
-    GraphContribution,
     UnsupportedGenusError,
     delta_irr,
     delta_sep,
@@ -96,8 +93,6 @@ class Relation:
     """Linear combination of divisor classes; zero coefficients never stored."""
 
     coefficients: dict[DivisorClass, Coefficient]
-    phi_exponent: PhiExponent
-    scale: ScaleFactor
     provenance: Provenance
 
     def __post_init__(self):
@@ -130,22 +125,8 @@ class Relation:
     def scaled(self, factor: Coefficient) -> "Relation":
         return Relation(
             coefficients={d: c * factor for d, c in self.coefficients.items()},
-            phi_exponent=self.phi_exponent,
-            scale=self.scale,
             provenance=self.provenance,
         )
-
-    def payload(self, basis: Sequence[DivisorClass]) -> dict:
-        """JSON-ready record: generator names with integer coefficients."""
-        prov = self.provenance
-        return {
-            "generators": [d.render() for d in basis],
-            "coeffs": list(self.normalized_vector(basis)),
-            "g": prov.g,
-            "n": prov.n,
-            "a": list(prov.a_vec) if prov.a_vec is not None else None,
-            "r": prov.r_mode,
-        }
 
 
 @dataclass
@@ -175,11 +156,8 @@ class RelationSet:
 class GraphTerm:
     """One graph family's contribution to one divisor class."""
 
-    contribution: GraphContribution
     divisor: DivisorClass
     coefficient: Fraction
-    phi_exponent: PhiExponent
-    scale: ScaleFactor
 
 
 def _check_support(coefficients: dict, members: frozenset) -> None:
@@ -289,7 +267,7 @@ def _leg_sum(g: int, insertions: Sequence[int], i: int, theory: RSpinTheory) -> 
             continue
         moved = list(insertions)
         moved[i] = b
-        value, _ = topological_value(g, moved, theory)
+        value = topological_value(g, moved, theory)
         total += entry * value
     return total
 
@@ -307,7 +285,7 @@ def _loop_sum(
     """delta_irr coefficient: the one-loop graph on a genus g-1 vertex."""
     total = Fraction(0)
     for (p, q), entry in edges:
-        value, _ = topological_value(g - 1, list(a_vec) + [p, q], theory)
+        value = topological_value(g - 1, list(a_vec) + [p, q], theory)
         total += entry * value
     return total
 
@@ -319,25 +297,21 @@ def _separating_sum(
     one edge to a genus g-h vertex with insertions a1."""
     total = Fraction(0)
     for (p, q), entry in edges:
-        value0, _ = topological_value(h, a0 + [p], theory)
+        value0 = topological_value(h, a0 + [p], theory)
         if value0 == 0:
             continue
-        value1, _ = topological_value(g - h, a1 + [q], theory)
+        value1 = topological_value(g - h, a1 + [q], theory)
         total += entry * value0 * value1
     return total
 
 
 def _family_phi(
     vertex_genera: Sequence[int], edge_count: int, a_vec: Sequence[int], r: int
-) -> PhiExponent:
-    """Exponent carried by a graph family: vertex factors, one factor r-2 per
-    edge, and the rescaled-basis factor of the primary legs.  Dilaton legs
-    contribute nothing."""
-    total = Fraction(sum(a_vec))
-    for genus in vertex_genera:
-        total += Fraction((genus - 1) * (r - 2))
-    total += Fraction(edge_count * (r - 2))
-    return PhiExponent.of(total)
+) -> int:
+    """Exponent carried by a graph family, as its numerator over r - 1:
+    vertex factors, one factor r-2 per edge, and the rescaled-basis factor of
+    the primary legs.  Dilaton legs contribute nothing."""
+    return sum(a_vec) + (r - 2) * (edge_count + sum(h - 1 for h in vertex_genera))
 
 
 # ---------------------------------------------------------------------------
@@ -356,29 +330,25 @@ def graph_contribution_terms(
     individually.  The overall r^(g-1) prefactor is not applied here.
     """
     a_vec = tuple(a_vec)
-    scale = ScaleFactor(power_m=1, sign=1)
     edges = _edge_entries(theory)
     terms: list[GraphTerm] = []
 
     for contribution in enumerate_contributing_graphs(g, n, theory):
         graph = contribution.graph
-        phi = _family_phi(
-            [v.genus for v in graph.vertices], len(graph.edges), a_vec, theory.r
-        )
         kind = contribution.kind
 
         if kind == "leg_psi":
             for i in range(n):
                 total = _leg_sum(g, a_vec, i, theory)
-                terms.append(GraphTerm(contribution, psi(i + 1), total, phi, scale))
+                terms.append(GraphTerm(psi(i + 1), total))
 
         elif kind == "dilaton_kappa":
             total = _dilaton_sum(g, a_vec, theory)
-            terms.append(GraphTerm(contribution, kappa1(), total, phi, scale))
+            terms.append(GraphTerm(kappa1(), total))
 
         elif kind == "loop_edge":
             total = _loop_sum(g, a_vec, theory, edges)
-            terms.append(GraphTerm(contribution, delta_irr(), total, phi, scale))
+            terms.append(GraphTerm(delta_irr(), total))
 
         elif kind == "separating_edge":
             v0, v1 = graph.vertices
@@ -386,7 +356,7 @@ def graph_contribution_terms(
             a1 = [a_vec[i - 1] for i in sorted(v1.markings)]
             total = _separating_sum(g, v0.genus, a0, a1, theory, edges)
             divisor = divisor_class_of(graph, g, n)
-            terms.append(GraphTerm(contribution, divisor, total, phi, scale))
+            terms.append(GraphTerm(divisor, total))
 
         else:  # pragma: no cover - enumeration emits only the kinds above
             raise AssemblyError(f"unknown contribution kind {kind}")
@@ -396,9 +366,9 @@ def graph_contribution_terms(
 
 def _check_family_exponents(
     g: int, n: int, separating_genera: set[int], a_vec: tuple[int, ...], r: int
-) -> PhiExponent:
-    """The shared exponent of the relation; every graph family must carry it."""
-    expected = PhiExponent.of(Fraction(sum(a_vec) + (g - 1) * (r - 2)))
+) -> None:
+    """Every graph family must carry the relation's shared exponent."""
+    expected = sum(a_vec) + (g - 1) * (r - 2)
     families = [("dilaton_kappa", (g,), 0), ("loop_edge", (g - 1,), 1)]
     if n:
         families.insert(0, ("leg_psi", (g,), 0))
@@ -409,7 +379,6 @@ def _check_family_exponents(
             raise AssemblyError(
                 f"graph {kind} carries exponent {phi}, expected {expected}"
             )
-    return expected
 
 
 def assemble_relation(
@@ -450,9 +419,7 @@ def assemble_relation(
         raise DegreeGateError(g, n, a_vec, r)
 
     separating = [d for d in divisor_generators(g, n) if d.kind == DELTA_SEP]
-    expected_phi = _check_family_exponents(
-        g, n, {d.h for d in separating}, a_vec, r
-    )
+    _check_family_exponents(g, n, {d.h for d in separating}, a_vec, r)
     edges = _edge_entries(theory)
 
     coefficients: dict[DivisorClass, Fraction] = {}
@@ -472,8 +439,6 @@ def assemble_relation(
     prefactor = Fraction(r ** (g - 1))
     return Relation(
         coefficients={d: c * prefactor for d, c in coefficients.items()},
-        phi_exponent=expected_phi,
-        scale=ScaleFactor(power_m=1, sign=1),
         provenance=Provenance(g=g, n=n, a_vec=a_vec, r_mode=r),
     )
 
@@ -501,12 +466,8 @@ def _assemble_symbolic(g: int, n: int, a_vec: tuple[int, ...]) -> Relation:
                 list(zip(xs, column)), degree_bound=_SYMBOLIC_DEGREE_BOUND
             )
         coefficients[divisor] = interpolants[column]
-    # Numerator of the shared exponent, as a polynomial in r.
-    phi_num = RPoly((sum(a_vec) - 2 * (g - 1), g - 1))
     return Relation(
         coefficients=coefficients,
-        phi_exponent=PhiExponent.of(phi_num),
-        scale=ScaleFactor(power_m=1, sign=1),
         provenance=Provenance(g=g, n=n, a_vec=a_vec, r_mode=SYMBOLIC),
     )
 
@@ -544,8 +505,6 @@ def extract_r_coefficients(rel: Relation) -> RelationSet:
             continue
         relations.append(Relation(
             coefficients={d: Fraction(v) for d, v in zip(basis, vec) if v},
-            phi_exponent=rel.phi_exponent,
-            scale=rel.scale,
             provenance=replace(prov, r_mode=f"r^{power}"),
         ))
     return RelationSet(basis=basis, relations=relations)
@@ -592,8 +551,6 @@ def pullback_genus2(rel: Relation, n: int) -> Relation:
             add(divisor, d1)
     return Relation(
         coefficients=coeffs,
-        phi_exponent=rel.phi_exponent,
-        scale=rel.scale,
         provenance=replace(rel.provenance, n=n),
     )
 
@@ -611,8 +568,6 @@ def ac_relations(g: int, n: int) -> RelationSet:
         raise UnsupportedGenusError(f"no reference relation set for genus {g}")
     basis = tuple(divisor_generators(g, n))
     provenance = Provenance(g=g, n=n, a_vec=None, r_mode="reference")
-    phi = PhiExponent.of(Fraction(0))
-    scale = ScaleFactor(0, 1)
     relations: list[Relation] = []
 
     if g == 1:
@@ -625,13 +580,13 @@ def ac_relations(g: int, n: int) -> RelationSet:
             for d in sep_classes:
                 if i in d.markings:
                     coeffs[d] = Fraction(-12)
-            relations.append(Relation(coeffs, phi, scale, provenance))
+            relations.append(Relation(coeffs, provenance))
         coeffs = {kappa1(): Fraction(1)}
         for i in range(1, n + 1):
             coeffs[psi(i)] = Fraction(-1)
         for d in sep_classes:
             coeffs[d] = Fraction(1)
-        relations.append(Relation(coeffs, phi, scale, provenance))
+        relations.append(Relation(coeffs, provenance))
 
     elif g == 2:
         base = Relation(
@@ -640,8 +595,6 @@ def ac_relations(g: int, n: int) -> RelationSet:
                 delta_irr(): Fraction(-1),
                 delta_sep(1, frozenset()): Fraction(-7),
             },
-            phi_exponent=phi,
-            scale=scale,
             provenance=Provenance(g=2, n=0, a_vec=None, r_mode="reference"),
         )
         relations.append(pullback_genus2(base, n))

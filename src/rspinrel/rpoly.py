@@ -176,11 +176,6 @@ class RPoly:
         return "RPoly(" + " + ".join(terms) + ")"
 
 
-def poly_eval(p: RPoly, r: Scalar) -> Fraction:
-    """Evaluate p at the rational point r."""
-    return p(r)
-
-
 def poly_interpolate(
     samples: Sequence[tuple[Scalar, Scalar]], degree_bound: int
 ) -> RPoly:

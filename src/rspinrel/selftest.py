@@ -34,7 +34,6 @@ from .relations import (
     spans_equal,
     system_matrix_det,
 )
-from .cohft import PhiExponent, ScaleFactor
 from .strata import (
     delta_irr,
     delta_sep,
@@ -62,8 +61,6 @@ class CriterionResult:
 def _reference_relation(g, n, coeffs) -> Relation:
     return Relation(
         coefficients=coeffs,
-        phi_exponent=PhiExponent.of(Fraction(0)),
-        scale=ScaleFactor(0, 1),
         provenance=Provenance(g=g, n=n, a_vec=None, r_mode="reference"),
     )
 

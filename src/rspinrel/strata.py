@@ -8,15 +8,16 @@ divisors are stored canonically with respect to the symmetry
 (h, S) ~ (g-h, complement of S).
 
 The enumeration half of the module lists the decorated one-vertex and
-one-edge graphs whose reconstruction term can land in codimension 1; higher
-codimension families are excluded with a recorded reason.
+one-edge graphs whose reconstruction term can land in codimension 1;
+:func:`enumerate_contributing_graphs` says which families of higher
+codimension it leaves out, and why.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 from .cohft import RSpinTheory
 
@@ -166,16 +167,6 @@ class StableGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[int, int], ...] = ()
 
-    def total_genus(self) -> int:
-        # Connected graphs only: g = sum g(v) + #edges - #vertices + 1.
-        return sum(v.genus for v in self.vertices) + len(self.edges) - len(self.vertices) + 1
-
-    def markings(self) -> frozenset[int]:
-        out: set[int] = set()
-        for v in self.vertices:
-            out |= v.markings
-        return frozenset(out)
-
     def validate(self) -> None:
         seen: list[int] = []
         for v in self.vertices:
@@ -216,67 +207,12 @@ class StableGraph:
         return len(seen) == len(self.vertices)
 
 
-def automorphism_order(graph: StableGraph) -> int:
-    """Order of the automorphism group, by brute force over vertex
-    permutations and half-edge bijections (graphs here are tiny)."""
-    n_vertices = len(graph.vertices)
-    edge_set = {frozenset(e) for e in graph.edges}
-    count = 0
-    for perm in permutations(range(n_vertices)):
-        ok = all(
-            graph.vertices[i].genus == graph.vertices[perm[i]].genus
-            and graph.vertices[i].markings == graph.vertices[perm[i]].markings
-            and graph.vertices[i].dilaton_legs == graph.vertices[perm[i]].dilaton_legs
-            and len(graph.vertices[i].half_edges) == len(graph.vertices[perm[i]].half_edges)
-            for i in range(n_vertices)
-        )
-        if not ok:
-            continue
-        # All ways to map each vertex's half-edges onto the image vertex's.
-        per_vertex = [
-            list(permutations(graph.vertices[perm[i]].half_edges))
-            for i in range(n_vertices)
-        ]
-        for assignment in product(*per_vertex):
-            mapping = {}
-            for i in range(n_vertices):
-                for src, dst in zip(graph.vertices[i].half_edges, assignment[i]):
-                    mapping[src] = dst
-            mapped = {frozenset((mapping[a], mapping[b])) for a, b in graph.edges}
-            if mapped == edge_set:
-                count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class GraphContribution:
-    """A graph family contributing to the codimension-1 part of a relation.
-
-    psi_budget lists (slot, max psi power) pairs: marking slots on the smooth
-    graph, the dilaton slot, or edge halves (power 0 = constant term only).
-    pushforward_degree is the degree of the gluing map onto the boundary
-    divisor; for one-edge graphs it always equals automorphism_order, and the
-    two cancel in the assembled coefficient.
-    """
+    """A graph family contributing to the codimension-1 part of a relation."""
 
     graph: StableGraph
     kind: str  # "leg_psi" | "dilaton_kappa" | "loop_edge" | "separating_edge"
-    automorphism_order: int
-    pushforward_degree: int
-    psi_budget: tuple[tuple[object, int], ...] = ()
-
-    @property
-    def placements(self) -> int:
-        """Number of codimension-1 decoration placements this family holds."""
-        if self.kind == "leg_psi":
-            return len(self.psi_budget)
-        return 1
-
-
-@dataclass(frozen=True)
-class ExcludedFamily:
-    description: str
-    reason: str
 
 
 def _smooth_vertex(g: int, n: int, dilaton: int = 0) -> Vertex:
@@ -291,6 +227,15 @@ def enumerate_contributing_graphs(
     These are: the smooth graph with one psi power on a leg, the smooth graph
     with a single dilaton leg (the kappa_1 source), the one-loop graph, and
     the one-edge separating graphs, each taken once per isomorphism class.
+    Every other family lands in codimension at least 2 and is left out:
+
+    * two or more dilaton legs: each carries psi^2 or higher, so the total
+      degree is at least 4;
+    * one edge together with a dilaton leg: the edge and the kappa
+      decoration each add codimension 1;
+    * two or more edges: each edge adds codimension 1;
+    * a positive psi power on an edge, or on a leg of a nodal graph: the
+      boundary divisor and the psi decoration each add codimension 1.
     """
     if g not in (1, 2, 3):
         raise UnsupportedGenusError(f"genus {g} enumeration is not supported")
@@ -301,28 +246,11 @@ def enumerate_contributing_graphs(
     if n >= 1:
         smooth = StableGraph(vertices=(_smooth_vertex(g, n),))
         smooth.validate()
-        out.append(
-            GraphContribution(
-                graph=smooth,
-                kind="leg_psi",
-                automorphism_order=automorphism_order(smooth),
-                pushforward_degree=1,
-                psi_budget=tuple((i, 1) for i in range(1, n + 1)),
-            )
-        )
+        out.append(GraphContribution(graph=smooth, kind="leg_psi"))
 
     dilaton = StableGraph(vertices=(_smooth_vertex(g, n, dilaton=1),))
     dilaton.validate()
-    out.append(
-        GraphContribution(
-            graph=dilaton,
-            kind="dilaton_kappa",
-            automorphism_order=automorphism_order(dilaton),
-            pushforward_degree=1,
-            # psi^2 on the dilaton leg pushes forward to kappa_1.
-            psi_budget=(("dilaton", 2),),
-        )
-    )
+    out.append(GraphContribution(graph=dilaton, kind="dilaton_kappa"))
 
     loop = StableGraph(
         vertices=(
@@ -331,15 +259,7 @@ def enumerate_contributing_graphs(
         edges=((0, 1),),
     )
     loop.validate()
-    out.append(
-        GraphContribution(
-            graph=loop,
-            kind="loop_edge",
-            automorphism_order=automorphism_order(loop),
-            pushforward_degree=2,
-            psi_budget=((0, 0), (1, 0)),
-        )
-    )
+    out.append(GraphContribution(graph=loop, kind="loop_edge"))
 
     marks = list(range(1, n + 1))
     seen: set[tuple[int, tuple[int, ...]]] = set()
@@ -362,43 +282,8 @@ def enumerate_contributing_graphs(
                 except (StabilityError, ValueError):
                     continue
                 seen.add(label)
-                aut = automorphism_order(sep)
-                out.append(
-                    GraphContribution(
-                        graph=sep,
-                        kind="separating_edge",
-                        automorphism_order=aut,
-                        pushforward_degree=aut,
-                        psi_budget=((0, 0), (1, 0)),
-                    )
-                )
+                out.append(GraphContribution(graph=sep, kind="separating_edge"))
     return out
-
-
-def excluded_contributions(g: int, n: int) -> tuple[ExcludedFamily, ...]:
-    """Graph families dropped from the codimension-1 enumeration, with reasons."""
-    return (
-        ExcludedFamily(
-            "two or more dilaton legs",
-            "each dilaton leg carries psi^2 or higher, total degree at least 4",
-        ),
-        ExcludedFamily(
-            "one edge together with a dilaton leg",
-            "edge plus kappa decoration has codimension at least 2",
-        ),
-        ExcludedFamily(
-            "two or more edges",
-            "each edge contributes codimension 1, total at least 2",
-        ),
-        ExcludedFamily(
-            "positive psi power on an edge or on a leg of a nodal graph",
-            "divisor class plus psi decoration has codimension at least 2",
-        ),
-    )
-
-
-def placement_count(contributions: list[GraphContribution]) -> int:
-    return sum(c.placements for c in contributions)
 
 
 def divisor_class_of(

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rspinrel import cohft
 from rspinrel.cohft import (
-    PhiExponent,
     RSpinTheory,
-    ScaleFactor,
     idempotent_check,
     p_polynomial,
     p_polynomial_symbolic,
@@ -261,26 +259,25 @@ class TestTopologicalValue:
     def test_genus_zero_triple(self):
         for r in (3, 4, 5):
             theory = RSpinTheory(r)
-            value, _ = topological_value(0, (1, 0, r - 3), theory)
+            value = topological_value(0, (1, 0, r - 3), theory)
             assert value == 1
 
     def test_genus_one_values(self):
         theory = RSpinTheory(3)
-        assert topological_value(1, (0, 0), theory)[0] == 2
-        assert topological_value(1, (1, 0), theory)[0] == 0
+        assert topological_value(1, (0, 0), theory) == 2
+        assert topological_value(1, (1, 0), theory) == 0
 
-    def test_phi_exponent(self):
-        theory = RSpinTheory(5)
-        _, phi = topological_value(2, (0,), theory)
-        assert phi == PhiExponent.of(Fraction(3))  # (g-1)(r-2) = 1*3
+    def test_returns_value_only(self):
+        # (r-1)^g for an admissible insertion sum, as one exact rational.
+        value = topological_value(2, (1,), RSpinTheory(5))
+        assert type(value) is Fraction and value == 16
 
     def test_unstable_raises(self):
         with pytest.raises(ValueError):
             topological_value(0, (0, 0), RSpinTheory(3))
 
     def test_separating_contraction(self):
-        # Value of the glued vertex equals the metric contraction of the two
-        # pieces; exponents match once the edge factor r-2 is credited.
+        # Value of the glued vertex equals the metric contraction of the two pieces.
         for r in (3, 4, 5):
             theory = RSpinTheory(r)
             cases = [
@@ -291,11 +288,11 @@ class TestTopologicalValue:
             for g1, a1, g2, a2 in cases:
                 if 2 * g1 - 2 + len(a1) + 1 <= 0 or 2 * g2 - 2 + len(a2) + 1 <= 0:
                     continue
-                whole, _ = topological_value(g1 + g2, tuple(a1) + tuple(a2), theory)
+                whole = topological_value(g1 + g2, tuple(a1) + tuple(a2), theory)
                 contraction = Fraction(0)
                 for j in range(r - 1):
-                    left, _ = topological_value(g1, tuple(a1) + (j,), theory)
-                    right, _ = topological_value(g2, tuple(a2) + (r - 2 - j,), theory)
+                    left = topological_value(g1, tuple(a1) + (j,), theory)
+                    right = topological_value(g2, tuple(a2) + (r - 2 - j,), theory)
                     contraction += left * right
                 assert contraction == whole
 
@@ -303,12 +300,10 @@ class TestTopologicalValue:
         for r in (3, 4):
             theory = RSpinTheory(r)
             for g, a_vec in ((2, (0,)), (2, (1,)), (3, (0,))):
-                whole, _ = topological_value(g, a_vec, theory)
+                whole = topological_value(g, a_vec, theory)
                 contraction = Fraction(0)
                 for j in range(r - 1):
-                    value, _ = topological_value(
-                        g - 1, tuple(a_vec) + (j, r - 2 - j), theory
-                    )
+                    value = topological_value(g - 1, tuple(a_vec) + (j, r - 2 - j), theory)
                     contraction += value
                 assert contraction == whole
 
@@ -383,14 +378,3 @@ class TestDataTypes:
         assert theory.dimension == 3
         assert theory.metric(0, 2) == 1
         assert theory.metric(0, 0) == 0
-
-    def test_scale_factor(self):
-        assert ScaleFactor(1, 1).combine(ScaleFactor(2, -1)) == ScaleFactor(3, -1)
-        with pytest.raises(ValueError):
-            ScaleFactor(-1, 1)
-        with pytest.raises(ValueError):
-            ScaleFactor(0, 2)
-
-    def test_phi_exponent_addition(self):
-        total = PhiExponent.of(Fraction(2)) + PhiExponent.of(Fraction(3))
-        assert total == PhiExponent.of(Fraction(5))

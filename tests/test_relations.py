@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rspinrel.cohft import PhiExponent, RSpinTheory, ScaleFactor, phi_degree
+from rspinrel.cohft import RSpinTheory, phi_degree
 from rspinrel.linalg import RationalMatrix, primitive_int_vector, rank_and_solve
 from rspinrel.relations import (
     AssemblyError,
@@ -28,7 +29,15 @@ from rspinrel.relations import (
     system_matrix_det,
 )
 from rspinrel.rpoly import RPoly, poly_interpolate
-from rspinrel.strata import delta_irr, delta_sep, divisor_generators, kappa1, psi
+from rspinrel.strata import (
+    canonical_divisor,
+    delta_irr,
+    delta_sep,
+    divisor_generators,
+    enumerate_contributing_graphs,
+    kappa1,
+    psi,
+)
 from test_linalg import fraction_rref
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
@@ -60,8 +69,6 @@ def per_graph_coefficients(g, n, a_vec, r):
 def reference(g, n, coeffs):
     return Relation(
         coefficients={k: Fraction(v) for k, v in coeffs.items()},
-        phi_exponent=PhiExponent.of(Fraction(0)),
-        scale=ScaleFactor(0, 1),
         provenance=Provenance(g=g, n=n, a_vec=None, r_mode="reference"),
     )
 
@@ -302,7 +309,7 @@ class TestOracleEquivalence:
         def skewed(genera, edge_count, a_vec, r):
             phi = original(genera, edge_count, a_vec, r)
             if (len(genera), edge_count) == signature:
-                return PhiExponent.of(phi.numerator + 1)
+                return phi + 1
             return phi
 
         monkeypatch.setattr(relations_module, "_family_phi", skewed)
@@ -311,18 +318,25 @@ class TestOracleEquivalence:
 
 
 class TestBookkeeping:
-    def test_phi_exponent_and_scale(self):
-        rel = assemble_relation(1, 2, (1, 0), 3)
-        assert rel.phi_exponent == PhiExponent.of(Fraction(1))
-        assert rel.scale == ScaleFactor(1, 1)
-        rel2 = assemble_relation(2, 0, (), 3)
-        assert rel2.phi_exponent == PhiExponent.of(Fraction(1))  # (g-1)(r-2)
-
     def test_graph_terms_share_exponent(self):
-        theory = RSpinTheory(3)
-        terms = graph_contribution_terms(1, 2, (1, 0), theory)
-        exponents = {t.phi_exponent for t in terms}
-        assert len(exponents) == 1
+        # Every enumerated graph carries the relation's exponent
+        # sum(a) + (g-1)(r-2), read off the graph itself rather than off the
+        # family table that _check_family_exponents walks.
+        from rspinrel.relations import _family_phi
+
+        for g in (1, 2, 3):
+            for n in range(0, 4):
+                if 2 * g - 2 + n <= 0:
+                    continue
+                for r in (3, 4, 7):
+                    theory = RSpinTheory(r)
+                    for a_vec in product(range(r - 1), repeat=n):
+                        expected = sum(a_vec) + (g - 1) * (r - 2)
+                        for contrib in enumerate_contributing_graphs(g, n, theory):
+                            graph = contrib.graph
+                            genera = [v.genus for v in graph.vertices]
+                            phi = _family_phi(genera, len(graph.edges), a_vec, r)
+                            assert phi == expected, (g, n, r, a_vec, contrib.kind)
 
     def test_permutation_determinism(self):
         basis = tuple(divisor_generators(1, 3))
@@ -343,6 +357,56 @@ class TestBookkeeping:
                 else:
                     relabeled[divisor] = coeff
             assert relabeled == rel.coefficients
+
+
+# Genus 1 with a unit leg vector e_i: (n, i) with i in 1..n <= 5, and r in
+# 3..30, well past the six samples the symbolic interpolation reads.
+unit_legs = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+wide_r = st.integers(3, 30)
+
+
+def unit_vector(n, i):
+    return tuple(int(j == i) for j in range(1, n + 1))
+
+
+def swap_markings(divisor, i, n):
+    """The genus-1 class with markings 1 and i exchanged."""
+    sigma = {1: i, i: 1}
+    if divisor.kind == "psi":
+        return psi(sigma.get(divisor.index, divisor.index))
+    if divisor.kind == "delta_sep":
+        marks = {sigma.get(m, m) for m in divisor.markings}
+        return canonical_divisor(delta_sep(divisor.h, marks), 1, n)
+    return divisor
+
+
+class TestGenusOneProperties:
+    @settings(deadline=None)
+    @given(unit_legs, wide_r)
+    def test_symbolic_evaluates_to_numeric(self, leg, r):
+        n, i = leg
+        a_vec = unit_vector(n, i)
+        symbolic = assemble_relation(1, n, a_vec, symbolic=True)
+        evaluated = {d: c(r) for d, c in symbolic.coefficients.items() if c(r) != 0}
+        assert evaluated == assemble_relation(1, n, a_vec, r).coefficients
+
+    @settings(deadline=None)
+    @given(unit_legs, wide_r)
+    def test_relation_equivariant_under_swapping_markings(self, leg, r):
+        n, i = leg
+        first = assemble_relation(1, n, unit_vector(n, 1), r)
+        swapped = {swap_markings(d, i, n): c for d, c in first.coefficients.items()}
+        assert assemble_relation(1, n, unit_vector(n, i), r).coefficients == swapped
+
+    @settings(deadline=None)
+    @given(unit_legs, wide_r)
+    def test_relation_lies_in_reference_span(self, leg, r):
+        n, i = leg
+        reference_set = ac_relations(1, n)
+        rel = assemble_relation(1, n, unit_vector(n, i), r)
+        extended = RelationSet(reference_set.basis, reference_set.relations + [rel])
+        report = spans_equal(extended, reference_set)
+        assert report.equal and report.rank_right == n + 1
 
 
 class TestSpans:
@@ -476,7 +540,7 @@ class TestEdgeFactor:
                         entry = edge_constant_term(p, q, theory)
                         if entry == 0:
                             continue
-                        value, _ = topological_value(g - 1, list(a_vec) + [p, q], theory)
+                        value = topological_value(g - 1, list(a_vec) + [p, q], theory)
                         total += entry * value
                 expected = -Fraction((r - 1) ** (g - 1)) * Fraction((r - 1) * (r - 2), 24)
                 assert total == expected, (g, r)

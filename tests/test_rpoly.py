@@ -8,7 +8,6 @@ from rspinrel.rpoly import (
     InterpolationError,
     Rational,
     RPoly,
-    poly_eval,
     poly_interpolate,
 )
 
@@ -52,16 +51,16 @@ class TestRPolyBasics:
         # (r - 1)(r - 2) / 24 at r = 3
         r = RPoly.variable()
         p = (r - 1) * (r - 2) * Fraction(1, 24)
-        assert poly_eval(p, 3) == Fraction(1, 12)
+        assert p(3) == Fraction(1, 12)
 
     def test_eval_zero(self):
-        assert poly_eval(RPoly(), Fraction(17, 5)) == 0
+        assert RPoly()(Fraction(17, 5)) == 0
 
     def test_eval_reference_determinant_form(self):
         # -(1 - r)^n (2 - r)^2 / 4 with n = 2 at r = 3 evaluates to -1.
         r = RPoly.variable()
         p = (1 - r) ** 2 * (2 - r) ** 2 * Fraction(-1, 4)
-        assert poly_eval(p, 3) == Fraction(-1)
+        assert p(3) == Fraction(-1)
 
     def test_primitive(self):
         p = RPoly((Fraction(-2, 3), Fraction(0), Fraction(-4, 3)))

@@ -8,16 +8,13 @@ from rspinrel.strata import (
     StableGraph,
     UnsupportedGenusError,
     Vertex,
-    automorphism_order,
     canonical_divisor,
     delta_irr,
     delta_sep,
     divisor_class_of,
     divisor_generators,
     enumerate_contributing_graphs,
-    excluded_contributions,
     kappa1,
-    placement_count,
     psi,
 )
 
@@ -104,7 +101,6 @@ class TestEnumeration:
             "loop_edge",
             "separating_edge",
         ]
-        assert placement_count(contribs) == 5
 
     def test_unmarked_genus_two(self):
         contribs = enumerate_contributing_graphs(2, 0, RSpinTheory(3))
@@ -113,24 +109,26 @@ class TestEnumeration:
             "loop_edge",
             "separating_edge",
         ]
-        assert placement_count(contribs) == 3
-
-    def test_loop_automorphism_order(self):
-        contribs = enumerate_contributing_graphs(1, 2, RSpinTheory(3))
-        loop = next(c for c in contribs if c.kind == "loop_edge")
-        assert loop.automorphism_order == 2
-        assert loop.pushforward_degree == 2
 
     def test_symmetric_separating_graph(self):
+        # The genus 1+1 graph is its own mirror image: listed once.
         contribs = enumerate_contributing_graphs(2, 0, RSpinTheory(3))
-        sep = next(c for c in contribs if c.kind == "separating_edge")
-        assert sep.automorphism_order == 2
-        assert sep.pushforward_degree == 2
+        seps = [c for c in contribs if c.kind == "separating_edge"]
+        assert len(seps) == 1
+        assert divisor_class_of(seps[0].graph, 2, 0) == delta_sep(1, ())
 
     def test_asymmetric_separating_graph(self):
-        contribs = enumerate_contributing_graphs(2, 1, RSpinTheory(3))
-        seps = [c for c in contribs if c.kind == "separating_edge"]
-        assert all(c.automorphism_order == 1 for c in seps)
+        # Each separating graph is listed once and lands on its own boundary
+        # class; together they are exactly the separating generators.
+        for g, n in ((1, 3), (2, 1), (2, 3), (3, 2)):
+            contribs = enumerate_contributing_graphs(g, n, RSpinTheory(3))
+            classes = [
+                divisor_class_of(c.graph, g, n)
+                for c in contribs if c.kind == "separating_edge"
+            ]
+            expected = [d for d in divisor_generators(g, n) if d.kind == "delta_sep"]
+            assert len(classes) == len(set(classes))
+            assert set(classes) == set(expected), (g, n)
 
     def test_genus_and_stability_of_all_graphs(self):
         theory = RSpinTheory(3)
@@ -151,10 +149,18 @@ class TestEnumeration:
         with pytest.raises(UnsupportedGenusError):
             enumerate_contributing_graphs(4, 0, RSpinTheory(3))
 
-    def test_exclusions_recorded(self):
-        excluded = excluded_contributions(1, 2)
-        assert len(excluded) >= 3
-        assert all(f.reason for f in excluded)
+    def test_excluded_families_absent(self):
+        # The families of codimension 2 or more that the enumeration leaves
+        # out: several dilaton legs, an edge with a dilaton leg, several edges.
+        for g in (1, 2, 3):
+            for n in range(0, 4):
+                if 2 * g - 2 + n <= 0:
+                    continue
+                for contrib in enumerate_contributing_graphs(g, n, RSpinTheory(3)):
+                    graph = contrib.graph
+                    dilaton = sum(v.dilaton_legs for v in graph.vertices)
+                    assert dilaton <= 1 and len(graph.edges) <= 1
+                    assert not (dilaton and graph.edges)
 
     def test_brute_force_one_edge_match(self):
         # Independent oracle: enumerate one-edge stable graphs by direct
@@ -230,7 +236,3 @@ class TestStableGraph:
         )
         with pytest.raises(ValueError):
             bad.validate()
-
-    def test_automorphism_of_marked_smooth_graph(self):
-        graph = StableGraph(vertices=(Vertex(1, frozenset({1, 2})),))
-        assert automorphism_order(graph) == 1
