@@ -5,7 +5,6 @@ term traces back to a decorated stable graph of codimension 1.
 """
 
 from rspinrel import (
-    RSpinTheory,
     canonical_divisor,
     delta_sep,
     divisor_class_of,
@@ -29,9 +28,8 @@ print("(2, {}) on the unmarked genus-3 space ->",
       canonical_divisor(delta_sep(2, ()), 3, 0).render())
 
 # The graphs that can contribute in codimension 1.
-theory = RSpinTheory(3)
 print("\ncontributing graphs for (g=1, n=2):")
-contribs = enumerate_contributing_graphs(1, 2, theory)
+contribs = enumerate_contributing_graphs(1, 2)
 for c in contribs:
     edge_note = f"{len(c.graph.edges)} edge(s)" if c.graph.edges else "smooth"
     print(f"  {c.kind:>16}: {edge_note}")

@@ -108,11 +108,10 @@ def _cmd_relations(args) -> int:
         if not report.relation_exists:
             raise DegreeGateError(g, n, (0,) * n, args.r)
 
-    from .linalg import primitive_int_vector
     from .relations import (
         Provenance,
         assemble_relation,
-        extract_r_coefficients,
+        assembled_relation_set,
         ppz_relation_set,
         pullback_genus2,
     )
@@ -120,22 +119,15 @@ def _cmd_relations(args) -> int:
 
     start = time.perf_counter()
     notes: list[str] = []
-    basis = tuple(divisor_generators(g, n))
-    names = [d.render() for d in basis]
-    payloads: list[dict] = []
+    rows, provenances = [], []
 
     if args.symbolic:
         a_choices = [a_vec] if a_vec is not None else [
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         ]
-        for choice in a_choices:
-            symbolic = assemble_relation(g, n, choice, symbolic=True)
-            extracted = extract_r_coefficients(symbolic)
-            payloads.extend(
-                _relation_record(names, primitive_int_vector(vec), rel.provenance)
-                for rel, vec in zip(extracted.relations, extracted.vectors())
-            )
-        header = f"relations g={g} n={n} r=symbolic ({len(payloads)} extracted)"
+        extracted = assembled_relation_set(g, n, a_choices)
+        rows, provenances = extracted.rows, extracted.provenances
+        header = f"relations g={g} n={n} r=symbolic ({len(rows)} extracted)"
     elif a_vec is not None:
         if g == 2 and n > 0:
             # Marked genus-2 relations are pullbacks of the unmarked one,
@@ -153,13 +145,11 @@ def _cmd_relations(args) -> int:
             notes.append("zero relation: every graph contribution vanishes")
             header += ": 0 = 0"
         else:
-            payloads = [
-                _relation_record(names, rel.normalized_vector(basis), rel.provenance)
-            ]
+            rows = [rel.normalized_vector(divisor_generators(g, n))]
+            provenances = [rel.provenance]
     else:
         rows = ppz_relation_set(g, n, args.r).reduced_rows()
-        prov = Provenance(g=g, n=n, a_vec=None, r_mode=args.r)
-        payloads = [_relation_record(names, row, prov) for row in rows]
+        provenances = [Provenance(g=g, n=n, a_vec=None, r_mode=args.r)] * len(rows)
         if not rows:
             notes.append("zero relation: every graph contribution vanishes")
             if not report.d_integral:
@@ -168,6 +158,8 @@ def _cmd_relations(args) -> int:
                 )
         header = f"relations g={g} n={n} r={args.r} ({len(rows)} normalized relations)"
 
+    names = [d.render() for d in divisor_generators(g, n)]
+    payloads = [_relation_record(names, row, prov) for row, prov in zip(rows, provenances)]
     elapsed_ms = round(1000 * (time.perf_counter() - start), 3)
     record = {
         "schema_version": SCHEMA_VERSION,

@@ -16,21 +16,24 @@ The codimension-1 part receives contributions from four graph families
 
 Node insertions at an edge are summed over the nonzero entries of the edge
 constant term.  A topological vertex value depends only on the vertex genus
-and on its insertion sum mod r-1, so for fixed a the coefficient of
-delta_{h,S} depends only on (h, sum of a_i over S mod r-1).
-:func:`assemble_relation` therefore walks the divisor basis and contracts
-once per such residue class, at most (g+1)(r-1) times, instead of once per
-graph.  For one-edge graphs the gluing map onto the boundary divisor has
-degree equal to the automorphism order of the graph, so the two cancel and
-the divisor coefficient is the plain contraction sum; the golden totals pin
-this convention.  :func:`graph_contribution_terms` keeps the per-graph
-enumeration as the test oracle; both paths share the per-family sums.
+and on its insertion sum mod r-1, so a class's coefficient depends on the leg
+vector a only through sum(a) and the class's key: (psi, a_i) for psi_i,
+kappa_1, delta_irr, and (delta_sep, h, sum of a_i over S) for delta_{h,S}.
+Relations are therefore built from a per-call table that contracts once per
+(r, sum(a), key), a handful of times for the whole basis and every leg vector
+with the same sum, instead of once per class or graph.  For one-edge graphs
+the gluing map onto the boundary divisor has degree equal to the automorphism
+order of the graph, so the two cancel and the divisor coefficient is the plain
+contraction sum; the golden totals pin this convention.
+:func:`graph_contribution_terms` keeps the per-graph enumeration as the test
+oracle; both paths share the per-family sums.
 
 Symbolic-in-r relations are supported in genus 1 (where the contributing
-index patterns are independent of r): every divisor coefficient is a
-polynomial in r of degree at most 3, recovered by exact interpolation from
-numeric assemblies with extra consistency samples, once per distinct column
-of sampled values.
+index patterns are independent of r): every coefficient is a polynomial in r
+of degree at most 3, recovered by exact interpolation from the table's values
+at six sample r, once per (sum(a), key).  Each power of r is extracted from
+those few key polynomials and expanded over the basis once, as the primitive
+integer row that row reduction takes directly.
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ from .cohft import (
 from .linalg import RationalMatrix, determinant, primitive_int_vector, rref
 from .rpoly import RPoly, poly_interpolate
 from .strata import (
+    DELTA_IRR,
     DELTA_SEP,
+    PSI,
     DivisorClass,
     UnsupportedGenusError,
     delta_irr,
@@ -106,12 +111,11 @@ class Relation:
     def is_symbolic(self) -> bool:
         return any(isinstance(c, RPoly) for c in self.coefficients.values())
 
-    def vector(
-        self, basis: Sequence[DivisorClass], members: frozenset | None = None
-    ) -> tuple[Coefficient, ...]:
-        """Coefficients in basis order; ``members`` is ``frozenset(basis)``
-        when the caller already has it."""
-        _check_support(self.coefficients, members or frozenset(basis))
+    def vector(self, basis: Sequence[DivisorClass]) -> tuple[Coefficient, ...]:
+        """Coefficients in basis order."""
+        missing = self.coefficients.keys() - frozenset(basis)
+        if missing:
+            raise BasisMismatchError(f"classes outside the basis: {missing}")
         zero = Fraction(0)
         return tuple(self.coefficients.get(d, zero) for d in basis)
 
@@ -131,25 +135,31 @@ class Relation:
 
 @dataclass
 class RelationSet:
-    """Relations over one shared ordered generator basis."""
+    """Relations over one shared ordered generator basis, each kept as its row
+    of rational (or integer) coefficients in basis order, with its provenance."""
 
     basis: tuple[DivisorClass, ...]
-    relations: list[Relation]
+    rows: list[tuple[Fraction | int, ...]]
+    provenances: list[Provenance]
 
-    def __post_init__(self):
-        self._members = frozenset(self.basis)
-        for rel in self.relations:
-            _check_support(rel.coefficients, self._members)
+    @classmethod
+    def of(cls, basis: tuple[DivisorClass, ...], relations: list[Relation]) -> "RelationSet":
+        rows = [rel.vector(basis) for rel in relations]
+        return cls(basis, rows, [rel.provenance for rel in relations])
 
-    def vectors(self) -> list[tuple[Fraction, ...]]:
-        return [rel.vector(self.basis, self._members) for rel in self.relations]
+    @property
+    def relations(self) -> list[Relation]:
+        return [
+            Relation(dict(zip(self.basis, row)), provenance)
+            for row, provenance in zip(self.rows, self.provenances)
+        ]
 
     def rank(self) -> int:
-        return len(rref(self.vectors())[1])
+        return len(rref(self.rows)[1])
 
     def reduced_rows(self) -> list[tuple[int, ...]]:
         """Row-reduced basis of the span as primitive integer vectors."""
-        return rref(self.vectors())[0]
+        return rref(self.rows)[0]
 
 
 @dataclass(frozen=True)
@@ -158,12 +168,6 @@ class GraphTerm:
 
     divisor: DivisorClass
     coefficient: Fraction
-
-
-def _check_support(coefficients: dict, members: frozenset) -> None:
-    missing = coefficients.keys() - members
-    if missing:
-        raise BasisMismatchError(f"classes outside the basis: {missing}")
 
 
 def _is_zero(c: Coefficient) -> bool:
@@ -187,16 +191,15 @@ def edge_numerator_coefficient(
     """
     if mp == 0 and mq == 0:
         return Fraction(0)
-    d = theory.dimension
-    total = Fraction(0)
-    for j in range(d):
-        left = r_inverse_entry(mp, j, p, theory) if mp else Fraction(1 if j == p else 0)
-        if left == 0:
-            continue
-        jj = theory.r - 2 - j
-        right = r_inverse_entry(mq, jj, q, theory) if mq else Fraction(1 if jj == q else 0)
-        total += left * right
-    return -total
+    # The sum over the middle index j has one nonzero term: an order-mp
+    # inverse-R entry with upper index p vanishes unless j = p + mp mod r-1.
+    j = (p + mp) % (theory.r - 1)
+    left = r_inverse_entry(mp, j, p, theory) if mp else Fraction(1 if j == p else 0)
+    if left == 0:
+        return Fraction(0)
+    jj = theory.r - 2 - j
+    right = r_inverse_entry(mq, jj, q, theory) if mq else Fraction(1 if jj == q else 0)
+    return -(left * right)
 
 
 def edge_series_coefficients(
@@ -259,17 +262,12 @@ def _edge_entries(theory: RSpinTheory) -> EdgeEntries:
 
 def _leg_sum(g: int, insertions: Sequence[int], i: int, theory: RSpinTheory) -> Fraction:
     """psi_{i+1} coefficient: one psi power on leg i of the smooth graph,
-    which the first-order inverse R-matrix moves to every index b."""
-    total = Fraction(0)
-    for b in range(theory.dimension):
-        entry = r_inverse_entry(1, insertions[i], b, theory)
-        if entry == 0:
-            continue
-        moved = list(insertions)
-        moved[i] = b
-        value = topological_value(g, moved, theory)
-        total += entry * value
-    return total
+    which the first-order inverse R-matrix moves to the one index b with
+    b + 1 = a_i mod r-1 (every other entry of its column vanishes)."""
+    moved = list(insertions)
+    moved[i] = (insertions[i] - 1) % (theory.r - 1)
+    entry = r_inverse_entry(1, insertions[i], moved[i], theory)
+    return entry * topological_value(g, moved, theory)
 
 
 def _dilaton_sum(g: int, a_vec: tuple[int, ...], theory: RSpinTheory) -> Fraction:
@@ -333,7 +331,7 @@ def graph_contribution_terms(
     edges = _edge_entries(theory)
     terms: list[GraphTerm] = []
 
-    for contribution in enumerate_contributing_graphs(g, n, theory):
+    for contribution in enumerate_contributing_graphs(g, n):
         graph = contribution.graph
         kind = contribution.kind
 
@@ -381,6 +379,105 @@ def _check_family_exponents(
             )
 
 
+def _contract(
+    g: int, a_vec: tuple[int, ...], d: DivisorClass, theory: RSpinTheory, edges: EdgeEntries
+) -> Fraction:
+    """The coefficient of the class d, before the r^(g-1) prefactor."""
+    if d.kind == PSI:
+        return _leg_sum(g, a_vec, d.index - 1, theory)
+    if d.kind == DELTA_SEP:
+        a0 = [a_vec[i - 1] for i in sorted(d.markings)]
+        a1 = [a for i, a in enumerate(a_vec, 1) if i not in d.markings]
+        return _separating_sum(g, d.h, a0, a1, theory, edges)
+    if d.kind == DELTA_IRR:
+        return _loop_sum(g, a_vec, theory, edges)
+    return _dilaton_sum(g, a_vec, theory)
+
+
+def _expand(keys: list, values: dict) -> tuple[int, ...]:
+    """The primitive integer row holding the value of each class's key.
+    ``values`` holds each key once, in order of first appearance in ``keys``,
+    so its lcm of denominators, content and first nonzero entry are the row's."""
+    scaled = dict(zip(values, primitive_int_vector(list(values.values()))))
+    return tuple(map(scaled.__getitem__, keys))
+
+
+def _extract(keys: list, polys: dict) -> list[tuple[int, tuple[int, ...]]]:
+    """(power, row) for each power of r, highest first, with a nonzero row."""
+    top = max((len(poly.coeffs) for poly in polys.values()), default=0)
+    found = []
+    for power in range(top - 1, -1, -1):
+        row = _expand(keys, {key: poly.coefficient(power) for key, poly in polys.items()})
+        if any(row):
+            found.append((power, row))
+    return found
+
+
+class _RelationTable:
+    """One call's relation data on the (g, n) space: contraction values per
+    (r, sum(a), key) and interpolants per (sum(a), key), shared by every
+    class, leg vector and sample with that key.  It lives for one call, so a
+    patched ``p_polynomial`` is always read afresh."""
+
+    def __init__(self, g: int, n: int):
+        self.g, self.n = g, n
+        self._layouts, self._edges, self._values, self._polys = {}, {}, {}, {}
+
+    def layout(self, a_vec: tuple[int, ...]) -> tuple[list, dict]:
+        """The key of every basis class, and the first class of each key, in
+        basis order.  A separating key holds the raw sum of a over S, not its
+        residue, so that it fixes the coefficient at every sample r."""
+        if a_vec not in self._layouts:
+            support = [(i, a) for i, a in enumerate(a_vec, 1) if a]
+            keys, first = [], {}
+            for d in divisor_generators(self.g, self.n):
+                if d.kind == PSI:
+                    key = (PSI, a_vec[d.index - 1])
+                elif d.kind == DELTA_SEP:
+                    key = (DELTA_SEP, d.h, sum(a for i, a in support if i in d.markings))
+                else:
+                    key = d.kind
+                keys.append(key)
+                first.setdefault(key, d)
+            self._layouts[a_vec] = keys, first
+        return self._layouts[a_vec]
+
+    def numeric(self, a_vec: tuple[int, ...], r: int) -> dict:
+        """Each key's coefficient at r, in the order of :meth:`layout`, after
+        the checks :func:`assemble_relation` documents."""
+        g, n = self.g, self.n
+        theory = RSpinTheory(r)
+        for a in a_vec:
+            theory.check_index(a)
+        if not phi_degree(g, 1, a_vec, r).relation_exists:
+            raise DegreeGateError(g, n, a_vec, r)
+        first = self.layout(a_vec)[1]
+        genera = {d.h for d in first.values() if d.kind == DELTA_SEP}
+        _check_family_exponents(g, n, genera, a_vec, r)
+        if r not in self._edges:
+            self._edges[r] = _edge_entries(theory)
+        total = sum(a_vec)
+        for key, d in first.items():
+            if (r, total, key) not in self._values:
+                value = _contract(g, a_vec, d, theory, self._edges[r])
+                self._values[r, total, key] = value * r ** (g - 1)
+        return {key: self._values[r, total, key] for key in first}
+
+    def symbolic(self, a_vec: tuple[int, ...]) -> dict[object, RPoly]:
+        """Each key's coefficient as a polynomial in r (genus 1 only)."""
+        if self.g != 1:
+            raise UnsupportedGenusError("symbolic-in-r assembly is only meaningful in genus 1")
+        samples = [self.numeric(a_vec, rr) for rr in _SYMBOLIC_SAMPLE_RS]
+        total = sum(a_vec)
+        for key in samples[0]:
+            if (total, key) not in self._polys:
+                points = zip(_SYMBOLIC_SAMPLE_RS, (sample[key] for sample in samples))
+                self._polys[total, key] = poly_interpolate(
+                    list(points), degree_bound=_SYMBOLIC_DEGREE_BOUND
+                )
+        return {key: self._polys[total, key] for key in samples[0]}
+
+
 def assemble_relation(
     g: int,
     n: int,
@@ -397,79 +494,47 @@ def assemble_relation(
     zero relation is returned.  All graph families must agree on their
     exponent; disagreement is an assembly error, not a warning.
 
-    Separating classes are contracted once per key (h, sum of a over S mod
-    r-1), which fixes every vertex value of the graph, and the result is
-    shared by every class with that key.
+    With ``symbolic=True`` (genus 1 only) every coefficient is a polynomial
+    in r, interpolated from the checked assemblies at six sample r.
     """
     a_vec = tuple(a_vec)
     if len(a_vec) != n:
         raise ValueError("a_vec length must equal n")
-    if symbolic:
-        if r is not None:
-            raise ValueError("give either a numeric r or symbolic=True, not both")
-        return _assemble_symbolic(g, n, a_vec)
-    if r is None:
+    if symbolic and r is not None:
+        raise ValueError("give either a numeric r or symbolic=True, not both")
+    if not symbolic and r is None:
         raise ValueError("numeric assembly needs r")
-
-    theory = RSpinTheory(r)
-    for a in a_vec:
-        theory.check_index(a)
-    gate = phi_degree(g, 1, a_vec, r)
-    if not gate.relation_exists:
-        raise DegreeGateError(g, n, a_vec, r)
-
-    separating = [d for d in divisor_generators(g, n) if d.kind == DELTA_SEP]
-    _check_family_exponents(g, n, {d.h for d in separating}, a_vec, r)
-    edges = _edge_entries(theory)
-
-    coefficients: dict[DivisorClass, Fraction] = {}
-    for i in range(n):
-        coefficients[psi(i + 1)] = _leg_sum(g, a_vec, i, theory)
-    coefficients[kappa1()] = _dilaton_sum(g, a_vec, theory)
-    coefficients[delta_irr()] = _loop_sum(g, a_vec, theory, edges)
-    by_key: dict[tuple[int, int], Fraction] = {}
-    for divisor in separating:
-        key = (divisor.h, sum(a_vec[i - 1] for i in divisor.markings) % (r - 1))
-        if key not in by_key:
-            a0 = [a_vec[i - 1] for i in sorted(divisor.markings)]
-            a1 = [a_vec[i] for i in range(n) if i + 1 not in divisor.markings]
-            by_key[key] = _separating_sum(g, divisor.h, a0, a1, theory, edges)
-        coefficients[divisor] = by_key[key]
-
-    prefactor = Fraction(r ** (g - 1))
+    table = _RelationTable(g, n)
+    values = table.symbolic(a_vec) if symbolic else table.numeric(a_vec, r)
+    keys = table.layout(a_vec)[0]
     return Relation(
-        coefficients={d: c * prefactor for d, c in coefficients.items()},
-        provenance=Provenance(g=g, n=n, a_vec=a_vec, r_mode=r),
+        coefficients={d: values[key] for d, key in zip(divisor_generators(g, n), keys)},
+        provenance=Provenance(g=g, n=n, a_vec=a_vec, r_mode=SYMBOLIC if symbolic else r),
     )
 
 
-def _assemble_symbolic(g: int, n: int, a_vec: tuple[int, ...]) -> Relation:
-    """Symbolic-in-r assembly by interpolation of numeric assemblies.
-
-    Only genus 1 has an r-independent contribution pattern (the auxiliary
-    exponent is -1 for every r), so only genus 1 is supported symbolically.
-    Divisors with the same column of sampled values share one interpolant.
-    """
-    if g != 1:
-        raise UnsupportedGenusError(
-            "symbolic-in-r assembly is only meaningful in genus 1"
-        )
-    basis = divisor_generators(g, n)
-    numeric = [assemble_relation(g, n, a_vec, rr) for rr in _SYMBOLIC_SAMPLE_RS]
-    xs = [Fraction(rr) for rr in _SYMBOLIC_SAMPLE_RS]
-    interpolants: dict[tuple[Fraction, ...], RPoly] = {}
-    coefficients: dict[DivisorClass, RPoly] = {}
-    for divisor in basis:
-        column = tuple(rel.coefficients.get(divisor, Fraction(0)) for rel in numeric)
-        if column not in interpolants:
-            interpolants[column] = poly_interpolate(
-                list(zip(xs, column)), degree_bound=_SYMBOLIC_DEGREE_BOUND
-            )
-        coefficients[divisor] = interpolants[column]
-    return Relation(
-        coefficients=coefficients,
-        provenance=Provenance(g=g, n=n, a_vec=a_vec, r_mode=SYMBOLIC),
-    )
+def assembled_relation_set(
+    g: int, n: int, a_vecs: Sequence[tuple[int, ...]], r: int | None = None
+) -> RelationSet:
+    """The primitive nonzero rows of each leg vector in turn, from one table:
+    its assembly at r when r is given, then in genus 1 the relations
+    :func:`extract_r_coefficients` gives.  Each leg vector is checked before
+    the basis is first built."""
+    table = _RelationTable(g, n)
+    rows, provenances = [], []
+    for a_vec in a_vecs:
+        found = []
+        if r is not None:
+            values = table.numeric(a_vec, r)
+            found.append((r, _expand(table.layout(a_vec)[0], values)))
+        if g == 1:
+            polys = table.symbolic(a_vec)
+            found += [(f"r^{p}", row) for p, row in _extract(table.layout(a_vec)[0], polys)]
+        for r_mode, row in found:
+            if any(row):
+                rows.append(row)
+                provenances.append(Provenance(g, n, a_vec, r_mode))
+    return RelationSet(tuple(divisor_generators(g, n)), rows, provenances)
 
 
 # ---------------------------------------------------------------------------
@@ -490,24 +555,14 @@ def extract_r_coefficients(rel: Relation) -> RelationSet:
     if prov.r_mode != SYMBOLIC:
         raise ValueError("extraction needs a symbolic-mode relation")
     basis = tuple(divisor_generators(prov.g, prov.n))
-    columns = []
-    for d in basis:
-        c = rel.coefficients.get(d, RPoly.zero())
-        columns.append(c.coeffs if isinstance(c, RPoly) else (c,))
-
-    max_deg = max(map(len, columns), default=0)
-    relations = []
-    for power in range(max_deg - 1, -1, -1):
-        vec = primitive_int_vector(
-            [col[power] if power < len(col) else 0 for col in columns]
-        )
-        if not any(vec):
-            continue
-        relations.append(Relation(
-            coefficients={d: Fraction(v) for d, v in zip(basis, vec) if v},
-            provenance=replace(prov, r_mode=f"r^{power}"),
-        ))
-    return RelationSet(basis=basis, relations=relations)
+    keys = [rel.coefficients.get(d, RPoly.zero()) for d in basis]
+    polys = {c: c if isinstance(c, RPoly) else RPoly.constant(c) for c in keys}
+    extracted = _extract(keys, polys)
+    return RelationSet(
+        basis,
+        [row for _, row in extracted],
+        [replace(prov, r_mode=f"r^{power}") for power, _ in extracted],
+    )
 
 
 def pullback_genus2(rel: Relation, n: int) -> Relation:
@@ -599,7 +654,7 @@ def ac_relations(g: int, n: int) -> RelationSet:
         )
         relations.append(pullback_genus2(base, n))
 
-    return RelationSet(basis=basis, relations=relations)
+    return RelationSet.of(basis, relations)
 
 
 @dataclass(frozen=True)
@@ -614,8 +669,8 @@ def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
     """Whether two relation sets span the same subspace over the rationals."""
     if a.basis != b.basis:
         raise BasisMismatchError("relation sets use different generator bases")
-    left, _ = rref(a.vectors())
-    right, _ = rref(b.vectors())
+    left, _ = rref(a.rows)
+    right, _ = rref(b.rows)
     rank_left, rank_right = len(left), len(right)
     rank_union = len(rref(left + right)[1])
     return SpanReport(
@@ -666,24 +721,15 @@ def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:
     markings.  Genus 3: whatever the admissible leg vectors give (nothing).
     Zero relations are dropped.
     """
+    if g != 2:
+        return assembled_relation_set(g, n, admissible_leg_vectors(g, n, r), r)
     basis = tuple(divisor_generators(g, n))
-    relations: list[Relation] = []
-    if g == 2:
-        try:
-            base = assemble_relation(2, 0, (), r)
-        except DegreeGateError:
-            base = None
-        if base is not None and not base.is_zero():
-            relations.append(pullback_genus2(base, n) if n else base)
-    else:
-        for a_vec in admissible_leg_vectors(g, n, r):
-            rel = assemble_relation(g, n, a_vec, r)
-            if not rel.is_zero():
-                relations.append(rel)
-            if g == 1:
-                symbolic = assemble_relation(g, n, a_vec, symbolic=True)
-                relations.extend(extract_r_coefficients(symbolic).relations)
-    return RelationSet(basis=basis, relations=relations)
+    try:
+        base = assemble_relation(2, 0, (), r)
+    except DegreeGateError:
+        base = None
+    nonzero = base is not None and not base.is_zero()
+    return RelationSet.of(basis, [pullback_genus2(base, n) if n else base] if nonzero else [])
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,9 @@ def _criterion_1() -> tuple[bool, str]:
     """Genus 1, two markings, r = 3: span equals the three golden relations."""
     computed = ppz_relation_set(1, 2, 3)
     basis = computed.basis
-    targets = RelationSet(
-        basis=basis,
-        relations=[
+    targets = RelationSet.of(
+        basis,
+        [
             _reference_relation(1, 2, {psi(1): Fraction(1), psi(2): Fraction(-1)}),
             _reference_relation(
                 1, 2,
@@ -338,11 +338,10 @@ def _p_by_direct_summation(m: int, a: int, r: int) -> Fraction:
 
 def _criterion_11() -> tuple[bool, str]:
     """Oracle equivalence: enumeration vs brute force, recursion vs re-coding."""
-    theory = RSpinTheory(3)
     for n in (1, 2, 3):
         enumerated = {
             divisor_class_of(c.graph, 1, n)
-            for c in enumerate_contributing_graphs(1, n, theory)
+            for c in enumerate_contributing_graphs(1, n)
             if c.graph.edges
         }
         brute = _one_edge_classes_brute_force(1, n)

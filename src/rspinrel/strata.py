@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-
-from .cohft import RSpinTheory
+from math import comb
 
 PSI = "psi"
 KAPPA1 = "kappa1"
@@ -33,6 +32,12 @@ class StabilityError(ValueError):
 
 class UnsupportedGenusError(ValueError):
     """Genus outside the range this library enumerates."""
+
+
+# The largest divisor basis built.  Every relation is a dense row over the
+# basis, and genus 1 with n markings has 2^n + 1 classes, so this admits
+# genus 1 up to n = 15 (32,769 classes) and genus 2 up to n = 14 (24,577).
+MAX_BASIS_SIZE = 40_000
 
 
 @dataclass(frozen=True)
@@ -125,12 +130,30 @@ def divisor_generators(g: int, n: int) -> list[DivisorClass]:
     return list(_divisor_generators(g, n))
 
 
+def basis_size(g: int, n: int) -> int:
+    """len(divisor_generators(g, n)) in closed form, for g >= 1: n psi
+    classes, kappa_1, delta_irr, and the pairs (h, S) whose two sides are
+    stable (genus >= 1 or two markings), halved for (h, S) ~ (g-h, S^c),
+    whose one fixed pair is (g/2, {}) when n = 0 and g is even."""
+    pairs = sum(
+        comb(n, k) for h in range(g + 1) for k in range(n + 1)
+        if (h or k >= 2) and (g - h or n - k >= 2)
+    )
+    return n + 2 + (pairs + (n == 0 and g % 2 == 0)) // 2
+
+
 @lru_cache(maxsize=None)
 def _divisor_generators(g: int, n: int) -> tuple[DivisorClass, ...]:
     if g < 1:
         raise UnsupportedGenusError("genus-0 generators are out of scope")
     if 2 * g - 2 + n <= 0:
         raise StabilityError(f"(g, n) = ({g}, {n}) is unstable")
+    size = basis_size(g, n)
+    if size > MAX_BASIS_SIZE:
+        raise ValueError(
+            f"the divisor basis for (g, n) = ({g}, {n}) has {size} classes, "
+            f"above the limit of {MAX_BASIS_SIZE}"
+        )
     gens = [psi(i) for i in range(1, n + 1)]
     gens.append(kappa1())
     gens.append(delta_irr())
@@ -219,9 +242,7 @@ def _smooth_vertex(g: int, n: int, dilaton: int = 0) -> Vertex:
     return Vertex(genus=g, markings=frozenset(range(1, n + 1)), dilaton_legs=dilaton)
 
 
-def enumerate_contributing_graphs(
-    g: int, n: int, theory: RSpinTheory
-) -> list[GraphContribution]:
+def enumerate_contributing_graphs(g: int, n: int) -> list[GraphContribution]:
     """All decorated stable graphs that can contribute in codimension 1.
 
     These are: the smooth graph with one psi power on a leg, the smooth graph

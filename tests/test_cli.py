@@ -184,6 +184,35 @@ class TestRelationsCommand:
         assert run(capsys, ["nonsense"])[0] == 1
 
 
+class TestBasisSizeGuard:
+    """An input whose divisor basis is over the limit exits 1 with the size,
+    after the usage checks and degree-gate refusals that come first."""
+
+    UNIT_30 = ",".join(["1"] + ["0"] * 29)
+    THREE_30 = ",".join(["1"] * 3 + ["0"] * 27)
+    THREE_16 = ",".join(["1"] * 3 + ["0"] * 13)
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--g", "1", "--n", "30", "--r", "3", "--a", UNIT_30],
+        ["relations", "--g", "1", "--n", "30", "--r", "3"],
+        ["relations", "--g", "1", "--n", "16", "--symbolic"],
+        ["relations", "--g", "3", "--n", "30", "--r", "3"],
+        ["verify-ac", "--g", "1", "--n", "30", "--r", "3"],
+    ])
+    def test_oversized_basis_exits_1_with_estimate(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "classes, above the limit of" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--g", "4", "--n", "30", "--r", "3"],
+        ["relations", "--g", "1", "--n", "30", "--r", "3", "--a", THREE_30],
+        ["relations", "--g", "1", "--n", "16", "--symbolic", "--a", THREE_16],
+    ])
+    def test_degree_gate_refusals_come_first(self, capsys, argv):
+        assert run(capsys, argv)[0] == 2
+
+
 class TestVerifyAcCommand:
     @pytest.mark.parametrize("g,n,expected_rank", [(1, 4, 5), (2, 0, 1), (3, 0, 0)])
     def test_equal_cases(self, capsys, g, n, expected_rank):
@@ -349,6 +378,17 @@ class TestGoldenOutputs:
     output digests (``perfbench/golden.json``) on the linalg-heavy points."""
 
     GOLDEN = json.load(open(os.path.join(ROOT, "perfbench", "golden.json")))
+
+    def test_genus_one_points_in_process(self, capsys):
+        # Every genus-1 grid point, run through main() in this process.
+        points = [a for a in workloads.grid_points() if "--g" in a and a[a.index("--g") + 1] == "1"]
+        mismatches = []
+        for argv in points:
+            code, out, _ = run(capsys, list(argv))
+            expected = self.GOLDEN[workloads.key(argv)]
+            if (code, measure.digest(code, out)) != (expected["exit"], expected["digest"]):
+                mismatches.append(workloads.key(argv))
+        assert points and mismatches == []
 
     @pytest.mark.parametrize(
         "argv", [a for a in workloads.grid_points() if _linalg_heavy(a)], ids=workloads.key

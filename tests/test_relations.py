@@ -1,12 +1,13 @@
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rspinrel.cohft import RSpinTheory, phi_degree
+from rspinrel.cohft import RSpinTheory, phi_degree, r_inverse_entry, topological_value
 from rspinrel.linalg import RationalMatrix, primitive_int_vector, rank_and_solve
 from rspinrel.relations import (
     AssemblyError,
@@ -16,10 +17,13 @@ from rspinrel.relations import (
     RelationSet,
     Provenance,
     _edge_entries,
+    _leg_sum,
     ac_relations,
     admissible_leg_vectors,
     assemble_relation,
+    assembled_relation_set,
     edge_constant_term,
+    edge_numerator_coefficient,
     edge_series_coefficients,
     extract_r_coefficients,
     graph_contribution_terms,
@@ -64,6 +68,90 @@ def per_graph_coefficients(g, n, a_vec, r):
     for term in graph_contribution_terms(g, n, a_vec, RSpinTheory(r)):
         sums[term.divisor] = sums.get(term.divisor, Fraction(0)) + term.coefficient
     return {d: c * r ** (g - 1) for d, c in sums.items() if c != 0}
+
+
+SAMPLE_RS = (3, 4, 5, 6, 7, 8)
+
+
+@lru_cache(maxsize=None)
+def per_class_symbolic(n, a_vec):
+    """Oracle for the keyed symbolic assembly: every genus-1 class's column
+    of per-graph values at the six sample r, interpolated on its own; zero
+    polynomials dropped."""
+    numeric = [per_graph_coefficients(1, n, a_vec, r) for r in SAMPLE_RS]
+    coefficients = {}
+    for divisor in divisor_generators(1, n):
+        samples = [(r, c.get(divisor, 0)) for r, c in zip(SAMPLE_RS, numeric)]
+        poly = poly_interpolate(samples, degree_bound=3)
+        if poly:
+            coefficients[divisor] = poly
+    return coefficients
+
+
+def per_class_extract(n, coefficients):
+    """Oracle for the keyed extraction: (r_mode, row) for each power of r,
+    highest first, each row the primitive integer vector of every class's
+    coefficient of that power; zero rows skipped."""
+    columns = [coefficients.get(d, RPoly.zero()).coeffs for d in divisor_generators(1, n)]
+    found = []
+    for power in range(max(map(len, columns), default=0) - 1, -1, -1):
+        row = primitive_int_vector(
+            [col[power] if power < len(col) else Fraction(0) for col in columns]
+        )
+        if any(row):
+            found.append((f"r^{power}", row))
+    return found
+
+
+def per_class_relation_rows(n, r):
+    """Oracle for ppz_relation_set(1, n, r): (a, r_mode, row) for each
+    admissible leg vector's numeric relation and then its extracted ones."""
+    basis = divisor_generators(1, n)
+    found = []
+    for a_vec in admissible_leg_vectors(1, n, r):
+        numeric = per_graph_coefficients(1, n, a_vec, r)
+        row = primitive_int_vector([numeric.get(d, Fraction(0)) for d in basis])
+        if any(row):
+            found.append((a_vec, r, row))
+        extracted = per_class_extract(n, per_class_symbolic(n, a_vec))
+        found += [(a_vec, r_mode, row) for r_mode, row in extracted]
+    return found
+
+
+def labelled_rows(relation_set):
+    return [
+        (prov.a_vec, prov.r_mode, row)
+        for prov, row in zip(relation_set.provenances, relation_set.rows)
+    ]
+
+
+def loop_edge_numerator_coefficient(mp, mq, p, q, theory):
+    """Oracle for edge_numerator_coefficient: the full sum over the middle
+    index j."""
+    if mp == 0 and mq == 0:
+        return Fraction(0)
+    total = Fraction(0)
+    for j in range(theory.dimension):
+        left = r_inverse_entry(mp, j, p, theory) if mp else Fraction(1 if j == p else 0)
+        if left == 0:
+            continue
+        jj = theory.r - 2 - j
+        right = r_inverse_entry(mq, jj, q, theory) if mq else Fraction(1 if jj == q else 0)
+        total += left * right
+    return -total
+
+
+def loop_leg_sum(g, insertions, i, theory):
+    """Oracle for _leg_sum: the full sum over every index b of leg i."""
+    total = Fraction(0)
+    for b in range(theory.dimension):
+        entry = r_inverse_entry(1, insertions[i], b, theory)
+        if entry == 0:
+            continue
+        moved = list(insertions)
+        moved[i] = b
+        total += entry * topological_value(g, moved, theory)
+    return total
 
 
 def reference(g, n, coeffs):
@@ -160,9 +248,9 @@ class TestExtraction:
     def test_lower_powers_are_consequences(self):
         symbolic = assemble_relation(1, 2, (1, 0), symbolic=True)
         extracted = extract_r_coefficients(symbolic)
-        high = RelationSet(
-            basis=extracted.basis,
-            relations=[
+        high = RelationSet.of(
+            extracted.basis,
+            [
                 rel for rel in extracted.relations
                 if rel.provenance.r_mode in ("r^3", "r^2")
             ],
@@ -284,19 +372,36 @@ class TestOracleEquivalence:
         assert seen_zero and seen_nonzero
 
     def test_symbolic_matches_per_divisor_interpolation(self):
-        rs = (3, 4, 5, 6, 7, 8)
         for n in range(1, 6):
-            basis = divisor_generators(1, n)
             for a_vec in product((0, 1), repeat=n):
                 if not phi_degree(1, 1, a_vec, 3).relation_exists:
                     continue
                 rel = assemble_relation(1, n, a_vec, symbolic=True)
-                numeric = [per_graph_coefficients(1, n, a_vec, r) for r in rs]
-                for divisor in basis:
-                    samples = [(r, c.get(divisor, 0)) for r, c in zip(rs, numeric)]
-                    expected = poly_interpolate(samples, degree_bound=3)
-                    got = rel.coefficients.get(divisor, RPoly.zero())
-                    assert got == expected, (n, a_vec, divisor)
+                assert rel.coefficients == per_class_symbolic(n, a_vec), (n, a_vec)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=6))
+    @example([1, 1, 0])
+    def test_keyed_symbolic_path_matches_per_class_oracle(self, a):
+        # Leg vectors with sum(a) >= 3 fail the gate at r = 3 on both paths;
+        # (1, 1, 0) passes it but extracts nothing.
+        a_vec, n = tuple(a), len(a)
+        if sum(a_vec) >= 3:
+            with pytest.raises(DegreeGateError):
+                assembled_relation_set(1, n, [a_vec])
+            return
+        rel = assemble_relation(1, n, a_vec, symbolic=True)
+        assert rel.coefficients == per_class_symbolic(n, a_vec)
+        expected = [(a_vec, r_mode, row) for r_mode, row in per_class_extract(n, rel.coefficients)]
+        assert labelled_rows(extract_r_coefficients(rel)) == expected
+        assert labelled_rows(assembled_relation_set(1, n, [a_vec])) == expected
+
+    def test_zero_extraction(self):
+        assert assembled_relation_set(1, 3, [(1, 1, 0)]).rows == []
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n, r in G1_NR if n <= 6])
+    def test_relation_set_matches_per_class_oracle(self, n, r):
+        assert labelled_rows(ppz_relation_set(1, n, r)) == per_class_relation_rows(n, r)
 
     @pytest.mark.parametrize("family", ["smooth", "loop", "separating"])
     def test_wrong_family_exponent_raises(self, monkeypatch, family):
@@ -329,10 +434,9 @@ class TestBookkeeping:
                 if 2 * g - 2 + n <= 0:
                     continue
                 for r in (3, 4, 7):
-                    theory = RSpinTheory(r)
                     for a_vec in product(range(r - 1), repeat=n):
                         expected = sum(a_vec) + (g - 1) * (r - 2)
-                        for contrib in enumerate_contributing_graphs(g, n, theory):
+                        for contrib in enumerate_contributing_graphs(g, n):
                             graph = contrib.graph
                             genera = [v.genus for v in graph.vertices]
                             phi = _family_phi(genera, len(graph.edges), a_vec, r)
@@ -380,6 +484,24 @@ def swap_markings(divisor, i, n):
     return divisor
 
 
+def permute_class(divisor, sigma, g, n):
+    """The class with every marking i relabelled sigma[i]."""
+    if divisor.kind == "psi":
+        return psi(sigma[divisor.index])
+    if divisor.kind == "delta_sep":
+        marks = {sigma[m] for m in divisor.markings}
+        return canonical_divisor(delta_sep(divisor.h, marks), g, n)
+    return divisor
+
+
+def relabellings(min_n):
+    """(n, sigma) with sigma a random permutation of the markings 1..n <= 5."""
+    return st.integers(min_n, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.permutations(range(1, n + 1)).map(lambda perm: dict(enumerate(perm, 1))),
+    ))
+
+
 class TestGenusOneProperties:
     @settings(deadline=None)
     @given(unit_legs, wide_r)
@@ -399,12 +521,37 @@ class TestGenusOneProperties:
         assert assemble_relation(1, n, unit_vector(n, i), r).coefficients == swapped
 
     @settings(deadline=None)
+    @given(relabellings(1), st.integers(3, 8), st.data())
+    def test_relation_equivariant_under_permuting_markings(self, relabelling, r, data):
+        # Relabelling the markings by sigma takes the relation for e_i to the
+        # one for e_sigma(i), class by class.
+        n, sigma = relabelling
+        i = data.draw(st.integers(1, n))
+        rel = assemble_relation(1, n, unit_vector(n, i), r)
+        moved = {permute_class(d, sigma, 1, n): c for d, c in rel.coefficients.items()}
+        assert assemble_relation(1, n, unit_vector(n, sigma[i]), r).coefficients == moved
+
+    @settings(deadline=None)
+    @given(relabellings(1))
+    def test_genus_two_pullback_invariant_under_permuting_markings(self, relabelling):
+        n, sigma = relabelling
+        rel = pullback_genus2(assemble_relation(2, 0, (), 3), n)
+        moved = {permute_class(d, sigma, 2, n): c for d, c in rel.coefficients.items()}
+        assert moved == rel.coefficients
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(1, 5), wide_r)
+    def test_reduced_rows_independent_of_r(self, n, r):
+        # The reduced row echelon form is unique, so equal spans give equal rows.
+        assert ppz_relation_set(1, n, r).reduced_rows() == ppz_relation_set(1, n, 3).reduced_rows()
+
+    @settings(deadline=None)
     @given(unit_legs, wide_r)
     def test_relation_lies_in_reference_span(self, leg, r):
         n, i = leg
         reference_set = ac_relations(1, n)
         rel = assemble_relation(1, n, unit_vector(n, i), r)
-        extended = RelationSet(reference_set.basis, reference_set.relations + [rel])
+        extended = RelationSet.of(reference_set.basis, reference_set.relations + [rel])
         report = spans_equal(extended, reference_set)
         assert report.equal and report.rank_right == n + 1
 
@@ -424,7 +571,7 @@ class TestSpans:
     def test_rank_matches_rank_and_solve(self):
         for g, n in ((1, 1), (1, 3), (1, 4), (2, 2), (3, 0)):
             relation_set = ppz_relation_set(g, n, 3)
-            rows = [v for v in relation_set.vectors() if any(v)]
+            rows = [v for v in relation_set.rows if any(v)]
             expected = rank_and_solve(RationalMatrix(rows))[0] if rows else 0
             assert relation_set.rank() == expected, (g, n)
 
@@ -439,7 +586,7 @@ class TestSpans:
 
     def test_unequal_against_empty(self):
         computed = ppz_relation_set(1, 2, 3)
-        empty = RelationSet(basis=computed.basis, relations=[])
+        empty = RelationSet.of(computed.basis, [])
         assert not spans_equal(computed, empty).equal
 
     def test_basis_mismatch(self):
@@ -454,7 +601,7 @@ class TestSpans:
     def test_relation_outside_basis_rejected(self):
         stray = reference(1, 3, {psi(3): 1})
         with pytest.raises(BasisMismatchError):
-            RelationSet(basis=tuple(divisor_generators(1, 2)), relations=[stray])
+            RelationSet.of(tuple(divisor_generators(1, 2)), [stray])
         with pytest.raises(BasisMismatchError):
             stray.vector(tuple(divisor_generators(1, 2)))
 
@@ -469,7 +616,7 @@ class TestIntegerEliminationOracle:
     @pytest.mark.parametrize("g,n,r", ORACLE_CASES)
     def test_matches_fraction_rref(self, g, n, r):
         computed, reference_set = ppz_relation_set(g, n, r), ac_relations(g, n)
-        left, right = computed.vectors(), reference_set.vectors()
+        left, right = computed.rows, reference_set.rows
         oracle_rows, oracle_pivots = fraction_rref(left)
         assert computed.reduced_rows() == [primitive_int_vector(row) for row in oracle_rows]
         assert computed.rank() == len(oracle_pivots)
@@ -487,7 +634,7 @@ class TestIntegerEliminationOracle:
 
         for g, n, r in ((1, 3, 3), (1, 4, 5), (1, 5, 3), (2, 3, 3), (2, 5, 3)):
             computed, reference_set = ppz_relation_set(g, n, r), ac_relations(g, n)
-            left, right = computed.vectors(), reference_set.vectors()
+            left, right = computed.rows, reference_set.rows
             report = spans_equal(computed, reference_set)
             expected = (sympy_rank(left), sympy_rank(right), sympy_rank(left + right))
             assert (report.rank_left, report.rank_right, report.rank_union) == expected, (g, n, r)
@@ -513,6 +660,35 @@ class TestEdgeFactor:
                     if entry != 0:
                         full[(p, q)] = entry
             assert dict(_edge_entries(theory)) == full, r
+
+    def test_numerator_single_term_matches_full_sum(self):
+        for r in range(3, 13):
+            theory = RSpinTheory(r)
+            for mp, mq, p, q in product(range(4), range(4), range(r - 1), range(r - 1)):
+                assert edge_numerator_coefficient(mp, mq, p, q, theory) == (
+                    loop_edge_numerator_coefficient(mp, mq, p, q, theory)
+                ), (r, mp, mq, p, q)
+
+    def test_series_through_order_two_matches_full_sum(self, monkeypatch):
+        import rspinrel.relations as relations_module
+
+        pairs = [(r, p, q) for r in range(3, 13) for p in range(r - 1) for q in range(r - 1)]
+        fast = [edge_series_coefficients(p, q, RSpinTheory(r), max_order=2) for r, p, q in pairs]
+        monkeypatch.setattr(
+            relations_module, "edge_numerator_coefficient", loop_edge_numerator_coefficient
+        )
+        slow = [edge_series_coefficients(p, q, RSpinTheory(r), max_order=2) for r, p, q in pairs]
+        assert fast == slow
+
+    def test_leg_sum_single_term_matches_full_sum(self):
+        for r in range(3, 13):
+            theory = RSpinTheory(r)
+            for g, n in ((1, 1), (1, 2), (2, 2), (3, 1)):
+                for insertions in product(range(r - 1), repeat=n):
+                    for i in range(n):
+                        assert _leg_sum(g, insertions, i, theory) == (
+                            loop_leg_sum(g, insertions, i, theory)
+                        ), (r, g, insertions, i)
 
     def test_series_divisibility_through_order_two(self):
         # The consistency equation inside the series expansion exercises the

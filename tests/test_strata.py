@@ -2,12 +2,13 @@ from itertools import combinations
 
 import pytest
 
-from rspinrel.cohft import RSpinTheory
 from rspinrel.strata import (
+    MAX_BASIS_SIZE,
     StabilityError,
     StableGraph,
     UnsupportedGenusError,
     Vertex,
+    basis_size,
     canonical_divisor,
     delta_irr,
     delta_sep,
@@ -91,9 +92,26 @@ class TestDivisorGenerators:
         assert delta_sep(1, ()).render() == "delta_{1,{}}"
 
 
+class TestBasisSize:
+    def test_closed_form_matches_enumeration(self):
+        for g in range(1, 5):
+            for n in range(0, 10):
+                if 2 * g - 2 + n > 0:
+                    assert basis_size(g, n) == len(divisor_generators(g, n)), (g, n)
+
+    def test_limit_sits_above_the_largest_benchmark_basis(self):
+        assert basis_size(1, 12) == 2 ** 12 + 1
+        assert basis_size(2, 12) == 6145 < MAX_BASIS_SIZE
+
+    def test_oversized_basis_refused_with_its_size(self):
+        assert basis_size(1, 30) == 2 ** 30 + 1
+        with pytest.raises(ValueError, match=f"1073741825 classes, above the limit of {MAX_BASIS_SIZE}"):
+            divisor_generators(1, 30)
+
+
 class TestEnumeration:
     def test_two_marked_genus_one(self):
-        contribs = enumerate_contributing_graphs(1, 2, RSpinTheory(3))
+        contribs = enumerate_contributing_graphs(1, 2)
         kinds = [c.kind for c in contribs]
         assert sorted(kinds) == [
             "dilaton_kappa",
@@ -103,7 +121,7 @@ class TestEnumeration:
         ]
 
     def test_unmarked_genus_two(self):
-        contribs = enumerate_contributing_graphs(2, 0, RSpinTheory(3))
+        contribs = enumerate_contributing_graphs(2, 0)
         assert sorted(c.kind for c in contribs) == [
             "dilaton_kappa",
             "loop_edge",
@@ -112,7 +130,7 @@ class TestEnumeration:
 
     def test_symmetric_separating_graph(self):
         # The genus 1+1 graph is its own mirror image: listed once.
-        contribs = enumerate_contributing_graphs(2, 0, RSpinTheory(3))
+        contribs = enumerate_contributing_graphs(2, 0)
         seps = [c for c in contribs if c.kind == "separating_edge"]
         assert len(seps) == 1
         assert divisor_class_of(seps[0].graph, 2, 0) == delta_sep(1, ())
@@ -121,7 +139,7 @@ class TestEnumeration:
         # Each separating graph is listed once and lands on its own boundary
         # class; together they are exactly the separating generators.
         for g, n in ((1, 3), (2, 1), (2, 3), (3, 2)):
-            contribs = enumerate_contributing_graphs(g, n, RSpinTheory(3))
+            contribs = enumerate_contributing_graphs(g, n)
             classes = [
                 divisor_class_of(c.graph, g, n)
                 for c in contribs if c.kind == "separating_edge"
@@ -131,12 +149,11 @@ class TestEnumeration:
             assert set(classes) == set(expected), (g, n)
 
     def test_genus_and_stability_of_all_graphs(self):
-        theory = RSpinTheory(3)
         for g in (1, 2, 3):
             for n in range(0, 5):
                 if 2 * g - 2 + n <= 0:
                     continue
-                for contrib in enumerate_contributing_graphs(g, n, theory):
+                for contrib in enumerate_contributing_graphs(g, n):
                     graph = contrib.graph
                     graph.validate()
                     # Independent recomputation of the genus formula.
@@ -147,7 +164,7 @@ class TestEnumeration:
 
     def test_unsupported_genus(self):
         with pytest.raises(UnsupportedGenusError):
-            enumerate_contributing_graphs(4, 0, RSpinTheory(3))
+            enumerate_contributing_graphs(4, 0)
 
     def test_excluded_families_absent(self):
         # The families of codimension 2 or more that the enumeration leaves
@@ -156,7 +173,7 @@ class TestEnumeration:
             for n in range(0, 4):
                 if 2 * g - 2 + n <= 0:
                     continue
-                for contrib in enumerate_contributing_graphs(g, n, RSpinTheory(3)):
+                for contrib in enumerate_contributing_graphs(g, n):
                     graph = contrib.graph
                     dilaton = sum(v.dilaton_legs for v in graph.vertices)
                     assert dilaton <= 1 and len(graph.edges) <= 1
@@ -165,7 +182,6 @@ class TestEnumeration:
     def test_brute_force_one_edge_match(self):
         # Independent oracle: enumerate one-edge stable graphs by direct
         # partition of genus and markings, compare canonical classes.
-        theory = RSpinTheory(3)
         for n in (1, 2, 3):
             brute = set()
             marks = set(range(1, n + 1))
@@ -180,7 +196,7 @@ class TestEnumeration:
                             continue
             enumerated = {
                 divisor_class_of(c.graph, 1, n)
-                for c in enumerate_contributing_graphs(1, n, theory)
+                for c in enumerate_contributing_graphs(1, n)
                 if c.graph.edges
             }
             assert enumerated == brute
