@@ -18,28 +18,32 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cohft": (
-        "DegreeGateError", "IdempotentReport", "PhiDegreeReport", "RSpinTheory",
-        "StructureConstants", "idempotent_check", "p_polynomial",
-        "p_polynomial_symbolic", "phi_degree", "quantum_structure_constants",
-        "r_forward_entry", "r_forward_matrix", "r_inverse_entry",
-        "r_inverse_matrix", "topological_value", "witten_degree",
+        "DegreeGateError", "PhiDegreeReport", "RSpinTheory", "p_polynomial",
+        "p_polynomial_symbolic", "phi_degree", "r_inverse_entry",
+        "topological_value", "witten_degree",
     ),
-    "linalg": ("RationalMatrix", "determinant", "rank_and_solve"),
+    "linalg": ("RationalMatrix", "rank_and_solve"),
+    "oracles": (
+        "GraphContribution", "GraphTerm", "IdempotentReport", "StableGraph",
+        "StructureConstants", "SystemDetReport", "Vertex", "determinant",
+        "divisor_class_of", "enumerate_contributing_graphs",
+        "graph_contribution_terms", "idempotent_check",
+        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
+        "r_inverse_matrix", "system_matrix_det",
+    ),
     "relations": (
-        "AssemblyError", "BasisMismatchError", "GraphTerm", "Relation",
-        "RelationSet", "SpanReport", "SystemDetReport", "ac_relations",
-        "admissible_leg_vectors", "assemble_relation", "edge_constant_term",
-        "edge_series_coefficients", "extract_r_coefficients",
-        "graph_contribution_terms", "ppz_relation_set", "pullback_genus2",
-        "spans_equal", "system_matrix_det",
+        "AssemblyError", "BasisMismatchError", "Relation", "RelationSet",
+        "SpanReport", "ac_relations", "admissible_leg_vectors",
+        "assemble_relation", "edge_constant_term", "edge_series_coefficients",
+        "extract_r_coefficients", "ppz_relation_set", "pullback_genus2",
+        "spans_equal",
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),
     "strata": (
-        "DivisorClass", "GraphContribution", "StabilityError", "StableGraph",
-        "UnsupportedGenusError", "Vertex", "canonical_divisor", "delta_irr",
-        "delta_sep", "divisor_class_of", "divisor_generators",
-        "enumerate_contributing_graphs", "kappa1", "psi",
+        "DivisorClass", "StabilityError", "UnsupportedGenusError",
+        "canonical_divisor", "delta_irr", "delta_sep", "divisor_generators",
+        "kappa1", "psi",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -7,7 +7,7 @@ auxiliary total degree is negative, which is what :func:`assemble_relation`
 gates on.
 
 The codimension-1 part receives contributions from four graph families
-(enumerated in :mod:`rspinrel.strata`):
+(enumerated in :mod:`rspinrel.oracles`):
 
 * smooth graph, one psi power on one leg:     (r-1)^g-weighted leg entries,
 * smooth graph, one dilaton leg:              the kappa_1 term,
@@ -25,8 +25,8 @@ with the same sum, instead of once per class or graph.  For one-edge graphs
 the gluing map onto the boundary divisor has degree equal to the automorphism
 order of the graph, so the two cancel and the divisor coefficient is the plain
 contraction sum; the golden totals pin this convention.
-:func:`graph_contribution_terms` keeps the per-graph enumeration as the test
-oracle; both paths share the per-family sums.
+:func:`rspinrel.oracles.graph_contribution_terms` keeps the per-graph
+enumeration as the test oracle; both paths share the per-family sums here.
 
 Symbolic-in-r relations are supported in genus 1 (where the contributing
 index patterns are independent of r): every coefficient is a polynomial in r
@@ -38,9 +38,8 @@ integer row that row reduction takes directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .cohft import (
     DegreeGateError,
@@ -49,7 +48,7 @@ from .cohft import (
     r_inverse_entry,
     topological_value,
 )
-from .linalg import RationalMatrix, determinant, primitive_int_vector, rref
+from .linalg import primitive_int_vector, rref
 from .rpoly import RPoly, poly_interpolate
 from .strata import (
     DELTA_IRR,
@@ -59,9 +58,7 @@ from .strata import (
     UnsupportedGenusError,
     delta_irr,
     delta_sep,
-    divisor_class_of,
     divisor_generators,
-    enumerate_contributing_graphs,
     kappa1,
     psi,
 )
@@ -82,8 +79,7 @@ class BasisMismatchError(ValueError):
     """Two relation sets do not share a generator basis."""
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     g: int
     n: int
     a_vec: tuple[int, ...] | None
@@ -93,17 +89,20 @@ class Provenance:
 Coefficient = Union[Fraction, RPoly]
 
 
-@dataclass
 class Relation:
     """Linear combination of divisor classes; zero coefficients never stored."""
 
-    coefficients: dict[DivisorClass, Coefficient]
-    provenance: Provenance
+    def __init__(self, coefficients: dict[DivisorClass, Coefficient], provenance: Provenance):
+        self.coefficients = {d: c for d, c in coefficients.items() if not _is_zero(c)}
+        self.provenance = provenance
 
-    def __post_init__(self):
-        self.coefficients = {
-            d: c for d, c in self.coefficients.items() if not _is_zero(c)
-        }
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficients, self.provenance) == (other.coefficients, other.provenance)
+
+    def __repr__(self) -> str:
+        return f"Relation(coefficients={self.coefficients!r}, provenance={self.provenance!r})"
 
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -126,21 +125,25 @@ class Relation:
             raise ValueError("normalized_vector requires a numeric relation")
         return primitive_int_vector(vec)
 
-    def scaled(self, factor: Coefficient) -> "Relation":
-        return Relation(
-            coefficients={d: c * factor for d, c in self.coefficients.items()},
-            provenance=self.provenance,
-        )
 
-
-@dataclass
 class RelationSet:
     """Relations over one shared ordered generator basis, each kept as its row
     of rational (or integer) coefficients in basis order, with its provenance."""
 
-    basis: tuple[DivisorClass, ...]
-    rows: list[tuple[Fraction | int, ...]]
-    provenances: list[Provenance]
+    def __init__(self, basis: tuple[DivisorClass, ...],
+                 rows: list[tuple[Fraction | int, ...]], provenances: list[Provenance]):
+        self.basis, self.rows, self.provenances = basis, rows, provenances
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.basis, self.rows, self.provenances) == (
+            other.basis, other.rows, other.provenances
+        )
+
+    def __repr__(self) -> str:
+        return (f"RelationSet(basis={self.basis!r}, rows={self.rows!r}, "
+                f"provenances={self.provenances!r})")
 
     @classmethod
     def of(cls, basis: tuple[DivisorClass, ...], relations: list[Relation]) -> "RelationSet":
@@ -160,14 +163,6 @@ class RelationSet:
     def reduced_rows(self) -> list[tuple[int, ...]]:
         """Row-reduced basis of the span as primitive integer vectors."""
         return rref(self.rows)[0]
-
-
-@dataclass(frozen=True)
-class GraphTerm:
-    """One graph family's contribution to one divisor class."""
-
-    divisor: DivisorClass
-    coefficient: Fraction
 
 
 def _is_zero(c: Coefficient) -> bool:
@@ -315,52 +310,6 @@ def _family_phi(
 # ---------------------------------------------------------------------------
 # Numeric assembly
 # ---------------------------------------------------------------------------
-
-def graph_contribution_terms(
-    g: int, n: int, a_vec: Sequence[int], theory: RSpinTheory
-) -> list[GraphTerm]:
-    """Per-graph, per-divisor coefficients of the codimension-1 part.
-
-    This is the brute-force oracle for :func:`assemble_relation`: it
-    rebuilds the edge constant terms on every call, walks every enumerated
-    graph and contracts each one on its own.
-    Zero contributions are kept so callers can see each graph vanish
-    individually.  The overall r^(g-1) prefactor is not applied here.
-    """
-    a_vec = tuple(a_vec)
-    edges = _edge_entries(theory)
-    terms: list[GraphTerm] = []
-
-    for contribution in enumerate_contributing_graphs(g, n):
-        graph = contribution.graph
-        kind = contribution.kind
-
-        if kind == "leg_psi":
-            for i in range(n):
-                total = _leg_sum(g, a_vec, i, theory)
-                terms.append(GraphTerm(psi(i + 1), total))
-
-        elif kind == "dilaton_kappa":
-            total = _dilaton_sum(g, a_vec, theory)
-            terms.append(GraphTerm(kappa1(), total))
-
-        elif kind == "loop_edge":
-            total = _loop_sum(g, a_vec, theory, edges)
-            terms.append(GraphTerm(delta_irr(), total))
-
-        elif kind == "separating_edge":
-            v0, v1 = graph.vertices
-            a0 = [a_vec[i - 1] for i in sorted(v0.markings)]
-            a1 = [a_vec[i - 1] for i in sorted(v1.markings)]
-            total = _separating_sum(g, v0.genus, a0, a1, theory, edges)
-            divisor = divisor_class_of(graph, g, n)
-            terms.append(GraphTerm(divisor, total))
-
-        else:  # pragma: no cover - enumeration emits only the kinds above
-            raise AssemblyError(f"unknown contribution kind {kind}")
-
-    return terms
-
 
 def _check_family_exponents(
     g: int, n: int, separating_genera: set[int], a_vec: tuple[int, ...], r: int
@@ -561,7 +510,7 @@ def extract_r_coefficients(rel: Relation) -> RelationSet:
     return RelationSet(
         basis,
         [row for _, row in extracted],
-        [replace(prov, r_mode=f"r^{power}") for power, _ in extracted],
+        [prov._replace(r_mode=f"r^{power}") for power, _ in extracted],
     )
 
 
@@ -606,7 +555,7 @@ def pullback_genus2(rel: Relation, n: int) -> Relation:
             add(divisor, d1)
     return Relation(
         coefficients=coeffs,
-        provenance=replace(rel.provenance, n=n),
+        provenance=rel.provenance._replace(n=n),
     )
 
 
@@ -622,28 +571,7 @@ def ac_relations(g: int, n: int) -> RelationSet:
     if g not in (1, 2, 3):
         raise UnsupportedGenusError(f"no reference relation set for genus {g}")
     basis = tuple(divisor_generators(g, n))
-    provenance = Provenance(g=g, n=n, a_vec=None, r_mode="reference")
-    relations: list[Relation] = []
-
-    if g == 1:
-        sep_classes = [d for d in basis if d.kind == "delta_sep"]
-        for i in range(1, n + 1):
-            coeffs: dict[DivisorClass, Fraction] = {
-                psi(i): Fraction(12),
-                delta_irr(): Fraction(-1),
-            }
-            for d in sep_classes:
-                if i in d.markings:
-                    coeffs[d] = Fraction(-12)
-            relations.append(Relation(coeffs, provenance))
-        coeffs = {kappa1(): Fraction(1)}
-        for i in range(1, n + 1):
-            coeffs[psi(i)] = Fraction(-1)
-        for d in sep_classes:
-            coeffs[d] = Fraction(1)
-        relations.append(Relation(coeffs, provenance))
-
-    elif g == 2:
+    if g == 2:
         base = Relation(
             coefficients={
                 kappa1(): Fraction(5),
@@ -652,13 +580,22 @@ def ac_relations(g: int, n: int) -> RelationSet:
             },
             provenance=Provenance(g=2, n=0, a_vec=None, r_mode="reference"),
         )
-        relations.append(pullback_genus2(base, n))
+        return RelationSet.of(basis, [pullback_genus2(base, n)])
+    rows = []
+    if g == 1:
+        # Integer rows over psi_1..psi_n, kappa_1, delta_irr, then the
+        # delta_{0,S}: 12 psi_i - delta_irr - 12 [i in S], and
+        # kappa_1 - sum(psi) + sum(delta_{0,S}).
+        seps = [d.markings for d in basis[n + 2:]]
+        for i in range(1, n + 1):
+            psis = tuple(12 if j == i else 0 for j in range(1, n + 1))
+            rows.append(psis + (0, -1) + tuple(-12 if i in S else 0 for S in seps))
+        rows.append((-1,) * n + (1, 0) + (1,) * len(seps))
+    provenance = Provenance(g=g, n=n, a_vec=None, r_mode="reference")
+    return RelationSet(basis, rows, [provenance] * len(rows))
 
-    return RelationSet.of(basis, relations)
 
-
-@dataclass(frozen=True)
-class SpanReport:
+class SpanReport(NamedTuple):
     equal: bool
     rank_left: int
     rank_right: int
@@ -730,85 +667,3 @@ def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:
         base = None
     nonzero = base is not None and not base.is_zero()
     return RelationSet.of(basis, [pullback_genus2(base, n) if n else base] if nonzero else [])
-
-
-# ---------------------------------------------------------------------------
-# The determinant of the genus-1 leg/kappa system
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SystemDetReport:
-    """Determinant of the (n+1)x(n+1) genus-1 system matrix and comparisons.
-
-    reference_value is the closed form -(1-r)^n (2-r)^2 / 4; product_form is
-    -((r-1)(r-2)/2)^n, which is what elimination actually yields.  The two
-    agree only at n = 2 (and for even n at r = 4).
-    """
-
-    n: int
-    r_mode: Union[int, str]
-    det: Coefficient
-    reference_value: Coefficient
-    residual: Coefficient
-    matches_reference: bool
-    product_form_value: Coefficient
-    matches_product_form: bool
-
-
-def _system_matrix(n: int, diag: Coefficient, off: Coefficient, one, minus_one):
-    rows = []
-    for i in range(n):
-        row = [off] * n + [-off]
-        row[i] = diag
-        rows.append(row)
-    rows.append([one] * n + [minus_one])
-    return rows
-
-
-def system_matrix_det(
-    n: int, r: int | None = None, *, symbolic: bool = False
-) -> SystemDetReport:
-    """Determinant of the genus-1 system expressing each psi and kappa_1 in
-    boundary terms: rows i = 1..n carry (r-1) P_1(r,1) on the diagonal,
-    (r-1) P_1(r,0) off it and minus that in the kappa column; the last row is
-    (1, ..., 1, -1)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    from .cohft import p_polynomial, p_polynomial_symbolic
-
-    if symbolic:
-        rv = RPoly.variable()
-        p1_1 = p_polynomial_symbolic(1, 1)
-        p1_0 = p_polynomial_symbolic(1, 0)
-        diag = (rv - 1) * p1_1
-        off = (rv - 1) * p1_0
-        matrix = RationalMatrix(
-            _system_matrix(n, diag, off, RPoly((1,)), RPoly((-1,)))
-        )
-        det = determinant(matrix)
-        reference = (RPoly((1,)) - rv) ** n * (RPoly((2,)) - rv) ** 2 * Fraction(-1, 4)
-        product_form = ((rv - 1) * (rv - 2) * Fraction(1, 2)) ** n * Fraction(-1)
-        r_mode: Union[int, str] = SYMBOLIC
-    else:
-        if r is None or r < 3:
-            raise ValueError("numeric mode needs r >= 3")
-        diag = (r - 1) * p_polynomial(1, 1, r)
-        off = (r - 1) * p_polynomial(1, 0, r)
-        matrix = RationalMatrix(
-            _system_matrix(n, diag, off, Fraction(1), Fraction(-1))
-        )
-        det = determinant(matrix)
-        reference = Fraction(-((1 - r) ** n) * (2 - r) ** 2, 4)
-        product_form = -Fraction((r - 1) * (r - 2), 2) ** n
-        r_mode = r
-    residual = det - reference
-    return SystemDetReport(
-        n=n,
-        r_mode=r_mode,
-        det=det,
-        reference_value=reference,
-        residual=residual,
-        matches_reference=_is_zero(residual),
-        product_form_value=product_form,
-        matches_product_form=_is_zero(det - product_form),
-    )

@@ -12,7 +12,6 @@ operations, evaluation and interpolation are provided -- no division.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence, Union
 
 # Arbitrary-precision rationals, always in lowest terms with positive
@@ -143,22 +142,6 @@ class RPoly:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
         return Fraction(0)
-
-    def primitive(self) -> "RPoly":
-        """Integer-coefficient multiple with content 1 and positive leading term."""
-        if not self.coeffs:
-            return self
-        denom_lcm = 1
-        for c in self.coeffs:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return RPoly(ints)
 
     def __repr__(self) -> str:
         if not self.coeffs:

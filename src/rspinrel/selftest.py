@@ -9,17 +9,20 @@ generator and a direct, uncached transcription of the coefficient recursion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
-from .cohft import (
-    RSpinTheory,
+from .cohft import RSpinTheory, p_polynomial
+from .oracles import (
+    divisor_class_of,
+    enumerate_contributing_graphs,
+    graph_contribution_terms,
     idempotent_check,
-    p_polynomial,
     quantum_structure_constants,
     r_forward_matrix,
     r_inverse_matrix,
+    system_matrix_det,
 )
 from .relations import (
     DegreeGateError,
@@ -29,24 +32,13 @@ from .relations import (
     ac_relations,
     assemble_relation,
     extract_r_coefficients,
-    graph_contribution_terms,
     ppz_relation_set,
     spans_equal,
-    system_matrix_det,
 )
-from .strata import (
-    delta_irr,
-    delta_sep,
-    divisor_class_of,
-    divisor_generators,
-    enumerate_contributing_graphs,
-    kappa1,
-    psi,
-)
+from .strata import delta_irr, delta_sep, divisor_generators, kappa1, psi
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     id: int
     title: str
     passed: bool

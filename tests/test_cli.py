@@ -325,7 +325,16 @@ class TestColdImports:
     """A cold process loads only the library modules its subcommand uses."""
 
     HEAVY = {"rspinrel.relations", "rspinrel.strata", "rspinrel.linalg",
-             "rspinrel.selftest", "rspinrel.cyclotomic"}
+             "rspinrel.oracles", "rspinrel.selftest", "rspinrel.cyclotomic"}
+    # Loaded by no relation or table command: the record module ``dataclasses``
+    # (with the ``inspect`` it imports) and the selftest-only oracles.
+    NEVER = {"dataclasses", "rspinrel.oracles"}
+    COMMANDS = [
+        ["--help"],
+        ["pm-table", "--m-max", "3", "--r", "5"],
+        ["relations", "--g", "1", "--n", "2", "--r", "3"],
+        ["verify-ac", "--g", "1", "--n", "2", "--r", "3"],
+    ]
 
     @staticmethod
     def loaded_modules(argv):
@@ -336,20 +345,35 @@ class TestColdImports:
                 for line in result.stderr.splitlines()
                 if line.startswith("import time:") and line.count("|") == 2}
 
-    @pytest.mark.parametrize("argv", [["--help"], ["pm-table", "--m-max", "3", "--r", "5"]])
+    @pytest.mark.parametrize("argv", COMMANDS[:2])
     def test_help_and_pm_table_load_no_relation_modules(self, argv):
         loaded = self.loaded_modules(argv)
         assert "rspinrel.cohft" in loaded
         assert not loaded & self.HEAVY
 
-    @pytest.mark.parametrize("argv", [
-        ["relations", "--g", "1", "--n", "2", "--r", "3"],
-        ["verify-ac", "--g", "1", "--n", "2", "--r", "3"],
-    ])
+    @pytest.mark.parametrize("argv", COMMANDS[2:])
     def test_relation_commands_skip_selftest_and_cyclotomic(self, argv):
         loaded = self.loaded_modules(argv)
         assert "rspinrel.relations" in loaded
         assert not loaded & {"rspinrel.selftest", "rspinrel.cyclotomic"}
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_commands_load_neither_dataclasses_nor_oracles(self, argv):
+        assert not self.loaded_modules(argv) & self.NEVER
+
+    @pytest.mark.parametrize("argv", COMMANDS[2:])
+    def test_relation_commands_load_exactly_their_modules(self, argv):
+        # ``-m`` runs rspinrel.cli as __main__, so the import log lists the
+        # package and the five library modules the command uses.
+        loaded = {m for m in self.loaded_modules(argv) if m.startswith("rspinrel")}
+        assert loaded == {"rspinrel"} | {
+            f"rspinrel.{name}"
+            for name in ("cohft", "rpoly", "relations", "strata", "linalg")
+        }
+
+    def test_selftest_loads_the_oracles(self):
+        loaded = self.loaded_modules(["selftest"])
+        assert {"rspinrel.oracles", "rspinrel.selftest", "rspinrel.cyclotomic"} <= loaded
 
 
 class TestSelftestCommand:

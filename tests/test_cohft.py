@@ -9,17 +9,19 @@ from hypothesis import given, settings, strategies as st
 from rspinrel import cohft
 from rspinrel.cohft import (
     RSpinTheory,
-    idempotent_check,
     p_polynomial,
     p_polynomial_symbolic,
     phi_degree,
+    r_inverse_entry,
+    topological_value,
+    witten_degree,
+)
+from rspinrel.oracles import (
+    idempotent_check,
     quantum_structure_constants,
     r_forward_entry,
     r_forward_matrix,
-    r_inverse_entry,
     r_inverse_matrix,
-    topological_value,
-    witten_degree,
 )
 from rspinrel.rpoly import RPoly
 
@@ -378,3 +380,16 @@ class TestDataTypes:
         assert theory.dimension == 3
         assert theory.metric(0, 2) == 1
         assert theory.metric(0, 0) == 0
+
+    def test_theory_is_an_immutable_value(self):
+        theory = RSpinTheory(3)
+        with pytest.raises(AttributeError):
+            theory.r = 4
+        with pytest.raises(AttributeError):
+            del theory.r
+        with pytest.raises(AttributeError):
+            theory.extra = 1
+        assert theory.r == 3
+        assert theory == RSpinTheory(3) and theory != RSpinTheory(4)
+        assert hash(theory) == hash(RSpinTheory(3)) == hash((3,))
+        assert repr(theory) == "RSpinTheory(r=3)"

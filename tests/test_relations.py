@@ -26,10 +26,13 @@ from rspinrel.relations import (
     edge_numerator_coefficient,
     edge_series_coefficients,
     extract_r_coefficients,
-    graph_contribution_terms,
     ppz_relation_set,
     pullback_genus2,
     spans_equal,
+)
+from rspinrel.oracles import (
+    enumerate_contributing_graphs,
+    graph_contribution_terms,
     system_matrix_det,
 )
 from rspinrel.rpoly import RPoly, poly_interpolate
@@ -38,7 +41,6 @@ from rspinrel.strata import (
     delta_irr,
     delta_sep,
     divisor_generators,
-    enumerate_contributing_graphs,
     kappa1,
     psi,
 )
@@ -161,6 +163,21 @@ def reference(g, n, coeffs):
     )
 
 
+def dict_ac_relations_genus_one(n):
+    """Oracle for ac_relations(1, n): each Arbarello-Cornalba relation as a
+    class-keyed dict, read back over the basis by RelationSet.of."""
+    basis = tuple(divisor_generators(1, n))
+    seps = [d for d in basis if d.kind == "delta_sep"]
+    relations = []
+    for i in range(1, n + 1):
+        coeffs = {psi(i): 12, delta_irr(): -1}
+        coeffs.update({d: -12 for d in seps if i in d.markings})
+        relations.append(reference(1, n, coeffs))
+    coeffs = {kappa1(): 1, **{psi(i): -1 for i in range(1, n + 1)}, **{d: 1 for d in seps}}
+    relations.append(reference(1, n, coeffs))
+    return RelationSet.of(basis, relations)
+
+
 class TestAssemblyGoldens:
     def test_two_marked_genus_one(self):
         basis = tuple(divisor_generators(1, 2))
@@ -259,7 +276,10 @@ class TestExtraction:
 
     def test_scale_independence(self):
         symbolic = assemble_relation(1, 2, (1, 0), symbolic=True)
-        scaled = symbolic.scaled(Fraction(3, 7))
+        scaled = Relation(
+            {d: c * Fraction(3, 7) for d, c in symbolic.coefficients.items()},
+            symbolic.provenance,
+        )
         report = spans_equal(
             extract_r_coefficients(symbolic), extract_r_coefficients(scaled)
         )
@@ -269,6 +289,44 @@ class TestExtraction:
         numeric = assemble_relation(1, 2, (1, 0), 3)
         with pytest.raises(ValueError):
             extract_r_coefficients(numeric)
+
+
+class TestRecordTypes:
+    def test_provenance_replace(self):
+        prov = Provenance(g=1, n=3, a_vec=(1, 0, 0), r_mode="symbolic")
+        moved = prov._replace(r_mode="r^2")
+        assert moved == Provenance(1, 3, (1, 0, 0), "r^2")
+        assert prov.r_mode == "symbolic"
+        assert prov._replace(n=5) == Provenance(g=1, n=5, a_vec=(1, 0, 0), r_mode="symbolic")
+        with pytest.raises(AttributeError):
+            prov.g = 2
+
+    def test_span_report_fields(self):
+        report = spans_equal(ppz_relation_set(1, 3, 3), ac_relations(1, 3))
+        assert report._fields == ("equal", "rank_left", "rank_right", "rank_union")
+        assert (report.equal, report.rank_left, report.rank_right, report.rank_union) == (
+            True, 4, 4, 4
+        )
+        assert repr(report) == (
+            "SpanReport(equal=True, rank_left=4, rank_right=4, rank_union=4)"
+        )
+
+    def test_relation_equality_and_zero_filter(self):
+        rel = reference(1, 2, {psi(1): 1, psi(2): 0})
+        assert rel.coefficients == {psi(1): Fraction(1)}
+        assert rel == reference(1, 2, {psi(1): 1})
+        assert rel != reference(1, 2, {psi(1): 2})
+        assert repr(rel) == (
+            "Relation(coefficients={psi_1: Fraction(1, 1)}, provenance=Provenance("
+            "g=1, n=2, a_vec=None, r_mode='reference'))"
+        )
+
+    def test_relation_set_equality(self):
+        assert ppz_relation_set(1, 3, 3) == ppz_relation_set(1, 3, 3)
+        assert ppz_relation_set(1, 3, 3) != ppz_relation_set(1, 3, 4)
+        assert repr(RelationSet((psi(1),), [], [])) == (
+            "RelationSet(basis=(psi_1,), rows=[], provenances=[])"
+        )
 
 
 class TestPullback:
@@ -597,6 +655,14 @@ class TestSpans:
         sets = {r: ppz_relation_set(1, 3, r) for r in (3, 4, 5)}
         for ra, rb in ((3, 4), (3, 5), (4, 5)):
             assert spans_equal(sets[ra], sets[rb]).equal
+
+    def test_genus_one_ac_rows_match_dict_construction(self):
+        for n in range(1, 11):
+            direct, oracle = ac_relations(1, n), dict_ac_relations_genus_one(n)
+            assert direct.basis == oracle.basis
+            assert direct.rows == oracle.rows, n
+            assert direct.provenances == oracle.provenances
+            assert direct.reduced_rows() == oracle.reduced_rows(), n
 
     def test_relation_outside_basis_rejected(self):
         stray = reference(1, 3, {psi(3): 1})

@@ -62,11 +62,6 @@ class TestRPolyBasics:
         p = (1 - r) ** 2 * (2 - r) ** 2 * Fraction(-1, 4)
         assert p(3) == Fraction(-1)
 
-    def test_primitive(self):
-        p = RPoly((Fraction(-2, 3), Fraction(0), Fraction(-4, 3)))
-        assert p.primitive().coeffs == (Fraction(1), Fraction(0), Fraction(2))
-        assert RPoly().primitive().is_zero()
-
 
 class TestRPolyRingLaws:
     @given(small_polys, small_polys, small_polys)

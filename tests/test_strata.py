@@ -2,19 +2,21 @@ from itertools import combinations
 
 import pytest
 
+from rspinrel.oracles import (
+    StableGraph,
+    Vertex,
+    divisor_class_of,
+    enumerate_contributing_graphs,
+)
 from rspinrel.strata import (
     MAX_BASIS_SIZE,
     StabilityError,
-    StableGraph,
     UnsupportedGenusError,
-    Vertex,
     basis_size,
     canonical_divisor,
     delta_irr,
     delta_sep,
-    divisor_class_of,
     divisor_generators,
-    enumerate_contributing_graphs,
     kappa1,
     psi,
 )
@@ -90,6 +92,25 @@ class TestDivisorGenerators:
         assert delta_irr().render() == "delta_irr"
         assert delta_sep(0, {1, 3}).render() == "delta_{0,{1,3}}"
         assert delta_sep(1, ()).render() == "delta_{1,{}}"
+
+
+class TestDivisorClassRecord:
+    def test_hash_is_the_tuple_of_its_fields(self):
+        # The same hash as a frozen record of (kind, index, h, markings), so
+        # set and dict orders over classes do not depend on the record type.
+        for g, n in ((1, 7), (2, 5)):
+            for d in divisor_generators(g, n):
+                assert hash(d) == hash((d.kind, d.index, d.h, d.markings))
+
+    def test_repr_is_the_rendered_name(self):
+        for g, n in ((1, 7), (2, 5)):
+            for d in divisor_generators(g, n):
+                assert repr(d) == d.render()
+        assert repr(delta_sep(1, {2, 1})) == "delta_{1,{1,2}}"
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            psi(1).index = 2
 
 
 class TestBasisSize:
