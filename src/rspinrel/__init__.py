@@ -18,18 +18,17 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cohft": (
-        "DegreeGateError", "PhiDegreeReport", "RSpinTheory", "p_polynomial",
-        "p_polynomial_symbolic", "phi_degree", "r_inverse_entry",
-        "topological_value", "witten_degree",
+        "DegreeGateError", "IdempotentReport", "PhiDegreeReport", "RSpinTheory",
+        "StructureConstants", "idempotent_check", "p_polynomial",
+        "p_polynomial_symbolic", "phi_degree", "quantum_structure_constants",
+        "r_forward_entry", "r_forward_matrix", "r_inverse_entry",
+        "r_inverse_matrix", "topological_value", "witten_degree",
     ),
-    "linalg": ("RationalMatrix", "rank_and_solve"),
+    "linalg": ("RationalMatrix", "determinant", "rank_and_solve"),
     "oracles": (
-        "GraphContribution", "GraphTerm", "IdempotentReport", "StableGraph",
-        "StructureConstants", "SystemDetReport", "Vertex", "determinant",
-        "divisor_class_of", "enumerate_contributing_graphs",
-        "graph_contribution_terms", "idempotent_check",
-        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
-        "r_inverse_matrix", "system_matrix_det",
+        "GraphContribution", "GraphTerm", "StableGraph", "SystemDetReport",
+        "Vertex", "divisor_class_of", "enumerate_contributing_graphs",
+        "graph_contribution_terms", "system_matrix_det",
     ),
     "relations": (
         "AssemblyError", "BasisMismatchError", "Relation", "RelationSet",

@@ -9,17 +9,18 @@ module holds everything that is a pure function of r:
   numerically and symbolically in r; the numeric table is built bottom up,
   one row of integer numerators over a common denominator per m, at O(r)
   big-integer operations per row and so O(m r) for a table up to m,
-* the entries of the inverse R-matrix of the theory (without the uniform
-  scalar factor, which scales a relation as a whole),
+* the entries of the R-matrix of the theory and of its inverse (without the
+  uniform scalar factor, which scales a relation as a whole),
 * degree-zero (topological) values of the theory,
+* the quantum product at the shift point, with its idempotent basis checked
+  in exact cyclotomic arithmetic,
 * codimension bookkeeping: the intrinsic class degree and the auxiliary
   exponent that gates the existence of a divisor relation, and
   :class:`DegreeGateError`, the refusal raised when that gate is closed.
 
 This is the one library module that every CLI subcommand loads, so it imports
-only :mod:`rspinrel.rpoly`.  The forward R-matrix, whole R-matrices and the
-quantum product with its idempotent check serve only the acceptance suite and
-the tests, and live in :mod:`rspinrel.oracles`.
+only :mod:`rspinrel.rpoly` at module level; :mod:`rspinrel.cyclotomic` is
+loaded by :func:`idempotent_check`, its only user.
 
 For the record: the Euler field of the underlying Frobenius structure at the
 shift point is (r-1) phi^(r/(r-1)) along the second rescaled basis vector.
@@ -192,6 +193,116 @@ def topological_value(g: int, insertions: Sequence[int], theory: RSpinTheory) ->
     if (g - 1 - sum(insertions)) % (r - 1) == 0:
         return Fraction((r - 1) ** g)
     return Fraction(0)
+
+
+def r_forward_entry(m: int, a: int, b: int, theory: RSpinTheory) -> Fraction:
+    """Entry of the R-matrix itself: (-1)^m P_m(r, r-2-b) under b + m = a mod r-1.
+
+    The sign comes from the bracket of the omitted scalar being negated for
+    the forward series.
+    """
+    theory.check_index(a)
+    theory.check_index(b)
+    if (b + m - a) % (theory.r - 1) != 0:
+        return Fraction(0)
+    return (-1) ** m * p_polynomial(m, theory.r - 2 - b, theory.r)
+
+
+def r_inverse_matrix(m: int, theory: RSpinTheory) -> list[list[Fraction]]:
+    """Order-m inverse R-matrix; rows are the upper (output) index."""
+    d = theory.dimension
+    return [[r_inverse_entry(m, a, b, theory) for a in range(d)] for b in range(d)]
+
+
+def r_forward_matrix(m: int, theory: RSpinTheory) -> list[list[Fraction]]:
+    """Order-m R-matrix; rows are the upper (output) index."""
+    d = theory.dimension
+    return [[r_forward_entry(m, a, b, theory) for a in range(d)] for b in range(d)]
+
+
+class StructureConstants(NamedTuple):
+    """Quantum product at the shift point in the rescaled basis.
+
+    The product of basis vectors a and b is the single basis vector with
+    index a + b mod r - 1, so the table stores that index; the structure
+    constant c^i_ab is 1 when i equals table[a][b] and 0 otherwise.
+    """
+
+    r: int
+    table: tuple[tuple[int, ...], ...]
+
+    def product_index(self, a: int, b: int) -> int:
+        return self.table[a][b]
+
+    def coefficient(self, i: int, a: int, b: int) -> int:
+        return 1 if self.table[a][b] == i else 0
+
+
+def quantum_structure_constants(theory: RSpinTheory) -> StructureConstants:
+    """Structure constants of the quantum product at the shift point."""
+    d = theory.dimension
+    table = tuple(
+        tuple((a + b) % (theory.r - 1) for b in range(d)) for a in range(d)
+    )
+    return StructureConstants(r=theory.r, table=table)
+
+
+class IdempotentReport(NamedTuple):
+    r: int
+    ok: bool
+    geometric_sums_ok: bool
+    idempotent_identity_ok: bool
+    failures: tuple[str, ...]
+
+
+def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
+    """Verify the discrete-Fourier basis diagonalizes the quantum product.
+
+    With zeta a primitive (r-1)-th root of unity and f_i = sum_a zeta^(a*i) v_a
+    over the rescaled basis v_a, checks f_i . f_j = (r-1) delta_ij f_j in exact
+    cyclotomic arithmetic, along with the geometric-sum identity
+    1 + zeta^x + ... + zeta^((r-2)x) = 0 for x != 0 mod r-1 that drives it.
+    """
+    from .cyclotomic import CyclotomicField
+
+    m = theory.r - 1
+    field = CyclotomicField(m)
+    failures: list[str] = []
+
+    geometric_ok = True
+    for x in range(1, m):
+        total = field.zero()
+        for k in range(m):
+            total = field.add(total, field.root_power(k * x))
+        if not field.is_zero(total):
+            geometric_ok = False
+            failures.append(f"geometric sum nonzero for x={x}")
+
+    product_ok = True
+    for i in range(m):
+        for j in range(m):
+            for c in range(m):
+                # Coefficient of v_c in f_i . f_j: sum over a+b = c mod r-1
+                # of zeta^(a i + b j).
+                coeff = field.zero()
+                for a in range(m):
+                    b = (c - a) % m
+                    coeff = field.add(coeff, field.root_power(a * i + b * j))
+                if i == j:
+                    expected = field.scale(field.root_power(c * j), m)
+                else:
+                    expected = field.zero()
+                if coeff != expected:
+                    product_ok = False
+                    failures.append(f"product mismatch at i={i} j={j} c={c}")
+
+    return IdempotentReport(
+        r=theory.r,
+        ok=geometric_ok and product_ok,
+        geometric_sums_ok=geometric_ok,
+        idempotent_identity_ok=product_ok,
+        failures=tuple(failures),
+    )
 
 
 def witten_degree(g: int, n: int, a_vec: Sequence[int], r: int) -> Fraction:

@@ -6,8 +6,9 @@ primitive integer vector, each update is a cross-multiplication, and each
 updated row is divided by its content again, so entries stay as small as the
 reduced rows themselves.  This is what compares the spans of divisor
 relations, with one column per divisor class (thousands of columns for 12
-markings).  A :class:`RationalMatrix` may also hold polynomial entries, for
-the determinants in :mod:`rspinrel.oracles`; row reduction refuses those.
+markings).  Determinants use fraction-free Bareiss elimination for rational
+entries and memoized minor expansion for matrices with polynomial entries;
+row reduction refuses polynomial entries.
 """
 
 from __future__ import annotations
@@ -131,3 +132,57 @@ def rank_and_solve(m) -> tuple[int, list[tuple[Fraction, ...]]]:
             v[piv_col] = Fraction(-row[free], row[piv_col])
         basis.append(tuple(v))
     return len(pivots), basis
+
+
+def determinant(m):
+    """Exact determinant; Bareiss for rational entries, minor expansion for RPoly."""
+    mat = _as_matrix(m)
+    if mat.rows != mat.cols:
+        raise ValueError("determinant of a non-square matrix")
+    if mat.is_polynomial:
+        return _minor_expansion_det(mat.entries)
+    return _bareiss_det(mat.entries)
+
+
+def _bareiss_det(entries: tuple[tuple[Fraction, ...], ...]) -> Fraction:
+    n = len(entries)
+    if n == 0:
+        return Fraction(1)
+    m = [list(row) for row in entries]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss update: exact division by the previous pivot.
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = Fraction(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _minor_expansion_det(entries) -> RPoly:
+    """Cofactor expansion along the rows, memoized on the columns left."""
+    n = len(entries)
+    cache = {(): RPoly((1,))}
+
+    def minor(cols: tuple[int, ...]) -> RPoly:
+        if cols not in cache:
+            row = entries[n - len(cols)]
+            total = RPoly()
+            for pos, col in enumerate(cols):
+                if row[col]:
+                    term = row[col] * minor(cols[:pos] + cols[pos + 1:])
+                    total = total - term if pos % 2 else total + term
+            cache[cols] = total
+        return cache[cols]
+
+    return minor(tuple(range(n)))

@@ -13,15 +13,18 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .cohft import RSpinTheory, p_polynomial
+from .cohft import (
+    RSpinTheory,
+    idempotent_check,
+    p_polynomial,
+    quantum_structure_constants,
+    r_forward_matrix,
+    r_inverse_matrix,
+)
 from .oracles import (
     divisor_class_of,
     enumerate_contributing_graphs,
     graph_contribution_terms,
-    idempotent_check,
-    quantum_structure_constants,
-    r_forward_matrix,
-    r_inverse_matrix,
     system_matrix_det,
 )
 from .relations import (

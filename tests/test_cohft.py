@@ -9,19 +9,17 @@ from hypothesis import given, settings, strategies as st
 from rspinrel import cohft
 from rspinrel.cohft import (
     RSpinTheory,
+    idempotent_check,
     p_polynomial,
     p_polynomial_symbolic,
     phi_degree,
-    r_inverse_entry,
-    topological_value,
-    witten_degree,
-)
-from rspinrel.oracles import (
-    idempotent_check,
     quantum_structure_constants,
     r_forward_entry,
     r_forward_matrix,
+    r_inverse_entry,
     r_inverse_matrix,
+    topological_value,
+    witten_degree,
 )
 from rspinrel.rpoly import RPoly
 

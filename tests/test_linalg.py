@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from rspinrel.linalg import (
     RationalMatrix,
+    determinant,
     primitive_int_vector,
     rank_and_solve,
     rref,
 )
-from rspinrel.oracles import determinant
 from rspinrel.rpoly import RPoly
 
 entries = st.fractions(min_value=-30, max_value=30, max_denominator=12)

@@ -17,17 +17,16 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 # to the package shows up as a test change.
 EXPORTED = {
     "cohft": (
-        "PhiDegreeReport", "RSpinTheory", "p_polynomial", "p_polynomial_symbolic",
-        "phi_degree", "r_inverse_entry", "topological_value", "witten_degree",
-    ),
-    "linalg": ("RationalMatrix", "rank_and_solve"),
-    "oracles": (
-        "GraphContribution", "GraphTerm", "IdempotentReport", "StableGraph",
-        "StructureConstants", "SystemDetReport", "Vertex", "determinant",
-        "divisor_class_of", "enumerate_contributing_graphs",
-        "graph_contribution_terms", "idempotent_check",
+        "IdempotentReport", "PhiDegreeReport", "RSpinTheory", "StructureConstants",
+        "idempotent_check", "p_polynomial", "p_polynomial_symbolic", "phi_degree",
         "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
-        "r_inverse_matrix", "system_matrix_det",
+        "r_inverse_entry", "r_inverse_matrix", "topological_value", "witten_degree",
+    ),
+    "linalg": ("RationalMatrix", "determinant", "rank_and_solve"),
+    "oracles": (
+        "GraphContribution", "GraphTerm", "StableGraph", "SystemDetReport",
+        "Vertex", "divisor_class_of", "enumerate_contributing_graphs",
+        "graph_contribution_terms", "system_matrix_det",
     ),
     "relations": (
         "AssemblyError", "BasisMismatchError", "DegreeGateError", "Relation",
