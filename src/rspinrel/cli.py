@@ -79,6 +79,8 @@ def _check_space(g: int, n: int) -> None:
         raise UsageError("genus must be at least 1 (genus 0 is out of scope)")
     if 2 * g - 2 + n <= 0:
         raise UsageError(f"(g, n) = ({g}, {n}) is unstable")
+    if n < 0:
+        raise UsageError("n must be nonnegative")
 
 
 def _cmd_relations(args) -> int:
@@ -103,8 +105,9 @@ def _cmd_relations(args) -> int:
         raise UsageError("symbolic mode is supported in genus 1 only")
     if not args.symbolic and a_vec is None:
         # Refuse up front when no leg vector can pass the degree gate; the
-        # all-zero vector minimizes the gated quantity over all leg choices.
-        report = phi_degree(g, 1, (0,) * n, args.r)
+        # all-zero vector, whose report is that of no legs, minimizes the
+        # gated quantity over all leg choices.
+        report = phi_degree(g, 1, (), args.r)
         if not report.relation_exists:
             raise DegreeGateError(g, n, (0,) * n, args.r)
 
@@ -122,6 +125,9 @@ def _cmd_relations(args) -> int:
     rows, provenances = [], []
 
     if args.symbolic:
+        if a_vec is None:
+            # Refuse an oversized basis before n leg vectors are built.
+            divisor_generators(g, n)
         a_choices = [a_vec] if a_vec is not None else [
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         ]

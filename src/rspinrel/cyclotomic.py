@@ -70,9 +70,6 @@ class CyclotomicField:
     def zero(self) -> tuple[Fraction, ...]:
         return tuple([Fraction(0)] * self.degree)
 
-    def from_integer(self, k: int) -> tuple[Fraction, ...]:
-        return self._reduce([Fraction(k)])
-
     def root_power(self, k: int) -> tuple[Fraction, ...]:
         """zeta^k as a reduced element."""
         k %= self.m
@@ -82,15 +79,6 @@ class CyclotomicField:
 
     def add(self, u, v) -> tuple[Fraction, ...]:
         return tuple(a + b for a, b in zip(u, v))
-
-    def mul(self, u, v) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * (2 * self.degree)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                out[i + j] += a * b
-        return self._reduce(out)
 
     def scale(self, u, c) -> tuple[Fraction, ...]:
         c = Fraction(c)

@@ -60,7 +60,6 @@ from .strata import (
     delta_sep,
     divisor_generators,
     kappa1,
-    psi,
 )
 
 SYMBOLIC = "symbolic"
@@ -514,47 +513,45 @@ def extract_r_coefficients(rel: Relation) -> RelationSet:
     )
 
 
+def _genus2_row(n: int, k, irr, d1) -> tuple:
+    """The pullback of k kappa_1 + irr delta_irr + d1 delta_1 from the
+    unmarked genus-2 space, as its row over the (2, n) basis: -k on each
+    psi_i, k on kappa_1, irr on delta_irr, k on each of the 2^n - n - 1
+    classes delta_{0,S} and d1 on each of the 2^(n-1) classes delta_{1,S}
+    (the one class delta_{1,{}} when n = 0)."""
+    return ((-k,) * n + (k, irr) + (k,) * (2 ** n - n - 1)
+            + (d1,) * (2 ** (n - 1) if n else 1))
+
+
+def _genus2_base(rel: Relation) -> tuple:
+    """The kappa_1, delta_irr and delta_1 coefficients of a relation on the
+    unmarked genus-2 space."""
+    zero = Fraction(0)
+    return tuple(rel.coefficients.get(d, zero)
+                 for d in (kappa1(), delta_irr(), delta_sep(1, ())))
+
+
 def pullback_genus2(rel: Relation, n: int) -> Relation:
     """Pull a relation on the genus-2, unmarked space back along the map
     forgetting n points.
 
     kappa_1 picks up -sum(psi_i) + sum of genus-0 boundary corrections, the
     irreducible boundary pulls back to itself, and the genus 1+1 boundary
-    pulls back to the sum over all canonical marking splittings.
+    pulls back to the sum over all canonical marking splittings: the row
+    of :func:`_genus2_row`, which is -k on each psi_i, k on kappa_1, irr on
+    delta_irr, k on each delta_{0,S} and d1 on each delta_{1,S} for the
+    relation k kappa_1 + irr delta_irr + d1 delta_1.
     """
     allowed = {kappa1(), delta_irr(), delta_sep(1, frozenset())}
-    support = set(rel.coefficients)
-    if not support <= allowed:
+    if not rel.coefficients.keys() <= allowed:
         raise BasisMismatchError(
             "pullback source must live on the unmarked genus-2 space "
             "(kappa_1, delta_irr, genus 1+1 boundary)"
         )
     if n == 0:
         return rel
-    zero = Fraction(0)
-    k = rel.coefficients.get(kappa1(), zero)
-    irr = rel.coefficients.get(delta_irr(), zero)
-    d1 = rel.coefficients.get(delta_sep(1, frozenset()), zero)
-
-    coeffs: dict[DivisorClass, Fraction] = {}
-
-    def add(d: DivisorClass, value: Fraction) -> None:
-        if value != 0:
-            coeffs[d] = coeffs.get(d, zero) + value
-
-    add(kappa1(), k)
-    for i in range(1, n + 1):
-        add(psi(i), -k)
-    add(delta_irr(), irr)
-    for divisor in divisor_generators(2, n):
-        if divisor.kind != "delta_sep":
-            continue
-        if divisor.h == 0:
-            add(divisor, k)
-        else:
-            add(divisor, d1)
     return Relation(
-        coefficients=coeffs,
+        coefficients=dict(zip(divisor_generators(2, n), _genus2_row(n, *_genus2_base(rel)))),
         provenance=rel.provenance._replace(n=n),
     )
 
@@ -571,16 +568,6 @@ def ac_relations(g: int, n: int) -> RelationSet:
     if g not in (1, 2, 3):
         raise UnsupportedGenusError(f"no reference relation set for genus {g}")
     basis = tuple(divisor_generators(g, n))
-    if g == 2:
-        base = Relation(
-            coefficients={
-                kappa1(): Fraction(5),
-                delta_irr(): Fraction(-1),
-                delta_sep(1, frozenset()): Fraction(-7),
-            },
-            provenance=Provenance(g=2, n=0, a_vec=None, r_mode="reference"),
-        )
-        return RelationSet.of(basis, [pullback_genus2(base, n)])
     rows = []
     if g == 1:
         # Integer rows over psi_1..psi_n, kappa_1, delta_irr, then the
@@ -591,6 +578,8 @@ def ac_relations(g: int, n: int) -> RelationSet:
             psis = tuple(12 if j == i else 0 for j in range(1, n + 1))
             rows.append(psis + (0, -1) + tuple(-12 if i in S else 0 for S in seps))
         rows.append((-1,) * n + (1, 0) + (1,) * len(seps))
+    elif g == 2:
+        rows.append(_genus2_row(n, 5, -1, -7))
     provenance = Provenance(g=g, n=n, a_vec=None, r_mode="reference")
     return RelationSet(basis, rows, [provenance] * len(rows))
 
@@ -656,14 +645,17 @@ def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:
     relations alone span one dimension less).  Genus 2: the single relation on
     the unmarked space, pulled back when n > 0; never assembled directly with
     markings.  Genus 3: whatever the admissible leg vectors give (nothing).
-    Zero relations are dropped.
+    Zero relations are dropped.  The basis is built first, so that an
+    oversized one is refused before the leg vectors are enumerated.
     """
+    basis = tuple(divisor_generators(g, n))
     if g != 2:
         return assembled_relation_set(g, n, admissible_leg_vectors(g, n, r), r)
-    basis = tuple(divisor_generators(g, n))
     try:
         base = assemble_relation(2, 0, (), r)
     except DegreeGateError:
-        base = None
-    nonzero = base is not None and not base.is_zero()
-    return RelationSet.of(basis, [pullback_genus2(base, n) if n else base] if nonzero else [])
+        return RelationSet(basis, [], [])
+    if base.is_zero():
+        return RelationSet(basis, [], [])
+    return RelationSet(basis, [_genus2_row(n, *_genus2_base(base))],
+                       [base.provenance._replace(n=n)])

@@ -5,7 +5,9 @@ generated by the cotangent classes psi_1..psi_n, the kappa_1 class, the
 irreducible boundary divisor, and the separating boundary divisors
 delta_{h,S} (genus h component carrying the marking subset S).  Separating
 divisors are stored canonically with respect to the symmetry
-(h, S) ~ (g-h, complement of S).
+(h, S) ~ (g-h, complement of S): h < g-h, or h = g-h and S is no later than
+its complement as a sorted tuple.  The basis lists the canonical classes
+directly in (h, sorted S) order, without canonicalizing or sorting.
 
 The decorated graphs whose reconstruction term can land in codimension 1,
 and their enumeration, live in :mod:`rspinrel.oracles`: the relation assembly
@@ -16,8 +18,6 @@ oracle walks the graphs.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
 PSI = "psi"
@@ -58,15 +58,6 @@ class DivisorClass(NamedTuple):
             return "delta_irr"
         inner = ",".join(str(i) for i in sorted(self.markings))
         return f"delta_{{{self.h},{{{inner}}}}}"
-
-    def sort_key(self):
-        if self.kind == PSI:
-            return (0, self.index, 0, ())
-        if self.kind == KAPPA1:
-            return (1, 0, 0, ())
-        if self.kind == DELTA_IRR:
-            return (2, 0, 0, ())
-        return (3, 0, self.h, tuple(sorted(self.markings)))
 
     def __repr__(self) -> str:
         return self.render()
@@ -127,21 +118,49 @@ def canonical_divisor(d: DivisorClass, g: int, n: int) -> DivisorClass:
 
 def divisor_generators(g: int, n: int) -> list[DivisorClass]:
     """Ordered generators of degree-2 cohomology: psi's, kappa_1, the
-    irreducible boundary, then canonical separating classes sorted by
-    (h, subset).  Built once per (g, n); each call returns a fresh list."""
+    irreducible boundary, then the canonical separating classes in
+    (h, sorted S) order.  Those are, for each h < g-h, every S with both
+    sides stable (|S| >= 2 when h = 0), and for h = g-h, S = {} and every S
+    that holds marking 1 but not all n markings, which is exactly S no later
+    than its complement.  Built once per (g, n); each call returns a fresh
+    list."""
     return list(_divisor_generators(g, n))
 
 
 def basis_size(g: int, n: int) -> int:
     """len(divisor_generators(g, n)) in closed form, for g >= 1: n psi
-    classes, kappa_1, delta_irr, and the pairs (h, S) whose two sides are
-    stable (genus >= 1 or two markings), halved for (h, S) ~ (g-h, S^c),
-    whose one fixed pair is (g/2, {}) when n = 0 and g is even."""
-    pairs = sum(
-        comb(n, k) for h in range(g + 1) for k in range(n + 1)
-        if (h or k >= 2) and (g - h or n - k >= 2)
+    classes, kappa_1, delta_irr, and the (g+1)·2^n pairs (h, S) less the
+    2(n+1) with an unstable side (genus 0 with at most one marking), halved
+    for (h, S) ~ (g-h, S^c), whose one fixed pair is (g/2, {}) when n = 0
+    and g is even."""
+    return n + 2 + ((g + 1) * 2 ** n - 2 * (n + 1) + (n == 0 and g % 2 == 0)) // 2
+
+
+def _check_basis_size(g: int, n: int) -> None:
+    """Refuse a basis above MAX_BASIS_SIZE.  Every basis has more than 2^n
+    classes, so a large n is refused before 2^n is built, and a size too long
+    to print is given as a power of two."""
+    if n > 64:
+        shown = f"at least 2^{n}"
+    else:
+        size = basis_size(g, n)
+        if size <= MAX_BASIS_SIZE:
+            return
+        shown = size if size.bit_length() <= 64 else f"at least 2^{size.bit_length() - 1}"
+    raise ValueError(
+        f"the divisor basis for (g, n) = ({g}, {n}) has {shown} classes, "
+        f"above the limit of {MAX_BASIS_SIZE}"
     )
-    return n + 2 + (pairs + (n == 0 and g % 2 == 0)) // 2
+
+
+def _lex_subsets(n: int) -> list[tuple[int, ...]]:
+    """Every subset of 1..n as a sorted tuple, in lexicographic order: the
+    subsets of k..n are {}, then k joined to each subset of k+1..n, then the
+    nonempty subsets of k+1..n."""
+    subsets = [()]
+    for k in range(n, 0, -1):
+        subsets = [()] + [(k,) + S for S in subsets] + subsets[1:]
+    return subsets
 
 
 @lru_cache(maxsize=None)
@@ -150,23 +169,17 @@ def _divisor_generators(g: int, n: int) -> tuple[DivisorClass, ...]:
         raise UnsupportedGenusError("genus-0 generators are out of scope")
     if 2 * g - 2 + n <= 0:
         raise StabilityError(f"(g, n) = ({g}, {n}) is unstable")
-    size = basis_size(g, n)
-    if size > MAX_BASIS_SIZE:
-        raise ValueError(
-            f"the divisor basis for (g, n) = ({g}, {n}) has {size} classes, "
-            f"above the limit of {MAX_BASIS_SIZE}"
-        )
+    if n < 0:
+        raise ValueError("the number of markings must be nonnegative")
+    _check_basis_size(g, n)
     gens = [psi(i) for i in range(1, n + 1)]
     gens.append(kappa1())
     gens.append(delta_irr())
-    seps = set()
-    marks = list(range(1, n + 1))
-    for h in range(0, g + 1):
-        for size in range(0, n + 1):
-            for S in combinations(marks, size):
-                try:
-                    seps.add(canonical_divisor(delta_sep(h, S), g, n))
-                except StabilityError:
-                    continue
-    gens.extend(sorted(seps, key=DivisorClass.sort_key))
+    subsets = _lex_subsets(n)
+    for h in range(g // 2 + 1):
+        if 2 * h == g:
+            chosen = [S for S in subsets if not S or (S[0] == 1 and len(S) < n)]
+        else:
+            chosen = [S for S in subsets if h or len(S) >= 2]
+        gens += [DivisorClass(DELTA_SEP, None, h, frozenset(S)) for S in chosen]
     return tuple(gens)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,7 @@ class TestRelationsCommand:
                             "--a", "1"])[0] == 1
         assert run(capsys, ["relations", "--g", "1", "--n", "2", "--r", "2"])[0] == 1
         assert run(capsys, ["relations", "--g", "2", "--n", "0", "--symbolic"])[0] == 1
+        assert run(capsys, ["relations", "--g", "2", "--n", "-1", "--r", "3"])[0] == 1
         assert run(capsys, ["nonsense"])[0] == 1
 
 
@@ -212,6 +214,24 @@ class TestBasisSizeGuard:
     def test_degree_gate_refusals_come_first(self, capsys, argv):
         assert run(capsys, argv)[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        [*cmd, "--n", str(n), *tail]
+        for cmd, n0, tail in (
+            (["relations", "--g", "1"], 1000, ["--r", "3"]),
+            (["verify-ac", "--g", "1"], 1000, ["--r", "3"]),
+            (["relations", "--g", "1"], 20000, ["--symbolic"]),
+            (["relations", "--g", "2"], 15000, ["--r", "3"]),
+        )
+        for n in (n0, 10 ** 6)
+    ], ids=" ".join)
+    def test_large_n_refused_cold_before_work_that_grows_with_n(self, argv):
+        start = time.perf_counter()
+        result = cold_run(argv)
+        assert time.perf_counter() - start < 2.0
+        assert result.returncode == 1 and result.stdout == ""
+        assert "above the limit" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestVerifyAcCommand:
     @pytest.mark.parametrize("g,n,expected_rank", [(1, 4, 5), (2, 0, 1), (3, 0, 0)])
@@ -239,7 +259,7 @@ class TestVerifyAcCommand:
 
     @pytest.mark.parametrize("g,n,r", [
         (1, 2, 1), (3, 1, 1), (1, 2, 0), (1, 2, -3), (1, 2, 2),
-        (0, 3, 3), (-1, 5, 3), (1, 0, 3), (2, -3, 3),
+        (0, 3, 3), (-1, 5, 3), (1, 0, 3), (2, -3, 3), (2, -1, 3),
     ])
     def test_invalid_arguments_refused_like_relations(self, g, n, r):
         result = cold_run(["verify-ac", "--g", str(g), "--n", str(n), "--r", str(r)])
@@ -403,16 +423,27 @@ class TestGoldenOutputs:
 
     GOLDEN = json.load(open(os.path.join(ROOT, "perfbench", "golden.json")))
 
-    def test_genus_one_points_in_process(self, capsys):
-        # Every genus-1 grid point, run through main() in this process.
-        points = [a for a in workloads.grid_points() if "--g" in a and a[a.index("--g") + 1] == "1"]
+    def in_process_mismatches(self, capsys, genus_ok):
+        """Every grid point whose genus passes ``genus_ok``, run through
+        main() in this process: how many ran, and the keys that mismatched."""
+        points = [a for a in workloads.grid_points()
+                  if "--g" in a and genus_ok(int(a[a.index("--g") + 1]))]
         mismatches = []
         for argv in points:
             code, out, _ = run(capsys, list(argv))
             expected = self.GOLDEN[workloads.key(argv)]
             if (code, measure.digest(code, out)) != (expected["exit"], expected["digest"]):
                 mismatches.append(workloads.key(argv))
-        assert points and mismatches == []
+        return len(points), mismatches
+
+    def test_genus_one_points_in_process(self, capsys):
+        count, mismatches = self.in_process_mismatches(capsys, lambda g: g == 1)
+        assert count and mismatches == []
+
+    def test_genus_two_and_up_points_in_process(self, capsys):
+        # The g2, g3 and g4 families of g2-wide.
+        count, mismatches = self.in_process_mismatches(capsys, lambda g: g >= 2)
+        assert count == 64 and mismatches == []
 
     @pytest.mark.parametrize(
         "argv", [a for a in workloads.grid_points() if _linalg_heavy(a)], ids=workloads.key

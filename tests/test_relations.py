@@ -178,6 +178,32 @@ def dict_ac_relations_genus_one(n):
     return RelationSet.of(basis, relations)
 
 
+def dict_pullback_genus2(rel, n):
+    """Oracle for pullback_genus2: the pulled-back relation built one class at
+    a time into a class-keyed dict, scanning the basis for the separating
+    classes."""
+    if n == 0:
+        return rel
+    zero = Fraction(0)
+    k = rel.coefficients.get(kappa1(), zero)
+    irr = rel.coefficients.get(delta_irr(), zero)
+    d1 = rel.coefficients.get(delta_sep(1, frozenset()), zero)
+    coeffs = {}
+
+    def add(d, value):
+        if value != 0:
+            coeffs[d] = coeffs.get(d, zero) + value
+
+    add(kappa1(), k)
+    for i in range(1, n + 1):
+        add(psi(i), -k)
+    add(delta_irr(), irr)
+    for divisor in divisor_generators(2, n):
+        if divisor.kind == "delta_sep":
+            add(divisor, k if divisor.h == 0 else d1)
+    return Relation(coefficients=coeffs, provenance=rel.provenance._replace(n=n))
+
+
 class TestAssemblyGoldens:
     def test_two_marked_genus_one(self):
         basis = tuple(divisor_generators(1, 2))
@@ -363,6 +389,32 @@ class TestPullback:
             direct = assemble_relation(2, n, (0,) * n, 3)
             pulled = pullback_genus2(assemble_relation(2, 0, (), 3), n)
             assert direct.normalized_vector(basis) == pulled.normalized_vector(basis)
+
+
+class TestGenusTwoRowOracle:
+    """The genus-2 rows written in closed form against the class-keyed
+    pullback read back through RelationSet.of."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_ppz_rows_match_dict_pullback(self, n):
+        basis = tuple(divisor_generators(2, n))
+        for r in (3, 4, 5):
+            base = assemble_relation(2, 0, (), r)
+            relations = [] if base.is_zero() else [dict_pullback_genus2(base, n)]
+            oracle, direct = RelationSet.of(basis, relations), ppz_relation_set(2, n, r)
+            assert direct.basis == oracle.basis
+            assert direct.rows == oracle.rows, (n, r)
+            assert direct.provenances == oracle.provenances, (n, r)
+            assert pullback_genus2(base, n) == dict_pullback_genus2(base, n), (n, r)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_ac_rows_match_dict_pullback(self, n):
+        base = reference(2, 0, {kappa1(): 5, delta_irr(): -1, delta_sep(1, ()): -7})
+        oracle = RelationSet.of(tuple(divisor_generators(2, n)), [dict_pullback_genus2(base, n)])
+        direct = ac_relations(2, n)
+        assert direct.basis == oracle.basis
+        assert direct.rows == oracle.rows
+        assert direct.provenances == oracle.provenances
 
 
 class TestDegreeGate:

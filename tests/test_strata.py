@@ -1,6 +1,8 @@
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rspinrel.oracles import (
     StableGraph,
@@ -20,6 +22,46 @@ from rspinrel.strata import (
     kappa1,
     psi,
 )
+
+
+def sorted_key(d):
+    """The order the basis is sorted in: psi's by index, kappa_1, delta_irr,
+    then separating classes by (h, sorted S)."""
+    if d.kind == "psi":
+        return (0, d.index, 0, ())
+    if d.kind == "kappa1":
+        return (1, 0, 0, ())
+    if d.kind == "delta_irr":
+        return (2, 0, 0, ())
+    return (3, 0, d.h, tuple(sorted(d.markings)))
+
+
+def sorted_basis(g, n):
+    """Oracle for divisor_generators: canonicalize every stable (h, S),
+    collect the classes in a set and sort them."""
+    seps = set()
+    marks = list(range(1, n + 1))
+    for h in range(g + 1):
+        for size in range(n + 1):
+            for S in combinations(marks, size):
+                try:
+                    seps.add(canonical_divisor(delta_sep(h, S), g, n))
+                except StabilityError:
+                    continue
+    head = [psi(i) for i in range(1, n + 1)] + [kappa1(), delta_irr()]
+    return head + sorted(seps, key=sorted_key)
+
+
+def summed_basis_size(g, n):
+    """Oracle for basis_size: the stable pairs (h, S) summed by |S|."""
+    pairs = sum(
+        comb(n, k) for h in range(g + 1) for k in range(n + 1)
+        if (h or k >= 2) and (g - h or n - k >= 2)
+    )
+    return n + 2 + (pairs + (n == 0 and g % 2 == 0)) // 2
+
+
+STABLE_SPACES = [(g, n) for g in range(1, 6) for n in range(11) if 2 * g - 2 + n > 0]
 
 
 class TestCanonicalDivisor:
@@ -113,6 +155,27 @@ class TestDivisorClassRecord:
             psi(1).index = 2
 
 
+class TestCanonicalOrder:
+    """The basis listed directly in canonical order against the sorted set of
+    canonicalized classes."""
+
+    @pytest.mark.parametrize("g,n", STABLE_SPACES)
+    def test_matches_sorted_oracle(self, g, n):
+        gens, oracle = divisor_generators(g, n), sorted_basis(g, n)
+        assert gens == oracle
+        # Same field types too: frozenset markings and None where unused.
+        assert [tuple(map(type, d)) for d in gens] == [tuple(map(type, d)) for d in oracle]
+
+    @given(st.sampled_from(STABLE_SPACES))
+    def test_canonical_strictly_increasing_and_sized(self, space):
+        g, n = space
+        gens = divisor_generators(g, n)
+        assert all(canonical_divisor(d, g, n) == d for d in gens)
+        keys = [sorted_key(d) for d in gens]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(gens) == basis_size(g, n)
+
+
 class TestBasisSize:
     def test_closed_form_matches_enumeration(self):
         for g in range(1, 5):
@@ -123,6 +186,24 @@ class TestBasisSize:
     def test_limit_sits_above_the_largest_benchmark_basis(self):
         assert basis_size(1, 12) == 2 ** 12 + 1
         assert basis_size(2, 12) == 6145 < MAX_BASIS_SIZE
+
+    def test_closed_form_matches_summed_pairs(self):
+        for g in range(1, 8):
+            for n in range(25):
+                if 2 * g - 2 + n > 0:
+                    assert basis_size(g, n) == summed_basis_size(g, n), (g, n)
+
+    def test_large_n_refused_as_a_power_of_two(self):
+        # Every basis has more than 2^n classes; 2^n itself is never printed.
+        with pytest.raises(ValueError, match="at least 2\\^1000000 classes, above the limit"):
+            divisor_generators(2, 10 ** 6)
+        huge_g = 10 ** 4000
+        with pytest.raises(ValueError, match="at least 2\\^13316 classes, above the limit"):
+            divisor_generators(huge_g, 30)
+
+    def test_negative_markings_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            divisor_generators(2, -1)
 
     def test_oversized_basis_refused_with_its_size(self):
         assert basis_size(1, 30) == 2 ** 30 + 1
