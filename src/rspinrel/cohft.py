@@ -339,7 +339,7 @@ class DegreeGateError(ValueError):
         self.witten_degree = witten_degree(g, n, a_vec, r)
         self.report = phi_degree(g, 1, a_vec, r)
         super().__init__(
-            f"no relation in codimension D = 1 for (g, n, a, r) = "
-            f"({g}, {n}, {list(a_vec)}, {r}): the class has degree "
+            f"no relation in codimension D = 1 for (g, n, r) = ({g}, {n}, {r}) "
+            f"with sum(a) = {sum(a_vec)}: the class has degree "
             f"{self.witten_degree} and the degree-1 part need not vanish"
         )

@@ -14,10 +14,16 @@ The codimension-1 part receives contributions from four graph families
 * the one-loop graph:                         the irreducible boundary term,
 * one-edge separating graphs:                 the delta_{h,S} terms.
 
-Node insertions at an edge are summed over the nonzero entries of the edge
-constant term.  A topological vertex value depends only on the vertex genus
-and on its insertion sum mod r-1, so a class's coefficient depends on the leg
-vector a only through sum(a) and the class's key: (psi, a_i) for psi_i,
+The edge factor enters only through its constant term, in closed form
+-P_1(r, p+1 mod r-1) at the one insertion pair (p, q = r-3-p mod r-1) for
+each p, so node insertions at an edge are summed over those r-1 pairs.  The
+leg vectors that pass the degree gate and the parity condition are also
+known in closed form: their sum is 0 or 1, so they are the zero vector and
+the unit vectors (in genus 1, exactly the n unit vectors).
+
+A topological vertex value depends only on the vertex genus and on its
+insertion sum mod r-1, so a class's coefficient depends on the leg vector a
+only through sum(a) and the class's key: (psi, a_i) for psi_i,
 kappa_1, delta_irr, and (delta_sep, h, sum of a_i over S) for delta_{h,S}.
 Relations are therefore built from a per-call table that contracts once per
 (r, sum(a), key), a handful of times for the whole basis and every leg vector
@@ -171,79 +177,24 @@ def _is_zero(c: Coefficient) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Edge factor as a truncated series
-# ---------------------------------------------------------------------------
-
-def edge_numerator_coefficient(
-    mp: int, mq: int, p: int, q: int, theory: RSpinTheory
-) -> Fraction:
-    """Coefficient of psi'^mp psi''^mq in the edge numerator, for the
-    insertion pair (p at the first branch, q at the second).
-
-    The numerator is eta - (inverse R) eta (inverse R transposed); the order
-    (0,0) term cancels by the identity leading term.
-    """
-    if mp == 0 and mq == 0:
-        return Fraction(0)
-    # The sum over the middle index j has one nonzero term: an order-mp
-    # inverse-R entry with upper index p vanishes unless j = p + mp mod r-1.
-    j = (p + mp) % (theory.r - 1)
-    left = r_inverse_entry(mp, j, p, theory) if mp else Fraction(1 if j == p else 0)
-    if left == 0:
-        return Fraction(0)
-    jj = theory.r - 2 - j
-    right = r_inverse_entry(mq, jj, q, theory) if mq else Fraction(1 if jj == q else 0)
-    return -(left * right)
-
-
-def edge_series_coefficients(
-    p: int, q: int, theory: RSpinTheory, max_order: int = 0
-) -> dict[tuple[int, int], Fraction]:
-    """Coefficients of the edge factor (numerator divided by psi' + psi'')
-    for the insertion pair (p, q), up to the given total order.
-
-    Codimension 1 only uses the constant term, but the truncation order is a
-    parameter so that the restriction stays a choice rather than a formula
-    assumption.  Divisibility of the numerator by psi' + psi'' is asserted.
-    """
-    out: dict[tuple[int, int], Fraction] = {}
-    for total in range(max_order + 1):
-        # Q_{u,0} = N_{u+1,0}; Q_{u,v} = N_{u+1,v} - Q_{u+1,v-1}.
-        for u in range(total, -1, -1):
-            v = total - u
-            if v == 0:
-                out[(u, v)] = edge_numerator_coefficient(u + 1, 0, p, q, theory)
-            else:
-                out[(u, v)] = edge_numerator_coefficient(u + 1, v, p, q, theory) - out[
-                    (u + 1, v - 1)
-                ]
-        # Redundant equation at (0, total+1): checks exact divisibility.
-        residual = edge_numerator_coefficient(0, total + 1, p, q, theory) - out[(0, total)]
-        if residual != 0:
-            raise AssemblyError(
-                f"edge numerator not divisible by psi' + psi'' at order {total}"
-            )
-    return out
-
-
-def edge_constant_term(p: int, q: int, theory: RSpinTheory) -> Fraction:
-    """Constant term of the edge factor: -(inverse R_1)^q_{r-2-p}."""
-    return edge_series_coefficients(p, q, theory, max_order=0)[(0, 0)]
-
-
-# ---------------------------------------------------------------------------
 # Per-family sums, shared by the per-graph oracle and the per-class assembly
 # ---------------------------------------------------------------------------
+
+def edge_constant_term(p: int, q: int, theory: RSpinTheory) -> Fraction:
+    """Constant term of the edge factor for the insertion pair (p, q), the
+    only part codimension 1 reads: -P_1(r, p+1 mod r-1) when
+    q = r-3-p mod r-1 and 0 otherwise.  It is read as the first-order
+    inverse-R entry with upper index p and lower index r-2-q, which vanishes
+    off that congruence and checks both indices."""
+    return -r_inverse_entry(1, theory.r - 2 - q, p, theory)
+
 
 EdgeEntries = tuple[tuple[tuple[int, int], Fraction], ...]
 
 
 def _edge_entries(theory: RSpinTheory) -> EdgeEntries:
-    """Nonzero edge constant terms, each with its insertion pair (p, q).
-
-    The constant term -(inverse R_1)^q_{r-2-p} vanishes unless
-    q = r-3-p mod r-1, so only that pair is built for each p.
-    """
+    """Nonzero edge constant terms, each with its insertion pair (p, q): only
+    the pair q = r-3-p mod r-1, where the term can be nonzero, for each p."""
     r = theory.r
     entries = []
     for p in range(r - 1):
@@ -607,34 +558,20 @@ def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
     )
 
 
-def admissible_leg_vectors(g: int, n: int, r: int, D: int = 1) -> list[tuple[int, ...]]:
+def admissible_leg_vectors(g: int, n: int, r: int) -> list[tuple[int, ...]]:
     """Leg vectors whose relation is potentially nonzero: the degree gate
-    passes and the topological parity condition sum(a) = g - 1 + D mod r - 1
-    holds.  In genus 1 these are exactly the n unit vectors.
-
-    Both conditions depend only on sum(a), so the allowed sums are fixed
-    first and the vectors with those sums are enumerated directly, in
-    lexicographic order.
-    """
-    top = r - 2
-    # The gate passes iff sum(a) + offset < 0.
-    offset = phi_degree(g, D, (), r).value
-    sums = [
-        s for s in range(min(-offset, n * top + 1))
-        if (s - (g - 1) - D) % (r - 1) == 0
-    ]
-
-    def vectors(length: int, used: int):
-        if length == 0:
-            yield ()
-            return
-        for x in range(top + 1):
-            # Keep x only if some allowed sum stays reachable.
-            if any(used + x <= s <= used + x + (length - 1) * top for s in sums):
-                for rest in vectors(length - 1, used + x):
-                    yield (x,) + rest
-
-    return list(vectors(n, 0)) if sums else []
+    passes and sum(a) = g mod r - 1.  The gate passes iff
+    sum(a) < r - (g-1)(r-2), a bound of r in genus 1, 2 in genus 2 and at
+    most 1 above, so every allowed sum is 0 or 1: the vectors are the zero
+    vector if sum 0 is allowed, then the unit vectors in lexicographic order
+    if sum 1 is (in genus 1, exactly the n unit vectors)."""
+    bound = -phi_degree(g, 1, (), r).value
+    vectors = []
+    if 0 < bound and g % (r - 1) == 0:
+        vectors.append((0,) * n)
+    if 1 < bound and (1 - g) % (r - 1) == 0:
+        vectors += [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in reversed(range(n))]
+    return vectors
 
 
 def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:

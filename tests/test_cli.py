@@ -214,6 +214,13 @@ class TestBasisSizeGuard:
     def test_degree_gate_refusals_come_first(self, capsys, argv):
         assert run(capsys, argv)[0] == 2
 
+    def test_degree_gate_refusal_message_is_bounded(self):
+        result = cold_run(["relations", "--g", "4", "--n", str(10 ** 6), "--r", "3"])
+        assert result.returncode == 2 and result.stdout == ""
+        assert len(result.stderr.encode()) < 1024
+        assert "sum(a) = 0" in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("argv", [
         [*cmd, "--n", str(n), *tail]
         for cmd, n0, tail in (

@@ -1,7 +1,8 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every module-level private function or class is used somewhere in the package.
 
-A stand-in for a linter's unused-import rule, in the standard library only:
-deleting code must not leave its imports behind.
+Stand-ins for a linter's unused-import and dead-code rules, in the standard
+library only: deleting code must not leave its imports or helpers behind.
 """
 
 import ast
@@ -42,3 +43,62 @@ def test_detects_an_unused_import(tmp_path):
         "    return gcd(x, 2)\n"
     )
     assert unused_imports(module) == ["lcm (line 3)", "system (line 2)"]
+
+
+def unreferenced_private_definitions(paths):
+    """Module-level private functions and classes that no statement of the
+    given modules names, other than their own definition."""
+    defined, used = {}, {}
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (
+                node.name.startswith("_") and not node.name.startswith("__")
+            ):
+                defined[path.name, node.name] = node
+            for child in ast.walk(node):
+                if isinstance(child, ast.Name):
+                    name = child.id
+                elif isinstance(child, ast.Attribute):
+                    name = child.attr
+                elif isinstance(child, ast.alias):
+                    name = child.name
+                else:
+                    continue
+                used.setdefault(name, set()).add(node)
+    return sorted(
+        f"{module}:{name} (line {node.lineno})"
+        for (module, name), node in defined.items()
+        if not used.get(name, set()) - {node}
+    )
+
+
+def test_module_level_private_definitions_are_used():
+    assert unreferenced_private_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_detects_an_unused_private_definition(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text(
+        "def _recursive(x):\n"
+        "    return _recursive(x - 1) if x else 0\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "def _imported():\n"
+        "    pass\n"
+        "def _called_by_method():\n"
+        "    pass\n"
+        "class _Table:\n"
+        "    def build(self):\n"
+        "        return _called_by_method()\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+    )
+    second.write_text(
+        "from first import _imported\n"
+        "import first\n"
+        "table = first._Table()\n"
+    )
+    assert unreferenced_private_definitions([first, second]) == [
+        "first.py:_Unused (line 3)", "first.py:_recursive (line 1)",
+    ]

@@ -31,9 +31,8 @@ EXPORTED = {
     "relations": (
         "AssemblyError", "BasisMismatchError", "DegreeGateError", "Relation",
         "RelationSet", "SpanReport", "ac_relations", "admissible_leg_vectors",
-        "assemble_relation", "edge_constant_term", "edge_series_coefficients",
-        "extract_r_coefficients", "ppz_relation_set", "pullback_genus2",
-        "spans_equal",
+        "assemble_relation", "edge_constant_term", "extract_r_coefficients",
+        "ppz_relation_set", "pullback_genus2", "spans_equal",
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),

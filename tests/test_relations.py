@@ -23,8 +23,6 @@ from rspinrel.relations import (
     assemble_relation,
     assembled_relation_set,
     edge_constant_term,
-    edge_numerator_coefficient,
-    edge_series_coefficients,
     extract_r_coefficients,
     ppz_relation_set,
     pullback_genus2,
@@ -50,14 +48,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 from perfbench.workloads import G1_NR  # noqa: E402
 
 
-def scan_admissible_leg_vectors(g, n, r, D=1):
+def scan_admissible_leg_vectors(g, n, r):
     """Oracle for admissible_leg_vectors: the full scan of all (r-1)^n
     vectors, each checked against the gate and the parity condition."""
     out = []
     for a_vec in product(range(r - 1), repeat=n):
-        if not phi_degree(g, D, a_vec, r).relation_exists:
+        if not phi_degree(g, 1, a_vec, r).relation_exists:
             continue
-        if (sum(a_vec) - (g - 1) - D) % (r - 1) != 0:
+        if (sum(a_vec) - g) % (r - 1) != 0:
             continue
         out.append(a_vec)
     return out
@@ -128,8 +126,10 @@ def labelled_rows(relation_set):
 
 
 def loop_edge_numerator_coefficient(mp, mq, p, q, theory):
-    """Oracle for edge_numerator_coefficient: the full sum over the middle
-    index j."""
+    """Coefficient of psi'^mp psi''^mq in the edge numerator
+    eta - (inverse R) eta (inverse R transposed) for the insertion pair
+    (p, q), as the full sum over the middle index j: the oracle for
+    edge_constant_term at orders (1, 0) and (0, 1)."""
     if mp == 0 and mq == 0:
         return Fraction(0)
     total = Fraction(0)
@@ -450,10 +450,20 @@ class TestDegreeGate:
         for g in range(1, 5):
             for n in range(0, 6):
                 for r in range(3, 8):
-                    for D in range(0, 3):
-                        assert admissible_leg_vectors(g, n, r, D) == (
-                            scan_admissible_leg_vectors(g, n, r, D)
-                        ), (g, n, r, D)
+                    assert admissible_leg_vectors(g, n, r) == (
+                        scan_admissible_leg_vectors(g, n, r)
+                    ), (g, n, r)
+
+    def test_every_allowed_sum_is_zero_or_one(self):
+        # The closed form of admissible_leg_vectors rests on this: the gate
+        # and the parity condition leave at most the sums 0 and 1.
+        for g in range(1, 7):
+            for r in range(3, 61):
+                allowed = [
+                    s for s in range(10 * r)
+                    if phi_degree(g, 1, (s,), r).relation_exists and (s - g) % (r - 1) == 0
+                ]
+                assert set(allowed) <= {0, 1}, (g, r, allowed)
 
     def test_admissible_vectors_higher_genus(self):
         assert admissible_leg_vectors(2, 0, 3) == [()]
@@ -779,24 +789,27 @@ class TestEdgeFactor:
                         full[(p, q)] = entry
             assert dict(_edge_entries(theory)) == full, r
 
-    def test_numerator_single_term_matches_full_sum(self):
-        for r in range(3, 13):
+    def test_constant_term_matches_full_sum(self):
+        # The order-0 divisibility identity: the numerator's (1, 0) and
+        # (0, 1) coefficients agree, and both are the constant term.
+        for r in range(3, 41):
             theory = RSpinTheory(r)
-            for mp, mq, p, q in product(range(4), range(4), range(r - 1), range(r - 1)):
-                assert edge_numerator_coefficient(mp, mq, p, q, theory) == (
-                    loop_edge_numerator_coefficient(mp, mq, p, q, theory)
-                ), (r, mp, mq, p, q)
+            for p, q in product(range(r - 1), repeat=2):
+                entry = edge_constant_term(p, q, theory)
+                assert entry == loop_edge_numerator_coefficient(1, 0, p, q, theory), (r, p, q)
+                assert entry == loop_edge_numerator_coefficient(0, 1, p, q, theory), (r, p, q)
 
-    def test_series_through_order_two_matches_full_sum(self, monkeypatch):
-        import rspinrel.relations as relations_module
-
-        pairs = [(r, p, q) for r in range(3, 13) for p in range(r - 1) for q in range(r - 1)]
-        fast = [edge_series_coefficients(p, q, RSpinTheory(r), max_order=2) for r, p, q in pairs]
-        monkeypatch.setattr(
-            relations_module, "edge_numerator_coefficient", loop_edge_numerator_coefficient
-        )
-        slow = [edge_series_coefficients(p, q, RSpinTheory(r), max_order=2) for r, p, q in pairs]
-        assert fast == slow
+    def test_constant_term_checks_both_indices(self):
+        for r in (3, 4, 7):
+            theory = RSpinTheory(r)
+            for bad in (-1, r - 1):
+                for good in range(r - 1):
+                    with pytest.raises(ValueError):
+                        edge_constant_term(bad, good, theory)
+                    with pytest.raises(ValueError):
+                        edge_constant_term(good, bad, theory)
+                with pytest.raises(ValueError):
+                    edge_constant_term(bad, bad, theory)
 
     def test_leg_sum_single_term_matches_full_sum(self):
         for r in range(3, 13):
@@ -807,18 +820,6 @@ class TestEdgeFactor:
                         assert _leg_sum(g, insertions, i, theory) == (
                             loop_leg_sum(g, insertions, i, theory)
                         ), (r, g, insertions, i)
-
-    def test_series_divisibility_through_order_two(self):
-        # The consistency equation inside the series expansion exercises the
-        # order-2 entries; failure would raise.
-        for r in (3, 4, 5, 6):
-            theory = RSpinTheory(r)
-            for p in range(r - 1):
-                for q in range(r - 1):
-                    coeffs = edge_series_coefficients(p, q, theory, max_order=2)
-                    assert set(coeffs) == {
-                        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)
-                    }
 
     def test_loop_total_closed_form(self):
         # Summed over all node insertions against the degree-zero vertex, the
