@@ -20,7 +20,7 @@ _EXPORTS = {
     "cohft": (
         "DegreeGateError", "IdempotentReport", "PhiDegreeReport", "RSpinTheory",
         "StructureConstants", "idempotent_check", "p_polynomial",
-        "p_polynomial_symbolic", "phi_degree", "quantum_structure_constants",
+        "p_polynomial_symbolic", "p_row", "phi_degree", "quantum_structure_constants",
         "r_forward_entry", "r_forward_matrix", "r_inverse_entry",
         "r_inverse_matrix", "topological_value", "witten_degree",
     ),

@@ -14,15 +14,19 @@ import argparse
 import json
 import sys
 import time
+from math import gcd
 
 # The module docstring is the --help text.  A process loads only what its
 # subcommand runs: module level needs cohft alone, which is all that --help,
 # pm-table and the up-front refusals use, and the other subcommands import
-# their modules once their arguments pass.  p_polynomial stays a module global
-# because callers and tests patch it here.
-from .cohft import DegreeGateError, p_polynomial, phi_degree
+# their modules once their arguments pass.  p_row stays a module global
+# because tests patch it here.
+from .cohft import DegreeGateError, p_row, phi_degree
 
 SCHEMA_VERSION = 1
+# Largest r any subcommand accepts.  The work and output grow with r (a row of
+# the P_m table has r - 1 entries), and near r = 10^9 one row exhausts memory.
+MAX_R = 1000
 
 
 class UsageError(Exception):
@@ -83,6 +87,13 @@ def _check_space(g: int, n: int) -> None:
         raise UsageError("n must be nonnegative")
 
 
+def _check_r(r: int) -> None:
+    if r < 3:
+        raise UsageError("r must be at least 3")
+    if r > MAX_R:
+        raise UsageError(f"r must be at most {MAX_R}")
+
+
 def _cmd_relations(args) -> int:
     g, n = args.g, args.n
     _check_space(g, n)
@@ -90,13 +101,13 @@ def _cmd_relations(args) -> int:
         raise UsageError("--r and --symbolic are mutually exclusive")
     if not args.symbolic and args.r is None:
         raise UsageError("provide --r or --symbolic")
-    if args.r is not None and args.r < 3:
-        raise UsageError("r must be at least 3")
+    if args.r is not None:
+        _check_r(args.r)
 
     a_vec = None
     if args.a is not None:
         try:
-            a_vec = tuple(int(x) for x in args.a.split(","))
+            a_vec = tuple(int(x) for x in args.a.split(",")) if args.a else ()
         except ValueError:
             raise UsageError(f"cannot parse leg vector {args.a!r}")
         if len(a_vec) != n:
@@ -198,8 +209,7 @@ def _cmd_relations(args) -> int:
 
 def _cmd_verify_ac(args) -> int:
     _check_space(args.g, args.n)
-    if args.r < 3:
-        raise UsageError("r must be at least 3")
+    _check_r(args.r)
 
     from .relations import ac_relations, ppz_relation_set, spans_equal
 
@@ -239,16 +249,16 @@ def _cmd_verify_ac(args) -> int:
 
 
 def _cmd_pm_table(args) -> int:
-    if args.r < 3:
-        raise UsageError("r must be at least 3")
+    _check_r(args.r)
     if args.m_max < 0:
         raise UsageError("m-max must be nonnegative")
     start = time.perf_counter()
     rows = []
     for m in range(args.m_max + 1):
-        values = [p_polynomial(m, a, args.r) for a in range(args.r - 1)]
-        try:
-            rows.append([str(value) for value in values])
+        numerators, den = p_row(m, args.r)
+        try:  # the text of Fraction(x, den), reduced by one gcd per entry
+            rows.append([f"{x // g}/{den // g}" if den != g else str(x // g)
+                         for x in numerators for g in (gcd(x, den),)])
         except ValueError:  # past Python's limit on int-to-decimal conversion
             raise ValueError(
                 f"the entries of row m={m} are too long to print in decimal; "

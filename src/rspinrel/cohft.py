@@ -6,9 +6,9 @@ taken at the semisimple shift point along the second basis direction.  This
 module holds everything that is a pure function of r:
 
 * the coefficient polynomials P_m(r, a) defined by a two-sum recursion,
-  numerically and symbolically in r; the numeric table is built bottom up,
-  one row of integer numerators over a common denominator per m, at O(r)
-  big-integer operations per row and so O(m r) for a table up to m,
+  numerically and symbolically in r; the numeric table is built bottom up
+  by :func:`p_row`, one row of integer numerators over a common denominator
+  per m, at O(r) big-integer operations per row and so O(m r) up to m,
 * the entries of the R-matrix of the theory and of its inverse (without the
   uniform scalar factor, which scales a relation as a whole),
 * degree-zero (topological) values of the theory,
@@ -18,9 +18,9 @@ module holds everything that is a pure function of r:
   exponent that gates the existence of a divisor relation, and
   :class:`DegreeGateError`, the refusal raised when that gate is closed.
 
-This is the one library module that every CLI subcommand loads, so it imports
-only :mod:`rspinrel.rpoly` at module level; :mod:`rspinrel.cyclotomic` is
-loaded by :func:`idempotent_check`, its only user.
+This is the one library module that every CLI subcommand loads, so it loads
+no other at module level: :func:`p_polynomial_symbolic` imports ``rpoly`` and
+:func:`idempotent_check` imports ``cyclotomic``, each its module's only user.
 
 For the record: the Euler field of the underlying Frobenius structure at the
 shift point is (r-1) phi^(r/(r-1)) along the second rescaled basis vector.
@@ -33,9 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .rpoly import RPoly, poly_interpolate
+if TYPE_CHECKING:
+    from .rpoly import RPoly
 
 
 class RSpinTheory:
@@ -92,7 +93,7 @@ class PhiDegreeReport(NamedTuple):
 _last_rows: dict[int, tuple[int, tuple[int, ...], int]] = {}
 
 
-def _p_row(m: int, r: int) -> tuple[tuple[int, ...], int]:
+def p_row(m: int, r: int) -> tuple[tuple[int, ...], int]:
     """Row m of the P table for r, as integer numerators over one denominator.
 
     Continues from the stored row when it is not past m, else from P_0 = 1.
@@ -101,6 +102,10 @@ def _p_row(m: int, r: int) -> tuple[tuple[int, ...], int]:
     2kr(r-1) times a prefix sum over b <= a, and its second sum, which does
     not depend on a, becomes one integer subtracted from every entry.
     """
+    if r < 3:
+        raise ValueError("r must be at least 3")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     stored = _last_rows.get(r)
     start, row, den = stored if stored and stored[0] <= m else (0, (1,) * (r - 1), 1)
     for k in range(start + 1, m + 1):
@@ -131,22 +136,17 @@ def p_polynomial(m: int, a: int, r: int) -> Fraction:
                  - 1/(4mr(r-1)) sum_{b=1}^{r-2}
                        (r-1-b)(2mr - b)(2mr - r - 2b) P_{m-1}(r, b-1)
 
-    The value is read from a row of the table built bottom up in integers
-    (``_p_row``): O(r) big-integer operations per row, so O(m r) for the
-    whole table up to m.  Only the last row built for each r is kept; a
-    request for an earlier m rebuilds from P_0, and the bounded LRU cache in
-    front absorbs repeated lookups.  Both are safe under concurrent sweeps
-    over r: the standard library's LRU cache locks internally, and the row
-    store only ever swaps in a finished immutable row, so racing callers can
-    cost one another a rebuild but never see a wrong or partial row.
+    The value is read from the integer row that :func:`p_row` builds.  Only
+    the last row built for each r is kept; a request for an earlier m
+    rebuilds from P_0, and the bounded LRU cache in front absorbs repeated
+    lookups.  Both are safe under concurrent sweeps over r: the standard
+    library's LRU cache locks internally, and the row store only ever swaps
+    in a finished immutable row, so racing callers can cost one another a
+    rebuild but never see a wrong or partial row.
     """
-    if r < 3:
-        raise ValueError("r must be at least 3")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    numerators, den = p_row(m, r)
     if not 0 <= a <= r - 2:
         raise ValueError(f"index a={a} out of range 0..{r - 2}")
-    numerators, den = _p_row(m, r)
     return Fraction(numerators[a], den)
 
 
@@ -158,6 +158,8 @@ def p_polynomial_symbolic(m: int, a: int) -> RPoly:
     failure surfaces as an InterpolationError rather than a silently raised
     bound.  Sampled r start above a + 1 so that a is a valid index.
     """
+    from .rpoly import poly_interpolate
+
     if m < 0 or a < 0:
         raise ValueError("m and a must be nonnegative")
     r_start = max(3, a + 2)

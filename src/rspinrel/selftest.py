@@ -257,6 +257,8 @@ def _criterion_9() -> tuple[bool, str]:
 
 def _criterion_10() -> tuple[bool, str]:
     """Truncated inverse and symplectic identities through order 2, r <= 8."""
+    # The products skip zeros: each column of an R-matrix or of eta has one
+    # nonzero entry.
     for r in range(3, 9):
         theory = RSpinTheory(r)
         d = theory.dimension
@@ -268,10 +270,10 @@ def _criterion_10() -> tuple[bool, str]:
             for k in range(m + 1):
                 left, right = fwd[k], inv[m - k]
                 for i in range(d):
-                    for j in range(d):
-                        total[i][j] += sum(
-                            left[i][t] * right[t][j] for t in range(d)
-                        )
+                    for t in range(d):
+                        if left[i][t]:
+                            for j in range(d):
+                                total[i][j] += left[i][t] * right[t][j]
             if any(x != 0 for row in total for x in row):
                 return False, f"R * inverse R nonzero at order {m}, r={r}"
         for m in (1, 2):
@@ -279,13 +281,14 @@ def _criterion_10() -> tuple[bool, str]:
             for k in range(m + 1):
                 sign = (-1) ** (m - k)
                 left, right = fwd[k], fwd[m - k]
-                for a in range(d):
-                    for b in range(d):
-                        value = Fraction(0)
-                        for i in range(d):
-                            for j in range(d):
-                                value += left[i][a] * eta[i][j] * right[j][b]
-                        total[a][b] += sign * value
+                for i in range(d):
+                    for j in range(d):
+                        if eta[i][j]:
+                            for a in range(d):
+                                if left[i][a]:
+                                    scale = sign * left[i][a] * eta[i][j]
+                                    for b in range(d):
+                                        total[a][b] += scale * right[j][b]
             if any(x != 0 for row in total for x in row):
                 return False, f"symplectic condition fails at order {m}, r={r}"
     return True, "identity and symplectic checks hold through order 2 for r=3..8"

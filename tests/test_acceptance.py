@@ -115,3 +115,18 @@ class TestMutationSensitivity:
 
         self._patch(monkeypatch, corrupted)
         assert not _criterion_1()[0]
+
+    def test_partial_sign_flip_detected_by_r_matrix_identities(self, monkeypatch):
+        # Criterion 10 skips the zero entries of its factors; a corrupted
+        # coefficient must still leave R * inverse R nonzero.
+        import rspinrel.cohft as cohft_module
+        from rspinrel.selftest import _criterion_10
+
+        original = cohft_module.p_polynomial
+
+        def corrupted(m, a, r):
+            value = original(m, a, r)
+            return -value if m == 1 and a == 0 else value
+
+        self._patch(monkeypatch, corrupted)
+        assert _criterion_10() == (False, "R * inverse R nonzero at order 2, r=3")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 
 import rspinrel.cli as cli_module
 from rspinrel.cli import main
-from rspinrel.cohft import p_polynomial
+from rspinrel.cohft import p_polynomial, p_row
 from rspinrel.linalg import RationalMatrix, rank_and_solve
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -25,14 +26,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def cold_run(argv, *python_flags, hash_seed=0):
-    """One cold ``python -m rspinrel.cli`` process on the sources in ``src``."""
+def cold_run(argv, *python_flags, hash_seed=0, preexec_fn=None):
+    """One cold ``python -m rspinrel.cli`` process on the sources in ``src``;
+    ``preexec_fn`` runs in the child before it starts."""
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "rspinrel.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
     )
 
 
@@ -174,6 +176,24 @@ class TestRelationsCommand:
         modes = {payload["r"] for payload in record["relations"]}
         assert "r^3" in modes and "r^2" in modes
 
+    def test_empty_leg_vector_at_no_markings(self, capsys):
+        # () is the only leg vector at n = 0, and --a "" spells it.
+        code, out, _ = run(capsys, ["relations", "--g", "2", "--n", "0", "--r", "3", "--a", ""])
+        assert code == 0
+        header, relation = out.splitlines()
+        assert header == "relations g=2 n=0 r=3 a=[]"
+        _, full_set, _ = run(capsys, ["relations", "--g", "2", "--n", "0", "--r", "3"])
+        assert full_set.splitlines()[1:] == [relation]
+
+    @pytest.mark.parametrize("a,message", [
+        ("", "leg vector length 0 != n = 2"),
+        ("1,", "cannot parse leg vector '1,'"),
+    ])
+    def test_empty_or_trailing_entry_refused_at_two_markings(self, capsys, a, message):
+        code, out, err = run(capsys, ["relations", "--g", "1", "--n", "2", "--r", "3", "--a", a])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}\n")
+
     def test_usage_errors(self, capsys):
         assert run(capsys, ["relations", "--g", "0", "--n", "2", "--r", "3"])[0] == 1
         assert run(capsys, ["relations", "--g", "1", "--n", "0", "--r", "3"])[0] == 1
@@ -240,6 +260,47 @@ class TestBasisSizeGuard:
         assert "Traceback" not in result.stderr
 
 
+def _cap_address_space():
+    """Runs in a child process: at most 1.5 GB of address space, so that a
+    regression fails there with a MemoryError instead of filling the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+
+class TestLargeR:
+    """r above ``cli.MAX_R`` is a usage refusal, made before any work that
+    grows with r; every r of the benchmark grid and of these tests is below it."""
+
+    HUGE = str(10 ** 9)
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--g", "1", "--n", "3", "--r", HUGE],
+        ["verify-ac", "--g", "2", "--n", "3", "--r", HUGE],
+        ["pm-table", "--m-max", "1", "--r", HUGE],
+        ["relations", "--g", "1", "--n", "3", "--r", str(cli_module.MAX_R + 1)],
+        ["relations", "--g", "1", "--n", "3", "--r", HUGE, "--a", "1,0,0"],
+    ], ids=" ".join)
+    def test_refused_cold_under_a_memory_cap(self, argv):
+        result = cold_run(argv, preexec_fn=_cap_address_space)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith(f"error: r must be at most {cli_module.MAX_R}\n")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--g", "1", "--n", "3", "--r"],
+        ["verify-ac", "--g", "1", "--n", "3", "--r"],
+        ["pm-table", "--m-max", "2", "--r"],
+    ], ids=" ".join)
+    def test_largest_r_answers_cold_under_a_memory_cap(self, argv):
+        result = cold_run([*argv, str(cli_module.MAX_R)], preexec_fn=_cap_address_space)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout
+
+    def test_bound_is_above_every_r_in_use(self):
+        grid = [int(a[a.index("--r") + 1]) for a in workloads.grid_points()
+                if "--r" in a]
+        assert max(grid) < cli_module.MAX_R and 60 < cli_module.MAX_R
+
+
 class TestVerifyAcCommand:
     @pytest.mark.parametrize("g,n,expected_rank", [(1, 4, 5), (2, 0, 1), (3, 0, 0)])
     def test_equal_cases(self, capsys, g, n, expected_rank):
@@ -291,25 +352,38 @@ class TestPmTableCommand:
         record = json.loads(out)
         assert record["table"][0]["values"] == ["1", "1", "1", "1"]
 
-    def test_deep_table_keeps_cache_bounded(self, capsys):
+    def test_deep_table_leaves_p_polynomial_cache_untouched(self, capsys):
+        # The table prints from the integer rows; it makes no cached lookup.
+        before = p_polynomial.cache_info()
         code, _, _ = run(
             capsys, ["pm-table", "--m-max", "200", "--r", "24", "--format", "json"]
         )
         assert code == 0
-        info = p_polynomial.cache_info()
-        assert info.maxsize == 1024
-        assert info.currsize <= info.maxsize
+        assert p_polynomial.cache_info() == before
+
+    @pytest.mark.parametrize("m_max,r", [(40, r) for r in range(3, 31)] + [(200, 24)])
+    def test_entries_are_the_text_of_p_polynomial(self, capsys, m_max, r):
+        expected = [[str(p_polynomial(m, a, r)) for a in range(r - 1)]
+                    for m in range(m_max + 1)]
+        argv = ["pm-table", "--m-max", str(m_max), "--r", str(r)]
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert [row["values"] for row in json.loads(out)["table"]] == expected
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        # Text rows read "<m> |<entries>" under a title, a header and a rule.
+        assert [line.split("|")[1].split() for line in out.splitlines()[3:]] == expected
 
     def test_unprintable_row_refused_where_it_starts(self, capsys, monkeypatch):
         # Python refuses to print integers past a digit limit (4300 by
         # default, which row 930 at r=3 exceeds); the table must stop there.
         requested = []
 
-        def recording(m, a, r):
+        def recording(m, r):
             requested.append(m)
-            return p_polynomial(m, a, r)
+            return p_row(m, r)
 
-        monkeypatch.setattr(cli_module, "p_polynomial", recording)
+        monkeypatch.setattr(cli_module, "p_row", recording)
         code, out, err = run(capsys, ["pm-table", "--m-max", "1000", "--r", "3"])
         assert code == 1
         assert out == ""
@@ -351,8 +425,6 @@ class TestTextOutput:
 class TestColdImports:
     """A cold process loads only the library modules its subcommand uses."""
 
-    HEAVY = {"rspinrel.relations", "rspinrel.strata", "rspinrel.linalg",
-             "rspinrel.oracles", "rspinrel.selftest", "rspinrel.cyclotomic"}
     # Loaded by no relation or table command: the record module ``dataclasses``
     # (with the ``inspect`` it imports) and the selftest-only oracles.
     NEVER = {"dataclasses", "rspinrel.oracles"}
@@ -374,9 +446,10 @@ class TestColdImports:
 
     @pytest.mark.parametrize("argv", COMMANDS[:2])
     def test_help_and_pm_table_load_no_relation_modules(self, argv):
-        loaded = self.loaded_modules(argv)
-        assert "rspinrel.cohft" in loaded
-        assert not loaded & self.HEAVY
+        # cohft alone: no relation module, and not rpoly, which only the
+        # symbolic coefficients use.
+        loaded = {m for m in self.loaded_modules(argv) if m.startswith("rspinrel")}
+        assert loaded == {"rspinrel", "rspinrel.cohft"}
 
     @pytest.mark.parametrize("argv", COMMANDS[2:])
     def test_relation_commands_skip_selftest_and_cyclotomic(self, argv):

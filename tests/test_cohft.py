@@ -12,6 +12,7 @@ from rspinrel.cohft import (
     idempotent_check,
     p_polynomial,
     p_polynomial_symbolic,
+    p_row,
     phi_degree,
     quantum_structure_constants,
     r_forward_entry,
@@ -146,6 +147,28 @@ class TestPTableOracle:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+    @pytest.mark.parametrize("m,r,a,message", [
+        (1, 2, 0, "r must be at least 3"),
+        (1, 2, 5, "r must be at least 3"),
+        (-1, 5, 0, "m must be nonnegative"),
+        (-1, 5, 9, "m must be nonnegative"),
+        (1, 5, 4, "index a=4 out of range 0..3"),
+    ])
+    def test_invalid_arguments_refused_in_order(self, m, r, a, message):
+        # r, then m, then a, whatever else is wrong.
+        with pytest.raises(ValueError, match=message):
+            p_polynomial(m, a, r)
+
+    def test_refused_row_leaves_the_row_store_intact(self):
+        # A negative m stored as the last row would start the next build at
+        # k = 0, whose factor is 0.
+        expected = p_by_recursion(2, 1, 5)
+        for m, r in ((-1, 5), (2, 2)):
+            with pytest.raises(ValueError):
+                p_row(m, r)
+        p_polynomial.cache_clear()
+        assert p_polynomial(2, 1, 5) == expected
 
     def test_deep_row_on_cold_cache_returns(self):
         # The recursion overflowed the interpreter stack here.

@@ -18,7 +18,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 EXPORTED = {
     "cohft": (
         "IdempotentReport", "PhiDegreeReport", "RSpinTheory", "StructureConstants",
-        "idempotent_check", "p_polynomial", "p_polynomial_symbolic", "phi_degree",
+        "idempotent_check", "p_polynomial", "p_polynomial_symbolic", "p_row", "phi_degree",
         "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
         "r_inverse_entry", "r_inverse_matrix", "topological_value", "witten_degree",
     ),
