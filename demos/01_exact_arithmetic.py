@@ -7,13 +7,8 @@ with a consistency check, and rank/determinant over the rationals.
 
 from fractions import Fraction
 
-from rspinrel import (
-    InterpolationError,
-    RPoly,
-    determinant,
-    poly_interpolate,
-    rank_and_solve,
-)
+from rspinrel import InterpolationError, RPoly, poly_interpolate
+from rspinrel.oracles import determinant, rank_and_solve
 
 # Rationals are plain fractions.Fraction: always reduced, exact.
 print("1/2 + 1/3 =", Fraction(1, 2) + Fraction(1, 3))

@@ -10,15 +10,17 @@ from fractions import Fraction
 
 from rspinrel import (
     RSpinTheory,
-    idempotent_check,
     p_polynomial,
     p_polynomial_symbolic,
     phi_degree,
+    topological_value,
+    witten_degree,
+)
+from rspinrel.oracles import (
+    idempotent_check,
     quantum_structure_constants,
     r_forward_matrix,
     r_inverse_matrix,
-    topological_value,
-    witten_degree,
 )
 
 r = 5

@@ -4,11 +4,10 @@ Degree-2 cohomology has a standard generator list per (g, n); each relation
 term traces back to a decorated stable graph of codimension 1.
 """
 
-from rspinrel import (
+from rspinrel import delta_sep, divisor_generators
+from rspinrel.oracles import (
     canonical_divisor,
-    delta_sep,
     divisor_class_of,
-    divisor_generators,
     enumerate_contributing_graphs,
 )
 

@@ -18,17 +18,18 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cohft": (
-        "DegreeGateError", "IdempotentReport", "PhiDegreeReport", "RSpinTheory",
-        "StructureConstants", "idempotent_check", "p_polynomial",
-        "p_polynomial_symbolic", "p_row", "phi_degree", "quantum_structure_constants",
-        "r_forward_entry", "r_forward_matrix", "r_inverse_entry",
-        "r_inverse_matrix", "topological_value", "witten_degree",
+        "DegreeGateError", "PhiDegreeReport", "RSpinTheory", "p_polynomial",
+        "p_polynomial_symbolic", "p_row", "phi_degree", "r_inverse_entry",
+        "topological_value", "witten_degree",
     ),
-    "linalg": ("RationalMatrix", "determinant", "rank_and_solve"),
+    "linalg": ("RationalMatrix",),
     "oracles": (
-        "GraphContribution", "GraphTerm", "StableGraph", "SystemDetReport",
-        "Vertex", "divisor_class_of", "enumerate_contributing_graphs",
-        "graph_contribution_terms", "system_matrix_det",
+        "GraphContribution", "GraphTerm", "IdempotentReport", "StableGraph",
+        "StructureConstants", "SystemDetReport", "Vertex", "canonical_divisor",
+        "determinant", "divisor_class_of", "enumerate_contributing_graphs",
+        "graph_contribution_terms", "idempotent_check", "quantum_structure_constants",
+        "r_forward_entry", "r_forward_matrix", "r_inverse_matrix", "rank_and_solve",
+        "system_matrix_det",
     ),
     "relations": (
         "AssemblyError", "BasisMismatchError", "Relation", "RelationSet",
@@ -40,7 +41,7 @@ _EXPORTS = {
     "selftest": ("CriterionResult", "run_acceptance"),
     "strata": (
         "DivisorClass", "StabilityError", "UnsupportedGenusError",
-        "canonical_divisor", "delta_irr", "delta_sep", "divisor_generators",
+        "delta_irr", "delta_sep", "divisor_generators", "generator_names",
         "kappa1", "psi",
     ),
 }

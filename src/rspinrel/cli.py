@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import gcd
@@ -27,6 +28,9 @@ SCHEMA_VERSION = 1
 # Largest r any subcommand accepts.  The work and output grow with r (a row of
 # the P_m table has r - 1 entries), and near r = 10^9 one row exhausts memory.
 MAX_R = 1000
+# Largest P_m table in entries, m-max + 1 rows of r - 1.  Entries lengthen with
+# m; within this bound a table prints at most about 11 MB of JSON.
+MAX_PM_ENTRIES = 5000
 
 
 class UsageError(Exception):
@@ -41,19 +45,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_terms(names: list[str], coeffs: list[int]) -> str:
-    parts = []
-    for coeff, name in zip(coeffs, names):
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else "+"
-        parts.append((sign, f"{abs(coeff)}*{name}"))
-    if not parts:
+    terms = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{name}"
+                     for c, name in zip(coeffs, names) if c)
+    if not terms:
         return "0 = 0"
-    first_sign, first_term = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text + " = 0"
+    return ("-" if terms[0] == "-" else "") + terms[2:] + " = 0"
 
 
 def _relation_record(names: list[str], coeffs, prov) -> dict:
@@ -122,14 +118,9 @@ def _cmd_relations(args) -> int:
         if not report.relation_exists:
             raise DegreeGateError(g, n, (0,) * n, args.r)
 
-    from .relations import (
-        Provenance,
-        assemble_relation,
-        assembled_relation_set,
-        ppz_relation_set,
-        pullback_genus2,
-    )
-    from .strata import divisor_generators
+    from .relations import (Provenance, assemble_relation, assembled_relation_set,
+                            ppz_relation_set)
+    from .strata import divisor_generators, generator_names
 
     start = time.perf_counter()
     notes: list[str] = []
@@ -148,22 +139,23 @@ def _cmd_relations(args) -> int:
     elif a_vec is not None:
         if g == 2 and n > 0:
             # Marked genus-2 relations are pullbacks of the unmarked one,
-            # never direct assemblies; the unmarked space fixes the leg data.
+            # never direct assemblies; the unmarked space fixes the leg data,
+            # and the full set is that one pulled-back row, with a = ().
             if any(a_vec):
-                raise UsageError(
-                    "genus 2 with markings takes only the all-zero leg vector"
-                )
-            base = assemble_relation(2, 0, (), args.r)
-            rel = pullback_genus2(base, n)
+                raise UsageError("genus 2 with markings takes only the all-zero leg vector")
+            if not phi_degree(2, 1, (), args.r).relation_exists:
+                raise DegreeGateError(2, 0, (), args.r)
+            pulled = ppz_relation_set(2, n, args.r)
+            rows, provenances = pulled.reduced_rows(), pulled.provenances
         else:
             rel = assemble_relation(g, n, a_vec, args.r)
+            if not rel.is_zero():
+                rows = [rel.normalized_vector(divisor_generators(g, n))]
+                provenances = [rel.provenance]
         header = f"relations g={g} n={n} r={args.r} a={list(a_vec)}"
-        if rel.is_zero():
+        if not rows:
             notes.append("zero relation: every graph contribution vanishes")
             header += ": 0 = 0"
-        else:
-            rows = [rel.normalized_vector(divisor_generators(g, n))]
-            provenances = [rel.provenance]
     else:
         rows = ppz_relation_set(g, n, args.r).reduced_rows()
         provenances = [Provenance(g=g, n=n, a_vec=None, r_mode=args.r)] * len(rows)
@@ -175,7 +167,7 @@ def _cmd_relations(args) -> int:
                 )
         header = f"relations g={g} n={n} r={args.r} ({len(rows)} normalized relations)"
 
-    names = [d.render() for d in divisor_generators(g, n)]
+    names = generator_names(g, n)
     payloads = [_relation_record(names, row, prov) for row, prov in zip(rows, provenances)]
     elapsed_ms = round(1000 * (time.perf_counter() - start), 3)
     record = {
@@ -252,6 +244,12 @@ def _cmd_pm_table(args) -> int:
     _check_r(args.r)
     if args.m_max < 0:
         raise UsageError("m-max must be nonnegative")
+    entries = (args.m_max + 1) * (args.r - 1)
+    if entries > MAX_PM_ENTRIES:
+        raise UsageError(
+            f"the table would have (m-max + 1)(r - 1) = {entries} entries, "
+            f"above the limit of {MAX_PM_ENTRIES}"
+        )
     start = time.perf_counter()
     rows = []
     for m in range(args.m_max + 1):
@@ -361,7 +359,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left early (``| head``): as the Python docs' SIGPIPE note
+        # shows, point stdout at devnull so that the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

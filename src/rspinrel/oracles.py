@@ -2,10 +2,13 @@
 
 The CLI's ``relations``, ``verify-ac`` and ``pm-table`` never import this
 module.  It holds the codimension-1 graph layer (stable graphs, their
-enumeration and divisor classes), :func:`graph_contribution_terms` (the
-per-graph contraction oracle for :func:`rspinrel.relations.assemble_relation`)
-and the genus-1 system determinant.  Whatever reads P_m(r, a) here looks up
-``cohft.p_polynomial`` when called, so a patched table is seen.
+enumeration, divisor classes and :func:`canonical_divisor`),
+:func:`graph_contribution_terms` (the per-graph contraction oracle for
+:func:`rspinrel.relations.assemble_relation`), the forward and whole
+R-matrices, the quantum product with its idempotent check in exact cyclotomic
+arithmetic, nullspaces and determinants, and the genus-1 system determinant.
+Whatever reads P_m(r, a) here looks up ``cohft.p_polynomial`` when called, so
+a patched table is seen.
 """
 
 from __future__ import annotations
@@ -15,25 +18,27 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from . import cohft
-from .cohft import RSpinTheory
-from .linalg import RationalMatrix, determinant
+from .cohft import RSpinTheory, r_inverse_entry
+from .cyclotomic import CyclotomicField
+from .linalg import RationalMatrix, rref
 from .relations import (
     SYMBOLIC,
     AssemblyError,
     Coefficient,
     _dilaton_sum,
     _edge_entries,
-    _is_zero,
     _leg_sum,
     _loop_sum,
     _separating_sum,
 )
 from .rpoly import RPoly
 from .strata import (
+    DELTA_IRR,
+    KAPPA1,
+    PSI,
     DivisorClass,
     StabilityError,
     UnsupportedGenusError,
-    canonical_divisor,
     delta_irr,
     delta_sep,
     kappa1,
@@ -43,6 +48,41 @@ from .strata import (
 # ---------------------------------------------------------------------------
 # Decorated graphs contributing in codimension 1
 # ---------------------------------------------------------------------------
+
+
+def canonical_divisor(d: DivisorClass, g: int, n: int) -> DivisorClass:
+    """Canonical representative of a divisor class on the (g, n) space.
+
+    Separating classes are normalized to h < g-h, or h = g-h with S the
+    lexicographically smaller of S and its complement; this also enforces the
+    identification delta_h = delta_{g-h} in higher genus.  Idempotent.
+    """
+    if g < 1:
+        raise UnsupportedGenusError("genus must be at least 1")
+    if 2 * g - 2 + n <= 0:
+        raise StabilityError(f"(g, n) = ({g}, {n}) is unstable")
+    if d.kind == PSI:
+        if not 1 <= d.index <= n:
+            raise ValueError(f"psi index {d.index} out of range 1..{n}")
+        return d
+    if d.kind in (KAPPA1, DELTA_IRR):
+        return d
+    h, S = d.h, d.markings
+    marks = frozenset(range(1, n + 1))
+    if not 0 <= h <= g:
+        raise ValueError(f"component genus {h} out of range 0..{g}")
+    if not S <= marks:
+        raise ValueError("markings outside 1..n")
+    Sc = marks - S
+    # Stability of both sides of the node.
+    if 2 * h - 2 + len(S) + 1 <= 0:
+        raise StabilityError(f"unstable side (h={h}, |S|={len(S)})")
+    if 2 * (g - h) - 2 + len(Sc) + 1 <= 0:
+        raise StabilityError(f"unstable side (h={g - h}, |S|={len(Sc)})")
+    key, key_c = tuple(sorted(S)), tuple(sorted(Sc))
+    if (h, key) <= (g - h, key_c):
+        return delta_sep(h, S)
+    return delta_sep(g - h, Sc)
 
 
 class Vertex(NamedTuple):
@@ -255,8 +295,201 @@ def graph_contribution_terms(
 
 
 # ---------------------------------------------------------------------------
-# The genus-1 leg/kappa system determinant
+# R-matrices and the quantum product
 # ---------------------------------------------------------------------------
+
+
+def r_forward_entry(m: int, a: int, b: int, theory: RSpinTheory) -> Fraction:
+    """Entry of the R-matrix itself: (-1)^m P_m(r, r-2-b) under b + m = a mod r-1.
+
+    The sign comes from the bracket of the omitted scalar being negated for
+    the forward series.
+    """
+    theory.check_index(a)
+    theory.check_index(b)
+    if (b + m - a) % (theory.r - 1) != 0:
+        return Fraction(0)
+    return (-1) ** m * cohft.p_polynomial(m, theory.r - 2 - b, theory.r)
+
+
+def r_inverse_matrix(m: int, theory: RSpinTheory) -> list[list[Fraction]]:
+    """Order-m inverse R-matrix; rows are the upper (output) index."""
+    d = theory.dimension
+    return [[r_inverse_entry(m, a, b, theory) for a in range(d)] for b in range(d)]
+
+
+def r_forward_matrix(m: int, theory: RSpinTheory) -> list[list[Fraction]]:
+    """Order-m R-matrix; rows are the upper (output) index."""
+    d = theory.dimension
+    return [[r_forward_entry(m, a, b, theory) for a in range(d)] for b in range(d)]
+
+
+class StructureConstants(NamedTuple):
+    """Quantum product at the shift point in the rescaled basis.
+
+    The product of basis vectors a and b is the single basis vector with
+    index a + b mod r - 1, so the table stores that index; the structure
+    constant c^i_ab is 1 when i equals table[a][b] and 0 otherwise.
+    """
+
+    r: int
+    table: tuple[tuple[int, ...], ...]
+
+    def product_index(self, a: int, b: int) -> int:
+        return self.table[a][b]
+
+    def coefficient(self, i: int, a: int, b: int) -> int:
+        return 1 if self.table[a][b] == i else 0
+
+
+def quantum_structure_constants(theory: RSpinTheory) -> StructureConstants:
+    """Structure constants of the quantum product at the shift point."""
+    d = theory.dimension
+    table = tuple(
+        tuple((a + b) % (theory.r - 1) for b in range(d)) for a in range(d)
+    )
+    return StructureConstants(r=theory.r, table=table)
+
+
+class IdempotentReport(NamedTuple):
+    r: int
+    ok: bool
+    geometric_sums_ok: bool
+    idempotent_identity_ok: bool
+    failures: tuple[str, ...]
+
+
+def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
+    """Verify the discrete-Fourier basis diagonalizes the quantum product.
+
+    With zeta a primitive (r-1)-th root of unity and f_i = sum_a zeta^(a*i) v_a
+    over the rescaled basis v_a, checks f_i . f_j = (r-1) delta_ij f_j in exact
+    cyclotomic arithmetic, along with the geometric-sum identity
+    1 + zeta^x + ... + zeta^((r-2)x) = 0 for x != 0 mod r-1 that drives it.
+    """
+    m = theory.r - 1
+    field = CyclotomicField(m)
+    failures: list[str] = []
+
+    geometric_ok = True
+    for x in range(1, m):
+        total = field.zero()
+        for k in range(m):
+            total = field.add(total, field.root_power(k * x))
+        if not field.is_zero(total):
+            geometric_ok = False
+            failures.append(f"geometric sum nonzero for x={x}")
+
+    product_ok = True
+    for i in range(m):
+        for j in range(m):
+            for c in range(m):
+                # Coefficient of v_c in f_i . f_j: sum over a+b = c mod r-1
+                # of zeta^(a i + b j).
+                coeff = field.zero()
+                for a in range(m):
+                    b = (c - a) % m
+                    coeff = field.add(coeff, field.root_power(a * i + b * j))
+                if i == j:
+                    expected = field.scale(field.root_power(c * j), m)
+                else:
+                    expected = field.zero()
+                if coeff != expected:
+                    product_ok = False
+                    failures.append(f"product mismatch at i={i} j={j} c={c}")
+
+    return IdempotentReport(
+        r=theory.r,
+        ok=geometric_ok and product_ok,
+        geometric_sums_ok=geometric_ok,
+        idempotent_identity_ok=product_ok,
+        failures=tuple(failures),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Nullspace and determinants, and the genus-1 leg/kappa system determinant
+# ---------------------------------------------------------------------------
+
+
+def _as_matrix(m) -> RationalMatrix:
+    return m if isinstance(m, RationalMatrix) else RationalMatrix(m)
+
+
+def rank_and_solve(m) -> tuple[int, list[tuple[Fraction, ...]]]:
+    """Exact rank and a basis of the right nullspace of a rational matrix.
+
+    Each basis vector v satisfies M v = 0 exactly, and
+    rank + len(basis) == cols.  Both are read off
+    :func:`rspinrel.linalg.rref`.
+    """
+    mat = _as_matrix(m)
+    rows, pivots = rref(mat)
+    pivot_set = set(pivots)
+    basis: list[tuple[Fraction, ...]] = []
+    for free in range(mat.cols):
+        if free in pivot_set:
+            continue
+        v = [Fraction(0)] * mat.cols
+        v[free] = Fraction(1)
+        for row, piv_col in zip(rows, pivots):
+            v[piv_col] = Fraction(-row[free], row[piv_col])
+        basis.append(tuple(v))
+    return len(pivots), basis
+
+
+def determinant(m):
+    """Exact determinant; Bareiss for rational entries, minor expansion for RPoly."""
+    mat = _as_matrix(m)
+    if mat.rows != mat.cols:
+        raise ValueError("determinant of a non-square matrix")
+    if mat.is_polynomial:
+        return _minor_expansion_det(mat.entries)
+    return _bareiss_det(mat.entries)
+
+
+def _bareiss_det(entries: tuple[tuple[Fraction, ...], ...]) -> Fraction:
+    n = len(entries)
+    if n == 0:
+        return Fraction(1)
+    m = [list(row) for row in entries]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss update: exact division by the previous pivot.
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = Fraction(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _minor_expansion_det(entries) -> RPoly:
+    """Cofactor expansion along the rows, memoized on the columns left."""
+    n = len(entries)
+    cache = {(): RPoly((1,))}
+
+    def minor(cols: tuple[int, ...]) -> RPoly:
+        if cols not in cache:
+            row = entries[n - len(cols)]
+            total = RPoly()
+            for pos, col in enumerate(cols):
+                if row[col]:
+                    term = row[col] * minor(cols[:pos] + cols[pos + 1:])
+                    total = total - term if pos % 2 else total + term
+            cache[cols] = total
+        return cache[cols]
+
+    return minor(tuple(range(n)))
 
 
 class SystemDetReport(NamedTuple):
@@ -306,7 +539,7 @@ def system_matrix_det(
         det=det,
         reference_value=reference,
         residual=residual,
-        matches_reference=_is_zero(residual),
+        matches_reference=not residual,
         product_form_value=product_form,
-        matches_product_form=_is_zero(det - product_form),
+        matches_product_form=not (det - product_form),
     )

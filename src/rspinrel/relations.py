@@ -39,13 +39,14 @@ index patterns are independent of r): every coefficient is a polynomial in r
 of degree at most 3, recovered by exact interpolation from the table's values
 at six sample r, once per (sum(a), key).  Each power of r is extracted from
 those few key polynomials and expanded over the basis once, as the primitive
-integer row that row reduction takes directly.
+integer row that row reduction takes directly.  Only the code that builds or
+reads such polynomials imports ``rpoly``, so a numeric relation loads none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .cohft import (
     DegreeGateError,
@@ -55,7 +56,6 @@ from .cohft import (
     topological_value,
 )
 from .linalg import primitive_int_vector, rref
-from .rpoly import RPoly, poly_interpolate
 from .strata import (
     DELTA_IRR,
     DELTA_SEP,
@@ -67,6 +67,9 @@ from .strata import (
     divisor_generators,
     kappa1,
 )
+
+if TYPE_CHECKING:
+    from .rpoly import RPoly
 
 SYMBOLIC = "symbolic"
 
@@ -91,14 +94,14 @@ class Provenance(NamedTuple):
     r_mode: Union[int, str]  # numeric r, "symbolic", "r^k", "reference", "reduced"
 
 
-Coefficient = Union[Fraction, RPoly]
+Coefficient = Union[Fraction, "RPoly"]
 
 
 class Relation:
     """Linear combination of divisor classes; zero coefficients never stored."""
 
     def __init__(self, coefficients: dict[DivisorClass, Coefficient], provenance: Provenance):
-        self.coefficients = {d: c for d, c in coefficients.items() if not _is_zero(c)}
+        self.coefficients = {d: c for d, c in coefficients.items() if c}
         self.provenance = provenance
 
     def __eq__(self, other):
@@ -112,9 +115,6 @@ class Relation:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def is_symbolic(self) -> bool:
-        return any(isinstance(c, RPoly) for c in self.coefficients.values())
-
     def vector(self, basis: Sequence[DivisorClass]) -> tuple[Coefficient, ...]:
         """Coefficients in basis order."""
         missing = self.coefficients.keys() - frozenset(basis)
@@ -126,9 +126,10 @@ class Relation:
     def normalized_vector(self, basis: Sequence[DivisorClass]) -> tuple[int, ...]:
         """Primitive integer coefficients, first nonzero entry positive."""
         vec = self.vector(basis)
-        if any(isinstance(c, RPoly) for c in vec):
-            raise ValueError("normalized_vector requires a numeric relation")
-        return primitive_int_vector(vec)
+        try:  # a polynomial coefficient has no denominator
+            return primitive_int_vector(vec)
+        except ValueError:
+            raise ValueError("normalized_vector requires a numeric relation") from None
 
 
 class RelationSet:
@@ -168,12 +169,6 @@ class RelationSet:
     def reduced_rows(self) -> list[tuple[int, ...]]:
         """Row-reduced basis of the span as primitive integer vectors."""
         return rref(self.rows)[0]
-
-
-def _is_zero(c: Coefficient) -> bool:
-    if isinstance(c, RPoly):
-        return c.is_zero()
-    return c == 0
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +359,8 @@ class _RelationTable:
 
     def symbolic(self, a_vec: tuple[int, ...]) -> dict[object, RPoly]:
         """Each key's coefficient as a polynomial in r (genus 1 only)."""
+        from .rpoly import poly_interpolate
+
         if self.g != 1:
             raise UnsupportedGenusError("symbolic-in-r assembly is only meaningful in genus 1")
         samples = [self.numeric(a_vec, rr) for rr in _SYMBOLIC_SAMPLE_RS]
@@ -448,10 +445,11 @@ def extract_r_coefficients(rel: Relation) -> RelationSet:
     removed, first nonzero coefficient positive).  Redundant relations are
     kept; span analysis is a separate concern.
     """
-    if not rel.is_symbolic() and not rel.is_zero():
-        raise ValueError("extraction needs a symbolic-mode relation")
+    from .rpoly import RPoly
+
     prov = rel.provenance
-    if prov.r_mode != SYMBOLIC:
+    numeric = not any(isinstance(c, RPoly) for c in rel.coefficients.values())
+    if prov.r_mode != SYMBOLIC or numeric and not rel.is_zero():
         raise ValueError("extraction needs a symbolic-mode relation")
     basis = tuple(divisor_generators(prov.g, prov.n))
     keys = [rel.coefficients.get(d, RPoly.zero()) for d in basis]

@@ -10,9 +10,9 @@ its complement as a sorted tuple.  The basis lists the canonical classes
 directly in (h, sorted S) order, without canonicalizing or sorting.
 
 The decorated graphs whose reconstruction term can land in codimension 1,
-and their enumeration, live in :mod:`rspinrel.oracles`: the relation assembly
-reads each class's coefficient off the class itself, and only the per-graph
-oracle walks the graphs.
+their enumeration and ``canonical_divisor`` live in :mod:`rspinrel.oracles`:
+the relation assembly reads each class's coefficient off the class itself,
+and only the per-graph oracle walks the graphs and canonicalizes classes.
 """
 
 from __future__ import annotations
@@ -81,41 +81,6 @@ def delta_sep(h: int, markings) -> DivisorClass:
     return DivisorClass(kind=DELTA_SEP, h=h, markings=frozenset(markings))
 
 
-def canonical_divisor(d: DivisorClass, g: int, n: int) -> DivisorClass:
-    """Canonical representative of a divisor class on the (g, n) space.
-
-    Separating classes are normalized to h < g-h, or h = g-h with S the
-    lexicographically smaller of S and its complement; this also enforces the
-    identification delta_h = delta_{g-h} in higher genus.  Idempotent.
-    """
-    if g < 1:
-        raise UnsupportedGenusError("genus must be at least 1")
-    if 2 * g - 2 + n <= 0:
-        raise StabilityError(f"(g, n) = ({g}, {n}) is unstable")
-    if d.kind == PSI:
-        if not 1 <= d.index <= n:
-            raise ValueError(f"psi index {d.index} out of range 1..{n}")
-        return d
-    if d.kind in (KAPPA1, DELTA_IRR):
-        return d
-    h, S = d.h, d.markings
-    marks = frozenset(range(1, n + 1))
-    if not 0 <= h <= g:
-        raise ValueError(f"component genus {h} out of range 0..{g}")
-    if not S <= marks:
-        raise ValueError("markings outside 1..n")
-    Sc = marks - S
-    # Stability of both sides of the node.
-    if 2 * h - 2 + len(S) + 1 <= 0:
-        raise StabilityError(f"unstable side (h={h}, |S|={len(S)})")
-    if 2 * (g - h) - 2 + len(Sc) + 1 <= 0:
-        raise StabilityError(f"unstable side (h={g - h}, |S|={len(Sc)})")
-    key, key_c = tuple(sorted(S)), tuple(sorted(Sc))
-    if (h, key) <= (g - h, key_c):
-        return delta_sep(h, S)
-    return delta_sep(g - h, Sc)
-
-
 def divisor_generators(g: int, n: int) -> list[DivisorClass]:
     """Ordered generators of degree-2 cohomology: psi's, kappa_1, the
     irreducible boundary, then the canonical separating classes in
@@ -127,6 +92,22 @@ def divisor_generators(g: int, n: int) -> list[DivisorClass]:
     return list(_divisor_generators(g, n))
 
 
+def generator_names(g: int, n: int) -> list[str]:
+    """``render`` of each class of divisor_generators(g, n), after the same
+    checks, from the subsets' texts rather than by sorting each class's
+    markings.  Built afresh on each call: only the basis is cached."""
+    _check_space(g, n)
+    texts = _lex_subsets(n, text=True)
+    names = [f"psi_{i}" for i in range(1, n + 1)] + ["kappa_1", "delta_irr"]
+    for h in range(g // 2 + 1):
+        if 2 * h == g:
+            chosen = _balanced(texts, n)
+        else:  # |S| >= 2 when h = 0
+            chosen = [t for t in texts if h or "," in t]
+        names += [f"delta_{{{h},{{{t}}}}}" for t in chosen]
+    return names
+
+
 def basis_size(g: int, n: int) -> int:
     """len(divisor_generators(g, n)) in closed form, for g >= 1: n psi
     classes, kappa_1, delta_irr, and the (g+1)·2^n pairs (h, S) less the
@@ -136,10 +117,17 @@ def basis_size(g: int, n: int) -> int:
     return n + 2 + ((g + 1) * 2 ** n - 2 * (n + 1) + (n == 0 and g % 2 == 0)) // 2
 
 
-def _check_basis_size(g: int, n: int) -> None:
-    """Refuse a basis above MAX_BASIS_SIZE.  Every basis has more than 2^n
-    classes, so a large n is refused before 2^n is built, and a size too long
-    to print is given as a power of two."""
+def _check_space(g: int, n: int) -> None:
+    """Refuse genus below 1, an unstable (g, n), a negative n and a basis above
+    MAX_BASIS_SIZE.  Every basis has more than 2^n classes, so a large n is
+    refused before 2^n is built, and a size too long to print is given as a
+    power of two."""
+    if g < 1:
+        raise UnsupportedGenusError("genus-0 generators are out of scope")
+    if 2 * g - 2 + n <= 0:
+        raise StabilityError(f"(g, n) = ({g}, {n}) is unstable")
+    if n < 0:
+        raise ValueError("the number of markings must be nonnegative")
     if n > 64:
         shown = f"at least 2^{n}"
     else:
@@ -153,32 +141,37 @@ def _check_basis_size(g: int, n: int) -> None:
     )
 
 
-def _lex_subsets(n: int) -> list[tuple[int, ...]]:
-    """Every subset of 1..n as a sorted tuple, in lexicographic order: the
-    subsets of k..n are {}, then k joined to each subset of k+1..n, then the
-    nonempty subsets of k+1..n."""
-    subsets = [()]
+def _lex_subsets(n: int, text: bool = False) -> list:
+    """Every subset of 1..n in lexicographic order, as a sorted tuple or, with
+    ``text``, its entries joined by commas: the subsets of k..n are {}, then
+    k joined to each subset of k+1..n, then the nonempty subsets of k+1..n."""
+    subsets = [""] if text else [()]
     for k in range(n, 0, -1):
-        subsets = [()] + [(k,) + S for S in subsets] + subsets[1:]
+        if text:
+            prefix = f"{k},"
+            head = [str(k)] + [prefix + t for t in subsets[1:]]
+        else:
+            head = [(k,) + S for S in subsets]
+        subsets = subsets[:1] + head + subsets[1:]
     return subsets
+
+
+def _balanced(subsets: list, n: int) -> list:
+    """The S of the canonical delta_{g/2,S} among the lexicographic subsets:
+    {} and the 2^(n-1) after it, which hold marking 1, less the n-th, {1..n}."""
+    return subsets[:max(n, 1)] + subsets[n + 1:(1 << n >> 1) + 1]
 
 
 @lru_cache(maxsize=None)
 def _divisor_generators(g: int, n: int) -> tuple[DivisorClass, ...]:
-    if g < 1:
-        raise UnsupportedGenusError("genus-0 generators are out of scope")
-    if 2 * g - 2 + n <= 0:
-        raise StabilityError(f"(g, n) = ({g}, {n}) is unstable")
-    if n < 0:
-        raise ValueError("the number of markings must be nonnegative")
-    _check_basis_size(g, n)
+    _check_space(g, n)
     gens = [psi(i) for i in range(1, n + 1)]
     gens.append(kappa1())
     gens.append(delta_irr())
     subsets = _lex_subsets(n)
     for h in range(g // 2 + 1):
         if 2 * h == g:
-            chosen = [S for S in subsets if not S or (S[0] == 1 and len(S) < n)]
+            chosen = _balanced(subsets, n)
         else:
             chosen = [S for S in subsets if h or len(S) >= 2]
         gens += [DivisorClass(DELTA_SEP, None, h, frozenset(S)) for S in chosen]

@@ -11,9 +11,13 @@ from fractions import Fraction
 import pytest
 
 import rspinrel.cli as cli_module
+import rspinrel.relations as relations_module
 from rspinrel.cli import main
-from rspinrel.cohft import p_polynomial, p_row
-from rspinrel.linalg import RationalMatrix, rank_and_solve
+from rspinrel.cohft import PhiDegreeReport, p_polynomial, p_row
+from rspinrel.linalg import RationalMatrix
+from rspinrel.oracles import rank_and_solve
+from rspinrel.relations import DegreeGateError, assemble_relation, pullback_genus2
+from rspinrel.strata import divisor_generators
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, ROOT)
@@ -26,15 +30,21 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def cold_run(argv, *python_flags, hash_seed=0, preexec_fn=None):
-    """One cold ``python -m rspinrel.cli`` process on the sources in ``src``;
-    ``preexec_fn`` runs in the child before it starts."""
+def cli_env(hash_seed=0):
+    """The environment of a cold CLI process on the sources in ``src``."""
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def cold_run(argv, *python_flags, hash_seed=0, preexec_fn=None):
+    """One cold ``python -m rspinrel.cli`` process on the sources in ``src``;
+    ``preexec_fn`` runs in the child before it starts."""
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "rspinrel.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
+        env=cli_env(hash_seed), capture_output=True, text=True, timeout=120,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -206,6 +216,66 @@ class TestRelationsCommand:
         assert run(capsys, ["nonsense"])[0] == 1
 
 
+def pullback_route(n, r):
+    """Oracle for ``relations --g 2 --n n --r r --a 0,...,0``: the relations,
+    notes and text lines the command printed when it pulled the unmarked
+    relation back class by class and normalized it over the basis."""
+    rel = pullback_genus2(assemble_relation(2, 0, (), r), n)
+    names = [d.render() for d in divisor_generators(2, n)]
+    header = f"relations g=2 n={n} r={r} a={[0] * n}"
+    if rel.is_zero():
+        note = "zero relation: every graph contribution vanishes"
+        return [], [note], [header + ": 0 = 0", f"  note: {note}"]
+    coeffs = list(rel.normalized_vector(divisor_generators(2, n)))
+    prov = rel.provenance
+    record = {"generators": names, "coeffs": coeffs, "g": prov.g, "n": prov.n,
+              "a": list(prov.a_vec), "r": prov.r_mode}
+    return [record], [], [header, "  " + cli_module._format_terms(names, coeffs)]
+
+
+class TestGenusTwoLegVector:
+    """``--a 0,...,0`` in genus 2 prints the row the full set builds, as the
+    pullback route did."""
+
+    @staticmethod
+    def argv(n, r):
+        return ["relations", "--g", "2", "--n", str(n), "--r", str(r), "--a", ",".join("0" * n)]
+
+    @pytest.mark.parametrize("n,r", [(n, 3) for n in range(1, 13)] + [(3, 4), (3, 5), (12, 5)])
+    def test_record_and_text_match_pullback_route(self, capsys, n, r):
+        relations, notes, lines = pullback_route(n, r)
+        assert bool(relations) == (r == 3)
+        code, out, _ = run(capsys, self.argv(n, r) + ["--format", "json"])
+        record = json.loads(out)
+        assert code == 0
+        assert (record["relations"], record["notes"]) == (relations, notes)
+        assert record["params"]["a"] == [0] * n
+        code, out, _ = run(capsys, self.argv(n, r))
+        assert code == 0 and out.splitlines() == lines
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_nonzero_leg_vector_refused(self, capsys, r):
+        code, out, err = run(capsys, ["relations", "--g", "2", "--n", "3", "--r", str(r),
+                                      "--a", "0,1,0"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: genus 2 with markings takes only the all-zero leg vector\n")
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_closed_gate_refused_as_the_unmarked_assembly(self, capsys, monkeypatch, r):
+        # The genus-2 gate is open at every r; closed by hand, the command
+        # refuses with the error the unmarked assembly raises.
+        def closed(g, D, a_vec, r):
+            return PhiDegreeReport(value=1, relation_exists=False, d_integral=False)
+
+        monkeypatch.setattr(relations_module, "phi_degree", closed)
+        with pytest.raises(DegreeGateError) as expected:
+            assemble_relation(2, 0, (), r)
+        monkeypatch.setattr(cli_module, "phi_degree", closed)
+        code, out, err = run(capsys, self.argv(3, r))
+        assert code == 2 and out == ""
+        assert err == f"refused: {expected.value} (target codimension D = 1)\n"
+
+
 class TestBasisSizeGuard:
     """An input whose divisor basis is over the limit exits 1 with the size,
     after the usage checks and degree-gate refusals that come first."""
@@ -299,6 +369,81 @@ class TestLargeR:
         grid = [int(a[a.index("--r") + 1]) for a in workloads.grid_points()
                 if "--r" in a]
         assert max(grid) < cli_module.MAX_R and 60 < cli_module.MAX_R
+
+
+def _table_argv(m_max, r):
+    return ["pm-table", "--m-max", str(m_max), "--r", str(r), "--format", "json"]
+
+
+class TestTableSize:
+    """A P_m table of more than ``cli.MAX_PM_ENTRIES`` entries, (m-max + 1)
+    rows of r - 1, is a usage refusal made before any row is built; every
+    table of the benchmark grid and of the other tests is within it."""
+
+    # (m-max + 1)(r - 1) is the bound itself, or one entry above it.
+    AT_BOUND = (99, 51)
+    ABOVE_BOUND = (1666, 4)
+
+    def test_sides_sit_at_the_bound(self):
+        (m0, r0), (m1, r1) = self.AT_BOUND, self.ABOVE_BOUND
+        assert (m0 + 1) * (r0 - 1) == cli_module.MAX_PM_ENTRIES
+        assert (m1 + 1) * (r1 - 1) == cli_module.MAX_PM_ENTRIES + 1
+
+    @pytest.mark.parametrize("m_max,r", [ABOVE_BOUND, (60, 1000), (10 ** 9, 1000), (10 ** 30, 3)],
+                             ids=str)
+    def test_refused_cold_under_a_memory_cap(self, m_max, r):
+        result = cold_run(_table_argv(m_max, r), preexec_fn=_cap_address_space)
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr.startswith(
+            f"error: the table would have (m-max + 1)(r - 1) = {(m_max + 1) * (r - 1)} "
+            f"entries, above the limit of {cli_module.MAX_PM_ENTRIES}\n"
+        )
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("m_max,r", [AT_BOUND, (4, 1000)], ids=str)
+    def test_largest_tables_answer_cold_under_a_memory_cap(self, m_max, r):
+        result = cold_run(_table_argv(m_max, r), preexec_fn=_cap_address_space)
+        assert result.returncode == 0, result.stderr
+        table = json.loads(result.stdout)["table"]
+        assert [len(row["values"]) for row in table] == [r - 1] * (m_max + 1)
+
+    def test_refusal_builds_no_row(self, capsys, monkeypatch):
+        requested = []
+        monkeypatch.setattr(cli_module, "p_row", lambda m, r: requested.append(m))
+        code, out, _ = run(capsys, _table_argv(*self.ABOVE_BOUND))
+        assert (code, out, requested) == (1, "", [])
+
+    def test_bound_is_above_every_table_in_use(self):
+        sizes = [(int(a[a.index("--m-max") + 1]) + 1) * (int(a[a.index("--r") + 1]) - 1)
+                 for a in workloads.grid_points() if a[0] == "pm-table"]
+        assert max(sizes) == 201 * 23 <= cli_module.MAX_PM_ENTRIES
+        # The digit-limit refusal at (1000, 3) and the largest r at m-max 2.
+        assert 1001 * 2 <= cli_module.MAX_PM_ENTRIES and 3 * 999 <= cli_module.MAX_PM_ENTRIES
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early (as ``| head`` does) ends the command
+    with exit 1 and nothing on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--g", "2", "--n", "12", "--r", "3"],
+        ["relations", "--g", "2", "--n", "12", "--r", "3", "--format", "json"],
+        ["pm-table", "--m-max", "200", "--r", "24"],
+    ], ids=" ".join)
+    def test_no_traceback_cold(self, argv):
+        # Each output is far larger than a pipe buffer, so the writer sees
+        # the closed pipe.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rspinrel.cli", *argv], env=cli_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert len(head) == 50
+        assert "Traceback" not in err and err == ""
 
 
 class TestVerifyAcCommand:
@@ -457,9 +602,36 @@ class TestColdImports:
         assert "rspinrel.relations" in loaded
         assert not loaded & {"rspinrel.selftest", "rspinrel.cyclotomic"}
 
-    @pytest.mark.parametrize("argv", COMMANDS)
+    # Numeric commands: genus 2 and 3 never interpolate in r, and one genus-1
+    # leg vector at a given r is assembled without polynomials.
+    NUMERIC = [
+        ["relations", "--g", "2", "--n", "3", "--r", "3"],
+        ["relations", "--g", "2", "--n", "3", "--r", "3", "--a", "0,0,0"],
+        ["verify-ac", "--g", "2", "--n", "3", "--r", "3"],
+        ["verify-ac", "--g", "3", "--n", "2", "--r", "3"],
+        ["relations", "--g", "1", "--n", "3", "--r", "3", "--a", "1,0,0"],
+    ]
+    # Genus-1 sets whose relations are extracted from polynomials in r.
+    SYMBOLIC = [
+        ["relations", "--g", "1", "--n", "2", "--r", "3"],
+        ["relations", "--g", "1", "--n", "2", "--symbolic"],
+        ["relations", "--g", "1", "--n", "2", "--symbolic", "--a", "1,0"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS + NUMERIC + SYMBOLIC[1:])
     def test_commands_load_neither_dataclasses_nor_oracles(self, argv):
         assert not self.loaded_modules(argv) & self.NEVER
+
+    @pytest.mark.parametrize("argv", NUMERIC, ids=" ".join)
+    def test_numeric_commands_load_no_rpoly(self, argv):
+        loaded = {m for m in self.loaded_modules(argv) if m.startswith("rspinrel")}
+        assert loaded == {"rspinrel"} | {
+            f"rspinrel.{name}" for name in ("cohft", "relations", "strata", "linalg")
+        }
+
+    @pytest.mark.parametrize("argv", SYMBOLIC, ids=" ".join)
+    def test_genus_one_sets_load_rpoly(self, argv):
+        assert "rspinrel.rpoly" in self.loaded_modules(argv)
 
     @pytest.mark.parametrize("argv", COMMANDS[2:])
     def test_relation_commands_load_exactly_their_modules(self, argv):

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every module-level private function or class is used somewhere in the package.
+"""Every module-level import in the package is used by its module, every
+import inside a function is used by that function, and every module-level
+private function or class is used somewhere in the package.
 
 Stand-ins for a linter's unused-import and dead-code rules, in the standard
 library only: deleting code must not leave its imports or helpers behind.
@@ -43,6 +44,66 @@ def test_detects_an_unused_import(tmp_path):
         "    return gcd(x, 2)\n"
     )
     assert unused_imports(module) == ["lcm (line 3)", "system (line 2)"]
+
+
+def unused_function_imports(path):
+    """Imports made inside a function (or method) that the function never
+    names; an import in a nested function must be used in that function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        used = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.add(f"{func.name}: {name} (line {node.lineno})")
+    return sorted(unused)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_function_level_imports_are_used(path):
+    assert unused_function_imports(path) == []
+
+
+def test_detects_an_unused_function_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import os\n"
+        "def used():\n"
+        "    from math import gcd\n"
+        "    return gcd(4, 6)\n"
+        "def unused():\n"
+        "    from math import gcd, lcm as least\n"
+        "    return gcd(4, 6)\n"
+        "class Table:\n"
+        "    def build(self):\n"
+        "        import json\n"
+        "        return os.sep\n"
+        "def outer():\n"
+        "    from math import comb\n"
+        "    def inner():\n"
+        "        from math import perm\n"
+        "        return comb(4, 2)\n"
+        "    return perm\n"
+    )
+    assert unused_function_imports(module) == [
+        "build: json (line 10)", "inner: perm (line 15)", "unused: least (line 6)",
+    ]
+
+
+def test_detects_a_function_import_left_behind_in_the_package(tmp_path):
+    # Dropping the call that reads polynomials must flag its import.
+    source = (SRC / "relations.py").read_text()
+    call = "self._polys[total, key] = poly_interpolate("
+    assert source.count(call) == 1
+    module = tmp_path / "relations.py"
+    module.write_text(source.replace(call, "self._polys[total, key] = tuple("))
+    found = unused_function_imports(module)
+    assert len(found) == 1 and found[0].startswith("symbolic: poly_interpolate (line ")
 
 
 def unreferenced_private_definitions(paths):

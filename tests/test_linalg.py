@@ -4,13 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rspinrel.linalg import (
-    RationalMatrix,
-    determinant,
-    primitive_int_vector,
-    rank_and_solve,
-    rref,
-)
+from rspinrel.linalg import RationalMatrix, primitive_int_vector, rref
+from rspinrel.oracles import determinant, rank_and_solve
 from rspinrel.rpoly import RPoly
 
 entries = st.fractions(min_value=-30, max_value=30, max_denominator=12)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rspinrel.cohft import RSpinTheory, phi_degree, r_inverse_entry, topological_value
-from rspinrel.linalg import RationalMatrix, primitive_int_vector, rank_and_solve
+from rspinrel.linalg import RationalMatrix, primitive_int_vector
 from rspinrel.relations import (
     AssemblyError,
     BasisMismatchError,
@@ -29,13 +29,14 @@ from rspinrel.relations import (
     spans_equal,
 )
 from rspinrel.oracles import (
+    canonical_divisor,
     enumerate_contributing_graphs,
     graph_contribution_terms,
+    rank_and_solve,
     system_matrix_det,
 )
 from rspinrel.rpoly import RPoly, poly_interpolate
 from rspinrel.strata import (
-    canonical_divisor,
     delta_irr,
     delta_sep,
     divisor_generators,
@@ -315,6 +316,14 @@ class TestExtraction:
         numeric = assemble_relation(1, 2, (1, 0), 3)
         with pytest.raises(ValueError):
             extract_r_coefficients(numeric)
+
+    def test_symbolic_relation_has_no_normalized_vector(self):
+        symbolic = assemble_relation(1, 2, (1, 0), symbolic=True)
+        with pytest.raises(ValueError, match="requires a numeric relation"):
+            symbolic.normalized_vector(divisor_generators(1, 2))
+        # Zero polynomials are dropped like zero rationals.
+        rel = Relation({psi(1): RPoly.zero(), psi(2): RPoly.variable()}, symbolic.provenance)
+        assert rel.coefficients == {psi(2): RPoly.variable()}
 
 
 class TestRecordTypes:

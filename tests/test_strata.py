@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from rspinrel.oracles import (
     StableGraph,
     Vertex,
+    canonical_divisor,
     divisor_class_of,
     enumerate_contributing_graphs,
 )
@@ -15,10 +16,10 @@ from rspinrel.strata import (
     StabilityError,
     UnsupportedGenusError,
     basis_size,
-    canonical_divisor,
     delta_irr,
     delta_sep,
     divisor_generators,
+    generator_names,
     kappa1,
     psi,
 )
@@ -174,6 +175,30 @@ class TestCanonicalOrder:
         keys = [sorted_key(d) for d in gens]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert len(gens) == basis_size(g, n)
+
+
+class TestGeneratorNames:
+    """The names listed from the subsets' texts against ``render`` on each
+    class of the basis."""
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_match_rendered_basis(self, g):
+        spaces = [n for n in range(13) if 2 * g - 2 + n > 0]
+        for n in spaces:
+            assert generator_names(g, n) == [d.render() for d in divisor_generators(g, n)], n
+        assert len(spaces) == 13 - (g == 1)
+
+    @pytest.mark.parametrize("g,n,error", [
+        (0, 3, UnsupportedGenusError), (1, 0, StabilityError), (2, -1, ValueError),
+    ])
+    def test_refused_like_the_basis(self, g, n, error):
+        for build in (generator_names, divisor_generators):
+            with pytest.raises(error):
+                build(g, n)
+
+    def test_oversized_basis_refused_with_its_size(self):
+        with pytest.raises(ValueError, match="1073741825 classes, above the limit"):
+            generator_names(1, 30)
 
 
 class TestBasisSize:
