@@ -118,9 +118,9 @@ def _cmd_relations(args) -> int:
         if not report.relation_exists:
             raise DegreeGateError(g, n, (0,) * n, args.r)
 
-    from .relations import (Provenance, assemble_relation, assembled_relation_set,
-                            ppz_relation_set)
-    from .strata import divisor_generators, generator_names
+    from .relations import (Provenance, assembled_relation_set, ppz_relation_set,
+                            relation_row)
+    from .strata import check_space, generator_names
 
     start = time.perf_counter()
     notes: list[str] = []
@@ -129,7 +129,7 @@ def _cmd_relations(args) -> int:
     if args.symbolic:
         if a_vec is None:
             # Refuse an oversized basis before n leg vectors are built.
-            divisor_generators(g, n)
+            check_space(g, n)
         a_choices = [a_vec] if a_vec is not None else [
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         ]
@@ -148,10 +148,9 @@ def _cmd_relations(args) -> int:
             pulled = ppz_relation_set(2, n, args.r)
             rows, provenances = pulled.reduced_rows(), pulled.provenances
         else:
-            rel = assemble_relation(g, n, a_vec, args.r)
-            if not rel.is_zero():
-                rows = [rel.normalized_vector(divisor_generators(g, n))]
-                provenances = [rel.provenance]
+            row = relation_row(g, n, a_vec, args.r)
+            if any(row):
+                rows, provenances = [row], [Provenance(g, n, a_vec, args.r)]
         header = f"relations g={g} n={n} r={args.r} a={list(a_vec)}"
         if not rows:
             notes.append("zero relation: every graph contribution vanishes")

@@ -25,21 +25,29 @@ A topological vertex value depends only on the vertex genus and on its
 insertion sum mod r-1, so a class's coefficient depends on the leg vector a
 only through sum(a) and the class's key: (psi, a_i) for psi_i,
 kappa_1, delta_irr, and (delta_sep, h, sum of a_i over S) for delta_{h,S}.
-Relations are therefore built from a per-call table that contracts once per
-(r, sum(a), key), a handful of times for the whole basis and every leg vector
-with the same sum, instead of once per class or graph.  For one-edge graphs
-the gluing map onto the boundary divisor has degree equal to the automorphism
-order of the graph, so the two cancel and the divisor coefficient is the plain
-contraction sum; the golden totals pin this convention.
-:func:`rspinrel.oracles.graph_contribution_terms` keeps the per-graph
-enumeration as the test oracle; both paths share the per-family sums here.
+A per-call table contracts once per (r, sum(a), key), instead of once per
+class or graph.  For one-edge graphs the gluing map onto the boundary divisor
+has degree equal to the automorphism order of the graph, so the two cancel
+and the divisor coefficient is the plain contraction sum; the golden totals
+pin this convention.  :func:`rspinrel.oracles.graph_contribution_terms` keeps
+the per-graph enumeration as the test oracle; both paths share the per-family
+sums here.
+
+Every contribution vanishes unless sum(a) = g mod r-1, which below the gate
+leaves the unit vectors in genus 1 and the zero vector in genus 2, so each
+relation lies in a few features: in genus 1 psi_1..psi_n, kappa_1, delta_irr,
+chi_1..chi_n and one (chi_i sums the delta_{0,S} with i in S, one sums them
+all), since for e_i a delta_{0,S} has the key of [i in S]; in genus 2 the
+kappa_1, delta_irr and delta_1 of the unmarked space, whose pullback is the
+relation with markings.  Relation sets keep integer rows over the features,
+take ranks and reduced rows there, and write a row over the basis of about
+2^n classes only when it is read.
 
 Symbolic-in-r relations are supported in genus 1 (where the contributing
 index patterns are independent of r): every coefficient is a polynomial in r
 of degree at most 3, recovered by exact interpolation from the table's values
 at six sample r, once per (sum(a), key).  Each power of r is extracted from
-those few key polynomials and expanded over the basis once, as the primitive
-integer row that row reduction takes directly.  Only the code that builds or
+those few key polynomials as a feature row.  Only the code that builds or
 reads such polynomials imports ``rpoly``, so a numeric relation loads none.
 """
 
@@ -59,13 +67,17 @@ from .linalg import primitive_int_vector, rref
 from .strata import (
     DELTA_IRR,
     DELTA_SEP,
+    KAPPA1,
     PSI,
     DivisorClass,
     UnsupportedGenusError,
+    basis_size,
+    check_space,
     delta_irr,
     delta_sep,
     divisor_generators,
     kappa1,
+    psi,
 )
 
 if TYPE_CHECKING:
@@ -133,12 +145,35 @@ class Relation:
 
 
 class RelationSet:
-    """Relations over one shared ordered generator basis, each kept as its row
-    of rational (or integer) coefficients in basis order, with its provenance."""
+    """Relations on one space as rows of rational (or integer) coefficients,
+    each with its provenance: ``RelationSet(basis, rows, provenances)`` over
+    the given basis, or, for the sets built here, integer rows ``features``
+    on ``space`` = (g, n), whose ``basis`` and ``rows`` are written out on
+    first use.  An assembled row is written out primitive with a positive
+    first nonzero entry; a reference row keeps its own scale."""
 
-    def __init__(self, basis: tuple[DivisorClass, ...],
-                 rows: list[tuple[Fraction | int, ...]], provenances: list[Provenance]):
-        self.basis, self.rows, self.provenances = basis, rows, provenances
+    def __init__(self, basis: tuple[DivisorClass, ...] | None,
+                 rows: list[tuple[Fraction | int, ...]] | None, provenances: list[Provenance]):
+        self._basis, self._rows, self.provenances = basis, rows, provenances
+        self.space = self.features = None
+
+    @classmethod
+    def _over_features(cls, g: int, n: int, features: list, provenances: list) -> "RelationSet":
+        made = cls(None, None, provenances)
+        made.space, made.features = (g, n), features
+        return made
+
+    @property
+    def basis(self) -> tuple[DivisorClass, ...]:
+        if self._basis is None:
+            self._basis = tuple(divisor_generators(*self.space))
+        return self._basis
+
+    @property
+    def rows(self) -> list[tuple[Fraction | int, ...]]:
+        if self._rows is None:
+            self._rows = [_expand(*self.space, row) for row in self.features]
+        return self._rows
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -163,12 +198,29 @@ class RelationSet:
             for row, provenance in zip(self.rows, self.provenances)
         ]
 
+    def _span_rows(self) -> list:
+        """The rows to reduce the span over: the features where they map
+        injectively to the basis (all but genus 1 with n <= 2, where
+        chi_1 = ... = one), else the basis rows."""
+        g, n = self.space or (0, 0)
+        return self.features if g > 1 or n >= 3 else self.rows
+
     def rank(self) -> int:
-        return len(rref(self.rows)[1])
+        return len(rref(self._span_rows())[1])
 
     def reduced_rows(self) -> list[tuple[int, ...]]:
-        """Row-reduced basis of the span as primitive integer vectors."""
-        return rref(self.rows)[0]
+        """Row-reduced basis of the span as primitive integer vectors over the
+        basis, reduced over the features where they are independent."""
+        rows = self._span_rows()
+        reduced, pivots = rref(rows)
+        if rows is not self.features:
+            return reduced
+        g, n = self.space
+        rows = [_expand(g, n, row) for row in reduced]
+        # A pivot on psi_i, kappa_1 or delta_irr, which the genus-1 features
+        # share with the basis, is one there too: the rows are then reduced,
+        # and primitive, since an injective map keeps the content.
+        return rows if g == 1 and max(pivots, default=0) < n + 2 else rref(rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +308,14 @@ def _family_phi(
 # Numeric assembly
 # ---------------------------------------------------------------------------
 
-def _check_family_exponents(
-    g: int, n: int, separating_genera: set[int], a_vec: tuple[int, ...], r: int
-) -> None:
-    """Every graph family must carry the relation's shared exponent."""
+def _check_family_exponents(g: int, n: int, a_vec: tuple[int, ...], r: int) -> None:
+    """Every graph family must carry the relation's shared exponent: the leg
+    family when n > 0, the dilaton and loop families, and a separating one
+    for each h with classes (h = 0 needs two markings)."""
     expected = sum(a_vec) + (g - 1) * (r - 2)
-    families = [("dilaton_kappa", (g,), 0), ("loop_edge", (g - 1,), 1)]
-    if n:
-        families.insert(0, ("leg_psi", (g,), 0))
-    families += [("separating_edge", (h, g - h), 1) for h in sorted(separating_genera)]
+    families = [("leg_psi", (g,), 0)] * (n > 0) + [
+        ("dilaton_kappa", (g,), 0), ("loop_edge", (g - 1,), 1)]
+    families += [("separating_edge", (h, g - h), 1) for h in range(g // 2 + 1) if h or n >= 2]
     for kind, genera, edge_count in families:
         phi = _family_phi(genera, edge_count, a_vec, r)
         if phi != expected:
@@ -288,20 +339,86 @@ def _contract(
     return _dilaton_sum(g, a_vec, theory)
 
 
-def _expand(keys: list, values: dict) -> tuple[int, ...]:
-    """The primitive integer row holding the value of each class's key.
-    ``values`` holds each key once, in order of first appearance in ``keys``,
-    so its lcm of denominators, content and first nonzero entry are the row's."""
-    scaled = dict(zip(values, primitive_int_vector(list(values.values()))))
-    return tuple(map(scaled.__getitem__, keys))
+def _key_classes(g: int, a_vec: tuple[int, ...]) -> dict:
+    """A class of each key of a zero or unit leg vector, by key: psi at the
+    unit and at another marking, kappa_1, delta_irr and, for each h, the
+    smallest stable delta_{h,S} with the unit in S and without it.  A
+    separating key holds the raw sum of a over S, not its residue."""
+    units = [i for i, a in enumerate(a_vec, 1) if a]
+    others = [i for i, a in enumerate(a_vec, 1) if not a]
+    classes = {(PSI, a_vec[i - 1]): psi(i) for i in units + others[:1]}
+    classes.update({KAPPA1: kappa1(), DELTA_IRR: delta_irr()})
+    for h in range(g // 2 + 1):
+        least = 0 if h else 2
+        for S in (units + others[:max(least - len(units), 0)], others[:least]):
+            if len(S) >= least:
+                classes[DELTA_SEP, h, sum(a_vec[i - 1] for i in S)] = delta_sep(h, S)
+    return classes
 
 
-def _extract(keys: list, polys: dict) -> list[tuple[int, tuple[int, ...]]]:
-    """(power, row) for each power of r, highest first, with a nonzero row."""
+def _feature_row(g: int, a_vec: tuple[int, ...], values: dict) -> list:
+    """The relation with these key values over its genus's features, a key no
+    class holds read as 0.  For e_i in genus 1, delta_{0,S} holds ``inside``
+    when i is in S, else ``outside``: (inside - outside) chi_i + outside one.
+    In genus 2 the relation must be a pullback from the unmarked space."""
+    if g == 1:
+        inside, outside = (values.get((DELTA_SEP, 0, s), 0) for s in (1, 0))
+        return ([values.get((PSI, a), 0) for a in a_vec]
+                + [values.get(KAPPA1, 0), values.get(DELTA_IRR, 0)]
+                + [inside - outside if a else 0 for a in a_vec] + [outside])
+    if g == 2:
+        k = values.get(KAPPA1, 0)
+        if values.get((PSI, 0), -k) != -k or values.get((DELTA_SEP, 0, 0), k) != k:
+            raise AssemblyError("the genus-2 relation is not a pullback from the unmarked space")
+        return [k, values.get(DELTA_IRR, 0), values.get((DELTA_SEP, 1, 0), 0)]
+    return []
+
+
+def _separating_entries(chi: Sequence[int], one: int) -> list[int]:
+    """one + the sum of chi_i over S for each S with |S| >= 2, in the basis's
+    lexicographic order: the S that start at k are k joined to each nonempty
+    subset of k+1..n, and those subsets are {k+1}, then k+1 joined to each
+    nonempty subset of k+2..n, then the nonempty subsets of k+2..n."""
+    blocks, tails = [], []
+    for c in reversed(chi):
+        joined = [c + t for t in tails]
+        blocks.append([one + x for x in joined] if one else joined)
+        tails = [c] + joined + tails
+    return [x for block in reversed(blocks) for x in block]
+
+
+def _expand(g: int, n: int, row: Sequence) -> tuple:
+    """A feature row written over the (g, n) basis.  Where the map is
+    injective it keeps the gcd of the entries: each feature is an integer
+    combination of basis entries, chi_i = delta_{0,{i,j,k}} - delta_{0,{j,k}}."""
+    if g == 1:
+        return tuple(row[:n + 2]) + tuple(_separating_entries(row[n + 2:-1], row[-1]))
+    if g == 2:  # the pullback of k kappa_1 + irr delta_irr + d1 delta_1
+        k, irr, d1 = row
+        return (-k,) * n + (k, irr) + (k,) * (2 ** n - n - 1) + (d1,) * (2 ** (n - 1) if n else 1)
+    return (0,) * basis_size(g, n)
+
+
+def _primitive_features(g: int, n: int, a_vec: tuple[int, ...], values: dict) -> tuple[int, ...]:
+    """The feature row of these key values, scaled to be written out as the
+    primitive integer row with a positive first nonzero entry, which in
+    genus 1 is nearly always on psi_i, kappa_1 or delta_irr, the columns the
+    features share with the basis."""
+    row = primitive_int_vector(_feature_row(g, a_vec, values))
+    lead = next((x for x in row[:n + 2] if x), None) if g == 1 else None
+    if lead is None and any(row):
+        lead = next(x for x in _expand(g, n, row) if x)
+    return tuple(-x for x in row) if lead and lead < 0 else row
+
+
+def _extract(polys: dict, row_of) -> list[tuple[int, tuple[int, ...]]]:
+    """(power, row) for each power of r, highest first, with a nonzero row:
+    ``row_of`` maps the coefficients of that power, keyed as ``polys``, to
+    the row."""
     top = max((len(poly.coeffs) for poly in polys.values()), default=0)
     found = []
     for power in range(top - 1, -1, -1):
-        row = _expand(keys, {key: poly.coefficient(power) for key, poly in polys.items()})
+        row = row_of({key: poly.coefficient(power) for key, poly in polys.items()})
         if any(row):
             found.append((power, row))
     return found
@@ -315,47 +432,31 @@ class _RelationTable:
 
     def __init__(self, g: int, n: int):
         self.g, self.n = g, n
-        self._layouts, self._edges, self._values, self._polys = {}, {}, {}, {}
-
-    def layout(self, a_vec: tuple[int, ...]) -> tuple[list, dict]:
-        """The key of every basis class, and the first class of each key, in
-        basis order.  A separating key holds the raw sum of a over S, not its
-        residue, so that it fixes the coefficient at every sample r."""
-        if a_vec not in self._layouts:
-            support = [(i, a) for i, a in enumerate(a_vec, 1) if a]
-            keys, first = [], {}
-            for d in divisor_generators(self.g, self.n):
-                if d.kind == PSI:
-                    key = (PSI, a_vec[d.index - 1])
-                elif d.kind == DELTA_SEP:
-                    key = (DELTA_SEP, d.h, sum(a for i, a in support if i in d.markings))
-                else:
-                    key = d.kind
-                keys.append(key)
-                first.setdefault(key, d)
-            self._layouts[a_vec] = keys, first
-        return self._layouts[a_vec]
+        self._edges, self._values, self._polys = {}, {}, {}
 
     def numeric(self, a_vec: tuple[int, ...], r: int) -> dict:
-        """Each key's coefficient at r, in the order of :meth:`layout`, after
-        the checks :func:`assemble_relation` documents."""
+        """Each key's coefficient at r, after the checks :func:`assemble_relation`
+        documents; no key when sum(a) != g mod r-1, the exponent is then not
+        integral, and every contribution vanishes through the congruences."""
         g, n = self.g, self.n
         theory = RSpinTheory(r)
         for a in a_vec:
             theory.check_index(a)
-        if not phi_degree(g, 1, a_vec, r).relation_exists:
+        report = phi_degree(g, 1, a_vec, r)
+        if not report.relation_exists:
             raise DegreeGateError(g, n, a_vec, r)
-        first = self.layout(a_vec)[1]
-        genera = {d.h for d in first.values() if d.kind == DELTA_SEP}
-        _check_family_exponents(g, n, genera, a_vec, r)
+        _check_family_exponents(g, n, a_vec, r)
+        if not report.d_integral:
+            return {}
         if r not in self._edges:
             self._edges[r] = _edge_entries(theory)
-        total = sum(a_vec)
-        for key, d in first.items():
+        total, values = sum(a_vec), {}
+        for key, d in _key_classes(g, a_vec).items():
             if (r, total, key) not in self._values:
                 value = _contract(g, a_vec, d, theory, self._edges[r])
                 self._values[r, total, key] = value * r ** (g - 1)
-        return {key: self._values[r, total, key] for key in first}
+            values[key] = self._values[r, total, key]
+        return values
 
     def symbolic(self, a_vec: tuple[int, ...]) -> dict[object, RPoly]:
         """Each key's coefficient as a polynomial in r (genus 1 only)."""
@@ -402,11 +503,19 @@ def assemble_relation(
         raise ValueError("numeric assembly needs r")
     table = _RelationTable(g, n)
     values = table.symbolic(a_vec) if symbolic else table.numeric(a_vec, r)
-    keys = table.layout(a_vec)[0]
+    basis = divisor_generators(g, n)
     return Relation(
-        coefficients={d: values[key] for d, key in zip(divisor_generators(g, n), keys)},
+        coefficients=dict(zip(basis, _expand(g, n, _feature_row(g, a_vec, values)))),
         provenance=Provenance(g=g, n=n, a_vec=a_vec, r_mode=SYMBOLIC if symbolic else r),
     )
+
+
+def relation_row(g: int, n: int, a_vec: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """``assemble_relation(g, n, a_vec, r).normalized_vector(basis)``, written
+    from the relation's feature row, after the same checks in the same order."""
+    values = _RelationTable(g, n).numeric(a_vec, r)
+    check_space(g, n)
+    return _expand(g, n, _primitive_features(g, n, a_vec, values))
 
 
 def assembled_relation_set(
@@ -414,23 +523,22 @@ def assembled_relation_set(
 ) -> RelationSet:
     """The primitive nonzero rows of each leg vector in turn, from one table:
     its assembly at r when r is given, then in genus 1 the relations
-    :func:`extract_r_coefficients` gives.  Each leg vector is checked before
-    the basis is first built."""
+    :func:`extract_r_coefficients` gives.  The basis is checked after the
+    first leg vector, as :func:`assemble_relation` does."""
     table = _RelationTable(g, n)
     rows, provenances = [], []
     for a_vec in a_vecs:
-        found = []
-        if r is not None:
-            values = table.numeric(a_vec, r)
-            found.append((r, _expand(table.layout(a_vec)[0], values)))
-        if g == 1:
-            polys = table.symbolic(a_vec)
-            found += [(f"r^{p}", row) for p, row in _extract(table.layout(a_vec)[0], polys)]
+        values = table.numeric(a_vec, r) if r is not None else None
+        polys = table.symbolic(a_vec) if g == 1 else {}
+        check_space(g, n)
+        found = [] if values is None else [(r, _primitive_features(g, n, a_vec, values))]
+        found += [(f"r^{p}", row) for p, row in _extract(
+            polys, lambda values: _primitive_features(g, n, a_vec, values))]
         for r_mode, row in found:
             if any(row):
                 rows.append(row)
                 provenances.append(Provenance(g, n, a_vec, r_mode))
-    return RelationSet(tuple(divisor_generators(g, n)), rows, provenances)
+    return RelationSet._over_features(g, n, rows, provenances)
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +562,12 @@ def extract_r_coefficients(rel: Relation) -> RelationSet:
     basis = tuple(divisor_generators(prov.g, prov.n))
     keys = [rel.coefficients.get(d, RPoly.zero()) for d in basis]
     polys = {c: c if isinstance(c, RPoly) else RPoly.constant(c) for c in keys}
-    extracted = _extract(keys, polys)
+    extracted = _extract(polys, lambda values: primitive_int_vector(list(map(values.get, keys))))
     return RelationSet(
         basis,
         [row for _, row in extracted],
         [prov._replace(r_mode=f"r^{power}") for power, _ in extracted],
     )
-
-
-def _genus2_row(n: int, k, irr, d1) -> tuple:
-    """The pullback of k kappa_1 + irr delta_irr + d1 delta_1 from the
-    unmarked genus-2 space, as its row over the (2, n) basis: -k on each
-    psi_i, k on kappa_1, irr on delta_irr, k on each of the 2^n - n - 1
-    classes delta_{0,S} and d1 on each of the 2^(n-1) classes delta_{1,S}
-    (the one class delta_{1,{}} when n = 0)."""
-    return ((-k,) * n + (k, irr) + (k,) * (2 ** n - n - 1)
-            + (d1,) * (2 ** (n - 1) if n else 1))
 
 
 def _genus2_base(rel: Relation) -> tuple:
@@ -486,10 +584,10 @@ def pullback_genus2(rel: Relation, n: int) -> Relation:
 
     kappa_1 picks up -sum(psi_i) + sum of genus-0 boundary corrections, the
     irreducible boundary pulls back to itself, and the genus 1+1 boundary
-    pulls back to the sum over all canonical marking splittings: the row
-    of :func:`_genus2_row`, which is -k on each psi_i, k on kappa_1, irr on
-    delta_irr, k on each delta_{0,S} and d1 on each delta_{1,S} for the
-    relation k kappa_1 + irr delta_irr + d1 delta_1.
+    pulls back to the sum over all canonical marking splittings: for the
+    relation k kappa_1 + irr delta_irr + d1 delta_1, -k on each psi_i, k on
+    kappa_1, irr on delta_irr, k on each of the 2^n - n - 1 classes
+    delta_{0,S} and d1 on each of the 2^(n-1) classes delta_{1,S}.
     """
     allowed = {kappa1(), delta_irr(), delta_sep(1, frozenset())}
     if not rel.coefficients.keys() <= allowed:
@@ -500,7 +598,7 @@ def pullback_genus2(rel: Relation, n: int) -> Relation:
     if n == 0:
         return rel
     return Relation(
-        coefficients=dict(zip(divisor_generators(2, n), _genus2_row(n, *_genus2_base(rel)))),
+        coefficients=dict(zip(divisor_generators(2, n), _expand(2, n, _genus2_base(rel)))),
         provenance=rel.provenance._replace(n=n),
     )
 
@@ -516,21 +614,20 @@ def ac_relations(g: int, n: int) -> RelationSet:
     """
     if g not in (1, 2, 3):
         raise UnsupportedGenusError(f"no reference relation set for genus {g}")
-    basis = tuple(divisor_generators(g, n))
+    check_space(g, n)
     rows = []
     if g == 1:
-        # Integer rows over psi_1..psi_n, kappa_1, delta_irr, then the
-        # delta_{0,S}: 12 psi_i - delta_irr - 12 [i in S], and
-        # kappa_1 - sum(psi) + sum(delta_{0,S}).
-        seps = [d.markings for d in basis[n + 2:]]
-        for i in range(1, n + 1):
-            psis = tuple(12 if j == i else 0 for j in range(1, n + 1))
-            rows.append(psis + (0, -1) + tuple(-12 if i in S else 0 for S in seps))
-        rows.append((-1,) * n + (1, 0) + (1,) * len(seps))
+        # Over psi_1..psi_n, kappa_1, delta_irr, chi_1..chi_n and one:
+        # 12 psi_i - delta_irr - 12 chi_i, and kappa_1 - sum(psi) + one.
+        for i in range(n):
+            row = [0] * (2 * n + 3)
+            row[i], row[n + 1], row[n + 2 + i] = 12, -1, -12
+            rows.append(tuple(row))
+        rows.append((-1,) * n + (1, 0) + (0,) * n + (1,))
     elif g == 2:
-        rows.append(_genus2_row(n, 5, -1, -7))
+        rows.append((5, -1, -7))
     provenance = Provenance(g=g, n=n, a_vec=None, r_mode="reference")
-    return RelationSet(basis, rows, [provenance] * len(rows))
+    return RelationSet._over_features(g, n, rows, [provenance] * len(rows))
 
 
 class SpanReport(NamedTuple):
@@ -541,11 +638,14 @@ class SpanReport(NamedTuple):
 
 
 def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
-    """Whether two relation sets span the same subspace over the rationals."""
-    if a.basis != b.basis:
-        raise BasisMismatchError("relation sets use different generator bases")
-    left, _ = rref(a.rows)
-    right, _ = rref(b.rows)
+    """Whether two relation sets span the same subspace over the rationals,
+    compared over the features when both have them on one space."""
+    if a.space is None or a.space != b.space:
+        if a.basis != b.basis:
+            raise BasisMismatchError("relation sets use different generator bases")
+        left, right = rref(a.rows)[0], rref(b.rows)[0]
+    else:
+        left, right = rref(a._span_rows())[0], rref(b._span_rows())[0]
     rank_left, rank_right = len(left), len(right)
     rank_union = len(rref(left + right)[1])
     return SpanReport(
@@ -578,19 +678,18 @@ def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:
     Genus 1: the n fixed-r assembled relations together with the relations
     extracted from the symbolic-in-r assembly for each leg choice (the fixed-r
     relations alone span one dimension less).  Genus 2: the single relation on
-    the unmarked space, pulled back when n > 0; never assembled directly with
-    markings.  Genus 3: whatever the admissible leg vectors give (nothing).
-    Zero relations are dropped.  The basis is built first, so that an
-    oversized one is refused before the leg vectors are enumerated.
+    the unmarked space, whose features are also those of its pullback when
+    n > 0; never assembled directly with markings.  Genus 3: whatever the
+    admissible leg vectors give (nothing).  Zero relations are dropped.  The
+    basis size is checked first, so that an oversized one is refused before
+    the leg vectors are enumerated.
     """
-    basis = tuple(divisor_generators(g, n))
+    check_space(g, n)
     if g != 2:
         return assembled_relation_set(g, n, admissible_leg_vectors(g, n, r), r)
     try:
-        base = assemble_relation(2, 0, (), r)
+        row = _primitive_features(2, n, (), _RelationTable(2, 0).numeric((), r))
     except DegreeGateError:
-        return RelationSet(basis, [], [])
-    if base.is_zero():
-        return RelationSet(basis, [], [])
-    return RelationSet(basis, [_genus2_row(n, *_genus2_base(base))],
-                       [base.provenance._replace(n=n)])
+        row = ()
+    rows = [row] if any(row) else []
+    return RelationSet._over_features(2, n, rows, [Provenance(2, n, (), r)] * len(rows))

@@ -34,9 +34,10 @@ class UnsupportedGenusError(ValueError):
     """Genus outside the range this library enumerates."""
 
 
-# The largest divisor basis built.  Every relation is a dense row over the
-# basis, and genus 1 with n markings has 2^n + 1 classes, so this admits
-# genus 1 up to n = 15 (32,769 classes) and genus 2 up to n = 14 (24,577).
+# The largest divisor basis a relation command answers on.  Relations are
+# computed over a few features per marking, but a printed relation is a dense
+# row over the basis, and genus 1 with n markings has 2^n + 1 classes, so this
+# admits genus 1 up to n = 15 (32,769 classes) and genus 2 up to n = 14 (24,577).
 MAX_BASIS_SIZE = 40_000
 
 
@@ -96,7 +97,7 @@ def generator_names(g: int, n: int) -> list[str]:
     """``render`` of each class of divisor_generators(g, n), after the same
     checks, from the subsets' texts rather than by sorting each class's
     markings.  Built afresh on each call: only the basis is cached."""
-    _check_space(g, n)
+    check_space(g, n)
     texts = _lex_subsets(n, text=True)
     names = [f"psi_{i}" for i in range(1, n + 1)] + ["kappa_1", "delta_irr"]
     for h in range(g // 2 + 1):
@@ -117,7 +118,7 @@ def basis_size(g: int, n: int) -> int:
     return n + 2 + ((g + 1) * 2 ** n - 2 * (n + 1) + (n == 0 and g % 2 == 0)) // 2
 
 
-def _check_space(g: int, n: int) -> None:
+def check_space(g: int, n: int) -> None:
     """Refuse genus below 1, an unstable (g, n), a negative n and a basis above
     MAX_BASIS_SIZE.  Every basis has more than 2^n classes, so a large n is
     refused before 2^n is built, and a size too long to print is given as a
@@ -164,7 +165,7 @@ def _balanced(subsets: list, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _divisor_generators(g: int, n: int) -> tuple[DivisorClass, ...]:
-    _check_space(g, n)
+    check_space(g, n)
     gens = [psi(i) for i in range(1, n + 1)]
     gens.append(kappa1())
     gens.append(delta_irr())

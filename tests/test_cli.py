@@ -12,6 +12,7 @@ import pytest
 
 import rspinrel.cli as cli_module
 import rspinrel.relations as relations_module
+import rspinrel.strata as strata_module
 from rspinrel.cli import main
 from rspinrel.cohft import PhiDegreeReport, p_polynomial, p_row
 from rspinrel.linalg import RationalMatrix
@@ -281,6 +282,7 @@ class TestBasisSizeGuard:
     after the usage checks and degree-gate refusals that come first."""
 
     UNIT_30 = ",".join(["1"] + ["0"] * 29)
+    TWO_30 = ",".join(["1"] * 2 + ["0"] * 28)
     THREE_30 = ",".join(["1"] * 3 + ["0"] * 27)
     THREE_16 = ",".join(["1"] * 3 + ["0"] * 13)
 
@@ -288,6 +290,7 @@ class TestBasisSizeGuard:
         ["relations", "--g", "1", "--n", "30", "--r", "3", "--a", UNIT_30],
         ["relations", "--g", "1", "--n", "30", "--r", "3"],
         ["relations", "--g", "1", "--n", "16", "--symbolic"],
+        ["relations", "--g", "1", "--n", "30", "--symbolic", "--a", TWO_30],
         ["relations", "--g", "3", "--n", "30", "--r", "3"],
         ["verify-ac", "--g", "1", "--n", "30", "--r", "3"],
     ])
@@ -447,7 +450,9 @@ class TestClosedPipe:
 
 
 class TestVerifyAcCommand:
-    @pytest.mark.parametrize("g,n,expected_rank", [(1, 4, 5), (2, 0, 1), (3, 0, 0)])
+    # n = 1, 2 in genus 1 rank over the basis, since their features are dependent.
+    @pytest.mark.parametrize("g,n,expected_rank", [(1, 4, 5), (2, 0, 1), (3, 0, 0),
+                                                   (1, 1, 2), (1, 2, 3)])
     def test_equal_cases(self, capsys, g, n, expected_rank):
         code, out, _ = run(
             capsys, ["verify-ac", "--g", str(g), "--n", str(n), "--r", "3"]
@@ -648,6 +653,32 @@ class TestColdImports:
         assert {"rspinrel.oracles", "rspinrel.selftest", "rspinrel.cyclotomic"} <= loaded
 
 
+class TestNoDivisorBasis:
+    """Relation sets live in feature coordinates: span checks in either genus
+    and every genus-2 command build no DivisorClass basis, only the names of
+    the rows they print."""
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--g", "2", "--n", "12", "--r", "3"],
+        ["relations", "--g", "2", "--n", "12", "--r", "3", "--a", ",".join("0" * 12)],
+        ["verify-ac", "--g", "2", "--n", "12", "--r", "3"],
+        ["verify-ac", "--g", "1", "--n", "8", "--r", "3"],
+        ["relations", "--g", "1", "--n", "8", "--r", "3"],
+        ["relations", "--g", "1", "--n", "8", "--r", "3", "--a", "0,0,1,0,0,0,0,0"],
+        ["relations", "--g", "1", "--n", "8", "--symbolic"],
+    ], ids=" ".join)
+    def test_no_basis_built(self, capsys, argv):
+        strata_module._divisor_generators.cache_clear()
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out
+        assert strata_module._divisor_generators.cache_info().currsize == 0
+
+    def test_cache_sees_a_built_basis(self, capsys):
+        strata_module._divisor_generators.cache_clear()
+        divisor_generators(2, 3)
+        assert strata_module._divisor_generators.cache_info().currsize == 1
+
+
 class TestSelftestCommand:
     def test_json_verdicts_and_exit_code(self, capsys):
         code, out, _ = run(capsys, ["selftest", "--json"])
@@ -657,21 +688,25 @@ class TestSelftestCommand:
         assert code == (0 if all_pass else 1)
 
 
-def _linalg_heavy(argv):
-    """Golden grid points whose time goes mostly into row reduction: genus-1
-    full sets and span checks at n = 6, 7 and the genus-2 span check at n = 8."""
+def _cold_golden_point(argv):
+    """Golden grid points run cold: genus-1 full sets and span checks at
+    n = 6, 7, the genus-2 span check at n = 8, and every genus-2 command at
+    n = 12, the widest rows the grid writes."""
     if argv[0] not in ("verify-ac", "relations") or "--symbolic" in argv:
         return False
     opts = dict(zip(argv[1::2], argv[2::2]))
+    g, n = opts["--g"], opts["--n"]
+    if g == "2" and n == "12":
+        return True
     if "--a" in opts:
         return False
-    g, n = opts["--g"], opts["--n"]
     return (g == "1" and n in ("6", "7")) or (g == "2" and n == "8" and argv[0] == "verify-ac")
 
 
 class TestGoldenOutputs:
     """Cold CLI processes reproduce the benchmark's golden exit codes and
-    output digests (``perfbench/golden.json``) on the linalg-heavy points."""
+    output digests (``perfbench/golden.json``) on the points of
+    ``_cold_golden_point``."""
 
     GOLDEN = json.load(open(os.path.join(ROOT, "perfbench", "golden.json")))
 
@@ -698,7 +733,7 @@ class TestGoldenOutputs:
         assert count == 64 and mismatches == []
 
     @pytest.mark.parametrize(
-        "argv", [a for a in workloads.grid_points() if _linalg_heavy(a)], ids=workloads.key
+        "argv", [a for a in workloads.grid_points() if _cold_golden_point(a)], ids=workloads.key
     )
     def test_cold_run_matches_golden(self, argv):
         result = cold_run(argv, hash_seed=workloads.hash_seed(argv))

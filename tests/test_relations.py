@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rspinrel.cohft import RSpinTheory, phi_degree, r_inverse_entry, topological_value
-from rspinrel.linalg import RationalMatrix, primitive_int_vector
+from rspinrel.linalg import RationalMatrix, primitive_int_vector, rref
 from rspinrel.relations import (
     AssemblyError,
     BasisMismatchError,
@@ -16,7 +16,9 @@ from rspinrel.relations import (
     Relation,
     RelationSet,
     Provenance,
+    _contract,
     _edge_entries,
+    _expand,
     _leg_sum,
     ac_relations,
     admissible_leg_vectors,
@@ -26,6 +28,7 @@ from rspinrel.relations import (
     extract_r_coefficients,
     ppz_relation_set,
     pullback_genus2,
+    relation_row,
     spans_equal,
 )
 from rspinrel.oracles import (
@@ -46,6 +49,7 @@ from rspinrel.strata import (
 from test_linalg import fraction_rref
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from perfbench import workloads  # noqa: E402
 from perfbench.workloads import G1_NR  # noqa: E402
 
 
@@ -402,7 +406,8 @@ class TestPullback:
 
 class TestGenusTwoRowOracle:
     """The genus-2 rows written in closed form against the class-keyed
-    pullback read back through RelationSet.of."""
+    pullback read back through RelationSet.of.  The relation set writes its
+    row as the primitive integer row, first nonzero entry positive."""
 
     @pytest.mark.parametrize("n", range(11))
     def test_ppz_rows_match_dict_pullback(self, n):
@@ -412,7 +417,7 @@ class TestGenusTwoRowOracle:
             relations = [] if base.is_zero() else [dict_pullback_genus2(base, n)]
             oracle, direct = RelationSet.of(basis, relations), ppz_relation_set(2, n, r)
             assert direct.basis == oracle.basis
-            assert direct.rows == oracle.rows, (n, r)
+            assert direct.rows == [primitive_int_vector(row) for row in oracle.rows], (n, r)
             assert direct.provenances == oracle.provenances, (n, r)
             assert pullback_genus2(base, n) == dict_pullback_genus2(base, n), (n, r)
 
@@ -897,3 +902,219 @@ class TestSystemDeterminant:
             system_matrix_det(0, 3)
         with pytest.raises(ValueError):
             system_matrix_det(2, 2)
+
+
+# ---------------------------------------------------------------------------
+# Feature coordinates against the class-keyed dense path
+# ---------------------------------------------------------------------------
+
+def dense_key(d, a_vec):
+    """The key of the class d in the class-keyed layout: (psi, a_i),
+    kappa_1, delta_irr, or (delta_sep, h, sum of a over S)."""
+    if d.kind == "psi":
+        return d.kind, a_vec[d.index - 1]
+    if d.kind == "delta_sep":
+        return d.kind, d.h, sum(a_vec[i - 1] for i in d.markings)
+    return d.kind
+
+
+def dense_relation_set(g, n, a_vecs, r=None, extract=True):
+    """Oracle for assembled_relation_set: the class-keyed dense path that the
+    feature rows replace.  Every basis class gets its key, each key is
+    contracted at its first class in basis order, at any leg vector and with
+    no shortcut for a non-integral exponent, and each relation is the
+    primitive row of every class's value over the basis: the assembly at r
+    when r is given, then in genus 1 (with ``extract``) each power of r of
+    the interpolated values."""
+    basis = tuple(divisor_generators(g, n))
+    rows, provenances = [], []
+    for a_vec in a_vecs:
+        keys = [dense_key(d, a_vec) for d in basis]
+        first = {}
+        for key, d in zip(keys, basis):
+            first.setdefault(key, d)
+
+        def values(rr):
+            theory = RSpinTheory(rr)
+            edges = _edge_entries(theory)
+            return {key: _contract(g, a_vec, d, theory, edges) * rr ** (g - 1)
+                    for key, d in first.items()}
+
+        found = []
+        if r is not None:
+            at_r = values(r)
+            found.append((r, [at_r[key] for key in keys]))
+        if g == 1 and extract:
+            samples = [values(rr) for rr in SAMPLE_RS]
+            polys = {key: poly_interpolate([(rr, s[key]) for rr, s in zip(SAMPLE_RS, samples)],
+                                           degree_bound=3) for key in first}
+            top = max(len(poly.coeffs) for poly in polys.values())
+            found += [(f"r^{p}", [polys[key].coefficient(p) for key in keys])
+                      for p in range(top - 1, -1, -1)]
+        for r_mode, coefficients in found:
+            row = primitive_int_vector(coefficients)
+            if any(row):
+                rows.append(row)
+                provenances.append(Provenance(g, n, a_vec, r_mode))
+    return RelationSet(basis, rows, provenances)
+
+
+def dense_ppz_relation_set(g, n, r):
+    """Oracle for ppz_relation_set on the dense path; in genus 2 the unmarked
+    class-keyed relation pulled back class by class."""
+    if g != 2:
+        return dense_relation_set(g, n, admissible_leg_vectors(g, n, r), r)
+    basis = tuple(divisor_generators(2, n))
+    pulled = [dict_pullback_genus2(rel, n) for rel in dense_relation_set(2, 0, [()], r).relations]
+    return RelationSet(basis, [rel.normalized_vector(basis) for rel in pulled],
+                       [rel.provenance for rel in pulled])
+
+
+def grid_options(argv):
+    """The options of a relation command of the benchmark grid, with
+    --symbolic read as True."""
+    args, options = list(argv[1:]), {}
+    while args:
+        flag = args.pop(0)
+        options[flag] = True if flag == "--symbolic" else args.pop(0)
+    return options
+
+
+GRID_G12 = [argv for argv in workloads.grid_points()
+            if argv[0] in ("relations", "verify-ac") and grid_options(argv)["--g"] in ("1", "2")]
+
+
+class TestFeaturePathMatchesDenseOracle:
+    """At every genus-1 and genus-2 point of the benchmark grid, the rows the
+    feature path writes out equal the class-keyed dense path's, row for row,
+    and so do the reduced rows and span ranks."""
+
+    @pytest.mark.parametrize("argv", GRID_G12, ids=workloads.key)
+    def test_grid_point(self, argv):
+        options = grid_options(argv)
+        g, n = int(options["--g"]), int(options["--n"])
+        r = int(options["--r"]) if "--r" in options else None
+        a_vec = tuple(map(int, options["--a"].split(","))) if "--a" in options else None
+        if options.get("--symbolic"):
+            a_vecs = [a_vec] if a_vec else [unit_vector(n, i) for i in range(1, n + 1)]
+            computed, oracle = assembled_relation_set(1, n, a_vecs), dense_relation_set(1, n, a_vecs)
+            assert computed.rows == oracle.rows
+            assert computed.provenances == oracle.provenances
+        elif a_vec is not None and g == 1:
+            oracle = dense_relation_set(1, n, [a_vec], r, extract=False).rows
+            assert [relation_row(1, n, a_vec, r)] == (oracle or [(0,) * len(divisor_generators(1, n))])
+        else:
+            computed, oracle = ppz_relation_set(g, n, r), dense_ppz_relation_set(g, n, r)
+            assert computed.rows == oracle.rows
+            assert computed.provenances == oracle.provenances
+            assert computed.reduced_rows() == oracle.reduced_rows()
+            reference = ac_relations(g, n)
+            dense_reference = RelationSet(reference.basis, reference.rows, reference.provenances)
+            assert spans_equal(computed, reference) == spans_equal(oracle, dense_reference)
+
+    def test_grid_covers_both_genera_and_every_command(self):
+        kinds = {(grid_options(a)["--g"], a[0], "--a" in a, "--symbolic" in a) for a in GRID_G12}
+        assert kinds == {
+            ("1", "relations", False, False), ("1", "verify-ac", False, False),
+            ("1", "relations", True, False), ("1", "relations", False, True),
+            ("1", "relations", True, True), ("2", "relations", False, False),
+            ("2", "relations", True, False), ("2", "verify-ac", False, False),
+        }
+
+
+def closed_form_reduced_rows(n):
+    """The genus-1 reduced rows in closed form: 12 psi_i - delta_irr - 12 chi_i
+    for each i, where chi_i sums the delta_{0,S} with i in S, then the
+    primitive multiple of kappa_1 - (n/12) delta_irr + sum_S (1 - |S|) delta_{0,S}."""
+    seps = [d.markings for d in divisor_generators(1, n)[n + 2:]]
+    rows = [tuple(12 * (j == i) for j in range(1, n + 1)) + (0, -1)
+            + tuple(-12 * (i in S) for S in seps) for i in range(1, n + 1)]
+    rows.append(primitive_int_vector((0,) * n + (12, -n) + tuple(12 * (1 - len(S)) for S in seps)))
+    return rows
+
+
+class TestClosedFormReducedRows:
+    """The reduced rows of the genus-1 set at the top of the admitted range,
+    which the feature path makes cheap to check."""
+
+    @pytest.mark.parametrize("n", [13, 14, 15])
+    def test_reduced_rows_are_the_closed_form(self, n):
+        expected = closed_form_reduced_rows(n)
+        for r in (3, 4, 7):
+            assert ppz_relation_set(1, n, r).reduced_rows() == expected, (n, r)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_matches_the_dense_oracle(self, n):
+        assert rref(dense_ppz_relation_set(1, n, 3).rows)[0] == closed_form_reduced_rows(n)
+
+
+# A list of integer rows over the genus-1 features at n >= 3: integer
+# combinations of a few random rows, so that dependent rows are common.
+dependent_feature_rows = st.integers(3, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-3, 3), min_size=2 * n + 3, max_size=2 * n + 3),
+             min_size=1, max_size=3),
+    st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=n + 2),
+))
+
+
+class TestFeatureCoordinates:
+    @settings(deadline=None, max_examples=40)
+    @given(relabellings(1), st.integers(3, 12), st.data())
+    def test_permuting_markings_permutes_feature_rows(self, relabelling, r, data):
+        # Relabelling the markings by sigma sends the rows of e_i to those of
+        # e_sigma(i), with psi_j and chi_j moved to psi_sigma(j) and
+        # chi_sigma(j); rows are compared in their primitive form.
+        n, sigma = relabelling
+        i = data.draw(st.integers(1, n))
+
+        def moved(row):
+            out = list(row)
+            for j in range(1, n + 1):
+                out[sigma[j] - 1], out[n + 1 + sigma[j]] = row[j - 1], row[n + 1 + j]
+            return primitive_int_vector(out)
+
+        rows = assembled_relation_set(1, n, [unit_vector(n, i)], r).features
+        target = assembled_relation_set(1, n, [unit_vector(n, sigma[i])], r).features
+        assert [moved(row) for row in rows] == [primitive_int_vector(row) for row in target]
+
+    @settings(deadline=None, max_examples=60)
+    @given(dependent_feature_rows)
+    def test_feature_rank_is_the_expanded_rank(self, case):
+        n, base, combinations = case
+        rows = [tuple(sum(c * b[k] for c, b in zip(coeffs, base)) for k in range(2 * n + 3))
+                for coeffs in combinations]
+        assert len(rref(rows)[1]) == len(rref([_expand(1, n, row) for row in rows])[1])
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(3, 8), wide_r)
+    def test_set_rank_is_the_expanded_rank(self, n, r):
+        for relation_set in (ppz_relation_set(1, n, r), ac_relations(1, n)):
+            assert relation_set.rank() == len(rref(relation_set.rows)[1]) == n + 1
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(1, 2), wide_r)
+    def test_dependent_features_fall_back_to_the_basis(self, n, r):
+        report = spans_equal(ppz_relation_set(1, n, r), ac_relations(1, n))
+        assert report == (True, n + 1, n + 1, n + 1)
+
+    def test_marked_genus_two_relation_must_be_a_pullback(self, monkeypatch):
+        # Fault injection: a psi coefficient off the pullback's -kappa_1 one.
+        import rspinrel.relations as relations_module
+
+        original = relations_module._contract
+
+        def skewed(g, a_vec, d, theory, edges):
+            value = original(g, a_vec, d, theory, edges)
+            return value + 1 if d.kind == "psi" else value
+
+        monkeypatch.setattr(relations_module, "_contract", skewed)
+        assert not assemble_relation(2, 0, (), 3).is_zero()
+        with pytest.raises(AssemblyError, match="pullback"):
+            assemble_relation(2, 2, (0, 0), 3)
+
+    def test_fallback_is_needed_at_two_markings(self):
+        # At n = 2, chi_1 = chi_2 = one: the feature rank overcounts.
+        computed = ppz_relation_set(1, 2, 3)
+        assert len(rref(computed.features)[1]) == 4
+        assert computed.rank() == 3
