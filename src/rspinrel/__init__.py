@@ -22,20 +22,20 @@ _EXPORTS = {
         "p_polynomial_symbolic", "p_row", "phi_degree", "r_inverse_entry",
         "topological_value", "witten_degree",
     ),
-    "linalg": ("RationalMatrix",),
     "oracles": (
-        "GraphContribution", "GraphTerm", "IdempotentReport", "StableGraph",
-        "StructureConstants", "SystemDetReport", "Vertex", "canonical_divisor",
-        "determinant", "divisor_class_of", "enumerate_contributing_graphs",
-        "graph_contribution_terms", "idempotent_check", "quantum_structure_constants",
-        "r_forward_entry", "r_forward_matrix", "r_inverse_matrix", "rank_and_solve",
-        "system_matrix_det",
+        "GraphContribution", "GraphTerm", "IdempotentReport", "RationalMatrix",
+        "Relation", "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
+        "assemble_relation", "canonical_divisor", "determinant", "divisor_class_of",
+        "enumerate_contributing_graphs", "extract_r_coefficients",
+        "graph_contribution_terms", "idempotent_check", "pullback_genus2",
+        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
+        "r_inverse_matrix", "rank_and_solve", "system_matrix_det",
     ),
     "relations": (
-        "AssemblyError", "BasisMismatchError", "Relation", "RelationSet",
+        "AssemblyError", "BasisMismatchError", "Provenance", "RelationSet",
         "SpanReport", "ac_relations", "admissible_leg_vectors",
-        "assemble_relation", "edge_constant_term", "extract_r_coefficients",
-        "ppz_relation_set", "pullback_genus2", "spans_equal",
+        "assembled_relation_set", "edge_constant_term", "ppz_relation_set",
+        "relation_row", "spans_equal",
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),

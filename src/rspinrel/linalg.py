@@ -1,45 +1,20 @@
-"""Exact dense linear algebra over the rationals (and polynomial entries).
+"""Exact dense linear algebra over the rationals.
 
 Rank and reduced row echelon form come from one fraction-free
 Gauss-Jordan elimination in integers (:func:`rref`): every row is scaled to a
 primitive integer vector, each update is a cross-multiplication, and each
 updated row is divided by its content again, so entries stay as small as the
 reduced rows themselves.  This is what compares the spans of divisor
-relations, with one column per divisor class (thousands of columns for 12
-markings).  Row reduction refuses polynomial entries; the determinants, and
-the nullspace read off :func:`rref`, live in :mod:`rspinrel.oracles`.
+relations, over a few features or with one column per divisor class
+(thousands of columns for 12 markings).  Row reduction refuses polynomial
+entries; the matrix type, the determinants, and the nullspace read off
+:func:`rref` live in :mod:`rspinrel.oracles`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
-
-
-class RationalMatrix:
-    """Rectangular matrix with homogeneous entries: all Fraction or all RPoly."""
-
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = [list(row) for row in entries]
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ValueError("matrix rows have unequal lengths")
-        else:
-            width = 0
-        from .rpoly import RPoly
-
-        self.is_polynomial = any(isinstance(x, RPoly) for row in rows for x in row)
-        coerce = RPoly.constant if self.is_polynomial else Fraction
-        self.entries: tuple[tuple, ...] = tuple(
-            tuple(x if isinstance(x, RPoly) else coerce(x) for x in row) for row in rows
-        )
-        self.rows = len(rows)
-        self.cols = width
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
 
 
 def primitive_int_vector(row: Sequence) -> tuple[int, ...]:
@@ -58,18 +33,14 @@ def primitive_int_vector(row: Sequence) -> tuple[int, ...]:
     return tuple(ints) if content == 1 else tuple([x // content for x in ints])
 
 
-def rref(m) -> tuple[list[tuple[int, ...]], list[int]]:
+def rref(m: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Reduced row echelon form of a rational matrix, as primitive integer
     rows with a positive pivot (nonzero rows only), and the pivot columns.
 
-    ``m`` is a :class:`RationalMatrix` or a sequence of rows of ints and
-    Fractions.  Each row of the result is the unique primitive integer
-    multiple of the corresponding row of the rational reduced form.
+    ``m`` is a sequence of rows of ints and Fractions.  Each row of the
+    result is the unique primitive integer multiple of the corresponding row
+    of the rational reduced form.
     """
-    if isinstance(m, RationalMatrix):
-        if m.is_polynomial:
-            raise ValueError("rref requires rational entries")
-        m = m.entries
     if any(len(row) != len(m[0]) for row in m):
         raise ValueError("matrix rows have unequal lengths")
     rows = [list(row) for row in map(primitive_int_vector, m) if any(row)]

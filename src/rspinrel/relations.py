@@ -3,8 +3,8 @@
 A relation in degree-2 cohomology of the moduli space of genus-g stable
 curves with n markings, for shift data (r, a_1..a_n), is the codimension-1
 part of the reconstructed shifted r-spin class.  It vanishes exactly when the
-auxiliary total degree is negative, which is what :func:`assemble_relation`
-gates on.
+auxiliary total degree is negative, which is what
+:meth:`_RelationTable.numeric` gates on.
 
 The codimension-1 part receives contributions from four graph families
 (enumerated in :mod:`rspinrel.oracles`):
@@ -41,7 +41,8 @@ all), since for e_i a delta_{0,S} has the key of [i in S]; in genus 2 the
 kappa_1, delta_irr and delta_1 of the unmarked space, whose pullback is the
 relation with markings.  Relation sets keep integer rows over the features,
 take ranks and reduced rows there, and write a row over the basis of about
-2^n classes only when it is read.
+2^n classes only when it is read.  The class-keyed relations of
+:mod:`rspinrel.oracles` are written from these rows.
 
 Symbolic-in-r relations are supported in genus 1 (where the contributing
 index patterns are independent of r): every coefficient is a polynomial in r
@@ -83,8 +84,6 @@ from .strata import (
 if TYPE_CHECKING:
     from .rpoly import RPoly
 
-SYMBOLIC = "symbolic"
-
 # Sample points for symbolic-in-r interpolation: degree bound 3 for genus-1
 # coefficients, plus consistency samples beyond the 4 needed nodes.
 _SYMBOLIC_SAMPLE_RS = (3, 4, 5, 6, 7, 8)
@@ -103,65 +102,20 @@ class Provenance(NamedTuple):
     g: int
     n: int
     a_vec: tuple[int, ...] | None
-    r_mode: Union[int, str]  # numeric r, "symbolic", "r^k", "reference", "reduced"
-
-
-Coefficient = Union[Fraction, "RPoly"]
-
-
-class Relation:
-    """Linear combination of divisor classes; zero coefficients never stored."""
-
-    def __init__(self, coefficients: dict[DivisorClass, Coefficient], provenance: Provenance):
-        self.coefficients = {d: c for d, c in coefficients.items() if c}
-        self.provenance = provenance
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coefficients, self.provenance) == (other.coefficients, other.provenance)
-
-    def __repr__(self) -> str:
-        return f"Relation(coefficients={self.coefficients!r}, provenance={self.provenance!r})"
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def vector(self, basis: Sequence[DivisorClass]) -> tuple[Coefficient, ...]:
-        """Coefficients in basis order."""
-        missing = self.coefficients.keys() - frozenset(basis)
-        if missing:
-            raise BasisMismatchError(f"classes outside the basis: {missing}")
-        zero = Fraction(0)
-        return tuple(self.coefficients.get(d, zero) for d in basis)
-
-    def normalized_vector(self, basis: Sequence[DivisorClass]) -> tuple[int, ...]:
-        """Primitive integer coefficients, first nonzero entry positive."""
-        vec = self.vector(basis)
-        try:  # a polynomial coefficient has no denominator
-            return primitive_int_vector(vec)
-        except ValueError:
-            raise ValueError("normalized_vector requires a numeric relation") from None
+    r_mode: Union[int, str]  # numeric r, "r^k" or "reference"; "symbolic" in the oracles
 
 
 class RelationSet:
-    """Relations on one space as rows of rational (or integer) coefficients,
-    each with its provenance: ``RelationSet(basis, rows, provenances)`` over
-    the given basis, or, for the sets built here, integer rows ``features``
-    on ``space`` = (g, n), whose ``basis`` and ``rows`` are written out on
-    first use.  An assembled row is written out primitive with a positive
-    first nonzero entry; a reference row keeps its own scale."""
+    """Relations on the (g, n) space ``space`` as integer rows over its
+    features, each with its provenance; ``basis`` and ``rows`` write them
+    out over the divisor basis on first use.  An assembled row is written out
+    primitive with a positive first nonzero entry; a reference row keeps its
+    own scale."""
 
-    def __init__(self, basis: tuple[DivisorClass, ...] | None,
-                 rows: list[tuple[Fraction | int, ...]] | None, provenances: list[Provenance]):
-        self._basis, self._rows, self.provenances = basis, rows, provenances
-        self.space = self.features = None
-
-    @classmethod
-    def _over_features(cls, g: int, n: int, features: list, provenances: list) -> "RelationSet":
-        made = cls(None, None, provenances)
-        made.space, made.features = (g, n), features
-        return made
+    def __init__(self, space: tuple[int, int], features: list[tuple[int, ...]],
+                 provenances: list[Provenance]):
+        self.space, self.features, self.provenances = space, features, provenances
+        self._basis = self._rows = None
 
     @property
     def basis(self) -> tuple[DivisorClass, ...]:
@@ -170,7 +124,7 @@ class RelationSet:
         return self._basis
 
     @property
-    def rows(self) -> list[tuple[Fraction | int, ...]]:
+    def rows(self) -> list[tuple[int, ...]]:
         if self._rows is None:
             self._rows = [_expand(*self.space, row) for row in self.features]
         return self._rows
@@ -178,31 +132,19 @@ class RelationSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.basis, self.rows, self.provenances) == (
-            other.basis, other.rows, other.provenances
+        return (self.space, self.features, self.provenances) == (
+            other.space, other.features, other.provenances
         )
 
     def __repr__(self) -> str:
-        return (f"RelationSet(basis={self.basis!r}, rows={self.rows!r}, "
+        return (f"RelationSet(space={self.space!r}, features={self.features!r}, "
                 f"provenances={self.provenances!r})")
-
-    @classmethod
-    def of(cls, basis: tuple[DivisorClass, ...], relations: list[Relation]) -> "RelationSet":
-        rows = [rel.vector(basis) for rel in relations]
-        return cls(basis, rows, [rel.provenance for rel in relations])
-
-    @property
-    def relations(self) -> list[Relation]:
-        return [
-            Relation(dict(zip(self.basis, row)), provenance)
-            for row, provenance in zip(self.rows, self.provenances)
-        ]
 
     def _span_rows(self) -> list:
         """The rows to reduce the span over: the features where they map
         injectively to the basis (all but genus 1 with n <= 2, where
         chi_1 = ... = one), else the basis rows."""
-        g, n = self.space or (0, 0)
+        g, n = self.space
         return self.features if g > 1 or n >= 3 else self.rows
 
     def rank(self) -> int:
@@ -435,9 +377,11 @@ class _RelationTable:
         self._edges, self._values, self._polys = {}, {}, {}
 
     def numeric(self, a_vec: tuple[int, ...], r: int) -> dict:
-        """Each key's coefficient at r, after the checks :func:`assemble_relation`
-        documents; no key when sum(a) != g mod r-1, the exponent is then not
-        integral, and every contribution vanishes through the congruences."""
+        """Each key's coefficient at r: the gate of every relation.  Raises
+        :class:`DegreeGateError` when the degree bookkeeping reports no
+        relation, and :class:`AssemblyError` when a graph family disagrees on
+        the exponent.  No key when sum(a) != g mod r-1: the exponent is then
+        not integral, and every contribution vanishes through the congruences."""
         g, n = self.g, self.n
         theory = RSpinTheory(r)
         for a in a_vec:
@@ -475,44 +419,10 @@ class _RelationTable:
         return {key: self._polys[total, key] for key in samples[0]}
 
 
-def assemble_relation(
-    g: int,
-    n: int,
-    a_vec: Sequence[int],
-    r: int | None = None,
-    *,
-    symbolic: bool = False,
-) -> Relation:
-    """The codimension-1 relation for shift data (g, n, a_vec, r).
-
-    Raises :class:`DegreeGateError` when the degree bookkeeping reports no
-    relation.  A non-integral auxiliary exponent is allowed: every graph
-    contribution then vanishes through the congruence conditions and the
-    zero relation is returned.  All graph families must agree on their
-    exponent; disagreement is an assembly error, not a warning.
-
-    With ``symbolic=True`` (genus 1 only) every coefficient is a polynomial
-    in r, interpolated from the checked assemblies at six sample r.
-    """
-    a_vec = tuple(a_vec)
-    if len(a_vec) != n:
-        raise ValueError("a_vec length must equal n")
-    if symbolic and r is not None:
-        raise ValueError("give either a numeric r or symbolic=True, not both")
-    if not symbolic and r is None:
-        raise ValueError("numeric assembly needs r")
-    table = _RelationTable(g, n)
-    values = table.symbolic(a_vec) if symbolic else table.numeric(a_vec, r)
-    basis = divisor_generators(g, n)
-    return Relation(
-        coefficients=dict(zip(basis, _expand(g, n, _feature_row(g, a_vec, values)))),
-        provenance=Provenance(g=g, n=n, a_vec=a_vec, r_mode=SYMBOLIC if symbolic else r),
-    )
-
-
 def relation_row(g: int, n: int, a_vec: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """``assemble_relation(g, n, a_vec, r).normalized_vector(basis)``, written
-    from the relation's feature row, after the same checks in the same order."""
+    """The primitive integer row of the relation for (g, n, a_vec, r) over the
+    basis, first nonzero entry positive, written from its feature row; the
+    gate comes before the basis check."""
     values = _RelationTable(g, n).numeric(a_vec, r)
     check_space(g, n)
     return _expand(g, n, _primitive_features(g, n, a_vec, values))
@@ -522,9 +432,9 @@ def assembled_relation_set(
     g: int, n: int, a_vecs: Sequence[tuple[int, ...]], r: int | None = None
 ) -> RelationSet:
     """The primitive nonzero rows of each leg vector in turn, from one table:
-    its assembly at r when r is given, then in genus 1 the relations
-    :func:`extract_r_coefficients` gives.  The basis is checked after the
-    first leg vector, as :func:`assemble_relation` does."""
+    its assembly at r when r is given, then in genus 1 one per power of r of
+    its symbolic assembly, highest first.  The basis is checked after the
+    first leg vector's gate."""
     table = _RelationTable(g, n)
     rows, provenances = [], []
     for a_vec in a_vecs:
@@ -538,70 +448,12 @@ def assembled_relation_set(
             if any(row):
                 rows.append(row)
                 provenances.append(Provenance(g, n, a_vec, r_mode))
-    return RelationSet._over_features(g, n, rows, provenances)
+    return RelationSet((g, n), rows, provenances)
 
 
 # ---------------------------------------------------------------------------
-# Extraction, pullback, reference set, span comparison
+# Reference set, span comparison
 # ---------------------------------------------------------------------------
-
-def extract_r_coefficients(rel: Relation) -> RelationSet:
-    """Split a symbolic relation into one relation per power of r.
-
-    The coefficient of each power of r, highest first, gives one relation,
-    normalized to its primitive integer vector (denominators cleared, content
-    removed, first nonzero coefficient positive).  Redundant relations are
-    kept; span analysis is a separate concern.
-    """
-    from .rpoly import RPoly
-
-    prov = rel.provenance
-    numeric = not any(isinstance(c, RPoly) for c in rel.coefficients.values())
-    if prov.r_mode != SYMBOLIC or numeric and not rel.is_zero():
-        raise ValueError("extraction needs a symbolic-mode relation")
-    basis = tuple(divisor_generators(prov.g, prov.n))
-    keys = [rel.coefficients.get(d, RPoly.zero()) for d in basis]
-    polys = {c: c if isinstance(c, RPoly) else RPoly.constant(c) for c in keys}
-    extracted = _extract(polys, lambda values: primitive_int_vector(list(map(values.get, keys))))
-    return RelationSet(
-        basis,
-        [row for _, row in extracted],
-        [prov._replace(r_mode=f"r^{power}") for power, _ in extracted],
-    )
-
-
-def _genus2_base(rel: Relation) -> tuple:
-    """The kappa_1, delta_irr and delta_1 coefficients of a relation on the
-    unmarked genus-2 space."""
-    zero = Fraction(0)
-    return tuple(rel.coefficients.get(d, zero)
-                 for d in (kappa1(), delta_irr(), delta_sep(1, ())))
-
-
-def pullback_genus2(rel: Relation, n: int) -> Relation:
-    """Pull a relation on the genus-2, unmarked space back along the map
-    forgetting n points.
-
-    kappa_1 picks up -sum(psi_i) + sum of genus-0 boundary corrections, the
-    irreducible boundary pulls back to itself, and the genus 1+1 boundary
-    pulls back to the sum over all canonical marking splittings: for the
-    relation k kappa_1 + irr delta_irr + d1 delta_1, -k on each psi_i, k on
-    kappa_1, irr on delta_irr, k on each of the 2^n - n - 1 classes
-    delta_{0,S} and d1 on each of the 2^(n-1) classes delta_{1,S}.
-    """
-    allowed = {kappa1(), delta_irr(), delta_sep(1, frozenset())}
-    if not rel.coefficients.keys() <= allowed:
-        raise BasisMismatchError(
-            "pullback source must live on the unmarked genus-2 space "
-            "(kappa_1, delta_irr, genus 1+1 boundary)"
-        )
-    if n == 0:
-        return rel
-    return Relation(
-        coefficients=dict(zip(divisor_generators(2, n), _expand(2, n, _genus2_base(rel)))),
-        provenance=rel.provenance._replace(n=n),
-    )
-
 
 def ac_relations(g: int, n: int) -> RelationSet:
     """The known complete set of degree-2 relations (Arbarello-Cornalba).
@@ -627,7 +479,7 @@ def ac_relations(g: int, n: int) -> RelationSet:
     elif g == 2:
         rows.append((5, -1, -7))
     provenance = Provenance(g=g, n=n, a_vec=None, r_mode="reference")
-    return RelationSet._over_features(g, n, rows, [provenance] * len(rows))
+    return RelationSet((g, n), rows, [provenance] * len(rows))
 
 
 class SpanReport(NamedTuple):
@@ -637,15 +489,16 @@ class SpanReport(NamedTuple):
     rank_union: int
 
 
-def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
+def spans_equal(a, b) -> SpanReport:
     """Whether two relation sets span the same subspace over the rationals,
-    compared over the features when both have them on one space."""
-    if a.space is None or a.space != b.space:
-        if a.basis != b.basis:
-            raise BasisMismatchError("relation sets use different generator bases")
-        left, right = rref(a.rows)[0], rref(b.rows)[0]
-    else:
+    compared over the features when both are on one space, else over the
+    basis rows (an oracle set has a basis and rows, and no space)."""
+    if a.space is not None and a.space == b.space:
         left, right = rref(a._span_rows())[0], rref(b._span_rows())[0]
+    elif a.basis != b.basis:
+        raise BasisMismatchError("relation sets use different generator bases")
+    else:
+        left, right = rref(a.rows)[0], rref(b.rows)[0]
     rank_left, rank_right = len(left), len(right)
     rank_union = len(rref(left + right)[1])
     return SpanReport(
@@ -692,4 +545,4 @@ def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:
     except DegreeGateError:
         row = ()
     rows = [row] if any(row) else []
-    return RelationSet._over_features(2, n, rows, [Provenance(2, n, (), r)] * len(rows))
+    return RelationSet((2, n), rows, [Provenance(2, n, (), r)] * len(rows))

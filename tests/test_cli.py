@@ -15,9 +15,8 @@ import rspinrel.relations as relations_module
 import rspinrel.strata as strata_module
 from rspinrel.cli import main
 from rspinrel.cohft import PhiDegreeReport, p_polynomial, p_row
-from rspinrel.linalg import RationalMatrix
-from rspinrel.oracles import rank_and_solve
-from rspinrel.relations import DegreeGateError, assemble_relation, pullback_genus2
+from rspinrel.oracles import RationalMatrix, assemble_relation, pullback_genus2, rank_and_solve
+from rspinrel.relations import DegreeGateError
 from rspinrel.strata import divisor_generators
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -673,6 +672,15 @@ class TestNoDivisorBasis:
         assert code == 0 and out
         assert strata_module._divisor_generators.cache_info().currsize == 0
 
+    def test_equality_and_repr_build_no_basis(self):
+        # A relation set compares and prints its feature rows, not the
+        # 32,769-column rows over the basis.
+        strata_module._divisor_generators.cache_clear()
+        relation_set = relations_module.ppz_relation_set(1, 15, 3)
+        assert relation_set == relations_module.ppz_relation_set(1, 15, 3)
+        assert repr(relation_set).startswith("RelationSet(space=(1, 15), features=[(")
+        assert strata_module._divisor_generators.cache_info().currsize == 0
+
     def test_cache_sees_a_built_basis(self, capsys):
         strata_module._divisor_generators.cache_clear()
         divisor_generators(2, 3)
@@ -731,6 +739,13 @@ class TestGoldenOutputs:
         # The g2, g3 and g4 families of g2-wide.
         count, mismatches = self.in_process_mismatches(capsys, lambda g: g >= 2)
         assert count == 64 and mismatches == []
+
+    def test_selftest_in_process(self, capsys):
+        # The criteria's detail strings and the exit code, pinned by digest.
+        argv = ["selftest", "--json"]
+        code, out, _ = run(capsys, argv)
+        expected = self.GOLDEN[workloads.key(argv)]
+        assert (code, measure.digest(code, out)) == (expected["exit"], expected["digest"])
 
     @pytest.mark.parametrize(
         "argv", [a for a in workloads.grid_points() if _cold_golden_point(a)], ids=workloads.key

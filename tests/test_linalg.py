@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rspinrel.linalg import RationalMatrix, primitive_int_vector, rref
-from rspinrel.oracles import determinant, rank_and_solve
+from rspinrel.linalg import primitive_int_vector, rref
+from rspinrel.oracles import RationalMatrix, determinant, rank_and_solve
 from rspinrel.rpoly import RPoly
 
 entries = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -185,8 +185,6 @@ class TestRref:
         with pytest.raises(ValueError):
             rref([[RPoly((1, 1))]])
         with pytest.raises(ValueError):
-            rref(RationalMatrix([[RPoly((1, 1))]]))
-        with pytest.raises(ValueError):
             rref([[1, 2], [3]])
 
     @given(st.one_of(rect_matrices(max_size=6), deficient_matrices()))
@@ -197,7 +195,7 @@ class TestRref:
         assert pivots == oracle_pivots
         assert rows == [primitive_int_vector(row) for row in oracle_rows]
         assert all(row[col] > 0 for row, col in zip(rows, pivots))
-        assert rref(RationalMatrix(grid)) == (rows, pivots)
+        assert rref(RationalMatrix(grid).entries) == (rows, pivots)
 
     @given(deficient_matrices())
     @settings(max_examples=60, deadline=None)

@@ -20,20 +20,20 @@ EXPORTED = {
         "PhiDegreeReport", "RSpinTheory", "p_polynomial", "p_polynomial_symbolic",
         "p_row", "phi_degree", "r_inverse_entry", "topological_value", "witten_degree",
     ),
-    "linalg": ("RationalMatrix",),
     "oracles": (
-        "GraphContribution", "GraphTerm", "IdempotentReport", "StableGraph",
-        "StructureConstants", "SystemDetReport", "Vertex", "canonical_divisor",
-        "determinant", "divisor_class_of", "enumerate_contributing_graphs",
-        "graph_contribution_terms", "idempotent_check", "quantum_structure_constants",
-        "r_forward_entry", "r_forward_matrix", "r_inverse_matrix", "rank_and_solve",
-        "system_matrix_det",
+        "GraphContribution", "GraphTerm", "IdempotentReport", "RationalMatrix",
+        "Relation", "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
+        "assemble_relation", "canonical_divisor", "determinant", "divisor_class_of",
+        "enumerate_contributing_graphs", "extract_r_coefficients",
+        "graph_contribution_terms", "idempotent_check", "pullback_genus2",
+        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
+        "r_inverse_matrix", "rank_and_solve", "system_matrix_det",
     ),
     "relations": (
-        "AssemblyError", "BasisMismatchError", "DegreeGateError", "Relation",
+        "AssemblyError", "BasisMismatchError", "DegreeGateError", "Provenance",
         "RelationSet", "SpanReport", "ac_relations", "admissible_leg_vectors",
-        "assemble_relation", "edge_constant_term", "extract_r_coefficients",
-        "ppz_relation_set", "pullback_genus2", "spans_equal",
+        "assembled_relation_set", "edge_constant_term", "ppz_relation_set",
+        "relation_row", "spans_equal",
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),
@@ -52,6 +52,26 @@ EXPORTED = {
 def test_exported_name_is_the_home_module_object(module, name):
     home = importlib.import_module(f"rspinrel.{module}")
     assert getattr(rspinrel, name) is getattr(home, name)
+
+
+# The class-keyed relation layer and the matrix type, which live in the
+# oracles and nowhere in the library modules the CLI's relation commands load.
+MOVED = ("Relation", "Coefficient", "SYMBOLIC", "assemble_relation",
+         "extract_r_coefficients", "pullback_genus2")
+
+
+def test_moved_names_live_only_in_the_oracles():
+    relations = importlib.import_module("rspinrel.relations")
+    linalg = importlib.import_module("rspinrel.linalg")
+    oracles = importlib.import_module("rspinrel.oracles")
+    assert [name for name in MOVED + ("_genus2_base",) if hasattr(relations, name)] == []
+    assert not hasattr(linalg, "RationalMatrix")
+    assert not [name for name in ("of", "relations", "_over_features")
+                if hasattr(relations.RelationSet, name)]
+    assert all(hasattr(oracles, name) for name in MOVED + ("RationalMatrix",))
+    for name in ("Relation", "assemble_relation", "extract_r_coefficients",
+                 "pullback_genus2", "RationalMatrix"):
+        assert getattr(rspinrel, name) is getattr(oracles, name), name
 
 
 def test_star_import_names_unchanged():

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rspinrel.cohft import RSpinTheory, phi_degree, r_inverse_entry, topological_value
-from rspinrel.linalg import RationalMatrix, primitive_int_vector, rref
+from rspinrel.linalg import primitive_int_vector, rref
 from rspinrel.relations import (
     AssemblyError,
     BasisMismatchError,
     DegreeGateError,
-    Relation,
     RelationSet,
     Provenance,
     _contract,
@@ -22,19 +21,22 @@ from rspinrel.relations import (
     _leg_sum,
     ac_relations,
     admissible_leg_vectors,
-    assemble_relation,
     assembled_relation_set,
     edge_constant_term,
-    extract_r_coefficients,
     ppz_relation_set,
-    pullback_genus2,
     relation_row,
     spans_equal,
 )
 from rspinrel.oracles import (
+    DenseRelationSet,
+    RationalMatrix,
+    Relation,
+    assemble_relation,
     canonical_divisor,
     enumerate_contributing_graphs,
+    extract_r_coefficients,
     graph_contribution_terms,
+    pullback_genus2,
     rank_and_solve,
     system_matrix_det,
 )
@@ -170,7 +172,7 @@ def reference(g, n, coeffs):
 
 def dict_ac_relations_genus_one(n):
     """Oracle for ac_relations(1, n): each Arbarello-Cornalba relation as a
-    class-keyed dict, read back over the basis by RelationSet.of."""
+    class-keyed dict, read back over the basis by DenseRelationSet.of."""
     basis = tuple(divisor_generators(1, n))
     seps = [d for d in basis if d.kind == "delta_sep"]
     relations = []
@@ -180,7 +182,7 @@ def dict_ac_relations_genus_one(n):
         relations.append(reference(1, n, coeffs))
     coeffs = {kappa1(): 1, **{psi(i): -1 for i in range(1, n + 1)}, **{d: 1 for d in seps}}
     relations.append(reference(1, n, coeffs))
-    return RelationSet.of(basis, relations)
+    return DenseRelationSet.of(basis, relations)
 
 
 def dict_pullback_genus2(rel, n):
@@ -296,7 +298,7 @@ class TestExtraction:
     def test_lower_powers_are_consequences(self):
         symbolic = assemble_relation(1, 2, (1, 0), symbolic=True)
         extracted = extract_r_coefficients(symbolic)
-        high = RelationSet.of(
+        high = DenseRelationSet.of(
             extracted.basis,
             [
                 rel for rel in extracted.relations
@@ -363,8 +365,9 @@ class TestRecordTypes:
     def test_relation_set_equality(self):
         assert ppz_relation_set(1, 3, 3) == ppz_relation_set(1, 3, 3)
         assert ppz_relation_set(1, 3, 3) != ppz_relation_set(1, 3, 4)
-        assert repr(RelationSet((psi(1),), [], [])) == (
-            "RelationSet(basis=(psi_1,), rows=[], provenances=[])"
+        assert ppz_relation_set(1, 3, 3) != ac_relations(1, 3)
+        assert repr(RelationSet((1, 2), [(1,) * 7], [])) == (
+            "RelationSet(space=(1, 2), features=[(1, 1, 1, 1, 1, 1, 1)], provenances=[])"
         )
 
 
@@ -406,8 +409,8 @@ class TestPullback:
 
 class TestGenusTwoRowOracle:
     """The genus-2 rows written in closed form against the class-keyed
-    pullback read back through RelationSet.of.  The relation set writes its
-    row as the primitive integer row, first nonzero entry positive."""
+    pullback read back through DenseRelationSet.of.  The relation set writes
+    its row as the primitive integer row, first nonzero entry positive."""
 
     @pytest.mark.parametrize("n", range(11))
     def test_ppz_rows_match_dict_pullback(self, n):
@@ -415,7 +418,7 @@ class TestGenusTwoRowOracle:
         for r in (3, 4, 5):
             base = assemble_relation(2, 0, (), r)
             relations = [] if base.is_zero() else [dict_pullback_genus2(base, n)]
-            oracle, direct = RelationSet.of(basis, relations), ppz_relation_set(2, n, r)
+            oracle, direct = DenseRelationSet.of(basis, relations), ppz_relation_set(2, n, r)
             assert direct.basis == oracle.basis
             assert direct.rows == [primitive_int_vector(row) for row in oracle.rows], (n, r)
             assert direct.provenances == oracle.provenances, (n, r)
@@ -424,7 +427,8 @@ class TestGenusTwoRowOracle:
     @pytest.mark.parametrize("n", range(11))
     def test_ac_rows_match_dict_pullback(self, n):
         base = reference(2, 0, {kappa1(): 5, delta_irr(): -1, delta_sep(1, ()): -7})
-        oracle = RelationSet.of(tuple(divisor_generators(2, n)), [dict_pullback_genus2(base, n)])
+        basis = tuple(divisor_generators(2, n))
+        oracle = DenseRelationSet.of(basis, [dict_pullback_genus2(base, n)])
         direct = ac_relations(2, n)
         assert direct.basis == oracle.basis
         assert direct.rows == oracle.rows
@@ -685,16 +689,18 @@ class TestGenusOneProperties:
         n, i = leg
         reference_set = ac_relations(1, n)
         rel = assemble_relation(1, n, unit_vector(n, i), r)
-        extended = RelationSet.of(reference_set.basis, reference_set.relations + [rel])
+        basis = reference_set.basis
+        extended = DenseRelationSet(basis, reference_set.rows + [rel.vector(basis)],
+                                    reference_set.provenances + [rel.provenance])
         report = spans_equal(extended, reference_set)
         assert report.equal and report.rank_right == n + 1
 
 
 class TestSpans:
     def test_ac_counts(self):
-        assert len(ac_relations(1, 2).relations) == 3
-        assert len(ac_relations(2, 0).relations) == 1
-        assert len(ac_relations(3, 0).relations) == 0
+        assert len(ac_relations(1, 2).features) == 3
+        assert len(ac_relations(2, 0).features) == 1
+        assert len(ac_relations(3, 0).features) == 0
 
     def test_equivalence_genus_one(self):
         for n in range(1, 7):
@@ -720,7 +726,7 @@ class TestSpans:
 
     def test_unequal_against_empty(self):
         computed = ppz_relation_set(1, 2, 3)
-        empty = RelationSet.of(computed.basis, [])
+        empty = DenseRelationSet.of(computed.basis, [])
         assert not spans_equal(computed, empty).equal
 
     def test_basis_mismatch(self):
@@ -743,7 +749,7 @@ class TestSpans:
     def test_relation_outside_basis_rejected(self):
         stray = reference(1, 3, {psi(3): 1})
         with pytest.raises(BasisMismatchError):
-            RelationSet.of(tuple(divisor_generators(1, 2)), [stray])
+            DenseRelationSet.of(tuple(divisor_generators(1, 2)), [stray])
         with pytest.raises(BasisMismatchError):
             stray.vector(tuple(divisor_generators(1, 2)))
 
@@ -956,7 +962,7 @@ def dense_relation_set(g, n, a_vecs, r=None, extract=True):
             if any(row):
                 rows.append(row)
                 provenances.append(Provenance(g, n, a_vec, r_mode))
-    return RelationSet(basis, rows, provenances)
+    return DenseRelationSet(basis, rows, provenances)
 
 
 def dense_ppz_relation_set(g, n, r):
@@ -966,8 +972,8 @@ def dense_ppz_relation_set(g, n, r):
         return dense_relation_set(g, n, admissible_leg_vectors(g, n, r), r)
     basis = tuple(divisor_generators(2, n))
     pulled = [dict_pullback_genus2(rel, n) for rel in dense_relation_set(2, 0, [()], r).relations]
-    return RelationSet(basis, [rel.normalized_vector(basis) for rel in pulled],
-                       [rel.provenance for rel in pulled])
+    return DenseRelationSet(basis, [rel.normalized_vector(basis) for rel in pulled],
+                            [rel.provenance for rel in pulled])
 
 
 def grid_options(argv):
@@ -1009,7 +1015,8 @@ class TestFeaturePathMatchesDenseOracle:
             assert computed.provenances == oracle.provenances
             assert computed.reduced_rows() == oracle.reduced_rows()
             reference = ac_relations(g, n)
-            dense_reference = RelationSet(reference.basis, reference.rows, reference.provenances)
+            dense_reference = DenseRelationSet(reference.basis, reference.rows,
+                                               reference.provenances)
             assert spans_equal(computed, reference) == spans_equal(oracle, dense_reference)
 
     def test_grid_covers_both_genera_and_every_command(self):
