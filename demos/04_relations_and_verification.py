@@ -13,12 +13,11 @@ from fractions import Fraction
 
 from rspinrel import (
     ac_relations,
-    assemble_relation,
-    divisor_generators,
-    extract_r_coefficients,
+    assembled_relation_set,
+    generator_names,
     graph_contribution_terms,
     ppz_relation_set,
-    pullback_genus2,
+    relation_row,
     spans_equal,
     system_matrix_det,
     DegreeGateError,
@@ -26,26 +25,25 @@ from rspinrel import (
 )
 
 
-def show(rel, basis):
-    vec = rel.normalized_vector(basis)
+def show(row, names):
     terms = " ".join(
-        f"{'+' if c > 0 else '-'} {abs(c)}*{d.render()}"
-        for c, d in zip(vec, basis) if c
+        f"{'+' if c > 0 else '-'} {abs(c)}*{name}"
+        for c, name in zip(row, names) if c
     )
     print("  ", terms.lstrip("+ "), "= 0")
 
 
 # --- genus 1, two markings -------------------------------------------------
-basis = tuple(divisor_generators(1, 2))
+names = generator_names(1, 2)
 print("assembled relations on the two-marked genus-1 space at r = 3:")
 for a_vec in ((1, 0), (0, 1)):
-    show(assemble_relation(1, 2, a_vec, 3), basis)
+    show(relation_row(1, 2, a_vec, 3), names)
 
 print("\nsymbolic in r, then split by powers of r:")
-symbolic = assemble_relation(1, 2, (1, 0), symbolic=True)
-for rel in extract_r_coefficients(symbolic).relations:
-    print(f"  at {rel.provenance.r_mode}:")
-    show(rel, basis)
+extracted = assembled_relation_set(1, 2, [(1, 0)])
+for row, prov in zip(extracted.rows, extracted.provenances):
+    print(f"  at {prov.r_mode}:")
+    show(row, names)
 
 report = spans_equal(ppz_relation_set(1, 2, 3), ac_relations(1, 2))
 print("\nspan equals the known complete set:", report.equal,
@@ -57,21 +55,19 @@ for r in (4, 5):
           spans_equal(ppz_relation_set(1, 2, r), ppz_relation_set(1, 2, 3)).equal)
 
 # --- genus 2 ---------------------------------------------------------------
-basis2 = tuple(divisor_generators(2, 0))
-rel2 = assemble_relation(2, 0, (), 3)
 print("\nunmarked genus-2 relation at r = 3 (5 kappa = irr + 7 split):")
-show(rel2, basis2)
+show(relation_row(2, 0, (), 3), generator_names(2, 0))
 
-basis22 = tuple(divisor_generators(2, 2))
 print("pulled back to two markings:")
-show(pullback_genus2(rel2, 2), basis22)
+show(ppz_relation_set(2, 2, 3).rows[0], generator_names(2, 2))
 
 # --- genus 3 and 4: the gates ----------------------------------------------
 terms = graph_contribution_terms(3, 0, (), RSpinTheory(3))
 print("\ngenus 3: every graph contribution vanishes:",
-      all(t.coefficient == 0 for t in terms))
+      all(t.coefficient == 0 for t in terms), "and the relation is zero:",
+      not any(relation_row(3, 0, (), 3)))
 try:
-    assemble_relation(4, 0, (), 3)
+    relation_row(4, 0, (), 3)
 except DegreeGateError as exc:
     print("genus 4 is refused: class degree", exc.witten_degree)
 

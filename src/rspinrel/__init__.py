@@ -24,10 +24,9 @@ _EXPORTS = {
     ),
     "oracles": (
         "GraphContribution", "GraphTerm", "IdempotentReport", "RationalMatrix",
-        "Relation", "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
-        "assemble_relation", "canonical_divisor", "determinant", "divisor_class_of",
-        "enumerate_contributing_graphs", "extract_r_coefficients",
-        "graph_contribution_terms", "idempotent_check", "pullback_genus2",
+        "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
+        "canonical_divisor", "determinant", "divisor_class_of",
+        "enumerate_contributing_graphs", "graph_contribution_terms", "idempotent_check",
         "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
         "r_inverse_matrix", "rank_and_solve", "system_matrix_det",
     ),

@@ -1,17 +1,14 @@
 """Independent oracles and structural checks, run by ``selftest`` and the tests.
 
 The CLI's ``relations``, ``verify-ac`` and ``pm-table`` never import this
-module.  It holds the class-keyed relation layer (:class:`Relation`,
-:func:`assemble_relation`, :func:`extract_r_coefficients`,
-:func:`pullback_genus2` and :class:`DenseRelationSet`, rows over an explicit
-basis), written from the feature rows of :mod:`rspinrel.relations`; the
-codimension-1 graph layer (stable graphs, their enumeration, divisor classes
-and :func:`canonical_divisor`); :func:`graph_contribution_terms`, the
-per-graph contraction oracle for the assembly; the forward and whole
-R-matrices; the quantum product with its idempotent check in exact cyclotomic
-arithmetic; :class:`RationalMatrix`, nullspaces and determinants; and the
-genus-1 system determinant.  Whatever reads P_m(r, a) here looks up
-``cohft.p_polynomial`` when called, so a patched table is seen.
+module.  It holds the codimension-1 graph layer (stable graphs, their
+enumeration, divisor classes and :func:`canonical_divisor`);
+:func:`graph_contribution_terms`, the per-graph contraction oracle for the
+assembly; the forward and whole R-matrices; the quantum product with its
+idempotent check in exact cyclotomic arithmetic; :class:`RationalMatrix`,
+nullspaces and determinants; and the genus-1 system determinant.  Whatever
+reads P_m(r, a) here looks up ``cohft.p_polynomial`` when called, so a patched
+table is seen.
 """
 
 from __future__ import annotations
@@ -23,157 +20,15 @@ from typing import NamedTuple, Sequence, Union
 from . import cohft
 from .cohft import RSpinTheory, r_inverse_entry
 from .cyclotomic import CyclotomicField
-from .linalg import primitive_int_vector, rref
-from .relations import (AssemblyError, BasisMismatchError, Provenance,
-                        _dilaton_sum, _edge_entries, _expand, _extract, _feature_row,
-                        _leg_sum, _loop_sum, _RelationTable, _separating_sum)
+from .linalg import rref
+from .relations import (AssemblyError, _dilaton_sum, _edge_entries, _leg_sum, _loop_sum,
+                        _separating_sum)
 from .rpoly import RPoly
 from .strata import (DELTA_IRR, KAPPA1, PSI, DivisorClass, StabilityError,
-                     UnsupportedGenusError, delta_irr, delta_sep, divisor_generators,
-                     kappa1, psi)
+                     UnsupportedGenusError, delta_irr, delta_sep, kappa1, psi)
 
 Coefficient = Union[Fraction, RPoly]
 SYMBOLIC = "symbolic"
-
-# ---------------------------------------------------------------------------
-# The class-keyed relation layer
-# ---------------------------------------------------------------------------
-
-
-class Relation:
-    """Linear combination of divisor classes; zero coefficients never stored."""
-
-    def __init__(self, coefficients: dict[DivisorClass, Coefficient], provenance: Provenance):
-        self.coefficients = {d: c for d, c in coefficients.items() if c}
-        self.provenance = provenance
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coefficients, self.provenance) == (other.coefficients, other.provenance)
-
-    def __repr__(self) -> str:
-        return f"Relation(coefficients={self.coefficients!r}, provenance={self.provenance!r})"
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def vector(self, basis: Sequence[DivisorClass]) -> tuple[Coefficient, ...]:
-        """Coefficients in basis order."""
-        missing = self.coefficients.keys() - frozenset(basis)
-        if missing:
-            raise BasisMismatchError(f"classes outside the basis: {missing}")
-        zero = Fraction(0)
-        return tuple(self.coefficients.get(d, zero) for d in basis)
-
-    def normalized_vector(self, basis: Sequence[DivisorClass]) -> tuple[int, ...]:
-        """Primitive integer coefficients, first nonzero entry positive."""
-        vec = self.vector(basis)
-        try:  # a polynomial coefficient has no denominator
-            return primitive_int_vector(vec)
-        except ValueError:
-            raise ValueError("normalized_vector requires a numeric relation") from None
-
-
-class DenseRelationSet(NamedTuple):
-    """Relations as rows of rational (or integer) coefficients over an
-    explicit basis, each with its provenance.  It has no (g, n) ``space``,
-    so :func:`rspinrel.relations.spans_equal` compares it over the basis."""
-
-    basis: tuple[DivisorClass, ...]
-    rows: list[tuple]
-    provenances: list[Provenance]
-    space = None
-
-    @classmethod
-    def of(cls, basis: tuple[DivisorClass, ...], relations: list[Relation]) -> "DenseRelationSet":
-        rows = [rel.vector(basis) for rel in relations]
-        return cls(basis, rows, [rel.provenance for rel in relations])
-
-    @property
-    def relations(self) -> list[Relation]:
-        return [Relation(dict(zip(self.basis, row)), provenance)
-                for row, provenance in zip(self.rows, self.provenances)]
-
-    def reduced_rows(self) -> list[tuple[int, ...]]:
-        return rref(self.rows)[0]
-
-
-def assemble_relation(g: int, n: int, a_vec: Sequence[int], r: int | None = None, *,
-                      symbolic: bool = False) -> Relation:
-    """The codimension-1 relation for shift data (g, n, a_vec, r), class by
-    class, written from its feature row.
-
-    Raises :class:`DegreeGateError` when the degree bookkeeping reports no
-    relation.  A non-integral auxiliary exponent is allowed: every graph
-    contribution then vanishes through the congruence conditions and the
-    zero relation is returned.  All graph families must agree on their
-    exponent; disagreement is an assembly error, not a warning.
-
-    With ``symbolic=True`` (genus 1 only) every coefficient is a polynomial
-    in r, interpolated from the checked assemblies at six sample r.
-    """
-    a_vec = tuple(a_vec)
-    if len(a_vec) != n:
-        raise ValueError("a_vec length must equal n")
-    if symbolic and r is not None:
-        raise ValueError("give either a numeric r or symbolic=True, not both")
-    if not symbolic and r is None:
-        raise ValueError("numeric assembly needs r")
-    table = _RelationTable(g, n)
-    values = table.symbolic(a_vec) if symbolic else table.numeric(a_vec, r)
-    basis = divisor_generators(g, n)
-    return Relation(
-        coefficients=dict(zip(basis, _expand(g, n, _feature_row(g, a_vec, values)))),
-        provenance=Provenance(g=g, n=n, a_vec=a_vec, r_mode=SYMBOLIC if symbolic else r),
-    )
-
-
-def extract_r_coefficients(rel: Relation) -> DenseRelationSet:
-    """Split a symbolic relation into one relation per power of r.
-
-    The coefficient of each power of r, highest first, gives one relation,
-    normalized to its primitive integer vector (denominators cleared, content
-    removed, first nonzero coefficient positive).  Redundant relations are
-    kept; span analysis is a separate concern.
-    """
-    prov = rel.provenance
-    numeric = not any(isinstance(c, RPoly) for c in rel.coefficients.values())
-    if prov.r_mode != SYMBOLIC or numeric and not rel.is_zero():
-        raise ValueError("extraction needs a symbolic-mode relation")
-    basis = tuple(divisor_generators(prov.g, prov.n))
-    keys = [rel.coefficients.get(d, RPoly.zero()) for d in basis]
-    polys = {c: c if isinstance(c, RPoly) else RPoly.constant(c) for c in keys}
-    extracted = _extract(polys, lambda values: primitive_int_vector(list(map(values.get, keys))))
-    return DenseRelationSet(
-        basis,
-        [row for _, row in extracted],
-        [prov._replace(r_mode=f"r^{power}") for power, _ in extracted],
-    )
-
-
-def pullback_genus2(rel: Relation, n: int) -> Relation:
-    """Pull a relation on the genus-2, unmarked space back along the map
-    forgetting n points.
-
-    kappa_1 picks up -sum(psi_i) + sum of genus-0 boundary corrections, the
-    irreducible boundary pulls back to itself, and the genus 1+1 boundary
-    pulls back to the sum over all canonical marking splittings: for the
-    relation k kappa_1 + irr delta_irr + d1 delta_1, -k on each psi_i, k on
-    kappa_1, irr on delta_irr, k on each of the 2^n - n - 1 classes
-    delta_{0,S} and d1 on each of the 2^(n-1) classes delta_{1,S}.
-    """
-    base = (kappa1(), delta_irr(), delta_sep(1, ()))
-    if not rel.coefficients.keys() <= set(base):
-        raise BasisMismatchError(
-            "pullback source must live on the unmarked genus-2 space "
-            "(kappa_1, delta_irr, genus 1+1 boundary)"
-        )
-    if n == 0:
-        return rel
-    row = _expand(2, n, [rel.coefficients.get(d, Fraction(0)) for d in base])
-    return Relation(dict(zip(divisor_generators(2, n), row)), rel.provenance._replace(n=n))
-
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +238,10 @@ def graph_contribution_terms(
 ) -> list[GraphTerm]:
     """Per-graph, per-divisor coefficients of the codimension-1 part.
 
-    This is the brute-force oracle for :func:`assemble_relation`: it
-    rebuilds the edge constant terms on every call, walks every enumerated
-    graph and contracts each one on its own.  Zero contributions are kept so callers can see each graph vanish
+    This is the brute-force oracle for the per-key contraction of
+    :mod:`rspinrel.relations`: it rebuilds the edge constant terms on every
+    call, walks every enumerated graph and contracts each one on its own.
+    Zero contributions are kept so callers can see each graph vanish
     individually.  The overall r^(g-1) prefactor is not applied here.
     """
     a_vec = tuple(a_vec)

@@ -41,8 +41,15 @@ all), since for e_i a delta_{0,S} has the key of [i in S]; in genus 2 the
 kappa_1, delta_irr and delta_1 of the unmarked space, whose pullback is the
 relation with markings.  Relation sets keep integer rows over the features,
 take ranks and reduced rows there, and write a row over the basis of about
-2^n classes only when it is read.  The class-keyed relations of
-:mod:`rspinrel.oracles` are written from these rows.
+2^n classes only when it is read.
+
+In these features the genus-1 relation of e_i is (r-1)(r-2)/24 times
+(13-2r) A_i - (2r-1) B_i - delta_irr, with A_i = psi_i - chi_i and
+B_i = sum_{j != i} psi_j - kappa_1 - one + chi_i.  Its r^1 part -2(A_i + B_i)
+is twice the Arbarello-Cornalba kappa_1 relation, and its r^0 part
+13 A_i + B_i - delta_irr is their psi_i relation minus that one, so the span
+equals theirs for every n >= 1 and r >= 3.  In genus 2 the one relation is
+Mumford's 5 kappa_1 - delta_irr - 7 delta_1.
 
 Symbolic-in-r relations are supported in genus 1 (where the contributing
 index patterns are independent of r): every coefficient is a polynomial in r
@@ -76,7 +83,6 @@ from .strata import (
     check_space,
     delta_irr,
     delta_sep,
-    divisor_generators,
     kappa1,
     psi,
 )
@@ -102,26 +108,19 @@ class Provenance(NamedTuple):
     g: int
     n: int
     a_vec: tuple[int, ...] | None
-    r_mode: Union[int, str]  # numeric r, "r^k" or "reference"; "symbolic" in the oracles
+    r_mode: Union[int, str]  # numeric r, "r^k" or "reference"
 
 
 class RelationSet:
     """Relations on the (g, n) space ``space`` as integer rows over its
-    features, each with its provenance; ``basis`` and ``rows`` write them
-    out over the divisor basis on first use.  An assembled row is written out
-    primitive with a positive first nonzero entry; a reference row keeps its
-    own scale."""
+    features, each with its provenance; ``rows`` writes them out over the
+    divisor basis on first use.  An assembled row is written out primitive
+    with a positive first nonzero entry; a reference row keeps its own scale."""
 
     def __init__(self, space: tuple[int, int], features: list[tuple[int, ...]],
                  provenances: list[Provenance]):
         self.space, self.features, self.provenances = space, features, provenances
-        self._basis = self._rows = None
-
-    @property
-    def basis(self) -> tuple[DivisorClass, ...]:
-        if self._basis is None:
-            self._basis = tuple(divisor_generators(*self.space))
-        return self._basis
+        self._rows = None
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
@@ -353,19 +352,6 @@ def _primitive_features(g: int, n: int, a_vec: tuple[int, ...], values: dict) ->
     return tuple(-x for x in row) if lead and lead < 0 else row
 
 
-def _extract(polys: dict, row_of) -> list[tuple[int, tuple[int, ...]]]:
-    """(power, row) for each power of r, highest first, with a nonzero row:
-    ``row_of`` maps the coefficients of that power, keyed as ``polys``, to
-    the row."""
-    top = max((len(poly.coeffs) for poly in polys.values()), default=0)
-    found = []
-    for power in range(top - 1, -1, -1):
-        row = row_of({key: poly.coefficient(power) for key, poly in polys.items()})
-        if any(row):
-            found.append((power, row))
-    return found
-
-
 class _RelationTable:
     """One call's relation data on the (g, n) space: contraction values per
     (r, sum(a), key) and interpolants per (sum(a), key), shared by every
@@ -438,13 +424,14 @@ def assembled_relation_set(
     table = _RelationTable(g, n)
     rows, provenances = [], []
     for a_vec in a_vecs:
-        values = table.numeric(a_vec, r) if r is not None else None
+        found = [] if r is None else [(r, table.numeric(a_vec, r))]
         polys = table.symbolic(a_vec) if g == 1 else {}
         check_space(g, n)
-        found = [] if values is None else [(r, _primitive_features(g, n, a_vec, values))]
-        found += [(f"r^{p}", row) for p, row in _extract(
-            polys, lambda values: _primitive_features(g, n, a_vec, values))]
-        for r_mode, row in found:
+        top = max((len(poly.coeffs) for poly in polys.values()), default=0)
+        found += [(f"r^{p}", {key: poly.coefficient(p) for key, poly in polys.items()})
+                  for p in range(top - 1, -1, -1)]
+        for r_mode, values in found:
+            row = _primitive_features(g, n, a_vec, values)
             if any(row):
                 rows.append(row)
                 provenances.append(Provenance(g, n, a_vec, r_mode))
@@ -489,16 +476,12 @@ class SpanReport(NamedTuple):
     rank_union: int
 
 
-def spans_equal(a, b) -> SpanReport:
-    """Whether two relation sets span the same subspace over the rationals,
-    compared over the features when both are on one space, else over the
-    basis rows (an oracle set has a basis and rows, and no space)."""
-    if a.space is not None and a.space == b.space:
-        left, right = rref(a._span_rows())[0], rref(b._span_rows())[0]
-    elif a.basis != b.basis:
-        raise BasisMismatchError("relation sets use different generator bases")
-    else:
-        left, right = rref(a.rows)[0], rref(b.rows)[0]
+def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
+    """Whether two relation sets on one (g, n) space span the same subspace
+    over the rationals, compared over their features."""
+    if a.space != b.space:
+        raise BasisMismatchError(f"relation sets on different spaces {a.space} and {b.space}")
+    left, right = rref(a._span_rows())[0], rref(b._span_rows())[0]
     rank_left, rank_right = len(left), len(right)
     rank_union = len(rref(left + right)[1])
     return SpanReport(

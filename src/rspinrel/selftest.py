@@ -14,13 +14,10 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .cohft import RSpinTheory, p_polynomial
+from .linalg import primitive_int_vector, rref
 from .oracles import (
-    DenseRelationSet,
-    Relation,
-    assemble_relation,
     divisor_class_of,
     enumerate_contributing_graphs,
-    extract_r_coefficients,
     graph_contribution_terms,
     idempotent_check,
     quantum_structure_constants,
@@ -30,9 +27,10 @@ from .oracles import (
 )
 from .relations import (
     DegreeGateError,
-    Provenance,
     ac_relations,
+    assembled_relation_set,
     ppz_relation_set,
+    relation_row,
     spans_equal,
 )
 from .strata import delta_irr, delta_sep, divisor_generators, kappa1, psi
@@ -50,38 +48,24 @@ class CriterionResult(NamedTuple):
         return f"[{status}] criterion {self.id}: {self.title} ({self.elapsed_s:.2f}s) {self.detail}"
 
 
-def _reference_relation(g, n, coeffs) -> Relation:
-    return Relation(
-        coefficients=coeffs,
-        provenance=Provenance(g=g, n=n, a_vec=None, r_mode="reference"),
-    )
+def _target(g, n, coeffs) -> tuple[int, ...]:
+    """The primitive integer row, first nonzero entry positive, of the
+    relation with these class coefficients over the (g, n) basis."""
+    return primitive_int_vector([coeffs.get(d, 0) for d in divisor_generators(g, n)])
 
 
 def _criterion_1() -> tuple[bool, str]:
     """Genus 1, two markings, r = 3: span equals the three golden relations."""
-    computed = ppz_relation_set(1, 2, 3)
-    basis = computed.basis
-    targets = DenseRelationSet.of(
-        basis,
-        [
-            _reference_relation(1, 2, {psi(1): Fraction(1), psi(2): Fraction(-1)}),
-            _reference_relation(
-                1, 2,
-                {psi(1): Fraction(2), delta_sep(0, {1, 2}): Fraction(-1), kappa1(): Fraction(-1)},
-            ),
-            _reference_relation(
-                1, 2,
-                {psi(1): Fraction(12), delta_irr(): Fraction(-1), delta_sep(0, {1, 2}): Fraction(-12)},
-            ),
-        ],
-    )
-    report = spans_equal(computed, targets)
-    reduced_match = computed.reduced_rows() == targets.reduced_rows()
-    ok = report.equal and reduced_match
-    return ok, (
-        f"ranks {report.rank_left}/{report.rank_right}/{report.rank_union}, "
-        f"row-reduced match: {reduced_match}"
-    )
+    computed = ppz_relation_set(1, 2, 3).reduced_rows()
+    targets = rref([
+        _target(1, 2, {psi(1): 1, psi(2): -1}),
+        _target(1, 2, {psi(1): 2, delta_sep(0, {1, 2}): -1, kappa1(): -1}),
+        _target(1, 2, {psi(1): 12, delta_irr(): -1, delta_sep(0, {1, 2}): -12}),
+    ])[0]
+    ranks = len(computed), len(targets), len(rref(computed + targets)[1])
+    reduced_match = computed == targets
+    ok = ranks[0] == ranks[1] == ranks[2] and reduced_match
+    return ok, f"ranks {ranks[0]}/{ranks[1]}/{ranks[2]}, row-reduced match: {reduced_match}"
 
 
 def _criterion_2() -> tuple[bool, str]:
@@ -107,27 +91,14 @@ def _criterion_3() -> tuple[bool, str]:
 
 def _criterion_4() -> tuple[bool, str]:
     """Symbolic extraction for genus 1, n = 3 at powers r^3 and r^2."""
-    basis = tuple(divisor_generators(1, 3))
-    symbolic = assemble_relation(1, 3, (1, 0, 0), symbolic=True)
-    extracted = {rel.provenance.r_mode: rel for rel in extract_r_coefficients(symbolic).relations}
-
-    target_r3 = _reference_relation(1, 3, {kappa1(): Fraction(1)})
-    for i in range(1, 4):
-        target_r3.coefficients[psi(i)] = Fraction(-1)
-    for d in basis:
-        if d.kind == "delta_sep":
-            target_r3.coefficients[d] = Fraction(1)
-
-    target_r2 = _reference_relation(
-        1, 3, {psi(1): Fraction(19), psi(2): Fraction(7), psi(3): Fraction(7),
-               kappa1(): Fraction(-7), delta_irr(): Fraction(-1)},
-    )
-    for d in basis:
-        if d.kind == "delta_sep":
-            target_r2.coefficients[d] = Fraction(-19 if 1 in d.markings else -7)
-
-    ok3 = "r^3" in extracted and extracted["r^3"].normalized_vector(basis) == target_r3.normalized_vector(basis)
-    ok2 = "r^2" in extracted and extracted["r^2"].normalized_vector(basis) == target_r2.normalized_vector(basis)
+    extracted = assembled_relation_set(1, 3, [(1, 0, 0)])
+    rows = {prov.r_mode: row for prov, row in zip(extracted.provenances, extracted.rows)}
+    seps = [d for d in divisor_generators(1, 3) if d.kind == "delta_sep"]
+    target_r3 = _target(1, 3, {kappa1(): 1, **{psi(i): -1 for i in range(1, 4)},
+                               **{d: 1 for d in seps}})
+    target_r2 = _target(1, 3, {psi(1): 19, psi(2): 7, psi(3): 7, kappa1(): -7, delta_irr(): -1,
+                               **{d: -19 if 1 in d.markings else -7 for d in seps}})
+    ok3, ok2 = rows.get("r^3") == target_r3, rows.get("r^2") == target_r2
     return ok3 and ok2, f"r^3 match: {ok3}, r^2 match: {ok2}"
 
 
@@ -168,34 +139,26 @@ def _criterion_5() -> tuple[bool, str]:
 def _criterion_6() -> tuple[bool, str]:
     """Genus 2: the unmarked relation and its two-marking pullback.  The
     sets' rows are written out primitive, first nonzero entry positive."""
-    rel0 = ppz_relation_set(2, 0, 3)
-    ok0 = rel0.rows == [
-        _reference_relation(
-            2, 0,
-            {kappa1(): Fraction(5), delta_irr(): Fraction(-1), delta_sep(1, ()): Fraction(-7)},
-        ).normalized_vector(rel0.basis)
+    ok0 = ppz_relation_set(2, 0, 3).rows == [
+        _target(2, 0, {kappa1(): 5, delta_irr(): -1, delta_sep(1, ()): -7})
     ]
-    rel2 = ppz_relation_set(2, 2, 3)
-    target = _reference_relation(
-        2, 2,
-        {
-            kappa1(): Fraction(5),
-            psi(1): Fraction(-5),
-            psi(2): Fraction(-5),
-            delta_sep(0, {1, 2}): Fraction(5),
-            delta_irr(): Fraction(-1),
-            delta_sep(1, ()): Fraction(-7),
-            delta_sep(1, {1}): Fraction(-7),
-        },
-    )
-    ok2 = rel2.rows == [target.normalized_vector(rel2.basis)]
+    target = _target(2, 2, {
+        kappa1(): 5,
+        psi(1): -5,
+        psi(2): -5,
+        delta_sep(0, {1, 2}): 5,
+        delta_irr(): -1,
+        delta_sep(1, ()): -7,
+        delta_sep(1, {1}): -7,
+    })
+    ok2 = ppz_relation_set(2, 2, 3).rows == [target]
     return ok0 and ok2, f"unmarked: {ok0}, two markings: {ok2}"
 
 
 def _criterion_7() -> tuple[bool, str]:
     """Degree gates: genus 4 refuses, genus 3 gives an all-zero assembly."""
     try:
-        assemble_relation(4, 0, (), 3)
+        relation_row(4, 0, (), 3)
         gate_ok = False
         gate_detail = "no refusal"
     except DegreeGateError as exc:
@@ -203,8 +166,8 @@ def _criterion_7() -> tuple[bool, str]:
         gate_detail = f"refused with class degree {exc.witten_degree}"
     terms = graph_contribution_terms(3, 0, (), RSpinTheory(3))
     all_zero = all(t.coefficient == 0 for t in terms)
-    rel = assemble_relation(3, 0, (), 3)
-    return gate_ok and all_zero and rel.is_zero(), (
+    zero = not any(relation_row(3, 0, (), 3))
+    return gate_ok and all_zero and zero, (
         f"{gate_detail}; genus 3 contributions all zero: {all_zero} "
         f"({len(terms)} graph terms)"
     )

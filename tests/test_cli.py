@@ -15,8 +15,9 @@ import rspinrel.relations as relations_module
 import rspinrel.strata as strata_module
 from rspinrel.cli import main
 from rspinrel.cohft import PhiDegreeReport, p_polynomial, p_row
-from rspinrel.oracles import RationalMatrix, assemble_relation, pullback_genus2, rank_and_solve
-from rspinrel.relations import DegreeGateError
+from rspinrel.linalg import primitive_int_vector
+from rspinrel.oracles import RationalMatrix, rank_and_solve
+from rspinrel.relations import DegreeGateError, relation_row
 from rspinrel.strata import divisor_generators
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -219,17 +220,21 @@ class TestRelationsCommand:
 def pullback_route(n, r):
     """Oracle for ``relations --g 2 --n n --r r --a 0,...,0``: the relations,
     notes and text lines the command printed when it pulled the unmarked
-    relation back class by class and normalized it over the basis."""
-    rel = pullback_genus2(assemble_relation(2, 0, (), r), n)
-    names = [d.render() for d in divisor_generators(2, n)]
+    relation k kappa_1 + irr delta_irr + d1 delta_1 back class by class and
+    normalized it over the basis."""
+    k, irr, d1 = relation_row(2, 0, (), r)
+    pulled = {"psi": -k, "kappa1": k, "delta_irr": irr}
+    basis = divisor_generators(2, n)
+    names = [d.render() for d in basis]
     header = f"relations g=2 n={n} r={r} a={[0] * n}"
-    if rel.is_zero():
+    coeffs = list(primitive_int_vector(
+        [pulled.get(d.kind, k if d.kind == "delta_sep" and d.h == 0 else d1) for d in basis]
+    ))
+    if not any(coeffs):
         note = "zero relation: every graph contribution vanishes"
         return [], [note], [header + ": 0 = 0", f"  note: {note}"]
-    coeffs = list(rel.normalized_vector(divisor_generators(2, n)))
-    prov = rel.provenance
-    record = {"generators": names, "coeffs": coeffs, "g": prov.g, "n": prov.n,
-              "a": list(prov.a_vec), "r": prov.r_mode}
+    # The row is the unmarked relation's, so its record keeps that leg vector.
+    record = {"generators": names, "coeffs": coeffs, "g": 2, "n": n, "a": [], "r": r}
     return [record], [], [header, "  " + cli_module._format_terms(names, coeffs)]
 
 
@@ -269,7 +274,7 @@ class TestGenusTwoLegVector:
 
         monkeypatch.setattr(relations_module, "phi_degree", closed)
         with pytest.raises(DegreeGateError) as expected:
-            assemble_relation(2, 0, (), r)
+            relation_row(2, 0, (), r)
         monkeypatch.setattr(cli_module, "phi_degree", closed)
         code, out, err = run(capsys, self.argv(3, r))
         assert code == 2 and out == ""

@@ -163,3 +163,47 @@ def test_detects_an_unused_private_definition(tmp_path):
     assert unreferenced_private_definitions([first, second]) == [
         "first.py:_Unused (line 3)", "first.py:_recursive (line 1)",
     ]
+
+
+# What the oracles may take from the library's relation assembly: the error
+# type, the edge entries and the four per-family sums.  An oracle written from
+# the feature path (_RelationTable, _feature_row, _expand) would check that
+# code against itself.
+ORACLE_IMPORTS_FROM_RELATIONS = {
+    "AssemblyError", "_edge_entries", "_leg_sum", "_dilaton_sum", "_loop_sum", "_separating_sum",
+}
+
+
+def names_imported_from(path, module):
+    """Every name the file imports from ``module`` (relative or absolute), at
+    any depth, with ``module`` itself for a plain import of it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module:
+                names.update(alias.name for alias in node.names)
+            elif node.module in (None, "rspinrel"):
+                names.update(module for alias in node.names if alias.name == module)
+        elif isinstance(node, ast.Import):
+            names.update(module for alias in node.names if alias.name.endswith(f".{module}"))
+    return names
+
+
+def test_oracles_import_only_the_per_family_sums_from_relations():
+    assert names_imported_from(SRC / "oracles.py", "relations") == ORACLE_IMPORTS_FROM_RELATIONS
+
+
+@pytest.mark.parametrize("statement", [
+    "from .relations import _expand\n",
+    "from rspinrel.relations import _RelationTable\n",
+    "def f():\n    from .relations import _feature_row\n",
+    "from . import relations\n",
+    "import rspinrel.relations\n",
+])
+def test_detects_an_oracle_written_from_the_feature_path(tmp_path, statement):
+    source = (SRC / "oracles.py").read_text()
+    module = tmp_path / "oracles.py"
+    module.write_text(source + "\n" + statement)
+    found = names_imported_from(module, "relations")
+    assert found > ORACLE_IMPORTS_FROM_RELATIONS

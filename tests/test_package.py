@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +23,9 @@ EXPORTED = {
     ),
     "oracles": (
         "GraphContribution", "GraphTerm", "IdempotentReport", "RationalMatrix",
-        "Relation", "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
-        "assemble_relation", "canonical_divisor", "determinant", "divisor_class_of",
-        "enumerate_contributing_graphs", "extract_r_coefficients",
-        "graph_contribution_terms", "idempotent_check", "pullback_genus2",
+        "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
+        "canonical_divisor", "determinant", "divisor_class_of",
+        "enumerate_contributing_graphs", "graph_contribution_terms", "idempotent_check",
         "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
         "r_inverse_matrix", "rank_and_solve", "system_matrix_det",
     ),
@@ -54,24 +54,28 @@ def test_exported_name_is_the_home_module_object(module, name):
     assert getattr(rspinrel, name) is getattr(home, name)
 
 
-# The class-keyed relation layer and the matrix type, which live in the
-# oracles and nowhere in the library modules the CLI's relation commands load.
-MOVED = ("Relation", "Coefficient", "SYMBOLIC", "assemble_relation",
-         "extract_r_coefficients", "pullback_genus2")
+# The class-keyed relation layer, retired: RelationSet is the only relation
+# type, and it writes no basis of its own.
+REMOVED = ("Relation", "DenseRelationSet", "assemble_relation", "extract_r_coefficients",
+           "pullback_genus2", "_genus2_base", "_extract")
 
 
-def test_moved_names_live_only_in_the_oracles():
+MODULES = ["rspinrel"] + [f"rspinrel.{path.stem}" for path in sorted(
+    (Path(ROOT) / "src" / "rspinrel").glob("*.py")) if path.stem != "__init__"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_removed_names_exist_in_no_module(module):
+    module = importlib.import_module(module)
+    assert [name for name in REMOVED if hasattr(module, name)] == []
+
+
+def test_relation_set_writes_no_basis():
     relations = importlib.import_module("rspinrel.relations")
-    linalg = importlib.import_module("rspinrel.linalg")
-    oracles = importlib.import_module("rspinrel.oracles")
-    assert [name for name in MOVED + ("_genus2_base",) if hasattr(relations, name)] == []
-    assert not hasattr(linalg, "RationalMatrix")
-    assert not [name for name in ("of", "relations", "_over_features")
-                if hasattr(relations.RelationSet, name)]
-    assert all(hasattr(oracles, name) for name in MOVED + ("RationalMatrix",))
-    for name in ("Relation", "assemble_relation", "extract_r_coefficients",
-                 "pullback_genus2", "RationalMatrix"):
-        assert getattr(rspinrel, name) is getattr(oracles, name), name
+    relation_set = relations.RelationSet((1, 2), [], [])
+    assert not [name for name in ("basis", "_basis", "of", "relations", "_over_features")
+                if hasattr(relation_set, name)]
+    assert not hasattr(importlib.import_module("rspinrel.linalg"), "RationalMatrix")
 
 
 def test_star_import_names_unchanged():
