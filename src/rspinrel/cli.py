@@ -11,11 +11,12 @@ verification, 2 degree-gate refusal.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
-from math import gcd
+from math import gcd, isqrt, prod
 
 # The module docstring is the --help text.  A process loads only what its
 # subcommand runs: module level needs cohft alone, which is all that --help,
@@ -110,6 +111,13 @@ def _cmd_relations(args) -> int:
             raise UsageError(f"leg vector length {len(a_vec)} != n = {n}")
     if args.symbolic and g != 1:
         raise UsageError("symbolic mode is supported in genus 1 only")
+    if args.symbolic and a_vec is not None and not set(a_vec) <= {0, 1}:
+        # A leg entry a is a basis index 0..r-2 at every sampled r, and the
+        # samples (relations._SYMBOLIC_SAMPLE_RS) start at r = 3.
+        raise UsageError(
+            "symbolic leg vector entries must be 0 or 1, since the r samples "
+            "start at r = 3"
+        )
     if not args.symbolic and a_vec is None:
         # Refuse up front when no leg vector can pass the degree gate; the
         # all-zero vector, whose report is that of no legs, minimizes the
@@ -239,6 +247,38 @@ def _cmd_verify_ac(args) -> int:
     return 0 if report.equal else 1
 
 
+def _primes_to(n: int) -> list[int]:
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
+
+
+def _entry_texts(numerators, den: int, primorial: int) -> list[str]:
+    """The text of Fraction(x, den) for each numerator x, where ``primorial``
+    is a product of distinct primes that every prime of den divides.
+
+    Their gcd is the product of den's primes.  An x prime to it is already
+    reduced over den, whose text is then built once; only the other entries
+    take the gcd with den.  The values turned into text are those of the
+    reduced fractions, so Python's digit limit raises ValueError exactly
+    where it always did.
+    """
+    den_primes = gcd(den, primorial)
+    texts, den_text = [], None
+    for x in numerators:
+        if den == 1 or gcd(x, den_primes) != 1:
+            g = gcd(x, den)
+            texts.append(f"{x // g}/{den // g}" if den != g else str(x // g))
+        else:
+            den_text = den_text or str(den)
+            texts.append(f"{x}/{den_text}")
+    return texts
+
+
 def _cmd_pm_table(args) -> int:
     _check_r(args.r)
     if args.m_max < 0:
@@ -250,12 +290,14 @@ def _cmd_pm_table(args) -> int:
             f"above the limit of {MAX_PM_ENTRIES}"
         )
     start = time.perf_counter()
+    # Row m's denominator divides the product of 4k r(r-1) over k <= m, so
+    # its primes are at most max(m-max, r).
+    primorial = prod(_primes_to(max(args.m_max, args.r)))
     rows = []
     for m in range(args.m_max + 1):
         numerators, den = p_row(m, args.r)
-        try:  # the text of Fraction(x, den), reduced by one gcd per entry
-            rows.append([f"{x // g}/{den // g}" if den != g else str(x // g)
-                         for x in numerators for g in (gcd(x, den),)])
+        try:
+            rows.append(_entry_texts(numerators, den, primorial))
         except ValueError:  # past Python's limit on int-to-decimal conversion
             raise ValueError(
                 f"the entries of row m={m} are too long to print in decimal; "
@@ -378,5 +420,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """The process entry point, for ``python -m rspinrel.cli`` and the
+    installed ``rspinrel`` script: ``main()``, then a frozen heap."""
+    try:
+        return main()
+    finally:
+        # The process exits next, whether main() returned or argparse raised
+        # SystemExit.  The interpreter's shutdown collections skip frozen
+        # objects, some 13k here, most of them from interpreter start-up;
+        # atexit handlers, flushes and the exit code are unaffected.  main()
+        # never freezes, so callers that run it in process keep their heap.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -204,6 +206,25 @@ class TestRelationsCommand:
         code, out, err = run(capsys, ["relations", "--g", "1", "--n", "2", "--r", "3", "--a", a])
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("a", ["2,0,0", "-1,0,0"])
+    def test_symbolic_leg_entry_outside_zero_one_refused_cold(self, a):
+        # Every sampled r must admit the entry as a basis index 0..r-2, and the
+        # samples start at r = 3; the refusal names that and comes before any
+        # relation module loads.
+        argv = ["relations", "--g", "1", "--n", "3", "--symbolic", f"--a={a}"]
+        result = cold_run(argv, "-X", "importtime")
+        assert result.returncode == 1 and result.stdout == ""
+        first = relations_module._SYMBOLIC_SAMPLE_RS[0]
+        assert (f"error: symbolic leg vector entries must be 0 or 1, since the "
+                f"r samples start at r = {first}\n") in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "rspinrel.relations\n" not in result.stderr
+
+    def test_symbolic_leg_entries_zero_one_still_answered(self, capsys):
+        code, out, _ = run(capsys, ["relations", "--g", "1", "--n", "3", "--symbolic",
+                                    "--a", "1,1,0"])
+        assert code == 0 and out == "relations g=1 n=3 r=symbolic (0 extracted)\n"
 
     def test_usage_errors(self, capsys):
         assert run(capsys, ["relations", "--g", "0", "--n", "2", "--r", "3"])[0] == 1
@@ -453,6 +474,61 @@ class TestClosedPipe:
         assert "Traceback" not in err and err == ""
 
 
+def _script_entry():
+    """The ``module:function`` that pyproject.toml installs as ``rspinrel``."""
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        return re.search(r'^rspinrel = "([\w.]+:\w+)"$', fh.read(), re.M).group(1)
+
+
+class TestExitFreeze:
+    """A CLI process freezes its heap once the command is done, so the
+    interpreter's shutdown collections skip it; ``main()`` run in process
+    leaves the caller's heap unfrozen."""
+
+    COMMANDS = [
+        pytest.param(["relations", "--g", "1", "--n", "3", "--r", "3"], 0, id="relations"),
+        pytest.param(["--help"], 0, id="help"),  # exits through argparse's SystemExit
+        pytest.param(["relations", "--g", "1", "--n", "2"], 1, id="usage-error"),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", COMMANDS)
+    def test_main_in_process_leaves_freeze_count(self, capsys, argv, expected):
+        before = gc.get_freeze_count()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code == expected
+        assert gc.get_freeze_count() == before
+
+    @staticmethod
+    def entry_code(entry):
+        """Child code that runs the CLI as ``python -m`` or as the script does."""
+        if entry == "python -m":
+            return "runpy.run_module('rspinrel.cli', run_name='__main__')"
+        module, name = _script_entry().split(":")
+        return f"from {module} import {name}\nsys.exit({name}())"
+
+    @pytest.mark.parametrize("entry", ["python -m", "script"])
+    @pytest.mark.parametrize("argv,expected", COMMANDS)
+    def test_cold_process_exits_frozen(self, entry, argv, expected):
+        # An atexit hook registered before the CLI runs after it returns, when
+        # only the interpreter's own shutdown is left.
+        child = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            f"sys.argv = ['rspinrel', *{argv!r}]\n"
+            + self.entry_code(entry)
+        )
+        result = subprocess.run([sys.executable, "-c", child], env=cli_env(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == expected
+        assert "Traceback" not in result.stderr
+        frozen = int(re.search(r"^frozen (\d+)$", result.stderr, re.M).group(1))
+        assert frozen > 1000
+
+
 class TestVerifyAcCommand:
     # n = 1, 2 in genus 1 rank over the basis, since their features are dependent.
     @pytest.mark.parametrize("g,n,expected_rank", [(1, 4, 5), (2, 0, 1), (3, 0, 0),
@@ -515,7 +591,11 @@ class TestPmTableCommand:
         assert code == 0
         assert p_polynomial.cache_info() == before
 
-    @pytest.mark.parametrize("m_max,r", [(40, r) for r in range(3, 31)] + [(200, 24)])
+    # A one-row table (den = 1), the largest r, and the last rows at r = 3
+    # before the digit limit, besides the grid.
+    ORACLE_POINTS = [(40, r) for r in range(3, 31)] + [(200, 24), (0, 5), (4, 1000), (900, 3)]
+
+    @pytest.mark.parametrize("m_max,r", ORACLE_POINTS)
     def test_entries_are_the_text_of_p_polynomial(self, capsys, m_max, r):
         expected = [[str(p_polynomial(m, a, r)) for a in range(r - 1)]
                     for m in range(m_max + 1)]
@@ -527,6 +607,16 @@ class TestPmTableCommand:
         assert code == 0
         # Text rows read "<m> |<entries>" under a title, a header and a rule.
         assert [line.split("|")[1].split() for line in out.splitlines()[3:]] == expected
+
+    def test_oracle_points_reach_the_full_gcd(self):
+        # Most entries are prime to their row's denominator and print with no
+        # gcd against it; the oracle tables must also hold entries that are
+        # not, so that the reduction by the full gcd is compared too.
+        reducible = {(m_max, r): sum(gcd(x, den) > 1 for m in range(m_max + 1)
+                                     for xs, den in [p_row(m, r)] for x in xs)
+                     for m_max, r in self.ORACLE_POINTS}
+        assert reducible[(200, 24)] > 0
+        assert sum(count > 0 for count in reducible.values()) >= 20
 
     def test_unprintable_row_refused_where_it_starts(self, capsys, monkeypatch):
         # Python refuses to print integers past a digit limit (4300 by
