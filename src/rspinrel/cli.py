@@ -78,10 +78,10 @@ def _emit(record: dict, fmt: str, text_lines) -> None:
 def _check_space(g: int, n: int) -> None:
     if g < 1:
         raise UsageError("genus must be at least 1 (genus 0 is out of scope)")
-    if 2 * g - 2 + n <= 0:
-        raise UsageError(f"(g, n) = ({g}, {n}) is unstable")
     if n < 0:
         raise UsageError("n must be nonnegative")
+    if 2 * g - 2 + n <= 0:
+        raise UsageError(f"(g, n) = ({g}, {n}) is unstable")
 
 
 def _check_r(r: int) -> None:
@@ -100,6 +100,8 @@ def _cmd_relations(args) -> int:
         raise UsageError("provide --r or --symbolic")
     if args.r is not None:
         _check_r(args.r)
+    if args.symbolic and g != 1:
+        raise UsageError("symbolic mode is supported in genus 1 only")
 
     a_vec = None
     if args.a is not None:
@@ -109,15 +111,19 @@ def _cmd_relations(args) -> int:
             raise UsageError(f"cannot parse leg vector {args.a!r}")
         if len(a_vec) != n:
             raise UsageError(f"leg vector length {len(a_vec)} != n = {n}")
-    if args.symbolic and g != 1:
-        raise UsageError("symbolic mode is supported in genus 1 only")
-    if args.symbolic and a_vec is not None and not set(a_vec) <= {0, 1}:
-        # A leg entry a is a basis index 0..r-2 at every sampled r, and the
-        # samples (relations._SYMBOLIC_SAMPLE_RS) start at r = 3.
-        raise UsageError(
-            "symbolic leg vector entries must be 0 or 1, since the r samples "
-            "start at r = 3"
-        )
+        # A leg entry is a basis index 0..r-2, under --symbolic at every
+        # sampled r, and the samples (relations._SYMBOLIC_SAMPLE_RS) start at
+        # r = 3.
+        r = 3 if args.symbolic else args.r
+        if not all(0 <= a <= r - 2 for a in a_vec):
+            sample = "the first r sample, " if args.symbolic else ""
+            raise UsageError(
+                f"leg vector entries must lie in 0..{r - 2}, the range 0..r-2 at {sample}r = {r}"
+            )
+        if g == 2 and any(a_vec):
+            # Marked genus-2 relations are pullbacks of the unmarked one,
+            # whose only leg vector is ().
+            raise UsageError("genus 2 with markings takes only the all-zero leg vector")
     if not args.symbolic and a_vec is None:
         # Refuse up front when no leg vector can pass the degree gate; the
         # all-zero vector, whose report is that of no legs, minimizes the
@@ -146,11 +152,8 @@ def _cmd_relations(args) -> int:
         header = f"relations g={g} n={n} r=symbolic ({len(rows)} extracted)"
     elif a_vec is not None:
         if g == 2 and n > 0:
-            # Marked genus-2 relations are pullbacks of the unmarked one,
-            # never direct assemblies; the unmarked space fixes the leg data,
-            # and the full set is that one pulled-back row, with a = ().
-            if any(a_vec):
-                raise UsageError("genus 2 with markings takes only the all-zero leg vector")
+            # The unmarked space fixes the leg data, and the full set is that
+            # one pulled-back row, with a = ().
             if not phi_degree(2, 1, (), args.r).relation_exists:
                 raise DegreeGateError(2, 0, (), args.r)
             pulled = ppz_relation_set(2, n, args.r)

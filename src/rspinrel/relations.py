@@ -236,34 +236,9 @@ def _separating_sum(
     return total
 
 
-def _family_phi(
-    vertex_genera: Sequence[int], edge_count: int, a_vec: Sequence[int], r: int
-) -> int:
-    """Exponent carried by a graph family, as its numerator over r - 1:
-    vertex factors, one factor r-2 per edge, and the rescaled-basis factor of
-    the primary legs.  Dilaton legs contribute nothing."""
-    return sum(a_vec) + (r - 2) * (edge_count + sum(h - 1 for h in vertex_genera))
-
-
 # ---------------------------------------------------------------------------
 # Numeric assembly
 # ---------------------------------------------------------------------------
-
-def _check_family_exponents(g: int, n: int, a_vec: tuple[int, ...], r: int) -> None:
-    """Every graph family must carry the relation's shared exponent: the leg
-    family when n > 0, the dilaton and loop families, and a separating one
-    for each h with classes (h = 0 needs two markings)."""
-    expected = sum(a_vec) + (g - 1) * (r - 2)
-    families = [("leg_psi", (g,), 0)] * (n > 0) + [
-        ("dilaton_kappa", (g,), 0), ("loop_edge", (g - 1,), 1)]
-    families += [("separating_edge", (h, g - h), 1) for h in range(g // 2 + 1) if h or n >= 2]
-    for kind, genera, edge_count in families:
-        phi = _family_phi(genera, edge_count, a_vec, r)
-        if phi != expected:
-            raise AssemblyError(
-                f"graph {kind} carries exponent {phi}, expected {expected}"
-            )
-
 
 def _contract(
     g: int, a_vec: tuple[int, ...], d: DivisorClass, theory: RSpinTheory, edges: EdgeEntries
@@ -365,9 +340,8 @@ class _RelationTable:
     def numeric(self, a_vec: tuple[int, ...], r: int) -> dict:
         """Each key's coefficient at r: the gate of every relation.  Raises
         :class:`DegreeGateError` when the degree bookkeeping reports no
-        relation, and :class:`AssemblyError` when a graph family disagrees on
-        the exponent.  No key when sum(a) != g mod r-1: the exponent is then
-        not integral, and every contribution vanishes through the congruences."""
+        relation.  No key when sum(a) != g mod r-1: the exponent is then not
+        integral, and every contribution vanishes through the congruences."""
         g, n = self.g, self.n
         theory = RSpinTheory(r)
         for a in a_vec:
@@ -375,7 +349,6 @@ class _RelationTable:
         report = phi_degree(g, 1, a_vec, r)
         if not report.relation_exists:
             raise DegreeGateError(g, n, a_vec, r)
-        _check_family_exponents(g, n, a_vec, r)
         if not report.d_integral:
             return {}
         if r not in self._edges:

@@ -119,16 +119,16 @@ def basis_size(g: int, n: int) -> int:
 
 
 def check_space(g: int, n: int) -> None:
-    """Refuse genus below 1, an unstable (g, n), a negative n and a basis above
+    """Refuse genus below 1, a negative n, an unstable (g, n) and a basis above
     MAX_BASIS_SIZE.  Every basis has more than 2^n classes, so a large n is
     refused before 2^n is built, and a size too long to print is given as a
     power of two."""
     if g < 1:
         raise UnsupportedGenusError("genus-0 generators are out of scope")
-    if 2 * g - 2 + n <= 0:
-        raise StabilityError(f"(g, n) = ({g}, {n}) is unstable")
     if n < 0:
         raise ValueError("the number of markings must be nonnegative")
+    if 2 * g - 2 + n <= 0:
+        raise StabilityError(f"(g, n) = ({g}, {n}) is unstable")
     if n > 64:
         shown = f"at least 2^{n}"
     else:

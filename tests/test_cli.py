@@ -7,10 +7,14 @@ import resource
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rspinrel.cli as cli_module
 import rspinrel.relations as relations_module
@@ -207,17 +211,31 @@ class TestRelationsCommand:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}\n")
 
-    @pytest.mark.parametrize("a", ["2,0,0", "-1,0,0"])
-    def test_symbolic_leg_entry_outside_zero_one_refused_cold(self, a):
-        # Every sampled r must admit the entry as a basis index 0..r-2, and the
-        # samples start at r = 3; the refusal names that and comes before any
-        # relation module loads.
-        argv = ["relations", "--g", "1", "--n", "3", "--symbolic", f"--a={a}"]
-        result = cold_run(argv, "-X", "importtime")
+    SYMBOLIC_RANGE = ("leg vector entries must lie in 0..1, the range 0..r-2 at the first "
+                      f"r sample, r = {relations_module._SYMBOLIC_SAMPLE_RS[0]}")
+
+    LEG_REFUSALS = [
+        (["--g", "1", "--n", "3", "--symbolic", "--a=2,0,0"], SYMBOLIC_RANGE),
+        (["--g", "1", "--n", "3", "--symbolic", "--a=-1,0,0"], SYMBOLIC_RANGE),
+        (["--g", "1", "--n", "3", "--r", "5", "--a", "7,0,0"],
+         "leg vector entries must lie in 0..3, the range 0..r-2 at r = 5"),
+        (["--g", "1", "--n", "3", "--r", "5", "--a=-1,0,0"],
+         "leg vector entries must lie in 0..3, the range 0..r-2 at r = 5"),
+        (["--g", "3", "--n", "2", "--r", "3", "--a", "5,0"],
+         "leg vector entries must lie in 0..1, the range 0..r-2 at r = 3"),
+        (["--g", "2", "--n", "3", "--r", "3", "--a", "1,0,0"],
+         "genus 2 with markings takes only the all-zero leg vector"),
+    ]
+
+    @pytest.mark.parametrize("argv,message", LEG_REFUSALS, ids=[" ".join(a) for a, _ in LEG_REFUSALS])
+    def test_symbolic_leg_entry_outside_zero_one_refused_cold(self, argv, message):
+        # A leg entry is a basis index 0..r-2, under --symbolic at every
+        # sampled r; these refusals name their bound and, like every usage
+        # check, come before any relation module loads.
+        result = cold_run(["relations", *argv], "-X", "importtime")
         assert result.returncode == 1 and result.stdout == ""
-        first = relations_module._SYMBOLIC_SAMPLE_RS[0]
-        assert (f"error: symbolic leg vector entries must be 0 or 1, since the "
-                f"r samples start at r = {first}\n") in result.stderr
+        assert f"error: {message}\n" in result.stderr
+        assert "basis index" not in result.stderr
         assert "Traceback" not in result.stderr
         assert "rspinrel.relations\n" not in result.stderr
 
@@ -555,6 +573,13 @@ class TestVerifyAcCommand:
         code, _, err = run(capsys, ["verify-ac", "--g", "7", "--n", "0", "--r", "3"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["verify-ac", "relations"])
+    @pytest.mark.parametrize("g,n", [(1, -1), (2, -1), (1, -3)])
+    def test_negative_n_refused_before_stability(self, capsys, command, g, n):
+        code, out, err = run(capsys, [command, "--g", str(g), "--n", str(n), "--r", "3"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: n must be nonnegative\n")
+
     @pytest.mark.parametrize("g,n,r", [
         (1, 2, 1), (3, 1, 1), (1, 2, 0), (1, 2, -3), (1, 2, 2),
         (0, 3, 3), (-1, 5, 3), (1, 0, 3), (2, -3, 3), (2, -1, 3),
@@ -780,6 +805,90 @@ class TestNoDivisorBasis:
         strata_module._divisor_generators.cache_clear()
         divisor_generators(2, 3)
         assert strata_module._divisor_generators.cache_info().currsize == 1
+
+
+# Sizes and r near every bound, mostly small values that answer quickly, with
+# values below the lower bounds, above the basis limit (genus 1 from n = 16,
+# genus 2 from n = 15) and around MAX_R.
+SIZES = st.integers(0, 6) | st.integers(-2, 6) | st.sampled_from([14, 15, 16, 30, 65, 10 ** 6])
+RS = (st.integers(3, 8) | st.integers(-1, 8)
+      | st.sampled_from([cli_module.MAX_R, cli_module.MAX_R + 1, 10 ** 9]))
+
+
+def leg_vectors(n):
+    """--a values: none, lists of length n (when n is small) and of any
+    length, with entries inside and outside 0..r-2, and free text (empty,
+    short, trailing comma, unparsable)."""
+    lists = [st.lists(st.integers(-2, 9), max_size=7)]
+    if 0 <= n <= 7:
+        lists += [st.lists(st.integers(-1, 4), min_size=n, max_size=n)] * 2
+    texts = [s.map(lambda a: ",".join(map(str, a))) for s in lists]
+    return st.one_of(st.none(), *texts, st.text("0123-,x ", max_size=6))
+
+
+FORMATS = st.sampled_from([[], ["--format", "json"]])
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["relations", "verify-ac", "pm-table"]))
+    r = ["--r", str(draw(RS))]
+    if command == "pm-table":
+        m_max = draw(st.integers(0, 6) | st.integers(-2, 6) | st.just(10 ** 9))
+        return [command, "--m-max", str(m_max), *r, *draw(FORMATS)]
+    n = draw(SIZES)
+    g = draw(st.sampled_from([1, 1, 2, 3, -1, 0, 4, 5]))
+    argv = [command, "--g", str(g), "--n", str(n)]
+    if command == "verify-ac":
+        return argv + r + draw(FORMATS)
+    argv += draw(st.sampled_from([r, r, ["--symbolic"], [], r + ["--symbolic"]]))
+    a = draw(leg_vectors(n))
+    return argv + ([f"--a={a}"] if a is not None else []) + draw(FORMATS)
+
+
+def over_basis_limit(argv):
+    """Whether argv names a stable (g, n) whose basis is above the limit."""
+    if "--g" not in argv:
+        return False
+    g, n = (int(argv[argv.index(flag) + 1]) for flag in ("--g", "--n"))
+    if g < 1 or n < 0 or 2 * g - 2 + n <= 0:
+        return False
+    return n > 64 or strata_module.basis_size(g, n) > strata_module.MAX_BASIS_SIZE
+
+
+class TestCliContract:
+    """Every drawn argv gets an answer or a refusal under the exit-code
+    contract, with the refusal on stderr."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cli_argv())
+    @example(["relations", "--g", "1", "--n", "3", "--r", "5", "--a=7,0,0"])
+    @example(["relations", "--g", "3", "--n", "2", "--r", "3", "--a=-1,0"])
+    @example(["relations", "--g", "1", "--n", "3", "--r", "3"])
+    @example(["verify-ac", "--g", "2", "--n", "0", "--r", "4"])  # DIFFERENT
+    @example(["verify-ac", "--g", "2", "--n", "0", "--r", "4", "--format", "json"])
+    @example(["verify-ac", "--g", "1", "--n", "16", "--r", "3"])
+    @example(["relations", "--g", "2", "--n", "15", "--r", "3", "--format", "json"])
+    def test_exit_code_and_stderr(self, argv):
+        out, err = StringIO(), StringIO()
+        with mock.patch.object(relations_module, "_expand", wraps=relations_module._expand) as expand, \
+                mock.patch.object(strata_module, "generator_names",
+                                  wraps=strata_module.generator_names) as names, \
+                redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0 or (code == 1 and argv[0] == "verify-ac" and "DIFFERENT" in out):
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.startswith("error:" if code == 1 else "refused:"), err
+        assert "basis index" not in err and "index a=" not in err
+        if over_basis_limit(argv):
+            # Refused before any work that grows with n; a degree-gate
+            # refusal (exit 2) comes before the basis limit.
+            assert code != 0
+            assert not expand.called and not names.called
 
 
 class TestSelftestCommand:

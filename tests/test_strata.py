@@ -16,6 +16,7 @@ from rspinrel.strata import (
     StabilityError,
     UnsupportedGenusError,
     basis_size,
+    check_space,
     delta_irr,
     delta_sep,
     divisor_generators,
@@ -229,6 +230,13 @@ class TestBasisSize:
     def test_negative_markings_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
             divisor_generators(2, -1)
+
+    @pytest.mark.parametrize("g,n", [(1, -1), (2, -1), (1, -3), (3, -4)])
+    def test_negative_markings_refused_before_stability(self, g, n):
+        # The sign of n comes first, so (1, -1) is not called unstable.
+        with pytest.raises(ValueError, match="nonnegative") as refused:
+            check_space(g, n)
+        assert not isinstance(refused.value, StabilityError)
 
     def test_oversized_basis_refused_with_its_size(self):
         assert basis_size(1, 30) == 2 ** 30 + 1
