@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 import time
 from math import gcd, isqrt, prod
 
 # The module docstring is the --help text.  A process loads only what its
-# subcommand runs: module level needs cohft alone, which is all that --help,
-# pm-table and the up-front refusals use, and the other subcommands import
-# their modules once their arguments pass.  p_row stays a module global
-# because tests patch it here.
-from .cohft import DegreeGateError, p_row, phi_degree
+# subcommand runs: module level imports no library module and not json, so
+# --help and every usage refusal stop at the parser, and each subcommand
+# imports its modules once its arguments pass.
 
 SCHEMA_VERSION = 1
 # Largest r any subcommand accepts.  The work and output grow with r (a row of
@@ -66,10 +63,23 @@ def _relation_record(names: list[str], coeffs, prov) -> dict:
     }
 
 
-def _emit(record: dict, fmt: str, text_lines) -> None:
-    """Print ``record`` as JSON, or else the lines ``text_lines()`` yields."""
+def _json_dumps(fmt: str):
+    """``json.dumps`` if the command prints its JSON record, else None.  A
+    command asks once its arguments pass and before its work, so json loads
+    only for JSON output, and not on top of the finished record, where its
+    import would raise the command's peak memory."""
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True))
+        import json
+
+        return json.dumps
+    return None
+
+
+def _emit(record: dict, dumps, text_lines) -> None:
+    """Print ``record`` with ``dumps``, or without it the lines
+    ``text_lines()`` yields."""
+    if dumps:
+        print(dumps(record, sort_keys=True))
     else:
         for line in text_lines():
             print(line)
@@ -124,6 +134,9 @@ def _cmd_relations(args) -> int:
             # Marked genus-2 relations are pullbacks of the unmarked one,
             # whose only leg vector is ().
             raise UsageError("genus 2 with markings takes only the all-zero leg vector")
+
+    from .cohft import DegreeGateError, phi_degree
+
     if not args.symbolic and a_vec is None:
         # Refuse up front when no leg vector can pass the degree gate; the
         # all-zero vector, whose report is that of no legs, minimizes the
@@ -136,6 +149,7 @@ def _cmd_relations(args) -> int:
                             relation_row)
     from .strata import check_space, generator_names
 
+    dumps = _json_dumps(args.format)
     start = time.perf_counter()
     notes: list[str] = []
     rows, provenances = [], []
@@ -205,7 +219,7 @@ def _cmd_relations(args) -> int:
         for note in notes:
             yield f"  note: {note}"
 
-    _emit(record, args.format, text_lines)
+    _emit(record, dumps, text_lines)
     return 0
 
 
@@ -215,6 +229,7 @@ def _cmd_verify_ac(args) -> int:
 
     from .relations import ac_relations, ppz_relation_set, spans_equal
 
+    dumps = _json_dumps(args.format)
     start = time.perf_counter()
     computed = ppz_relation_set(args.g, args.n, args.r)
     reference = ac_relations(args.g, args.n)
@@ -246,7 +261,7 @@ def _cmd_verify_ac(args) -> int:
             f"union rank {report.rank_union})"
         )
 
-    _emit(record, args.format, text_lines)
+    _emit(record, dumps, text_lines)
     return 0 if report.equal else 1
 
 
@@ -292,6 +307,10 @@ def _cmd_pm_table(args) -> int:
             f"the table would have (m-max + 1)(r - 1) = {entries} entries, "
             f"above the limit of {MAX_PM_ENTRIES}"
         )
+
+    from .cohft import p_row
+
+    dumps = _json_dumps(args.format)
     start = time.perf_counter()
     # Row m's denominator divides the product of 4k r(r-1) over k <= m, so
     # its primes are at most max(m-max, r).
@@ -327,15 +346,16 @@ def _cmd_pm_table(args) -> int:
         for m, row in enumerate(rows):
             yield f"{m:>5} |" + "".join(f"{v:>{width}}" for v in row)
 
-    _emit(record, args.format, text_lines)
+    _emit(record, dumps, text_lines)
     return 0
 
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_acceptance
 
-    results = run_acceptance()
     fmt = "json" if args.json else args.format
+    dumps = _json_dumps(fmt)
+    results = run_acceptance()
     passed = sum(res.passed for res in results)
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -361,7 +381,7 @@ def _cmd_selftest(args) -> int:
             yield res.line()
         yield f"{passed}/{len(results)} criteria passed"
 
-    _emit(record, fmt, text_lines)
+    _emit(record, dumps, text_lines)
     return 0 if passed == len(results) else 1
 
 
@@ -415,10 +435,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except DegreeGateError as exc:
-        print(f"refused: {exc} (target codimension D = 1)", file=sys.stderr)
-        return 2
     except ValueError as exc:  # StabilityError and UnsupportedGenusError too
+        # A gate refusal comes from cohft, so a ValueError raised before cohft
+        # loads is not one, and loading it here changes no answer.
+        from .cohft import DegreeGateError
+
+        if isinstance(exc, DegreeGateError):
+            print(f"refused: {exc} (target codimension D = 1)", file=sys.stderr)
+            return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

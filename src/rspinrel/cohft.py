@@ -16,8 +16,9 @@ module holds everything that is a pure function of r:
   exponent that gates the existence of a divisor relation, and
   :class:`DegreeGateError`, the refusal raised when that gate is closed.
 
-This is the one library module that every CLI subcommand loads, so it loads
-no other at module level: :func:`p_polynomial_symbolic` imports ``rpoly``.
+Every CLI subcommand loads this module once its arguments pass (``--help``
+and usage refusals load no library module), so it loads no other at module
+level: :func:`p_polynomial_symbolic` imports ``rpoly``.
 The forward R-matrix and the quantum product live in :mod:`rspinrel.oracles`.
 
 For the record: the Euler field of the underlying Frobenius structure at the

@@ -319,11 +319,17 @@ def _primitive_features(g: int, n: int, a_vec: tuple[int, ...], values: dict) ->
     """The feature row of these key values, scaled to be written out as the
     primitive integer row with a positive first nonzero entry, which in
     genus 1 is nearly always on psi_i, kappa_1 or delta_irr, the columns the
-    features share with the basis."""
+    features share with the basis.  In genus 2 it is read off the pullback's
+    first entries, -k on each psi_i, then k, irr and d1, without writing the
+    row out."""
     row = primitive_int_vector(_feature_row(g, a_vec, values))
-    lead = next((x for x in row[:n + 2] if x), None) if g == 1 else None
-    if lead is None and any(row):
-        lead = next(x for x in _expand(g, n, row) if x)
+    if g == 2:
+        k, irr, d1 = row
+        lead = (-k if n else k) or irr or d1
+    else:
+        lead = next((x for x in row[:n + 2] if x), None)
+        if lead is None and any(row):
+            lead = next(x for x in _expand(g, n, row) if x)
     return tuple(-x for x in row) if lead and lead < 0 else row
 
 
@@ -421,11 +427,9 @@ def ac_relations(g: int, n: int) -> RelationSet:
     Genus 1: 12 psi_i = delta_irr + 12 sum over subsets containing i, for
     each i, plus kappa_1 = sum(psi) - sum over all subsets.  Genus 2: the
     single pulled-back relation 5 kappa_1 = delta_irr + 7 (genus 1+1 sum)
-    corrected by markings.  Genus 3: empty; the only relations are the
-    identifications already absorbed by divisor canonicalization.
+    corrected by markings.  Genus 3 and above: empty, since the generators
+    are independent for every g >= 3.
     """
-    if g not in (1, 2, 3):
-        raise UnsupportedGenusError(f"no reference relation set for genus {g}")
     check_space(g, n)
     rows = []
     if g == 1:
@@ -488,10 +492,10 @@ def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:
     extracted from the symbolic-in-r assembly for each leg choice (the fixed-r
     relations alone span one dimension less).  Genus 2: the single relation on
     the unmarked space, whose features are also those of its pullback when
-    n > 0; never assembled directly with markings.  Genus 3: whatever the
-    admissible leg vectors give (nothing).  Zero relations are dropped.  The
-    basis size is checked first, so that an oversized one is refused before
-    the leg vectors are enumerated.
+    n > 0; never assembled directly with markings.  Genus 3 and above:
+    whatever the admissible leg vectors give (nothing).  Zero relations are
+    dropped.  The basis size is checked first, so that an oversized one is
+    refused before the leg vectors are enumerated.
     """
     check_space(g, n)
     if g != 2:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rspinrel.cli as cli_module
+import rspinrel.cohft as cohft_module
 import rspinrel.relations as relations_module
 import rspinrel.strata as strata_module
 from rspinrel.cli import main
@@ -314,7 +315,7 @@ class TestGenusTwoLegVector:
         monkeypatch.setattr(relations_module, "phi_degree", closed)
         with pytest.raises(DegreeGateError) as expected:
             relation_row(2, 0, (), r)
-        monkeypatch.setattr(cli_module, "phi_degree", closed)
+        monkeypatch.setattr(cohft_module, "phi_degree", closed)
         code, out, err = run(capsys, self.argv(3, r))
         assert code == 2 and out == ""
         assert err == f"refused: {expected.value} (target codimension D = 1)\n"
@@ -455,7 +456,7 @@ class TestTableSize:
 
     def test_refusal_builds_no_row(self, capsys, monkeypatch):
         requested = []
-        monkeypatch.setattr(cli_module, "p_row", lambda m, r: requested.append(m))
+        monkeypatch.setattr(cohft_module, "p_row", lambda m, r: requested.append(m))
         code, out, _ = run(capsys, _table_argv(*self.ABOVE_BOUND))
         assert (code, out, requested) == (1, "", [])
 
@@ -569,9 +570,14 @@ class TestVerifyAcCommand:
         assert record["verdicts"][0]["verdict"] == "EQUAL"
         assert record["verdicts"][0]["rank_computed"] == 3
 
-    def test_unsupported_genus(self, capsys):
-        code, _, err = run(capsys, ["verify-ac", "--g", "7", "--n", "0", "--r", "3"])
-        assert code == 1
+    # The generators are independent for every g >= 3 (Arbarello-Cornalba),
+    # and from genus 4 on the degree gate admits no leg vector.
+    @pytest.mark.parametrize("g,n,r", [(4, 2, 3), (5, 0, 3), (7, 0, 3), (4, 13, 3), (6, 3, 7)])
+    def test_genus_four_and_up_equal_cold(self, g, n, r):
+        result = cold_run(["verify-ac", "--g", str(g), "--n", str(n), "--r", str(r)])
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (f"verify-ac g={g} n={n} r={r}: EQUAL "
+                                 "(computed rank 0, reference rank 0, union rank 0)\n")
 
     @pytest.mark.parametrize("command", ["verify-ac", "relations"])
     @pytest.mark.parametrize("g,n", [(1, -1), (2, -1), (1, -3)])
@@ -652,7 +658,7 @@ class TestPmTableCommand:
             requested.append(m)
             return p_row(m, r)
 
-        monkeypatch.setattr(cli_module, "p_row", recording)
+        monkeypatch.setattr(cohft_module, "p_row", recording)
         code, out, err = run(capsys, ["pm-table", "--m-max", "1000", "--r", "3"])
         assert code == 1
         assert out == ""
@@ -705,20 +711,62 @@ class TestColdImports:
     ]
 
     @staticmethod
-    def loaded_modules(argv):
+    def cold_imports(argv):
+        """A cold run under ``-X importtime``: the modules it loaded, and its
+        stderr without the import log."""
         result = cold_run(argv, "-X", "importtime")
         assert "Traceback" not in result.stderr
         # Lines read "import time: <self us> | <cumulative us> | <module>".
-        return {line.rsplit("|", 1)[1].strip()
-                for line in result.stderr.splitlines()
-                if line.startswith("import time:") and line.count("|") == 2}
+        lines = result.stderr.splitlines(keepends=True)
+        log = [line for line in lines if line.startswith("import time:")]
+        loaded = {line.rsplit("|", 1)[1].strip() for line in log if line.count("|") == 2}
+        return loaded, "".join(line for line in lines if line not in log)
 
-    @pytest.mark.parametrize("argv", COMMANDS[:2])
-    def test_help_and_pm_table_load_no_relation_modules(self, argv):
-        # cohft alone: no relation module, and not rpoly, which only the
-        # symbolic coefficients use.
-        loaded = {m for m in self.loaded_modules(argv) if m.startswith("rspinrel")}
-        assert loaded == {"rspinrel", "rspinrel.cohft"}
+    @classmethod
+    def loaded_modules(cls, argv):
+        return cls.cold_imports(argv)[0]
+
+    def test_help_loads_no_library_module(self):
+        # ``-m`` runs rspinrel.cli as __main__, so the package is all the log
+        # lists of rspinrel; nor does --help load json or the rationals.
+        loaded = self.loaded_modules(["--help"])
+        assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel"}
+        assert not loaded & {"json", "fractions", "decimal"}
+
+    def test_text_pm_table_loads_cohft_alone(self):
+        # No relation module, not rpoly, which only the symbolic coefficients
+        # use, and not json, which only the JSON record needs.
+        loaded = self.loaded_modules(self.COMMANDS[1])
+        assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel", "rspinrel.cohft"}
+        assert "json" not in loaded
+
+    USAGE_REFUSALS = [
+        ["relations", "--g", "1", "--n", "3", "--r", "5", "--a", "7,0,0", "--format", "json"],
+        ["relations", "--g", "2", "--n", "3", "--r", "4", "--a", "0,1,0"],
+        ["relations", "--g", "1", "--n", "3", "--r", "2", "--format", "json"],
+        ["relations", "--g", "1", "--n", "3", "--symbolic", "--a", "2,0,0"],
+        ["verify-ac", "--g", "1", "--n", "0", "--r", "3", "--format", "json"],
+        ["verify-ac", "--g", "1", "--n", "3", "--r", "1001"],
+        ["pm-table", "--m-max", "5000", "--r", "3", "--format", "json"],
+        ["pm-table", "--m-max", "-1", "--r", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", USAGE_REFUSALS, ids=" ".join)
+    def test_usage_refusals_load_neither_cohft_nor_json(self, argv):
+        loaded, stderr = self.cold_imports(argv)
+        assert stderr.startswith("error: ") and "usage: rspinrel" in stderr
+        assert not loaded & {"rspinrel.cohft", "json"}
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+    def test_degree_gate_refusal_loads_cohft_alone(self, fmt):
+        loaded, stderr = self.cold_imports(["relations", "--g", "4", "--n", "0", "--r", "3", *fmt])
+        assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel", "rspinrel.cohft"}
+        assert "json" not in loaded
+        assert stderr == (
+            "refused: no relation in codimension D = 1 for (g, n, r) = (4, 0, 3) with "
+            "sum(a) = 0: the class has degree 1 and the degree-1 part need not vanish "
+            "(target codimension D = 1)\n"
+        )
 
     @pytest.mark.parametrize("argv", COMMANDS[2:])
     def test_relation_commands_skip_selftest_and_cyclotomic(self, argv):

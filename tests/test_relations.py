@@ -377,6 +377,22 @@ class TestPullback:
         )
         assert ppz_relation_set(2, 2, 3).rows == [target]
 
+    @pytest.mark.parametrize("n", range(15))
+    def test_sign_read_without_writing_the_row_out(self, n):
+        # The written-out row's first nonzero entry, read in closed form, is
+        # positive, and the row is the primitive feature row up to sign.
+        for k, irr, d1 in product(range(-2, 3), repeat=3):
+            values = {KAPPA1: k, DELTA_IRR: irr, (DELTA_SEP, 1, 0): d1}
+            row = _primitive_features(2, n, (), values)
+            assert row in {primitive_int_vector([k, irr, d1]),
+                           tuple(-x for x in primitive_int_vector([k, irr, d1]))}
+            assert next((x for x in _expand(2, n, row) if x), 1) > 0, (n, k, irr, d1)
+
+    def test_sign_at_a_basis_too_large_to_write_out(self):
+        # 2^200 classes: the sign rule is the same for every n > 0.
+        values = {KAPPA1: 5, DELTA_IRR: -1, (DELTA_SEP, 1, 0): -7}
+        assert _primitive_features(2, 200, (), values) == _primitive_features(2, 1, (), values)
+
     def test_direct_assembly_matches_pullback(self):
         # The engine can also assemble directly on the marked genus-2 space;
         # the official route is the pullback, and they must agree projectively.
@@ -671,9 +687,18 @@ class TestSpans:
             report = spans_equal(ppz_relation_set(2, n, 3), ac_relations(2, n))
             assert report.equal and report.rank_left == 1, (n, report)
 
-    def test_equivalence_genus_three(self):
-        report = spans_equal(ppz_relation_set(3, 0, 3), ac_relations(3, 0))
-        assert report.equal and report.rank_union == 0
+    @pytest.mark.parametrize("g", [3, 4, 5, 7, 12])
+    def test_equivalence_genus_three_and_up(self, g):
+        # Both sets are empty: the generators are independent for g >= 3,
+        # and no leg vector passes both the degree gate and the parity
+        # condition sum(a) = g mod r-1.
+        for n in (0, 1, 3):
+            reference = ac_relations(g, n)
+            assert reference == RelationSet((g, n), [], [])
+            for r in (3, 4, 9):
+                assert admissible_leg_vectors(g, n, r) == []
+                report = spans_equal(ppz_relation_set(g, n, r), reference)
+                assert report.equal and report.rank_union == 0, (g, n, r)
 
     def test_unequal_against_empty(self):
         computed = ppz_relation_set(1, 2, 3)
