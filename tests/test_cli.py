@@ -727,8 +727,8 @@ class TestColdImports:
         return cls.cold_imports(argv)[0]
 
     def test_help_loads_no_library_module(self):
-        # ``-m`` runs rspinrel.cli as __main__, so the package is all the log
-        # lists of rspinrel; nor does --help load json or the rationals.
+        # ``-m`` runs rspinrel.cli as __main__, so the package is the import
+        # log's only rspinrel entry; --help loads neither json nor rationals.
         loaded = self.loaded_modules(["--help"])
         assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel"}
         assert not loaded & {"json", "fractions", "decimal"}
