@@ -55,7 +55,7 @@ def _relation_record(names: list[str], coeffs, prov) -> dict:
     the (g, n, a, r) the relation came from."""
     return {
         "generators": names,
-        "coeffs": list(coeffs),
+        "coeffs": coeffs,
         "g": prov.g,
         "n": prov.n,
         "a": list(prov.a_vec) if prov.a_vec is not None else None,
@@ -168,8 +168,6 @@ def _cmd_relations(args) -> int:
         if g == 2 and n > 0:
             # The unmarked space fixes the leg data, and the full set is that
             # one pulled-back row, with a = ().
-            if not phi_degree(2, 1, (), args.r).relation_exists:
-                raise DegreeGateError(2, 0, (), args.r)
             pulled = ppz_relation_set(2, n, args.r)
             rows, provenances = pulled.reduced_rows(), pulled.provenances
         else:

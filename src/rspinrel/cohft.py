@@ -228,7 +228,6 @@ class DegreeGateError(ValueError):
 
     def __init__(self, g: int, n: int, a_vec: tuple[int, ...], r: int):
         self.witten_degree = witten_degree(g, n, a_vec, r)
-        self.report = phi_degree(g, 1, a_vec, r)
         super().__init__(
             f"no relation in codimension D = 1 for (g, n, r) = ({g}, {n}, {r}) "
             f"with sum(a) = {sum(a_vec)}: the class has degree "

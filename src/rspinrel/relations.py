@@ -25,13 +25,14 @@ A topological vertex value depends only on the vertex genus and on its
 insertion sum mod r-1, so a class's coefficient depends on the leg vector a
 only through sum(a) and the class's key: (psi, a_i) for psi_i,
 kappa_1, delta_irr, and (delta_sep, h, sum of a_i over S) for delta_{h,S}.
-A per-call table contracts once per (r, sum(a), key), instead of once per
-class or graph.  For one-edge graphs the gluing map onto the boundary divisor
-has degree equal to the automorphism order of the graph, so the two cancel
-and the divisor coefficient is the plain contraction sum; the golden totals
-pin this convention.  :func:`rspinrel.oracles.graph_contribution_terms` keeps
-the per-graph enumeration as the test oracle; both paths share the per-family
-sums here.
+Below the gate every vector of one sum has the same keys, so a per-call
+table contracts every key once per (r, sum(a)), each on a representative
+insertion list, instead of once per class or graph.  For one-edge graphs the
+gluing map onto the boundary divisor has degree equal to the automorphism
+order of the graph, so the two cancel and the divisor coefficient is the
+plain contraction sum; the golden totals pin this convention.
+:func:`rspinrel.oracles.graph_contribution_terms` keeps the per-graph
+enumeration as the test oracle; both paths share the per-family sums here.
 
 Every contribution vanishes unless sum(a) = g mod r-1, which below the gate
 leaves the unit vectors in genus 1 and the zero vector in genus 2, so each
@@ -54,8 +55,8 @@ Mumford's 5 kappa_1 - delta_irr - 7 delta_1.
 Symbolic-in-r relations are supported in genus 1 (where the contributing
 index patterns are independent of r): every coefficient is a polynomial in r
 of degree at most 3, recovered by exact interpolation from the table's values
-at six sample r, once per (sum(a), key).  Each power of r is extracted from
-those few key polynomials as a feature row.  Only the code that builds or
+at six sample r, once per sum(a).  Each power of r is extracted from those
+few key polynomials as a feature row.  Only the code that builds or
 reads such polynomials imports ``rpoly``, so a numeric relation loads none.
 """
 
@@ -77,14 +78,9 @@ from .strata import (
     DELTA_SEP,
     KAPPA1,
     PSI,
-    DivisorClass,
     UnsupportedGenusError,
     basis_size,
     check_space,
-    delta_irr,
-    delta_sep,
-    kappa1,
-    psi,
 )
 
 if TYPE_CHECKING:
@@ -165,7 +161,7 @@ class RelationSet:
 
 
 # ---------------------------------------------------------------------------
-# Per-family sums, shared by the per-graph oracle and the per-class assembly
+# Per-family sums, shared by the per-graph oracle and the per-key assembly
 # ---------------------------------------------------------------------------
 
 def edge_constant_term(p: int, q: int, theory: RSpinTheory) -> Fraction:
@@ -203,11 +199,11 @@ def _leg_sum(g: int, insertions: Sequence[int], i: int, theory: RSpinTheory) -> 
     return entry * topological_value(g, moved, theory)
 
 
-def _dilaton_sum(g: int, a_vec: tuple[int, ...], theory: RSpinTheory) -> Fraction:
+def _dilaton_sum(g: int, a_vec: Sequence[int], theory: RSpinTheory) -> Fraction:
     """kappa_1 coefficient: psi^2 on the dilaton leg pushes forward to
     kappa_1; the dilaton series carries an explicit minus sign and inserts
     along the unit direction."""
-    return -_leg_sum(g, a_vec + (0,), len(a_vec), theory)
+    return -_leg_sum(g, [*a_vec, 0], len(a_vec), theory)
 
 
 def _loop_sum(
@@ -240,36 +236,26 @@ def _separating_sum(
 # Numeric assembly
 # ---------------------------------------------------------------------------
 
-def _contract(
-    g: int, a_vec: tuple[int, ...], d: DivisorClass, theory: RSpinTheory, edges: EdgeEntries
-) -> Fraction:
-    """The coefficient of the class d, before the r^(g-1) prefactor."""
-    if d.kind == PSI:
-        return _leg_sum(g, a_vec, d.index - 1, theory)
-    if d.kind == DELTA_SEP:
-        a0 = [a_vec[i - 1] for i in sorted(d.markings)]
-        a1 = [a for i, a in enumerate(a_vec, 1) if i not in d.markings]
-        return _separating_sum(g, d.h, a0, a1, theory, edges)
-    if d.kind == DELTA_IRR:
-        return _loop_sum(g, a_vec, theory, edges)
-    return _dilaton_sum(g, a_vec, theory)
-
-
-def _key_classes(g: int, a_vec: tuple[int, ...]) -> dict:
-    """A class of each key of a zero or unit leg vector, by key: psi at the
-    unit and at another marking, kappa_1, delta_irr and, for each h, the
-    smallest stable delta_{h,S} with the unit in S and without it.  A
-    separating key holds the raw sum of a over S, not its residue."""
-    units = [i for i, a in enumerate(a_vec, 1) if a]
-    others = [i for i, a in enumerate(a_vec, 1) if not a]
-    classes = {(PSI, a_vec[i - 1]): psi(i) for i in units + others[:1]}
-    classes.update({KAPPA1: kappa1(), DELTA_IRR: delta_irr()})
+def _key_values(g: int, a_vec: tuple[int, ...], theory: RSpinTheory) -> dict:
+    """Each key's coefficient for a zero or unit leg vector, before the
+    r^(g-1) prefactor, contracted on its legs with the unit first: psi at the
+    unit and at a zero leg, kappa_1, delta_irr and, for each h, the smallest
+    stable delta_{h,S} with the unit in S and without it.  A separating key
+    holds the raw sum of a over S, not its residue."""
+    legs = sorted(a_vec, reverse=True)
+    total, edges = sum(legs), _edge_entries(theory)
+    values = {(PSI, a): _leg_sum(g, legs, legs.index(a), theory) for a in set(legs)}
+    values[KAPPA1] = _dilaton_sum(g, legs, theory)
+    values[DELTA_IRR] = _loop_sum(g, legs, theory, edges)
     for h in range(g // 2 + 1):
         least = 0 if h else 2
-        for S in (units + others[:max(least - len(units), 0)], others[:least]):
-            if len(S) >= least:
-                classes[DELTA_SEP, h, sum(a_vec[i - 1] for i in S)] = delta_sep(h, S)
-    return classes
+        for start, size in {(0, max(least, total)), (total, least)}:
+            inside = legs[start:start + size]
+            if len(inside) == size:
+                outside = legs[:start] + legs[start + size:]
+                values[DELTA_SEP, h, sum(inside)] = _separating_sum(
+                    g, h, inside, outside, theory, edges)
+    return values
 
 
 def _feature_row(g: int, a_vec: tuple[int, ...], values: dict) -> list:
@@ -334,14 +320,15 @@ def _primitive_features(g: int, n: int, a_vec: tuple[int, ...], values: dict) ->
 
 
 class _RelationTable:
-    """One call's relation data on the (g, n) space: contraction values per
-    (r, sum(a), key) and interpolants per (sum(a), key), shared by every
-    class, leg vector and sample with that key.  It lives for one call, so a
-    patched ``p_polynomial`` is always read afresh."""
+    """One call's relation data on the (g, n) space: the key values per
+    (r, sum(a)) and the key polynomials per sum(a), which every leg vector of
+    that sum shares, since below the gate they have one key set.  Callers
+    never change these dicts.  A table lives for one call, so a patched
+    ``p_polynomial`` is always read afresh."""
 
     def __init__(self, g: int, n: int):
         self.g, self.n = g, n
-        self._edges, self._values, self._polys = {}, {}, {}
+        self._values, self._polys = {}, {}
 
     def numeric(self, a_vec: tuple[int, ...], r: int) -> dict:
         """Each key's coefficient at r: the gate of every relation.  Raises
@@ -357,15 +344,11 @@ class _RelationTable:
             raise DegreeGateError(g, n, a_vec, r)
         if not report.d_integral:
             return {}
-        if r not in self._edges:
-            self._edges[r] = _edge_entries(theory)
-        total, values = sum(a_vec), {}
-        for key, d in _key_classes(g, a_vec).items():
-            if (r, total, key) not in self._values:
-                value = _contract(g, a_vec, d, theory, self._edges[r])
-                self._values[r, total, key] = value * r ** (g - 1)
-            values[key] = self._values[r, total, key]
-        return values
+        cached = r, sum(a_vec)
+        if cached not in self._values:
+            values = _key_values(g, a_vec, theory)
+            self._values[cached] = {key: value * r ** (g - 1) for key, value in values.items()}
+        return self._values[cached]
 
     def symbolic(self, a_vec: tuple[int, ...]) -> dict[object, RPoly]:
         """Each key's coefficient as a polynomial in r (genus 1 only)."""
@@ -375,13 +358,14 @@ class _RelationTable:
             raise UnsupportedGenusError("symbolic-in-r assembly is only meaningful in genus 1")
         samples = [self.numeric(a_vec, rr) for rr in _SYMBOLIC_SAMPLE_RS]
         total = sum(a_vec)
-        for key in samples[0]:
-            if (total, key) not in self._polys:
-                points = zip(_SYMBOLIC_SAMPLE_RS, (sample[key] for sample in samples))
-                self._polys[total, key] = poly_interpolate(
-                    list(points), degree_bound=_SYMBOLIC_DEGREE_BOUND
-                )
-        return {key: self._polys[total, key] for key in samples[0]}
+        if total not in self._polys:
+            self._polys[total] = {
+                key: poly_interpolate([(rr, sample[key]) for rr, sample in
+                                       zip(_SYMBOLIC_SAMPLE_RS, samples)],
+                                      degree_bound=_SYMBOLIC_DEGREE_BOUND)
+                for key in samples[0]
+            }
+        return self._polys[total]
 
 
 def relation_row(g: int, n: int, a_vec: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -486,23 +470,17 @@ def admissible_leg_vectors(g: int, n: int, r: int) -> list[tuple[int, ...]]:
 
 
 def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:
-    """The full relation set this construction yields for (g, n, r).
+    """The full relation set this construction yields for (g, n, r), from
+    the admissible leg vectors.
 
-    Genus 1: the n fixed-r assembled relations together with the relations
-    extracted from the symbolic-in-r assembly for each leg choice (the fixed-r
-    relations alone span one dimension less).  Genus 2: the single relation on
-    the unmarked space, whose features are also those of its pullback when
-    n > 0; never assembled directly with markings.  Genus 3 and above:
-    whatever the admissible leg vectors give (nothing).  Zero relations are
-    dropped.  The basis size is checked first, so that an oversized one is
-    refused before the leg vectors are enumerated.
+    Genus 1: the n fixed-r relations together with the relations extracted
+    from the symbolic-in-r assembly for each leg choice (the fixed-r
+    relations alone span one dimension less).  Genus 2: the relation of the
+    unmarked space's leg vector () at r = 3, whose features are also those of
+    its pullback when n > 0; never assembled directly with markings.  Genus 3
+    and above: nothing.  Zero relations are dropped.  The basis size is
+    checked first, so that an oversized one is refused before the leg vectors
+    are enumerated.
     """
     check_space(g, n)
-    if g != 2:
-        return assembled_relation_set(g, n, admissible_leg_vectors(g, n, r), r)
-    try:
-        row = _primitive_features(2, n, (), _RelationTable(2, 0).numeric((), r))
-    except DegreeGateError:
-        row = ()
-    rows = [row] if any(row) else []
-    return RelationSet((2, n), rows, [Provenance(2, n, (), r)] * len(rows))
+    return assembled_relation_set(g, n, admissible_leg_vectors(g, 0 if g == 2 else n, r), r)

@@ -11,8 +11,8 @@ directly in (h, sorted S) order, without canonicalizing or sorting.
 
 The decorated graphs whose reconstruction term can land in codimension 1,
 their enumeration and ``canonical_divisor`` live in :mod:`rspinrel.oracles`:
-the relation assembly reads each class's coefficient off the class itself,
-and only the per-graph oracle walks the graphs and canonicalizes classes.
+the relation assembly contracts coefficient keys and builds no class, and
+only the per-graph oracle walks the graphs and canonicalizes classes.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ import rspinrel.cohft as cohft_module
 import rspinrel.relations as relations_module
 import rspinrel.strata as strata_module
 from rspinrel.cli import main
-from rspinrel.cohft import PhiDegreeReport, p_polynomial, p_row
+from rspinrel.cohft import p_polynomial, p_row
 from rspinrel.linalg import primitive_int_vector
 from rspinrel.oracles import RationalMatrix, rank_and_solve
-from rspinrel.relations import DegreeGateError, relation_row
+from rspinrel.relations import relation_row
 from rspinrel.strata import divisor_generators
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -304,21 +304,6 @@ class TestGenusTwoLegVector:
                                       "--a", "0,1,0"])
         assert code == 1 and out == ""
         assert err.startswith("error: genus 2 with markings takes only the all-zero leg vector\n")
-
-    @pytest.mark.parametrize("r", [4, 5])
-    def test_closed_gate_refused_as_the_unmarked_assembly(self, capsys, monkeypatch, r):
-        # The genus-2 gate is open at every r; closed by hand, the command
-        # refuses with the error the unmarked assembly raises.
-        def closed(g, D, a_vec, r):
-            return PhiDegreeReport(value=1, relation_exists=False, d_integral=False)
-
-        monkeypatch.setattr(relations_module, "phi_degree", closed)
-        with pytest.raises(DegreeGateError) as expected:
-            relation_row(2, 0, (), r)
-        monkeypatch.setattr(cohft_module, "phi_degree", closed)
-        code, out, err = run(capsys, self.argv(3, r))
-        assert code == 2 and out == ""
-        assert err == f"refused: {expected.value} (target codimension D = 1)\n"
 
 
 class TestBasisSizeGuard:

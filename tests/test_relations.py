@@ -15,13 +15,15 @@ from rspinrel.relations import (
     DegreeGateError,
     RelationSet,
     Provenance,
-    _contract,
+    _dilaton_sum,
     _edge_entries,
     _expand,
     _feature_row,
     _leg_sum,
+    _loop_sum,
     _primitive_features,
     _RelationTable,
+    _separating_sum,
     ac_relations,
     admissible_leg_vectors,
     assembled_relation_set,
@@ -499,6 +501,31 @@ class TestOracleEquivalence:
                         seen_nonzero += bool(expected)
         assert seen_zero and seen_nonzero
 
+    @pytest.mark.parametrize("g,n,r", [(1, 4, 3), (1, 5, 10), (2, 3, 3)])
+    def test_one_table_serves_every_admissible_vector(self, monkeypatch, g, n, r):
+        # The loop sum is contracted once per sample r for the whole table,
+        # not once per leg vector.
+        import rspinrel.relations as relations_module
+
+        contracted = []
+        original = relations_module._loop_sum
+
+        def counted(g, a_vec, theory, edges):
+            contracted.append(theory.r)
+            return original(g, a_vec, theory, edges)
+
+        monkeypatch.setattr(relations_module, "_loop_sum", counted)
+        table = _RelationTable(g, n)
+        a_vecs = admissible_leg_vectors(g, n, r)
+        assert len(a_vecs) == (n if g == 1 else 1)
+        for a_vec in a_vecs:
+            values = table.numeric(a_vec, r)
+            assert keyed_classes(g, n, a_vec, values) == per_graph_coefficients(g, n, a_vec, r)
+            if g == 1:
+                polys = table.symbolic(a_vec)
+                assert keyed_classes(1, n, a_vec, polys) == per_class_symbolic(n, a_vec)
+        assert sorted(contracted) == (sorted({r, *SAMPLE_RS}) if g == 1 else [r])
+
     def test_symbolic_matches_per_divisor_interpolation(self):
         for n in range(1, 6):
             for a_vec in product((0, 1), repeat=n):
@@ -892,6 +919,20 @@ class TestSystemDeterminant:
 # Feature coordinates against the class-keyed dense path
 # ---------------------------------------------------------------------------
 
+def class_contract(g, a_vec, d, theory, edges):
+    """The coefficient of the class d before the r^(g-1) prefactor, by the
+    per-family sum of its kind."""
+    if d.kind == PSI:
+        return _leg_sum(g, a_vec, d.index - 1, theory)
+    if d.kind == DELTA_SEP:
+        a0 = [a_vec[i - 1] for i in sorted(d.markings)]
+        a1 = [a for i, a in enumerate(a_vec, 1) if i not in d.markings]
+        return _separating_sum(g, d.h, a0, a1, theory, edges)
+    if d.kind == DELTA_IRR:
+        return _loop_sum(g, a_vec, theory, edges)
+    return _dilaton_sum(g, a_vec, theory)
+
+
 def dense_relation_set(g, n, a_vecs, r=None, extract=True):
     """Oracle for assembled_relation_set: (basis, rows, provenances) on the
     class-keyed dense path that the feature rows replace.  Every basis class
@@ -911,7 +952,7 @@ def dense_relation_set(g, n, a_vecs, r=None, extract=True):
         def values(rr):
             theory = RSpinTheory(rr)
             edges = _edge_entries(theory)
-            return {key: _contract(g, a_vec, d, theory, edges) * rr ** (g - 1)
+            return {key: class_contract(g, a_vec, d, theory, edges) * rr ** (g - 1)
                     for key, d in first.items()}
 
         found = []
@@ -1142,16 +1183,18 @@ class TestFeatureCoordinates:
         assert report == (True, n + 1, n + 1, n + 1)
 
     def test_marked_genus_two_relation_must_be_a_pullback(self, monkeypatch):
-        # Fault injection: a psi coefficient off the pullback's -kappa_1 one.
+        # Fault injection: a delta_{0,S} coefficient off the pullback's
+        # kappa_1 one.  A skewed leg sum would move psi and kappa_1 together
+        # and leave a pullback.
         import rspinrel.relations as relations_module
 
-        original = relations_module._contract
+        original = relations_module._separating_sum
 
-        def skewed(g, a_vec, d, theory, edges):
-            value = original(g, a_vec, d, theory, edges)
-            return value + 1 if d.kind == "psi" else value
+        def skewed(g, h, a0, a1, theory, edges):
+            value = original(g, h, a0, a1, theory, edges)
+            return value if h else value + 1
 
-        monkeypatch.setattr(relations_module, "_contract", skewed)
+        monkeypatch.setattr(relations_module, "_separating_sum", skewed)
         assert any(relation_row(2, 0, (), 3))
         with pytest.raises(AssemblyError, match="pullback"):
             relation_row(2, 2, (0, 0), 3)
