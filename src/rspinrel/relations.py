@@ -249,7 +249,7 @@ def _key_values(g: int, a_vec: tuple[int, ...], theory: RSpinTheory) -> dict:
     values[DELTA_IRR] = _loop_sum(g, legs, theory, edges)
     for h in range(g // 2 + 1):
         least = 0 if h else 2
-        for start, size in {(0, max(least, total)), (total, least)}:
+        for start, size in {(0, max(least, total)), (total, least)}:  # S with, without the unit
             inside = legs[start:start + size]
             if len(inside) == size:
                 outside = legs[:start] + legs[start + size:]
