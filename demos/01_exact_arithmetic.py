@@ -8,7 +8,8 @@ with a consistency check, and rank/determinant over the rationals.
 from fractions import Fraction
 
 from rspinrel import InterpolationError, RPoly, poly_interpolate
-from rspinrel.oracles import determinant, rank_and_solve
+from rspinrel.linalg import rref
+from rspinrel.oracles import determinant
 
 # Rationals are plain fractions.Fraction: always reduced, exact.
 print("1/2 + 1/3 =", Fraction(1, 2) + Fraction(1, 3))
@@ -30,16 +31,15 @@ try:
 except InterpolationError as exc:
     print("quadratic data under a linear bound ->", exc)
 
-# Exact linear algebra: rank, nullspace, determinant.
+# Exact linear algebra: rank, reduced rows, determinant.
 rows = [
     [1, -1, 0, 0, 0],
     [2, 0, -1, -1, 0],
     [12, 0, 0, -12, -1],
 ]
-rank, nullspace = rank_and_solve(rows)
-print("\nrelation matrix rank:", rank)
-print("nullspace dimension:", len(nullspace))
-for v in nullspace:
-    print("  kernel vector:", v)
+reduced, pivots = rref(rows)
+print("\nrelation matrix rank:", len(pivots))
+for row in reduced:
+    print("  reduced row:", row)
 
 print("\ndet of a polynomial matrix:", determinant([[r, RPoly((1,))], [RPoly((1,)), r]]))

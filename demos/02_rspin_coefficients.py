@@ -68,5 +68,5 @@ print("idempotent report:", idempotent_check(theory).ok)
 
 # Degree bookkeeping that gates relation existence.
 print("\nclass degree (g=2, no markings, r=3):", witten_degree(2, 0, (), 3))
-print("gate report:", phi_degree(2, 1, (), 3))
-print("gate report for g=4 (no relation):", phi_degree(4, 1, (), 3))
+print("gate report:", phi_degree(2, (), 3))
+print("gate report for g=4 (no relation):", phi_degree(4, (), 3))

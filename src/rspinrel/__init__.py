@@ -23,18 +23,16 @@ _EXPORTS = {
         "topological_value", "witten_degree",
     ),
     "oracles": (
-        "GraphContribution", "GraphTerm", "IdempotentReport", "RationalMatrix",
-        "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
-        "canonical_divisor", "determinant", "divisor_class_of",
-        "enumerate_contributing_graphs", "graph_contribution_terms", "idempotent_check",
-        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
-        "r_inverse_matrix", "rank_and_solve", "system_matrix_det",
+        "GraphContribution", "GraphTerm", "IdempotentReport", "StableGraph",
+        "StructureConstants", "SystemDetReport", "Vertex", "canonical_divisor",
+        "determinant", "divisor_class_of", "enumerate_contributing_graphs",
+        "graph_contribution_terms", "idempotent_check", "quantum_structure_constants",
+        "r_forward_entry", "r_forward_matrix", "r_inverse_matrix", "system_matrix_det",
     ),
     "relations": (
-        "AssemblyError", "BasisMismatchError", "Provenance", "RelationSet",
-        "SpanReport", "ac_relations", "admissible_leg_vectors",
-        "assembled_relation_set", "edge_constant_term", "ppz_relation_set",
-        "relation_row", "spans_equal",
+        "BasisMismatchError", "Provenance", "RelationSet", "SpanReport",
+        "ac_relations", "admissible_leg_vectors", "assembled_relation_set",
+        "edge_constant_term", "ppz_relation_set", "relation_row", "spans_equal",
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),

@@ -141,7 +141,7 @@ def _cmd_relations(args) -> int:
         # Refuse up front when no leg vector can pass the degree gate; the
         # all-zero vector, whose report is that of no legs, minimizes the
         # gated quantity over all leg choices.
-        report = phi_degree(g, 1, (), args.r)
+        report = phi_degree(g, (), args.r)
         if not report.relation_exists:
             raise DegreeGateError(g, n, (0,) * n, args.r)
 
@@ -165,15 +165,10 @@ def _cmd_relations(args) -> int:
         rows, provenances = extracted.rows, extracted.provenances
         header = f"relations g={g} n={n} r=symbolic ({len(rows)} extracted)"
     elif a_vec is not None:
-        if g == 2 and n > 0:
-            # The unmarked space fixes the leg data, and the full set is that
-            # one pulled-back row, with a = ().
-            pulled = ppz_relation_set(2, n, args.r)
-            rows, provenances = pulled.reduced_rows(), pulled.provenances
-        else:
-            row = relation_row(g, n, a_vec, args.r)
-            if any(row):
-                rows, provenances = [row], [Provenance(g, n, a_vec, args.r)]
+        row = relation_row(g, n, a_vec, args.r)
+        if any(row):
+            # A genus-2 row is pulled back from the unmarked space, so it has a = ().
+            rows, provenances = [row], [Provenance(g, n, () if g == 2 else a_vec, args.r)]
         header = f"relations g={g} n={n} r={args.r} a={list(a_vec)}"
         if not rows:
             notes.append("zero relation: every graph contribution vanishes")

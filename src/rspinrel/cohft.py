@@ -206,16 +206,14 @@ def witten_degree(g: int, n: int, a_vec: Sequence[int], r: int) -> Fraction:
     return Fraction((r - 2) * (g - 1) + sum(a_vec), r)
 
 
-def phi_degree(g: int, D: int, a_vec: Sequence[int], r: int) -> PhiDegreeReport:
-    """Total-degree bookkeeping for a codimension-D relation candidate.
+def phi_degree(g: int, a_vec: Sequence[int], r: int) -> PhiDegreeReport:
+    """Total-degree bookkeeping for a codimension-1 relation candidate.
 
-    Returns d*(r-1) = sum(a_i) + (g-1)(r-2) - r*D together with the existence
-    flag (negative value means the degree-D part vanishes, hence a relation)
+    Returns d*(r-1) = sum(a_i) + (g-1)(r-2) - r together with the existence
+    flag (negative value means the degree-1 part vanishes, hence a relation)
     and whether d itself is an integer.
     """
-    if D < 0:
-        raise ValueError("D must be nonnegative")
-    value = sum(a_vec) + (g - 1) * (r - 2) - r * D
+    value = sum(a_vec) + (g - 1) * (r - 2) - r
     return PhiDegreeReport(
         value=value,
         relation_exists=value < 0,

@@ -5,10 +5,9 @@ module.  It holds the codimension-1 graph layer (stable graphs, their
 enumeration, divisor classes and :func:`canonical_divisor`);
 :func:`graph_contribution_terms`, the per-graph contraction oracle for the
 assembly; the forward and whole R-matrices; the quantum product with its
-idempotent check in exact cyclotomic arithmetic; :class:`RationalMatrix`,
-nullspaces and determinants; and the genus-1 system determinant.  Whatever
-reads P_m(r, a) here looks up ``cohft.p_polynomial`` when called, so a patched
-table is seen.
+idempotent check in exact cyclotomic arithmetic; determinants; and the
+genus-1 system determinant.  Whatever reads P_m(r, a) here looks up
+``cohft.p_polynomial`` when called, so a patched table is seen.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from typing import NamedTuple, Sequence, Union
 from . import cohft
 from .cohft import RSpinTheory, r_inverse_entry
 from .cyclotomic import CyclotomicField
-from .linalg import rref
-from .relations import (AssemblyError, _dilaton_sum, _edge_entries, _leg_sum, _loop_sum,
-                        _separating_sum)
+from .relations import _dilaton_sum, _edge_entries, _leg_sum, _loop_sum, _separating_sum
 from .rpoly import RPoly
 from .strata import (DELTA_IRR, KAPPA1, PSI, DivisorClass, StabilityError,
                      UnsupportedGenusError, delta_irr, delta_sep, kappa1, psi)
@@ -265,16 +262,13 @@ def graph_contribution_terms(
             total = _loop_sum(g, a_vec, theory, edges)
             terms.append(GraphTerm(delta_irr(), total))
 
-        elif kind == "separating_edge":
+        else:  # "separating_edge"
             v0, v1 = graph.vertices
             a0 = [a_vec[i - 1] for i in sorted(v0.markings)]
             a1 = [a_vec[i - 1] for i in sorted(v1.markings)]
             total = _separating_sum(g, v0.genus, a0, a1, theory, edges)
             divisor = divisor_class_of(graph, g, n)
             terms.append(GraphTerm(divisor, total))
-
-        else:  # pragma: no cover - enumeration emits only the kinds above
-            raise AssemblyError(f"unknown contribution kind {kind}")
 
     return terms
 
@@ -393,69 +387,27 @@ def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
 
 
 # ---------------------------------------------------------------------------
-# Nullspace and determinants, and the genus-1 leg/kappa system determinant
+# Determinants, and the genus-1 leg/kappa system determinant
 # ---------------------------------------------------------------------------
 
 
-class RationalMatrix:
-    """Rectangular matrix with homogeneous entries: all Fraction or all RPoly."""
-
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = [list(row) for row in entries]
-        self.rows, self.cols = len(rows), len(rows[0]) if rows else 0
-        if any(len(row) != self.cols for row in rows):
-            raise ValueError("matrix rows have unequal lengths")
-        self.is_polynomial = any(isinstance(x, RPoly) for row in rows for x in row)
-        coerce = RPoly.constant if self.is_polynomial else Fraction
-        self.entries: tuple[tuple, ...] = tuple(
-            tuple(x if isinstance(x, RPoly) else coerce(x) for x in row) for row in rows
-        )
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
-
-
-def _as_matrix(m) -> RationalMatrix:
-    return m if isinstance(m, RationalMatrix) else RationalMatrix(m)
-
-
-def rank_and_solve(m) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Exact rank and a basis of the right nullspace of a rational matrix.
-
-    Each basis vector v satisfies M v = 0 exactly, and
-    rank + len(basis) == cols.  Both are read off
-    :func:`rspinrel.linalg.rref`.
-    """
-    mat = _as_matrix(m)
-    rows, pivots = rref(mat.entries)
-    pivot_set = set(pivots)
-    basis: list[tuple[Fraction, ...]] = []
-    for free in range(mat.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * mat.cols
-        v[free] = Fraction(1)
-        for row, piv_col in zip(rows, pivots):
-            v[piv_col] = Fraction(-row[free], row[piv_col])
-        basis.append(tuple(v))
-    return len(pivots), basis
-
-
-def determinant(m):
-    """Exact determinant; Bareiss for rational entries, minor expansion for RPoly."""
-    mat = _as_matrix(m)
-    if mat.rows != mat.cols:
+def determinant(rows):
+    """Exact determinant of a square matrix given as rows: minor expansion
+    when any entry is an RPoly, else Bareiss over Fractions.  Bareiss divides,
+    and an RPoly cannot."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    if mat.is_polynomial:
-        return _minor_expansion_det(mat.entries)
-    return _bareiss_det(mat.entries)
+    if any(isinstance(x, RPoly) for row in rows for x in row):
+        return _minor_expansion_det(rows)
+    return _bareiss_det(rows)
 
 
-def _bareiss_det(entries: tuple[tuple[Fraction, ...], ...]) -> Fraction:
+def _bareiss_det(entries: Sequence[Sequence]) -> Fraction:
     n = len(entries)
     if n == 0:
         return Fraction(1)
-    m = [list(row) for row in entries]
+    m = [[Fraction(x) for x in row] for row in entries]
     sign = 1
     prev = Fraction(1)
     for k in range(n - 1):
@@ -532,7 +484,7 @@ def system_matrix_det(
         p1_1, p1_0 = cohft.p_polynomial(1, 1, r), cohft.p_polynomial(1, 0, r)
     diag, off = (x - 1) * p1_1, (x - 1) * p1_0
     rows = [[diag if j == i else off for j in range(n)] + [-off] for i in range(n)]
-    det = determinant(RationalMatrix(rows + [[1] * n + [-1]]))
+    det = determinant(rows + [[1] * n + [-1]])
     reference = (1 - x) ** n * (2 - x) ** 2 * Fraction(-1, 4)
     product_form = -(((x - 1) * (x - 2) * Fraction(1, 2)) ** n)
     residual = det - reference

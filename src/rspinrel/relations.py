@@ -40,9 +40,10 @@ relation lies in a few features: in genus 1 psi_1..psi_n, kappa_1, delta_irr,
 chi_1..chi_n and one (chi_i sums the delta_{0,S} with i in S, one sums them
 all), since for e_i a delta_{0,S} has the key of [i in S]; in genus 2 the
 kappa_1, delta_irr and delta_1 of the unmarked space, whose pullback is the
-relation with markings.  Relation sets keep integer rows over the features,
-take ranks and reduced rows there, and write a row over the basis of about
-2^n classes only when it is read.
+relation with markings, so genus 2 is always contracted with no legs.
+Relation sets keep integer rows over the features, take ranks and reduced rows
+there, and write a row over the basis of about 2^n classes only when it is
+read.
 
 In these features the genus-1 relation of e_i is (r-1)(r-2)/24 times
 (13-2r) A_i - (2r-1) B_i - delta_irr, with A_i = psi_i - chi_i and
@@ -90,10 +91,6 @@ if TYPE_CHECKING:
 # coefficients, plus consistency samples beyond the 4 needed nodes.
 _SYMBOLIC_SAMPLE_RS = (3, 4, 5, 6, 7, 8)
 _SYMBOLIC_DEGREE_BOUND = 3
-
-
-class AssemblyError(RuntimeError):
-    """Internal bookkeeping violation during relation assembly."""
 
 
 class BasisMismatchError(ValueError):
@@ -262,17 +259,14 @@ def _feature_row(g: int, a_vec: tuple[int, ...], values: dict) -> list:
     """The relation with these key values over its genus's features, a key no
     class holds read as 0.  For e_i in genus 1, delta_{0,S} holds ``inside``
     when i is in S, else ``outside``: (inside - outside) chi_i + outside one.
-    In genus 2 the relation must be a pullback from the unmarked space."""
+    In genus 2 the values are those of the unmarked space."""
     if g == 1:
         inside, outside = (values.get((DELTA_SEP, 0, s), 0) for s in (1, 0))
         return ([values.get((PSI, a), 0) for a in a_vec]
                 + [values.get(KAPPA1, 0), values.get(DELTA_IRR, 0)]
                 + [inside - outside if a else 0 for a in a_vec] + [outside])
     if g == 2:
-        k = values.get(KAPPA1, 0)
-        if values.get((PSI, 0), -k) != -k or values.get((DELTA_SEP, 0, 0), k) != k:
-            raise AssemblyError("the genus-2 relation is not a pullback from the unmarked space")
-        return [k, values.get(DELTA_IRR, 0), values.get((DELTA_SEP, 1, 0), 0)]
+        return [values.get(KAPPA1, 0), values.get(DELTA_IRR, 0), values.get((DELTA_SEP, 1, 0), 0)]
     return []
 
 
@@ -339,14 +333,15 @@ class _RelationTable:
         theory = RSpinTheory(r)
         for a in a_vec:
             theory.check_index(a)
-        report = phi_degree(g, 1, a_vec, r)
+        report = phi_degree(g, a_vec, r)
         if not report.relation_exists:
             raise DegreeGateError(g, n, a_vec, r)
         if not report.d_integral:
             return {}
         cached = r, sum(a_vec)
         if cached not in self._values:
-            values = _key_values(g, a_vec, theory)
+            # Genus 2 gets here only with zero legs, whose relation pulls back from no legs.
+            values = _key_values(g, () if g == 2 else a_vec, theory)
             self._values[cached] = {key: value * r ** (g - 1) for key, value in values.items()}
         return self._values[cached]
 
@@ -460,7 +455,7 @@ def admissible_leg_vectors(g: int, n: int, r: int) -> list[tuple[int, ...]]:
     most 1 above, so every allowed sum is 0 or 1: the vectors are the zero
     vector if sum 0 is allowed, then the unit vectors in lexicographic order
     if sum 1 is (in genus 1, exactly the n unit vectors)."""
-    bound = -phi_degree(g, 1, (), r).value
+    bound = -phi_degree(g, (), r).value
     vectors = []
     if 0 < bound and g % (r - 1) == 0:
         vectors.append((0,) * n)
@@ -476,11 +471,10 @@ def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:
     Genus 1: the n fixed-r relations together with the relations extracted
     from the symbolic-in-r assembly for each leg choice (the fixed-r
     relations alone span one dimension less).  Genus 2: the relation of the
-    unmarked space's leg vector () at r = 3, whose features are also those of
-    its pullback when n > 0; never assembled directly with markings.  Genus 3
-    and above: nothing.  Zero relations are dropped.  The basis size is
-    checked first, so that an oversized one is refused before the leg vectors
-    are enumerated.
+    unmarked space's leg vector () at r = 3, pulled back to the n markings
+    and labelled a = ().  Genus 3 and above: nothing.  Zero relations are
+    dropped.  The basis size is checked first, so that an oversized one is
+    refused before the leg vectors are enumerated.
     """
     check_space(g, n)
     return assembled_relation_set(g, n, admissible_leg_vectors(g, 0 if g == 2 else n, r), r)

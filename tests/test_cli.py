@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from io import StringIO
 from math import gcd
 from unittest import mock
@@ -22,8 +21,7 @@ import rspinrel.relations as relations_module
 import rspinrel.strata as strata_module
 from rspinrel.cli import main
 from rspinrel.cohft import p_polynomial, p_row
-from rspinrel.linalg import primitive_int_vector
-from rspinrel.oracles import RationalMatrix, rank_and_solve
+from rspinrel.linalg import primitive_int_vector, rref
 from rspinrel.relations import relation_row
 from rspinrel.strata import divisor_generators
 
@@ -57,10 +55,7 @@ def cold_run(argv, *python_flags, hash_seed=0, preexec_fn=None):
 
 
 def span_rank(rows):
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return 0
-    return rank_and_solve(RationalMatrix([[Fraction(x) for x in r] for r in rows]))[0]
+    return len(rref(rows)[1])
 
 
 class TestRelationsCommand:
@@ -167,6 +162,7 @@ class TestRelationsCommand:
         assert code == 0
         payload = json.loads(out)["relations"][0]
         assert payload["coeffs"] == [5, 5, -5, 1, -5, 7, 7]
+        assert (payload["a"], payload["r"]) == ([], 3)
         # Only the all-zero leg vector exists on the unmarked source space.
         code, _, err = run(
             capsys, ["relations", "--g", "2", "--n", "2", "--r", "3", "--a", "1,0"]
@@ -673,6 +669,10 @@ class TestTextOutput:
          "67d293a8a75e774074fd61b006165b27da6f1df53901db8b37e444d1ae4a981d"),
         ("relations --g 2 --n 3 --r 3",
          "eaff379ebee5ac67718d35c8ad26937808121423e675b55735f49d233420e985"),
+        ("relations --g 2 --n 3 --r 3 --a 0,0,0",
+         "c0b141b953910a9511f4a3870651e90c8141a6fbe4a7c98b11815b3a7eb46958"),
+        ("relations --g 2 --n 3 --r 4 --a 0,0,0",
+         "89b35d9d3d0edd3db5c564116ae185c54fc2edd21bf37af1e93372be43958281"),
         ("verify-ac --g 1 --n 4 --r 3",
          "3bf6ff3bea0cd7cc6ab4b6d1a770c72fb898391037d0889a3cecded38a26ce0b"),
     ])
@@ -948,6 +948,11 @@ def _cold_golden_point(argv):
     return (g == "1" and n in ("6", "7")) or (g == "2" and n == "8" and argv[0] == "verify-ac")
 
 
+def _genus(argv):
+    """The --g of a grid point, 0 for a command without one."""
+    return int(argv[argv.index("--g") + 1]) if "--g" in argv else 0
+
+
 class TestGoldenOutputs:
     """Cold CLI processes reproduce the benchmark's golden exit codes and
     output digests (``perfbench/golden.json``) on the points of
@@ -955,11 +960,10 @@ class TestGoldenOutputs:
 
     GOLDEN = json.load(open(os.path.join(ROOT, "perfbench", "golden.json")))
 
-    def in_process_mismatches(self, capsys, genus_ok):
-        """Every grid point whose genus passes ``genus_ok``, run through
-        main() in this process: how many ran, and the keys that mismatched."""
-        points = [a for a in workloads.grid_points()
-                  if "--g" in a and genus_ok(int(a[a.index("--g") + 1]))]
+    def in_process_mismatches(self, capsys, keep):
+        """Every grid point that ``keep`` accepts, run through main() in this
+        process: how many ran, and the keys that mismatched."""
+        points = [a for a in workloads.grid_points() if keep(a)]
         mismatches = []
         for argv in points:
             code, out, _ = run(capsys, list(argv))
@@ -969,13 +973,18 @@ class TestGoldenOutputs:
         return len(points), mismatches
 
     def test_genus_one_points_in_process(self, capsys):
-        count, mismatches = self.in_process_mismatches(capsys, lambda g: g == 1)
+        count, mismatches = self.in_process_mismatches(capsys, lambda a: _genus(a) == 1)
         assert count and mismatches == []
 
     def test_genus_two_and_up_points_in_process(self, capsys):
         # The g2, g3 and g4 families of g2-wide.
-        count, mismatches = self.in_process_mismatches(capsys, lambda g: g >= 2)
+        count, mismatches = self.in_process_mismatches(capsys, lambda a: _genus(a) >= 2)
         assert count == 64 and mismatches == []
+
+    def test_pm_table_points_in_process(self, capsys):
+        # The pm-deep family.
+        count, mismatches = self.in_process_mismatches(capsys, lambda a: a[0] == "pm-table")
+        assert count == 38 and mismatches == []
 
     def test_selftest_in_process(self, capsys):
         # The criteria's detail strings and the exit code, pinned by digest.

@@ -385,13 +385,13 @@ class TestDegrees:
             witten_degree(1, 1, (5,), 3)
 
     def test_phi_degree_examples(self):
-        report = phi_degree(1, 1, (1, 0), 3)
+        report = phi_degree(1, (1, 0), 3)
         assert report.value == -2 and report.relation_exists and report.d_integral
-        report = phi_degree(2, 1, (), 3)
+        report = phi_degree(2, (), 3)
         assert report.value == -2 and report.relation_exists and report.d_integral
-        report = phi_degree(4, 1, (), 3)
+        report = phi_degree(4, (), 3)
         assert report.value == 0 and not report.relation_exists
-        report = phi_degree(3, 1, (), 3)
+        report = phi_degree(3, (), 3)
         assert report.value == -1 and report.relation_exists and not report.d_integral
 
 

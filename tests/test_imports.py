@@ -172,12 +172,12 @@ def test_detects_an_unused_private_definition(tmp_path):
     ]
 
 
-# What the oracles may take from the library's relation assembly: the error
-# type, the edge entries and the four per-family sums.  An oracle written from
-# the feature path (_RelationTable, _feature_row, _expand) would check that
-# code against itself.
+# What the oracles may take from the library's relation assembly: the edge
+# entries and the four per-family sums.  An oracle written from the feature
+# path (_RelationTable, _feature_row, _expand) would check that code against
+# itself.
 ORACLE_IMPORTS_FROM_RELATIONS = {
-    "AssemblyError", "_edge_entries", "_leg_sum", "_dilaton_sum", "_loop_sum", "_separating_sum",
+    "_edge_entries", "_leg_sum", "_dilaton_sum", "_loop_sum", "_separating_sum",
 }
 
 

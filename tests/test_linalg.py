@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rspinrel.linalg import primitive_int_vector, rref
-from rspinrel.oracles import RationalMatrix, determinant, rank_and_solve
+from rspinrel.oracles import determinant
 from rspinrel.rpoly import RPoly
 
 entries = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -99,40 +99,6 @@ def naive_gauss_det(grid):
     return det
 
 
-class TestRankAndSolve:
-    def test_identity(self):
-        rank, nullspace = rank_and_solve([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert rank == 3 and nullspace == []
-
-    def test_zero_matrix(self):
-        rank, nullspace = rank_and_solve([[0, 0, 0, 0], [0, 0, 0, 0]])
-        assert rank == 0 and len(nullspace) == 4
-
-    def test_golden_relation_matrix(self):
-        # The three relations on the two-marked genus-1 space, over
-        # (psi_1, psi_2, kappa_1, delta_sep, delta_irr): rank 3.
-        rows = [
-            [1, -1, 0, 0, 0],
-            [2, 0, -1, -1, 0],
-            [12, 0, 0, -12, -1],
-        ]
-        rank, _ = rank_and_solve(rows)
-        assert rank == 3
-
-    @given(rect_matrices())
-    @settings(max_examples=60, deadline=None)
-    def test_nullspace_and_rank_nullity(self, grid):
-        rank, nullspace = rank_and_solve(grid)
-        assert rank + len(nullspace) == len(grid[0])
-        for v in nullspace:
-            for row in grid:
-                assert sum(a * x for a, x in zip(row, v)) == 0
-
-    def test_rejects_polynomial_entries(self):
-        with pytest.raises(ValueError):
-            rank_and_solve([[RPoly((1, 1))]])
-
-
 class TestDeterminant:
     def test_identity(self):
         assert determinant([[1, 0], [0, 1]]) == 1
@@ -146,7 +112,7 @@ class TestDeterminant:
 
     def test_ragged_rows(self):
         with pytest.raises(ValueError):
-            RationalMatrix([[1, 2], [3]])
+            determinant([[1, 2], [3]])
 
     @given(square_matrices())
     @settings(max_examples=60, deadline=None)
@@ -195,17 +161,6 @@ class TestRref:
         assert pivots == oracle_pivots
         assert rows == [primitive_int_vector(row) for row in oracle_rows]
         assert all(row[col] > 0 for row, col in zip(rows, pivots))
-        assert rref(RationalMatrix(grid).entries) == (rows, pivots)
-
-    @given(deficient_matrices())
-    @settings(max_examples=60, deadline=None)
-    def test_nullspace_of_deficient_matrices(self, grid):
-        rank, nullspace = rank_and_solve(grid)
-        assert rank == len(fraction_rref(grid)[1])
-        assert rank + len(nullspace) == len(grid[0])
-        for v in nullspace:
-            for row in grid:
-                assert sum(a * x for a, x in zip(row, v)) == 0
 
 
 class TestPrimitiveIntVector:

@@ -22,18 +22,16 @@ EXPORTED = {
         "p_row", "phi_degree", "r_inverse_entry", "topological_value", "witten_degree",
     ),
     "oracles": (
-        "GraphContribution", "GraphTerm", "IdempotentReport", "RationalMatrix",
-        "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
-        "canonical_divisor", "determinant", "divisor_class_of",
-        "enumerate_contributing_graphs", "graph_contribution_terms", "idempotent_check",
-        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
-        "r_inverse_matrix", "rank_and_solve", "system_matrix_det",
+        "GraphContribution", "GraphTerm", "IdempotentReport", "StableGraph",
+        "StructureConstants", "SystemDetReport", "Vertex", "canonical_divisor",
+        "determinant", "divisor_class_of", "enumerate_contributing_graphs",
+        "graph_contribution_terms", "idempotent_check", "quantum_structure_constants",
+        "r_forward_entry", "r_forward_matrix", "r_inverse_matrix", "system_matrix_det",
     ),
     "relations": (
-        "AssemblyError", "BasisMismatchError", "DegreeGateError", "Provenance",
-        "RelationSet", "SpanReport", "ac_relations", "admissible_leg_vectors",
-        "assembled_relation_set", "edge_constant_term", "ppz_relation_set",
-        "relation_row", "spans_equal",
+        "BasisMismatchError", "DegreeGateError", "Provenance", "RelationSet",
+        "SpanReport", "ac_relations", "admissible_leg_vectors", "assembled_relation_set",
+        "edge_constant_term", "ppz_relation_set", "relation_row", "spans_equal",
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),
@@ -54,10 +52,12 @@ def test_exported_name_is_the_home_module_object(module, name):
     assert getattr(rspinrel, name) is getattr(home, name)
 
 
-# The class-keyed relation layer, retired: RelationSet is the only relation
-# type, and it writes no basis of its own.
+# Retired names: the class-keyed relation layer (RelationSet is the only
+# relation type, and it writes no basis of its own), the genus-2 pullback
+# check, and the matrix type and nullspace that only tests read.
 REMOVED = ("Relation", "DenseRelationSet", "assemble_relation", "extract_r_coefficients",
-           "pullback_genus2", "_genus2_base", "_extract")
+           "pullback_genus2", "_genus2_base", "_extract", "AssemblyError", "RationalMatrix",
+           "rank_and_solve")
 
 
 MODULES = ["rspinrel"] + [f"rspinrel.{path.stem}" for path in sorted(

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from rspinrel.cohft import RSpinTheory, phi_degree, r_inverse_entry, topological_value
 from rspinrel.linalg import primitive_int_vector, rref
 from rspinrel.relations import (
-    AssemblyError,
     BasisMismatchError,
     DegreeGateError,
     RelationSet,
@@ -33,11 +32,9 @@ from rspinrel.relations import (
     spans_equal,
 )
 from rspinrel.oracles import (
-    RationalMatrix,
     canonical_divisor,
     enumerate_contributing_graphs,
     graph_contribution_terms,
-    rank_and_solve,
     system_matrix_det,
 )
 from rspinrel import strata
@@ -66,7 +63,7 @@ def scan_admissible_leg_vectors(g, n, r):
     vectors, each checked against the gate and the parity condition."""
     out = []
     for a_vec in product(range(r - 1), repeat=n):
-        if not phi_degree(g, 1, a_vec, r).relation_exists:
+        if not phi_degree(g, a_vec, r).relation_exists:
             continue
         if (sum(a_vec) - g) % (r - 1) != 0:
             continue
@@ -396,8 +393,7 @@ class TestPullback:
         assert _primitive_features(2, 200, (), values) == _primitive_features(2, 1, (), values)
 
     def test_direct_assembly_matches_pullback(self):
-        # The engine can also assemble directly on the marked genus-2 space;
-        # the official route is the pullback, and they must agree projectively.
+        # A marked genus-2 row and the relation set are the one pulled-back row.
         for n in (1, 2, 3):
             direct = relation_row(2, n, (0,) * n, 3)
             assert [direct] == ppz_relation_set(2, n, 3).rows
@@ -417,6 +413,15 @@ class TestGenusTwoRowOracle:
             direct = ppz_relation_set(2, n, r)
             assert direct.rows == oracle, (n, r)
             assert direct.provenances == [Provenance(2, n, (), r)] * len(oracle), (n, r)
+
+    def test_marked_oracle_is_the_pullback_of_the_unmarked_one(self):
+        # What lets the assembly contract genus 2 with no legs: per graph,
+        # the zero vector's relation is the unmarked relation pulled back.
+        for n in range(1, 6):
+            for r in (3, 4, 5):
+                marked = per_graph_coefficients(2, n, (0,) * n, r)
+                base = per_graph_coefficients(2, 0, (), r)
+                assert marked == dict_pullback_genus2(base, n), (n, r)
 
     @pytest.mark.parametrize("n", range(11))
     def test_ac_rows_match_dict_pullback(self, n):
@@ -440,7 +445,7 @@ class TestDegreeGate:
                     continue
                 for r in (3, 4):
                     for a_vec in product(range(r - 1), repeat=n):
-                        expected = phi_degree(g, 1, a_vec, r).relation_exists
+                        expected = phi_degree(g, a_vec, r).relation_exists
                         if expected:
                             relation_row(g, n, a_vec, r)  # must not raise
                         else:
@@ -470,7 +475,7 @@ class TestDegreeGate:
             for r in range(3, 61):
                 allowed = [
                     s for s in range(10 * r)
-                    if phi_degree(g, 1, (s,), r).relation_exists and (s - g) % (r - 1) == 0
+                    if phi_degree(g, (s,), r).relation_exists and (s - g) % (r - 1) == 0
                 ]
                 assert set(allowed) <= {0, 1}, (g, r, allowed)
 
@@ -491,11 +496,15 @@ class TestOracleEquivalence:
                     continue
                 for r in range(3, 8):
                     for a_vec in product(range(r - 1), repeat=n):
-                        if not phi_degree(g, 1, a_vec, r).relation_exists:
+                        if not phi_degree(g, a_vec, r).relation_exists:
                             continue
                         values = _RelationTable(g, n).numeric(a_vec, r)
                         expected = per_graph_coefficients(g, n, a_vec, r)
-                        assert keyed_classes(g, n, a_vec, values) == expected, (g, n, a_vec, r)
+                        if g == 2 and expected:  # contracted on the unmarked space
+                            unmarked = per_graph_coefficients(2, 0, (), r)
+                            assert keyed_classes(2, 0, (), values) == unmarked, (n, a_vec, r)
+                        else:
+                            assert keyed_classes(g, n, a_vec, values) == expected, (g, n, a_vec, r)
                         assert relation_row(g, n, a_vec, r) == class_row(g, n, expected)
                         seen_zero += not expected
                         seen_nonzero += bool(expected)
@@ -520,7 +529,10 @@ class TestOracleEquivalence:
         assert len(a_vecs) == (n if g == 1 else 1)
         for a_vec in a_vecs:
             values = table.numeric(a_vec, r)
-            assert keyed_classes(g, n, a_vec, values) == per_graph_coefficients(g, n, a_vec, r)
+            if g == 2:  # contracted on the unmarked space
+                assert keyed_classes(2, 0, (), values) == per_graph_coefficients(2, 0, (), r)
+            else:
+                assert keyed_classes(g, n, a_vec, values) == per_graph_coefficients(g, n, a_vec, r)
             if g == 1:
                 polys = table.symbolic(a_vec)
                 assert keyed_classes(1, n, a_vec, polys) == per_class_symbolic(n, a_vec)
@@ -529,7 +541,7 @@ class TestOracleEquivalence:
     def test_symbolic_matches_per_divisor_interpolation(self):
         for n in range(1, 6):
             for a_vec in product((0, 1), repeat=n):
-                if not phi_degree(1, 1, a_vec, 3).relation_exists:
+                if not phi_degree(1, a_vec, 3).relation_exists:
                     continue
                 polys = _RelationTable(1, n).symbolic(a_vec)
                 assert keyed_classes(1, n, a_vec, polys) == per_class_symbolic(n, a_vec), (n, a_vec)
@@ -702,12 +714,10 @@ class TestSpans:
                 report = spans_equal(ppz_relation_set(1, n, r), ac_relations(1, n))
                 assert report.equal and report.rank_left == n + 1, (n, r, report)
 
-    def test_rank_matches_rank_and_solve(self):
+    def test_rank_matches_fraction_rref(self):
         for g, n in ((1, 1), (1, 3), (1, 4), (2, 2), (3, 0)):
             relation_set = ppz_relation_set(g, n, 3)
-            rows = [v for v in relation_set.rows if any(v)]
-            expected = rank_and_solve(RationalMatrix(rows))[0] if rows else 0
-            assert relation_set.rank() == expected, (g, n)
+            assert relation_set.rank() == len(fraction_rref(relation_set.rows)[1]), (g, n)
 
     def test_equivalence_genus_two(self):
         for n in range(0, 6):
@@ -1181,23 +1191,6 @@ class TestFeatureCoordinates:
     def test_dependent_features_fall_back_to_the_basis(self, n, r):
         report = spans_equal(ppz_relation_set(1, n, r), ac_relations(1, n))
         assert report == (True, n + 1, n + 1, n + 1)
-
-    def test_marked_genus_two_relation_must_be_a_pullback(self, monkeypatch):
-        # Fault injection: a delta_{0,S} coefficient off the pullback's
-        # kappa_1 one.  A skewed leg sum would move psi and kappa_1 together
-        # and leave a pullback.
-        import rspinrel.relations as relations_module
-
-        original = relations_module._separating_sum
-
-        def skewed(g, h, a0, a1, theory, edges):
-            value = original(g, h, a0, a1, theory, edges)
-            return value if h else value + 1
-
-        monkeypatch.setattr(relations_module, "_separating_sum", skewed)
-        assert any(relation_row(2, 0, (), 3))
-        with pytest.raises(AssemblyError, match="pullback"):
-            relation_row(2, 2, (0, 0), 3)
 
     def test_fallback_is_needed_at_two_markings(self):
         # At n = 2, chi_1 = chi_2 = one: the feature rank overcounts.
