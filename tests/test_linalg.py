@@ -114,6 +114,15 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             determinant([[1, 2], [3]])
 
+    def test_empty_matrix(self):
+        assert determinant([]) == 1
+
+    def test_plain_integer_rows(self):
+        # Rows are taken as they are: tuples of ints, an exact Fraction back.
+        det = determinant(((2, 1), (1, 1)))
+        assert det == 1 and isinstance(det, Fraction)
+        assert determinant([(0, 1), (1, 0)]) == -1
+
     @given(square_matrices())
     @settings(max_examples=60, deadline=None)
     def test_matches_pivot_product(self, grid):
@@ -161,6 +170,49 @@ class TestRref:
         assert pivots == oracle_pivots
         assert rows == [primitive_int_vector(row) for row in oracle_rows]
         assert all(row[col] > 0 for row, col in zip(rows, pivots))
+
+    def test_golden_relation_matrix(self):
+        # The three relations on the two-marked genus-1 space, over
+        # (psi_1, psi_2, kappa_1, delta_sep, delta_irr): rank 3.
+        rows = [
+            [1, -1, 0, 0, 0],
+            [2, 0, -1, -1, 0],
+            [12, 0, 0, -12, -1],
+        ]
+        assert rref(rows) == (
+            [(12, 0, 0, -12, -1), (0, 12, 0, -12, -1), (0, 0, 6, -6, -1)],
+            [0, 1, 2],
+        )
+
+    @given(deficient_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_of_deficient_matrices(self, grid):
+        # Without the oracle: the nullspace read off the reduced rows, one
+        # vector per free column, is killed by every row of the input.
+        rows, pivots = rref(grid)
+        width = len(grid[0])
+        free = [col for col in range(width) if col not in pivots]
+        assert len(rows) == len(pivots) and len(pivots) + len(free) == width
+        for f in free:
+            v = [Fraction(0)] * width
+            v[f] = Fraction(1)
+            for row, col in zip(rows, pivots):
+                v[col] = Fraction(-row[f], row[col])
+            for row in grid:
+                assert sum(a * x for a, x in zip(row, v)) == 0
+
+    @given(st.one_of(rect_matrices(max_size=6), deficient_matrices()))
+    @settings(max_examples=60, deadline=None)
+    def test_input_rows_lie_in_the_reduced_span(self, grid):
+        # Each reduced row is zero at the other pivots, so a row of the
+        # input in their span is its pivot entries times the reduced rows.
+        rows, pivots = rref(grid)
+        for v in grid:
+            combination = [Fraction(0)] * len(v)
+            for row, col in zip(rows, pivots):
+                c = Fraction(v[col]) / row[col]
+                combination = [x + c * y for x, y in zip(combination, row)]
+            assert combination == [Fraction(x) for x in v]
 
 
 class TestPrimitiveIntVector:

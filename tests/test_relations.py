@@ -423,6 +423,16 @@ class TestGenusTwoRowOracle:
                 base = per_graph_coefficients(2, 0, (), r)
                 assert marked == dict_pullback_genus2(base, n), (n, r)
 
+    def test_the_gate_admits_only_the_zero_vector_at_r_three(self):
+        # The other half of that reason: no other genus-2 leg vector passes
+        # the gate, and the zero vector's relation is not empty.
+        for n in range(0, 6):
+            for r in range(3, 9):
+                admitted = scan_admissible_leg_vectors(2, n, r)
+                assert admitted == ([(0,) * n] if r == 3 else []), (n, r)
+                for a_vec in admitted:
+                    assert per_graph_coefficients(2, n, a_vec, r), (n, r)
+
     @pytest.mark.parametrize("n", range(11))
     def test_ac_rows_match_dict_pullback(self, n):
         pulled = dict_pullback_genus2(MUMFORD, n)
