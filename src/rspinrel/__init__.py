@@ -23,10 +23,11 @@ _EXPORTS = {
         "topological_value", "witten_degree",
     ),
     "oracles": (
-        "GraphContribution", "GraphTerm", "IdempotentReport", "StableGraph",
-        "StructureConstants", "SystemDetReport", "Vertex", "canonical_divisor",
-        "determinant", "divisor_class_of", "enumerate_contributing_graphs",
-        "graph_contribution_terms", "idempotent_check", "quantum_structure_constants",
+        "DivisorClass", "GraphContribution", "GraphTerm", "IdempotentReport",
+        "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
+        "canonical_divisor", "delta_irr", "delta_sep", "determinant", "divisor_class_of",
+        "divisor_generators", "enumerate_contributing_graphs", "graph_contribution_terms",
+        "idempotent_check", "kappa1", "psi", "quantum_structure_constants",
         "r_forward_entry", "r_forward_matrix", "r_inverse_matrix", "system_matrix_det",
     ),
     "relations": (
@@ -36,11 +37,7 @@ _EXPORTS = {
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),
-    "strata": (
-        "DivisorClass", "StabilityError", "UnsupportedGenusError",
-        "delta_irr", "delta_sep", "divisor_generators", "generator_names",
-        "kappa1", "psi",
-    ),
+    "strata": ("StabilityError", "UnsupportedGenusError", "generator_names"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,18 +1,20 @@
 """Independent oracles and structural checks, run by ``selftest`` and the tests.
 
 The CLI's ``relations``, ``verify-ac`` and ``pm-table`` never import this
-module.  It holds the codimension-1 graph layer (stable graphs, their
-enumeration, divisor classes and :func:`canonical_divisor`);
-:func:`graph_contribution_terms`, the per-graph contraction oracle for the
-assembly; the forward and whole R-matrices; the quantum product with its
-idempotent check in exact cyclotomic arithmetic; determinants; and the
-genus-1 system determinant.  Whatever reads P_m(r, a) here looks up
-``cohft.p_polynomial`` when called, so a patched table is seen.
+module.  It holds the divisor classes and the basis they form, with
+:func:`canonical_divisor`; the codimension-1 graph layer (stable graphs and
+their enumeration); :func:`graph_contribution_terms`, the per-graph
+contraction oracle for the assembly; the forward and whole R-matrices; the
+quantum product with its idempotent check in exact cyclotomic arithmetic;
+determinants; and the genus-1 system determinant.  Whatever reads
+P_m(r, a) here looks up ``cohft.p_polynomial`` when called, so a patched
+table is seen.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence, Union
 
@@ -21,16 +23,83 @@ from .cohft import RSpinTheory, r_inverse_entry
 from .cyclotomic import CyclotomicField
 from .relations import _dilaton_sum, _edge_entries, _leg_sum, _loop_sum, _separating_sum
 from .rpoly import RPoly
-from .strata import (DELTA_IRR, KAPPA1, PSI, DivisorClass, StabilityError,
-                     UnsupportedGenusError, delta_irr, delta_sep, kappa1, psi)
+from .strata import (DELTA_IRR, DELTA_SEP, KAPPA1, PSI, StabilityError,
+                     UnsupportedGenusError, _balanced, _lex_subsets, check_space)
 
 Coefficient = Union[Fraction, RPoly]
 SYMBOLIC = "symbolic"
 
 
 # ---------------------------------------------------------------------------
-# Decorated graphs contributing in codimension 1
+# Divisor classes, their basis and the decorated graphs of codimension 1
 # ---------------------------------------------------------------------------
+
+
+class DivisorClass(NamedTuple):
+    """A generator of degree-2 cohomology; it hashes and compares as the
+    tuple of its four fields."""
+
+    kind: str
+    index: int | None = None            # psi only
+    h: int | None = None                # delta_sep only
+    markings: frozenset[int] | None = None  # delta_sep only
+
+    def render(self) -> str:
+        if self.kind == PSI:
+            return f"psi_{self.index}"
+        if self.kind == KAPPA1:
+            return "kappa_1"
+        if self.kind == DELTA_IRR:
+            return "delta_irr"
+        inner = ",".join(str(i) for i in sorted(self.markings))
+        return f"delta_{{{self.h},{{{inner}}}}}"
+
+    def __repr__(self) -> str:
+        return self.render()
+
+
+def psi(i: int) -> DivisorClass:
+    if i < 1:
+        raise ValueError("marking indices start at 1")
+    return DivisorClass(kind=PSI, index=i)
+
+
+def kappa1() -> DivisorClass:
+    return DivisorClass(kind=KAPPA1)
+
+
+def delta_irr() -> DivisorClass:
+    return DivisorClass(kind=DELTA_IRR)
+
+
+def delta_sep(h: int, markings) -> DivisorClass:
+    return DivisorClass(kind=DELTA_SEP, h=h, markings=frozenset(markings))
+
+
+def divisor_generators(g: int, n: int) -> list[DivisorClass]:
+    """Ordered generators of degree-2 cohomology: psi's, kappa_1, the
+    irreducible boundary, then the canonical separating classes in
+    (h, sorted S) order.  Those are, for each h < g-h, every S with both
+    sides stable (|S| >= 2 when h = 0), and for h = g-h, S = {} and every S
+    that holds marking 1 but not all n markings, which is exactly S no later
+    than its complement.  Built once per (g, n); each call returns a fresh
+    list."""
+    return list(_divisor_generators(g, n))
+
+
+@lru_cache(maxsize=None)
+def _divisor_generators(g: int, n: int) -> tuple[DivisorClass, ...]:
+    """The basis, each S read off its text in ``strata._lex_subsets``."""
+    check_space(g, n)
+    gens = [psi(i) for i in range(1, n + 1)] + [kappa1(), delta_irr()]
+    subsets = [frozenset(int(i) for i in t.split(",") if i) for t in _lex_subsets(n)]
+    for h in range(g // 2 + 1):
+        if 2 * h == g:
+            chosen = _balanced(subsets, n)
+        else:  # |S| >= 2 when h = 0
+            chosen = [S for S in subsets if h or len(S) >= 2]
+        gens += [DivisorClass(DELTA_SEP, None, h, S) for S in chosen]
+    return tuple(gens)
 
 
 def canonical_divisor(d: DivisorClass, g: int, n: int) -> DivisorClass:

@@ -139,22 +139,23 @@ class RelationSet:
         g, n = self.space
         return self.features if g > 1 or n >= 3 else self.rows
 
-    def rank(self) -> int:
-        return len(rref(self._span_rows())[1])
-
     def reduced_rows(self) -> list[tuple[int, ...]]:
         """Row-reduced basis of the span as primitive integer vectors over the
-        basis, reduced over the features where they are independent."""
+        basis, reduced over the features where they are independent and each
+        written out once.  The features meet the basis in their own order, so
+        the rows are reduced there too, except that a genus-2 row with its pivot
+        on k leads with psi_1 = -k and is negated, and a genus-1 pivot on chi_i
+        or one, which the basis lacks, is reduced again over the basis."""
         rows = self._span_rows()
         reduced, pivots = rref(rows)
         if rows is not self.features:
             return reduced
         g, n = self.space
-        rows = [_expand(g, n, row) for row in reduced]
-        # A pivot on psi_i, kappa_1 or delta_irr, which the genus-1 features
-        # share with the basis, is one there too: the rows are then reduced,
-        # and primitive, since an injective map keeps the content.
-        return rows if g == 1 and max(pivots, default=0) < n + 2 else rref(rows)[0]
+        if g == 1 and max(pivots, default=0) >= n + 2:
+            return rref([_expand(g, n, row) for row in reduced])[0]
+        if g == 2 and n and pivots[:1] == [0]:
+            reduced[0] = tuple(-x for x in reduced[0])
+        return [_expand(g, n, row) for row in reduced]
 
 
 # ---------------------------------------------------------------------------

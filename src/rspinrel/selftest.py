@@ -16,10 +16,15 @@ from typing import NamedTuple
 from .cohft import RSpinTheory, p_polynomial
 from .linalg import primitive_int_vector, rref
 from .oracles import (
+    delta_irr,
+    delta_sep,
     divisor_class_of,
+    divisor_generators,
     enumerate_contributing_graphs,
     graph_contribution_terms,
     idempotent_check,
+    kappa1,
+    psi,
     quantum_structure_constants,
     r_forward_matrix,
     r_inverse_matrix,
@@ -33,7 +38,6 @@ from .relations import (
     relation_row,
     spans_equal,
 )
-from .strata import delta_irr, delta_sep, divisor_generators, kappa1, psi
 
 
 class CriterionResult(NamedTuple):

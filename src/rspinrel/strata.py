@@ -1,24 +1,24 @@
-"""Divisor classes on moduli of stable curves and the basis they form.
+"""The divisor basis of moduli of stable curves, by name and by size.
 
 Degree-2 cohomology of the moduli space of genus-g curves with n markings is
 generated by the cotangent classes psi_1..psi_n, the kappa_1 class, the
 irreducible boundary divisor, and the separating boundary divisors
 delta_{h,S} (genus h component carrying the marking subset S).  Separating
-divisors are stored canonically with respect to the symmetry
+divisors are listed canonically with respect to the symmetry
 (h, S) ~ (g-h, complement of S): h < g-h, or h = g-h and S is no later than
-its complement as a sorted tuple.  The basis lists the canonical classes
-directly in (h, sorted S) order, without canonicalizing or sorting.
+its complement as a sorted tuple.  This module names the basis directly in
+(h, sorted S) order, without canonicalizing or sorting, gives its size in
+closed form and refuses a space too large to print; its kind constants key
+the relation assembly's coefficients.
 
-The decorated graphs whose reconstruction term can land in codimension 1,
-their enumeration and ``canonical_divisor`` live in :mod:`rspinrel.oracles`:
-the relation assembly contracts coefficient keys and builds no class, and
-only the per-graph oracle walks the graphs and canonicalizes classes.
+The divisor classes and the basis they form, the decorated graphs whose
+reconstruction term can land in codimension 1, their enumeration and
+``canonical_divisor`` live in :mod:`rspinrel.oracles`: the relation assembly
+contracts coefficient keys and builds no class, and only the oracles,
+``selftest``, the demos and the tests build one.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-from typing import NamedTuple
 
 PSI = "psi"
 KAPPA1 = "kappa1"
@@ -41,64 +41,12 @@ class UnsupportedGenusError(ValueError):
 MAX_BASIS_SIZE = 40_000
 
 
-class DivisorClass(NamedTuple):
-    """A generator of degree-2 cohomology; it hashes and compares as the
-    tuple of its four fields."""
-
-    kind: str
-    index: int | None = None            # psi only
-    h: int | None = None                # delta_sep only
-    markings: frozenset[int] | None = None  # delta_sep only
-
-    def render(self) -> str:
-        if self.kind == PSI:
-            return f"psi_{self.index}"
-        if self.kind == KAPPA1:
-            return "kappa_1"
-        if self.kind == DELTA_IRR:
-            return "delta_irr"
-        inner = ",".join(str(i) for i in sorted(self.markings))
-        return f"delta_{{{self.h},{{{inner}}}}}"
-
-    def __repr__(self) -> str:
-        return self.render()
-
-
-def psi(i: int) -> DivisorClass:
-    if i < 1:
-        raise ValueError("marking indices start at 1")
-    return DivisorClass(kind=PSI, index=i)
-
-
-def kappa1() -> DivisorClass:
-    return DivisorClass(kind=KAPPA1)
-
-
-def delta_irr() -> DivisorClass:
-    return DivisorClass(kind=DELTA_IRR)
-
-
-def delta_sep(h: int, markings) -> DivisorClass:
-    return DivisorClass(kind=DELTA_SEP, h=h, markings=frozenset(markings))
-
-
-def divisor_generators(g: int, n: int) -> list[DivisorClass]:
-    """Ordered generators of degree-2 cohomology: psi's, kappa_1, the
-    irreducible boundary, then the canonical separating classes in
-    (h, sorted S) order.  Those are, for each h < g-h, every S with both
-    sides stable (|S| >= 2 when h = 0), and for h = g-h, S = {} and every S
-    that holds marking 1 but not all n markings, which is exactly S no later
-    than its complement.  Built once per (g, n); each call returns a fresh
-    list."""
-    return list(_divisor_generators(g, n))
-
-
 def generator_names(g: int, n: int) -> list[str]:
-    """``render`` of each class of divisor_generators(g, n), after the same
-    checks, from the subsets' texts rather than by sorting each class's
-    markings.  Built afresh on each call: only the basis is cached."""
+    """The rendered name of each class of the (g, n) basis, in basis order,
+    from the subsets' texts rather than by sorting each class's markings.
+    Built afresh on each call."""
     check_space(g, n)
-    texts = _lex_subsets(n, text=True)
+    texts = _lex_subsets(n)
     names = [f"psi_{i}" for i in range(1, n + 1)] + ["kappa_1", "delta_irr"]
     for h in range(g // 2 + 1):
         if 2 * h == g:
@@ -110,7 +58,7 @@ def generator_names(g: int, n: int) -> list[str]:
 
 
 def basis_size(g: int, n: int) -> int:
-    """len(divisor_generators(g, n)) in closed form, for g >= 1: n psi
+    """The number of classes in the (g, n) basis, for g >= 1: n psi
     classes, kappa_1, delta_irr, and the (g+1)·2^n pairs (h, S) less the
     2(n+1) with an unstable side (genus 0 with at most one marking), halved
     for (h, S) ~ (g-h, S^c), whose one fixed pair is (g/2, {}) when n = 0
@@ -142,18 +90,14 @@ def check_space(g: int, n: int) -> None:
     )
 
 
-def _lex_subsets(n: int, text: bool = False) -> list:
-    """Every subset of 1..n in lexicographic order, as a sorted tuple or, with
-    ``text``, its entries joined by commas: the subsets of k..n are {}, then
-    k joined to each subset of k+1..n, then the nonempty subsets of k+1..n."""
-    subsets = [""] if text else [()]
+def _lex_subsets(n: int) -> list[str]:
+    """Every subset of 1..n in lexicographic order, its entries joined by
+    commas: the subsets of k..n are {}, then k joined to each subset of
+    k+1..n, then the nonempty subsets of k+1..n."""
+    subsets = [""]
     for k in range(n, 0, -1):
-        if text:
-            prefix = f"{k},"
-            head = [str(k)] + [prefix + t for t in subsets[1:]]
-        else:
-            head = [(k,) + S for S in subsets]
-        subsets = subsets[:1] + head + subsets[1:]
+        prefix = f"{k},"
+        subsets = subsets[:1] + [str(k)] + [prefix + t for t in subsets[1:]] + subsets[1:]
     return subsets
 
 
@@ -161,19 +105,3 @@ def _balanced(subsets: list, n: int) -> list:
     """The S of the canonical delta_{g/2,S} among the lexicographic subsets:
     {} and the 2^(n-1) after it, which hold marking 1, less the n-th, {1..n}."""
     return subsets[:max(n, 1)] + subsets[n + 1:(1 << n >> 1) + 1]
-
-
-@lru_cache(maxsize=None)
-def _divisor_generators(g: int, n: int) -> tuple[DivisorClass, ...]:
-    check_space(g, n)
-    gens = [psi(i) for i in range(1, n + 1)]
-    gens.append(kappa1())
-    gens.append(delta_irr())
-    subsets = _lex_subsets(n)
-    for h in range(g // 2 + 1):
-        if 2 * h == g:
-            chosen = _balanced(subsets, n)
-        else:
-            chosen = [S for S in subsets if h or len(S) >= 2]
-        gens += [DivisorClass(DELTA_SEP, None, h, frozenset(S)) for S in chosen]
-    return tuple(gens)

@@ -17,13 +17,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import rspinrel.cli as cli_module
 import rspinrel.cohft as cohft_module
+import rspinrel.oracles as oracles_module
 import rspinrel.relations as relations_module
 import rspinrel.strata as strata_module
 from rspinrel.cli import main
 from rspinrel.cohft import p_polynomial, p_row
 from rspinrel.linalg import primitive_int_vector, rref
+from rspinrel.oracles import divisor_generators
 from rspinrel.relations import relation_row
-from rspinrel.strata import divisor_generators
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, ROOT)
@@ -820,24 +821,24 @@ class TestNoDivisorBasis:
         ["relations", "--g", "1", "--n", "8", "--symbolic"],
     ], ids=" ".join)
     def test_no_basis_built(self, capsys, argv):
-        strata_module._divisor_generators.cache_clear()
+        oracles_module._divisor_generators.cache_clear()
         code, out, _ = run(capsys, argv)
         assert code == 0 and out
-        assert strata_module._divisor_generators.cache_info().currsize == 0
+        assert oracles_module._divisor_generators.cache_info().currsize == 0
 
     def test_equality_and_repr_build_no_basis(self):
         # A relation set compares and prints its feature rows, not the
         # 32,769-column rows over the basis.
-        strata_module._divisor_generators.cache_clear()
+        oracles_module._divisor_generators.cache_clear()
         relation_set = relations_module.ppz_relation_set(1, 15, 3)
         assert relation_set == relations_module.ppz_relation_set(1, 15, 3)
         assert repr(relation_set).startswith("RelationSet(space=(1, 15), features=[(")
-        assert strata_module._divisor_generators.cache_info().currsize == 0
+        assert oracles_module._divisor_generators.cache_info().currsize == 0
 
     def test_cache_sees_a_built_basis(self, capsys):
-        strata_module._divisor_generators.cache_clear()
+        oracles_module._divisor_generators.cache_clear()
         divisor_generators(2, 3)
-        assert strata_module._divisor_generators.cache_info().currsize == 1
+        assert oracles_module._divisor_generators.cache_info().currsize == 1
 
 
 # Sizes and r near every bound, mostly small values that answer quickly, with

@@ -214,3 +214,53 @@ def test_detects_an_oracle_written_from_the_feature_path(tmp_path, statement):
     module.write_text(source + "\n" + statement)
     found = names_imported_from(module, "relations")
     assert found > ORACLE_IMPORTS_FROM_RELATIONS
+
+
+# The divisor-class layer, which lives in the oracles: the modules every
+# relation command runs neither define nor read it.
+CLASS_LAYER = {"DivisorClass", "divisor_generators", "psi", "kappa1", "delta_irr", "delta_sep"}
+
+
+def class_layer_names(path):
+    """The names of the class layer that the file defines, imports or reads
+    as an attribute, at any depth."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+            found.update(alias.asname for alias in node.names if alias.asname)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found & CLASS_LAYER
+
+
+@pytest.mark.parametrize("name", ["strata.py", "relations.py", "cli.py"])
+def test_relation_path_holds_no_class_layer(name):
+    assert class_layer_names(SRC / name) == set()
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from .oracles import divisor_generators\n", {"divisor_generators"}),
+    ("def f():\n    from rspinrel.oracles import psi as make\n    return make(1)\n", {"psi"}),
+    ("import rspinrel.oracles as o\nbasis = o.divisor_generators(1, 2)\n", {"divisor_generators"}),
+    ("class DivisorClass:\n    pass\n", {"DivisorClass"}),
+    ("kappa1 = 'kappa1'\n", {"kappa1"}),
+])
+def test_detects_the_class_layer(tmp_path, source, found):
+    module = tmp_path / "sample.py"
+    module.write_text("from .strata import check_space\n" + source)
+    assert class_layer_names(module) == found
+
+
+def test_lex_subsets_takes_only_n():
+    tree = ast.parse((SRC / "strata.py").read_text())
+    [func] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_lex_subsets"]
+    args = func.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["n"]
+    assert args.vararg is None and args.kwarg is None

@@ -33,11 +33,16 @@ from rspinrel.relations import (
 )
 from rspinrel.oracles import (
     canonical_divisor,
+    delta_irr,
+    delta_sep,
+    divisor_generators,
     enumerate_contributing_graphs,
     graph_contribution_terms,
+    kappa1,
+    psi,
     system_matrix_det,
 )
-from rspinrel import strata
+from rspinrel import oracles
 from rspinrel.rpoly import RPoly, poly_interpolate
 from rspinrel.strata import (
     DELTA_IRR,
@@ -45,11 +50,6 @@ from rspinrel.strata import (
     KAPPA1,
     PSI,
     UnsupportedGenusError,
-    delta_irr,
-    delta_sep,
-    divisor_generators,
-    kappa1,
-    psi,
 )
 from test_linalg import fraction_rref
 
@@ -441,6 +441,49 @@ class TestGenusTwoRowOracle:
         assert direct.provenances == [Provenance(2, n, None, REFERENCE)]
 
 
+# Hand-made genus-2 feature sets over (k, irr, d1) of two and three rows:
+# rows with k = 0, a negative pivot, dependent rows and a full-rank set.
+GENUS_TWO_FEATURE_SETS = [
+    [(5, -1, -7), (0, 1, 2)],
+    [(0, 3, -1), (0, -2, 5)],
+    [(0, 0, 4), (0, 2, 0)],
+    [(-2, 1, 0), (4, -2, 0)],
+    [(1, 2, 3), (-3, 0, 1), (0, 0, -2)],
+    [(0, 1, 1), (-1, 0, 1), (2, 1, -1)],
+    [(-5, 1, 7), (10, -2, -14), (0, 0, 0)],
+]
+
+
+def genus_two_sets(n):
+    """The PPZ set at r = 3, the reference set and the hand-made sets on (2, n)."""
+    hand_made = [RelationSet((2, n), rows, [Provenance(2, n, None, REFERENCE)] * len(rows))
+                 for rows in GENUS_TWO_FEATURE_SETS]
+    return [ppz_relation_set(2, n, 3), ac_relations(2, n)] + hand_made
+
+
+class TestGenusTwoReducedRows:
+    """Genus-2 reduced rows are reduced over the three features and written
+    out once; the row reduction of the written-out rows is the oracle."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_reduced_rows_are_the_basis_rref(self, n):
+        for relation_set in genus_two_sets(n):
+            assert relation_set.reduced_rows() == rref(relation_set.rows)[0], relation_set
+
+    def test_no_row_reduction_over_basis_columns(self, monkeypatch):
+        widths = []
+
+        def spy(rows):
+            widths.extend(len(row) for row in rows)
+            return rref(rows)
+
+        monkeypatch.setattr("rspinrel.relations.rref", spy)
+        for n in (0, 1, 4, 12):
+            for relation_set in genus_two_sets(n):
+                relation_set.reduced_rows()
+        assert widths and max(widths) == 3
+
+
 class TestDegreeGate:
     def test_genus_four_refused_with_degree_report(self):
         with pytest.raises(DegreeGateError) as excinfo:
@@ -727,7 +770,8 @@ class TestSpans:
     def test_rank_matches_fraction_rref(self):
         for g, n in ((1, 1), (1, 3), (1, 4), (2, 2), (3, 0)):
             relation_set = ppz_relation_set(g, n, 3)
-            assert relation_set.rank() == len(fraction_rref(relation_set.rows)[1]), (g, n)
+            rank = len(rref(relation_set._span_rows())[1])
+            assert rank == len(fraction_rref(relation_set.rows)[1]), (g, n)
 
     def test_equivalence_genus_two(self):
         for n in range(0, 6):
@@ -760,10 +804,10 @@ class TestSpans:
     def test_mismatch_refused_before_any_basis(self, left, right):
         # The spaces are compared first, so no 2^n-class basis is written out.
         a, b = ppz_relation_set(*left, 3), ac_relations(*right)
-        strata._divisor_generators.cache_clear()
+        oracles._divisor_generators.cache_clear()
         with pytest.raises(BasisMismatchError, match="different spaces"):
             spans_equal(a, b)
-        assert strata._divisor_generators.cache_info().currsize == 0
+        assert oracles._divisor_generators.cache_info().currsize == 0
 
     def test_r_independence_three_markings(self):
         sets = {r: ppz_relation_set(1, 3, r) for r in (3, 4, 5)}
@@ -792,7 +836,7 @@ class TestIntegerEliminationOracle:
         left, right = computed.rows, reference_set.rows
         oracle_rows, oracle_pivots = fraction_rref(left)
         assert computed.reduced_rows() == [primitive_int_vector(row) for row in oracle_rows]
-        assert computed.rank() == len(oracle_pivots)
+        assert len(rref(computed._span_rows())[1]) == len(oracle_pivots)
         report = spans_equal(computed, reference_set)
         expected = tuple(len(fraction_rref(rows)[1]) for rows in (left, right, left + right))
         assert (report.rank_left, report.rank_right, report.rank_union) == expected
@@ -1194,7 +1238,8 @@ class TestFeatureCoordinates:
     @given(st.integers(3, 8), wide_r)
     def test_set_rank_is_the_expanded_rank(self, n, r):
         for relation_set in (ppz_relation_set(1, n, r), ac_relations(1, n)):
-            assert relation_set.rank() == len(rref(relation_set.rows)[1]) == n + 1
+            rank = len(rref(relation_set._span_rows())[1])
+            assert rank == len(rref(relation_set.rows)[1]) == n + 1
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(1, 2), wide_r)
@@ -1206,4 +1251,4 @@ class TestFeatureCoordinates:
         # At n = 2, chi_1 = chi_2 = one: the feature rank overcounts.
         computed = ppz_relation_set(1, 2, 3)
         assert len(rref(computed.features)[1]) == 4
-        assert computed.rank() == 3
+        assert len(rref(computed._span_rows())[1]) == 3

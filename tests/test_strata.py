@@ -8,8 +8,13 @@ from rspinrel.oracles import (
     StableGraph,
     Vertex,
     canonical_divisor,
+    delta_irr,
+    delta_sep,
     divisor_class_of,
+    divisor_generators,
     enumerate_contributing_graphs,
+    kappa1,
+    psi,
 )
 from rspinrel.strata import (
     MAX_BASIS_SIZE,
@@ -17,12 +22,7 @@ from rspinrel.strata import (
     UnsupportedGenusError,
     basis_size,
     check_space,
-    delta_irr,
-    delta_sep,
-    divisor_generators,
     generator_names,
-    kappa1,
-    psi,
 )
 
 
