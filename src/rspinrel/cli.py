@@ -29,6 +29,9 @@ MAX_R = 1000
 # Largest P_m table in entries, m-max + 1 rows of r - 1.  Entries lengthen with
 # m; within this bound a table prints at most about 11 MB of JSON.
 MAX_PM_ENTRIES = 5000
+# Longest write of a JSON record's text, in characters (bytes: the text is
+# ASCII), so stdout never encodes a copy of the whole record at once.
+JSON_SLICE = 1 << 16
 
 
 class UsageError(Exception):
@@ -77,9 +80,15 @@ def _json_dumps(fmt: str):
 
 def _emit(record: dict, dumps, text_lines) -> None:
     """Print ``record`` with ``dumps``, or without it the lines
-    ``text_lines()`` yields."""
+    ``text_lines()`` yields.  The record's text is written in slices of at
+    most ``JSON_SLICE`` characters and then a newline: ``dumps`` builds it
+    whole, but stdout then encodes one slice at a time, where ``print``
+    would hold an encoded copy of all of it."""
     if dumps:
-        print(dumps(record, sort_keys=True))
+        text = dumps(record, sort_keys=True)
+        for start in range(0, len(text), JSON_SLICE):
+            sys.stdout.write(text[start:start + JSON_SLICE])
+        sys.stdout.write("\n")
     else:
         for line in text_lines():
             print(line)

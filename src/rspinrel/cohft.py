@@ -18,7 +18,10 @@ module holds everything that is a pure function of r:
 
 Every CLI subcommand loads this module once its arguments pass (``--help``
 and usage refusals load no library module), so it loads no other at module
-level: :func:`p_polynomial_symbolic` imports ``rpoly``.
+level: :func:`p_polynomial_symbolic` imports ``rpoly``.  Nor does it load
+``fractions`` (with the ``decimal`` and ``numbers`` it pulls in) there: each
+function that builds a ``Fraction`` imports it, so ``pm-table``, which prints
+from :func:`p_row`'s integer rows, never loads it.
 The forward R-matrix and the quantum product live in :mod:`rspinrel.oracles`.
 
 For the record: the Euler field of the underlying Frobenius structure at the
@@ -29,12 +32,13 @@ recursion it would drive.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .rpoly import RPoly
 
 
@@ -71,6 +75,8 @@ class RSpinTheory:
             raise ValueError(f"basis index {a} out of range 0..{self.r - 2}")
 
     def metric(self, a: int, b: int) -> Fraction:
+        from fractions import Fraction
+
         self.check_index(a)
         self.check_index(b)
         return Fraction(1 if a + b == self.r - 2 else 0)
@@ -143,6 +149,8 @@ def p_polynomial(m: int, a: int, r: int) -> Fraction:
     in a finished immutable row, so racing callers can cost one another a
     rebuild but never see a wrong or partial row.
     """
+    from fractions import Fraction
+
     numerators, den = p_row(m, r)
     if not 0 <= a <= r - 2:
         raise ValueError(f"index a={a} out of range 0..{r - 2}")
@@ -157,6 +165,8 @@ def p_polynomial_symbolic(m: int, a: int) -> RPoly:
     failure surfaces as an InterpolationError rather than a silently raised
     bound.  Sampled r start above a + 1 so that a is a valid index.
     """
+    from fractions import Fraction
+
     from .rpoly import poly_interpolate
 
     if m < 0 or a < 0:
@@ -175,6 +185,8 @@ def r_inverse_entry(m: int, a: int, b: int, theory: RSpinTheory) -> Fraction:
     Equals P_m(r, a) when b + m = a mod r - 1 and 0 otherwise.  The uniform
     scalar [r(r-1) phi^(r/(r-1))]^(-m) is not folded in.
     """
+    from fractions import Fraction
+
     theory.check_index(a)
     theory.check_index(b)
     if (b + m - a) % (theory.r - 1) != 0:
@@ -185,6 +197,8 @@ def r_inverse_entry(m: int, a: int, b: int, theory: RSpinTheory) -> Fraction:
 def topological_value(g: int, insertions: Sequence[int], theory: RSpinTheory) -> Fraction:
     """Degree-zero value of the shifted theory on one vertex: (r-1)^g when
     g - 1 - sum(insertions) is divisible by r - 1, and 0 otherwise."""
+    from fractions import Fraction
+
     n = len(insertions)
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"unstable vertex (g={g}, n={n})")
@@ -198,6 +212,8 @@ def topological_value(g: int, insertions: Sequence[int], theory: RSpinTheory) ->
 
 def witten_degree(g: int, n: int, a_vec: Sequence[int], r: int) -> Fraction:
     """Intrinsic complex degree ((r-2)(g-1) + sum a_i) / r of the class."""
+    from fractions import Fraction
+
     if len(a_vec) != n:
         raise ValueError("a_vec length must equal n")
     for a in a_vec:

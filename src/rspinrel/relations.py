@@ -59,11 +59,13 @@ of degree at most 3, recovered by exact interpolation from the table's values
 at six sample r, once per sum(a).  Each power of r is extracted from those
 few key polynomials as a feature row.  Only the code that builds or
 reads such polynomials imports ``rpoly``, so a numeric relation loads none.
+Nor does this module import ``fractions``: the rationals come from
+:mod:`rspinrel.cohft`, whose functions load it when they build one, so a
+genus >= 3 set, which contracts nothing, never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .cohft import (
@@ -85,7 +87,11 @@ from .strata import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .rpoly import RPoly
+
+    EdgeEntries = tuple[tuple[tuple[int, int], Fraction], ...]
 
 # Sample points for symbolic-in-r interpolation: degree bound 3 for genus-1
 # coefficients, plus consistency samples beyond the 4 needed nodes.
@@ -143,9 +149,10 @@ class RelationSet:
         """Row-reduced basis of the span as primitive integer vectors over the
         basis, reduced over the features where they are independent and each
         written out once.  The features meet the basis in their own order, so
-        the rows are reduced there too, except that a genus-2 row with its pivot
-        on k leads with psi_1 = -k and is negated, and a genus-1 pivot on chi_i
-        or one, which the basis lacks, is reduced again over the basis."""
+        the rows are reduced there too, except that a genus-2 row whose
+        written-out lead is negative (its pivot on k, read as psi_1 = -k) is
+        negated, and a genus-1 pivot on chi_i or one, which the basis lacks,
+        is reduced again over the basis."""
         rows = self._span_rows()
         reduced, pivots = rref(rows)
         if rows is not self.features:
@@ -153,8 +160,9 @@ class RelationSet:
         g, n = self.space
         if g == 1 and max(pivots, default=0) >= n + 2:
             return rref([_expand(g, n, row) for row in reduced])[0]
-        if g == 2 and n and pivots[:1] == [0]:
-            reduced[0] = tuple(-x for x in reduced[0])
+        if g == 2:
+            reduced = [tuple(-x for x in row) if _genus_two_lead(n, row) < 0 else row
+                       for row in reduced]
         return [_expand(g, n, row) for row in reduced]
 
 
@@ -169,9 +177,6 @@ def edge_constant_term(p: int, q: int, theory: RSpinTheory) -> Fraction:
     inverse-R entry with upper index p and lower index r-2-q, which vanishes
     off that congruence and checks both indices."""
     return -r_inverse_entry(1, theory.r - 2 - q, p, theory)
-
-
-EdgeEntries = tuple[tuple[tuple[int, int], Fraction], ...]
 
 
 def _edge_entries(theory: RSpinTheory) -> EdgeEntries:
@@ -208,7 +213,7 @@ def _loop_sum(
     g: int, a_vec: Sequence[int], theory: RSpinTheory, edges: EdgeEntries
 ) -> Fraction:
     """delta_irr coefficient: the one-loop graph on a genus g-1 vertex."""
-    total = Fraction(0)
+    total = 0
     for (p, q), entry in edges:
         value = topological_value(g - 1, list(a_vec) + [p, q], theory)
         total += entry * value
@@ -220,7 +225,7 @@ def _separating_sum(
 ) -> Fraction:
     """delta_{h,S} coefficient: genus-h vertex with insertions a0 joined by
     one edge to a genus g-h vertex with insertions a1."""
-    total = Fraction(0)
+    total = 0
     for (p, q), entry in edges:
         value0 = topological_value(h, a0 + [p], theory)
         if value0 == 0:
@@ -296,17 +301,22 @@ def _expand(g: int, n: int, row: Sequence) -> tuple:
     return (0,) * basis_size(g, n)
 
 
+def _genus_two_lead(n: int, row: Sequence[int]) -> int:
+    """The first nonzero entry of ``_expand(2, n, row)``, 0 for a zero row,
+    read without writing the row out: the pullback leads with -k on each
+    psi_i, then k, irr and d1."""
+    k, irr, d1 = row
+    return (-k if n else k) or irr or d1
+
+
 def _primitive_features(g: int, n: int, a_vec: tuple[int, ...], values: dict) -> tuple[int, ...]:
     """The feature row of these key values, scaled to be written out as the
     primitive integer row with a positive first nonzero entry, which in
     genus 1 is nearly always on psi_i, kappa_1 or delta_irr, the columns the
-    features share with the basis.  In genus 2 it is read off the pullback's
-    first entries, -k on each psi_i, then k, irr and d1, without writing the
-    row out."""
+    features share with the basis, and in genus 2 is :func:`_genus_two_lead`."""
     row = primitive_int_vector(_feature_row(g, a_vec, values))
     if g == 2:
-        k, irr, d1 = row
-        lead = (-k if n else k) or irr or d1
+        lead = _genus_two_lead(n, row)
     else:
         lead = next((x for x in row[:n + 2] if x), None)
         if lead is None and any(row):

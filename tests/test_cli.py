@@ -475,6 +475,48 @@ class TestClosedPipe:
         assert "Traceback" not in err and err == ""
 
 
+class _RecordingStdout:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+class TestJsonWriter:
+    """A JSON record is written in slices of at most ``JSON_SLICE``
+    characters, then a newline, and reads back as the whole record."""
+
+    SLICE = cli_module.JSON_SLICE
+
+    # The text of {"x": "..."} is 9 characters longer than its string.
+    @pytest.mark.parametrize("length", [10, SLICE, 3 * SLICE + 17], ids=[
+        "below-one-slice", "exactly-one-slice", "several-slices",
+    ])
+    def test_writes_are_slices_of_the_record(self, monkeypatch, length):
+        record = {"x": "a" * (length - 9)}
+        text = json.dumps(record, sort_keys=True)
+        assert len(text) == length
+        stdout = _RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        cli_module._emit(record, json.dumps, None)
+        assert all(len(chunk) <= self.SLICE for chunk in stdout.writes)
+        assert "".join(stdout.writes) == text + "\n"
+        assert len(stdout.writes) == -(-length // self.SLICE) + 1
+
+    def test_cold_record_through_a_pipe_is_the_in_process_record(self, capsys):
+        argv = ["pm-table", "--m-max", "200", "--r", "24", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        result = cold_run(argv)
+        assert code == result.returncode == 0 and result.stderr == ""
+        assert len(out) > 10 * self.SLICE and result.stdout.endswith("}\n")
+        elapsed = re.compile(r'"elapsed_ms": [0-9.]+')
+        assert elapsed.sub("", result.stdout) == elapsed.sub("", out)
+
+
 def _script_entry():
     """The ``module:function`` that pyproject.toml installs as ``rspinrel``."""
     with open(os.path.join(ROOT, "pyproject.toml")) as fh:
@@ -721,10 +763,31 @@ class TestColdImports:
 
     def test_text_pm_table_loads_cohft_alone(self):
         # No relation module, not rpoly, which only the symbolic coefficients
-        # use, and not json, which only the JSON record needs.
+        # use, not json, which only the JSON record needs, and no rationals:
+        # the table prints from integer rows.
         loaded = self.loaded_modules(self.COMMANDS[1])
         assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel", "rspinrel.cohft"}
-        assert "json" not in loaded
+        assert not loaded & ({"json"} | self.RATIONALS)
+
+    # ``fractions`` and the two modules it imports; only the code that builds
+    # a Fraction loads them.
+    RATIONALS = {"fractions", "decimal", "numbers"}
+
+    @pytest.mark.parametrize("argv", [
+        ["pm-table", "--m-max", "3", "--r", "5"],
+        ["pm-table", "--m-max", "3", "--r", "5", "--format", "json"],
+        ["relations", "--g", "3", "--n", "2", "--r", "3"],
+        ["verify-ac", "--g", "3", "--n", "2", "--r", "3"],
+    ], ids=" ".join)
+    def test_tables_and_genus_three_sets_load_no_rationals(self, argv):
+        assert not self.loaded_modules(argv) & self.RATIONALS
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--g", "2", "--n", "3", "--r", "3"],
+        ["relations", "--g", "1", "--n", "3", "--r", "3", "--a", "1,0,0"],
+    ], ids=" ".join)
+    def test_contraction_loads_fractions(self, argv):
+        assert "fractions" in self.loaded_modules(argv)
 
     USAGE_REFUSALS = [
         ["relations", "--g", "1", "--n", "3", "--r", "5", "--a", "7,0,0", "--format", "json"],

@@ -264,3 +264,63 @@ def test_lex_subsets_takes_only_n():
     args = func.args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["n"]
     assert args.vararg is None and args.kwarg is None
+
+
+# ``fractions`` and the two modules it imports.  The modules every command
+# loads import them only inside the functions that build a Fraction, so a
+# table, a genus >= 3 set, --help and a usage refusal never load them.
+RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
+
+
+def load_time_rational_imports(path):
+    """The lines that import a rational module when the file loads: at module
+    level, or in an ``if``, ``try``, ``with`` or class body there, but not
+    under ``if TYPE_CHECKING:``, which never runs."""
+    lines = []
+
+    def visit(statements):
+        for node in statements:
+            if isinstance(node, ast.Import):
+                if any(alias.name.split(".")[0] in RATIONAL_MODULES for alias in node.names):
+                    lines.append(node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 0 and node.module.split(".")[0] in RATIONAL_MODULES:
+                    lines.append(node.lineno)
+            elif isinstance(node, ast.If):
+                names = {getattr(node.test, "id", None), getattr(node.test, "attr", None)}
+                if "TYPE_CHECKING" not in names:
+                    visit(node.body)
+                visit(node.orelse)
+            elif isinstance(node, ast.Try):
+                visit(node.body + node.orelse + node.finalbody)
+                for handler in node.handlers:
+                    visit(handler.body)
+            elif isinstance(node, (ast.With, ast.ClassDef)):
+                visit(node.body)
+
+    visit(ast.parse(path.read_text(), filename=str(path)).body)
+    return lines
+
+
+@pytest.mark.parametrize("name", ["cli.py", "cohft.py", "relations.py", "strata.py", "linalg.py"])
+def test_command_modules_load_no_rationals(name):
+    assert load_time_rational_imports(SRC / name) == []
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("from fractions import Fraction\n", [2]),
+    ("import fractions as fr, os\n", [2]),
+    ("import decimal\nimport numbers\n", [2, 3]),
+    ("try:\n    from fractions import Fraction\nexcept ImportError:\n"
+     "    from decimal import Decimal\n", [3, 5]),
+    ("if os.name:\n    pass\nelse:\n    from fractions import Fraction\n", [5]),
+    ("class Table:\n    from fractions import Fraction\n", [3]),
+    ("if TYPE_CHECKING:\n    from fractions import Fraction\n", []),
+    ("if typing.TYPE_CHECKING:\n    import numbers\n", []),
+    ("def f():\n    from fractions import Fraction\n    return Fraction(1)\n", []),
+    ("from .fractions import Fraction\n", []),
+])
+def test_detects_a_load_time_rational_import(tmp_path, source, lines):
+    module = tmp_path / "sample.py"
+    module.write_text("import os\n" + source)
+    assert load_time_rational_imports(module) == lines

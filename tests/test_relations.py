@@ -18,6 +18,7 @@ from rspinrel.relations import (
     _edge_entries,
     _expand,
     _feature_row,
+    _genus_two_lead,
     _leg_sum,
     _loop_sum,
     _primitive_features,
@@ -459,6 +460,17 @@ def genus_two_sets(n):
     hand_made = [RelationSet((2, n), rows, [Provenance(2, n, None, REFERENCE)] * len(rows))
                  for rows in GENUS_TWO_FEATURE_SETS]
     return [ppz_relation_set(2, n, 3), ac_relations(2, n)] + hand_made
+
+
+class TestGenusTwoLead:
+    """The one rule both genus-2 sign choices read: the lead of the pullback
+    of (k, irr, d1), without writing it out."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_lead_is_the_first_nonzero_written_entry(self, n):
+        for row in product(range(-2, 3), repeat=3):
+            written = _expand(2, n, row)
+            assert _genus_two_lead(n, row) == next((x for x in written if x), 0), row
 
 
 class TestGenusTwoReducedRows:
