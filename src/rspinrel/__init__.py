@@ -4,8 +4,8 @@ The library assembles the codimension-1 relations produced by the shifted
 r-spin field theory on the moduli space of genus-g stable curves with n
 markings, extracts their per-power-of-r consequences, pulls the genus-2
 relation back along forgetful maps, and verifies everything against the known
-complete set of degree-2 relations.  All arithmetic is exact: rationals,
-polynomials in r, and cyclotomic integers.
+complete set of degree-2 relations.  All arithmetic is exact: rationals and
+polynomials in r, with roots of unity as remainders modulo cyclotomic ones.
 
 The names below are importable from the package itself, but a submodule is
 loaded only when one of its names is first asked for (PEP 562), so a process

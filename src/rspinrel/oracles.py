@@ -5,10 +5,11 @@ module.  It holds the divisor classes and the basis they form, with
 :func:`canonical_divisor`; the codimension-1 graph layer (stable graphs and
 their enumeration); :func:`graph_contribution_terms`, the per-graph
 contraction oracle for the assembly; the forward and whole R-matrices; the
-quantum product with its idempotent check in exact cyclotomic arithmetic;
-determinants; and the genus-1 system determinant.  Whatever reads
-P_m(r, a) here looks up ``cohft.p_polynomial`` when called, so a patched
-table is seen.
+quantum product with its idempotent check in exact cyclotomic arithmetic
+(``RPoly`` remainders modulo :func:`cyclotomic_polynomial`); the determinant,
+by Bareiss over rationals or polynomials in r; and the genus-1 system
+determinant.  Whatever reads P_m(r, a) here looks up ``cohft.p_polynomial``
+when called, so a patched table is seen.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import NamedTuple, Sequence, Union
 
 from . import cohft
 from .cohft import RSpinTheory, r_inverse_entry
-from .cyclotomic import CyclotomicField
 from .relations import _dilaton_sum, _edge_entries, _leg_sum, _loop_sum, _separating_sum
 from .rpoly import RPoly
 from .strata import (DELTA_IRR, DELTA_SEP, KAPPA1, PSI, StabilityError,
@@ -407,6 +407,19 @@ class IdempotentReport(NamedTuple):
     failures: tuple[str, ...]
 
 
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(m: int) -> RPoly:
+    """The m-th cyclotomic polynomial: x^m - 1 over the Phi_d of m's proper
+    divisors, each division exact."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    phi = RPoly((-1,) + (0,) * (m - 1) + (1,))
+    for d in range(1, m):
+        if m % d == 0:
+            phi = phi / cyclotomic_polynomial(d)
+    return phi
+
+
 def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
     """Verify the discrete-Fourier basis diagonalizes the quantum product.
 
@@ -414,17 +427,16 @@ def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
     over the rescaled basis v_a, checks f_i . f_j = (r-1) delta_ij f_j in exact
     cyclotomic arithmetic, along with the geometric-sum identity
     1 + zeta^x + ... + zeta^((r-2)x) = 0 for x != 0 mod r-1 that drives it.
+    An element of Q(zeta) is its polynomial in zeta reduced modulo Phi_(r-1).
     """
     m = theory.r - 1
-    field = CyclotomicField(m)
+    phi = cyclotomic_polynomial(m)
+    powers = [divmod(RPoly((0,) * k + (1,)), phi)[1] for k in range(m)]
     failures: list[str] = []
 
     geometric_ok = True
     for x in range(1, m):
-        total = field.zero()
-        for k in range(m):
-            total = field.add(total, field.root_power(k * x))
-        if not field.is_zero(total):
+        if sum((powers[k * x % m] for k in range(m)), RPoly()):
             geometric_ok = False
             failures.append(f"geometric sum nonzero for x={x}")
 
@@ -434,14 +446,8 @@ def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
             for c in range(m):
                 # Coefficient of v_c in f_i . f_j: sum over a+b = c mod r-1
                 # of zeta^(a i + b j).
-                coeff = field.zero()
-                for a in range(m):
-                    b = (c - a) % m
-                    coeff = field.add(coeff, field.root_power(a * i + b * j))
-                if i == j:
-                    expected = field.scale(field.root_power(c * j), m)
-                else:
-                    expected = field.zero()
+                coeff = sum((powers[(a * i + (c - a) * j) % m] for a in range(m)), RPoly())
+                expected = powers[c * j % m] * m if i == j else RPoly()
                 if coeff != expected:
                     product_ok = False
                     failures.append(f"product mismatch at i={i} j={j} c={c}")
@@ -461,59 +467,29 @@ def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
 
 
 def determinant(rows):
-    """Exact determinant of a square matrix given as rows: minor expansion
-    when any entry is an RPoly, else Bareiss over Fractions.  Bareiss divides,
-    and an RPoly cannot."""
+    """Exact determinant of a square matrix given as rows, by Bareiss
+    elimination.  Entries are lifted to RPoly when any entry is one, else to
+    Fractions; every Bareiss division is exact in Q[r] as in Q, so the result
+    is an RPoly or a Fraction to match."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    if any(isinstance(x, RPoly) for row in rows for x in row):
-        return _minor_expansion_det(rows)
-    return _bareiss_det(rows)
-
-
-def _bareiss_det(entries: Sequence[Sequence]) -> Fraction:
-    n = len(entries)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in entries]
-    sign = 1
-    prev = Fraction(1)
+    lift = RPoly.constant if any(isinstance(x, RPoly) for row in rows for x in row) else Fraction
+    m = [[x if isinstance(x, RPoly) else lift(x) for x in row] for row in rows]
+    sign, prev = 1, lift(1)
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return lift(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 # Bareiss update: exact division by the previous pivot.
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _minor_expansion_det(entries) -> RPoly:
-    """Cofactor expansion along the rows, memoized on the columns left."""
-    n = len(entries)
-    cache = {(): RPoly((1,))}
-
-    def minor(cols: tuple[int, ...]) -> RPoly:
-        if cols not in cache:
-            row = entries[n - len(cols)]
-            total = RPoly()
-            for pos, col in enumerate(cols):
-                if row[col]:
-                    term = row[col] * minor(cols[:pos] + cols[pos + 1:])
-                    total = total - term if pos % 2 else total + term
-            cache[cols] = total
-        return cache[cols]
-
-    return minor(tuple(range(n)))
+    return sign * m[n - 1][n - 1] if n else lift(1)
 
 
 class SystemDetReport(NamedTuple):

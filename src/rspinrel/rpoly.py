@@ -5,8 +5,8 @@ Coefficient arithmetic everywhere in this library is exact: scalars are
 quantities are dense polynomials in the single formal variable ``r``.
 
 A polynomial is stored as a tuple of Fractions indexed by degree with no
-trailing zeros; the zero polynomial is the empty tuple.  Only the ring
-operations, evaluation and interpolation are provided -- no division.
+trailing zeros; the zero polynomial is the empty tuple.  Besides the ring
+operations there are exact long division, evaluation and interpolation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class RPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -113,6 +113,32 @@ class RPoly:
 
     __rmul__ = __mul__
 
+    def __divmod__(self, other) -> "tuple[RPoly, RPoly]":
+        """Quotient and remainder, the remainder of lower degree than other."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, dn, lead = list(self.coeffs), o.degree, o.coeffs[-1]
+        quot = [Fraction(0)] * max(0, len(rem) - dn)
+        for shift in reversed(range(len(quot))):
+            factor = quot[shift] = rem[shift + dn] / lead
+            if factor:
+                for i, c in enumerate(o.coeffs):
+                    rem[shift + i] -= factor * c
+        return RPoly(quot), RPoly(rem[:dn])
+
+    def __truediv__(self, other) -> "RPoly":
+        """Exact quotient; a nonzero remainder raises ValueError."""
+        result = self.__divmod__(other)
+        if result is NotImplemented:
+            return result
+        quot, rem = result
+        if rem:
+            raise ValueError(f"{self!r} is not divisible by {other!r}")
+        return quot
+
     def __pow__(self, exponent: int) -> "RPoly":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
@@ -128,6 +154,9 @@ class RPoly:
         return self.coeffs == o.coeffs
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it must hash as that scalar.
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def __call__(self, r: Scalar) -> Fraction:

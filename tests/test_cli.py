@@ -818,10 +818,10 @@ class TestColdImports:
         )
 
     @pytest.mark.parametrize("argv", COMMANDS[2:])
-    def test_relation_commands_skip_selftest_and_cyclotomic(self, argv):
+    def test_relation_commands_skip_selftest_and_oracles(self, argv):
         loaded = self.loaded_modules(argv)
         assert "rspinrel.relations" in loaded
-        assert not loaded & {"rspinrel.selftest", "rspinrel.cyclotomic"}
+        assert not loaded & {"rspinrel.selftest", "rspinrel.oracles"}
 
     # Numeric commands: genus 2 and 3 never interpolate in r, and one genus-1
     # leg vector at a given r is assembled without polynomials.
@@ -866,7 +866,7 @@ class TestColdImports:
 
     def test_selftest_loads_the_oracles(self):
         loaded = self.loaded_modules(["selftest"])
-        assert {"rspinrel.oracles", "rspinrel.selftest", "rspinrel.cyclotomic"} <= loaded
+        assert {"rspinrel.oracles", "rspinrel.selftest"} <= loaded
 
 
 class TestNoDivisorBasis:

@@ -17,7 +17,9 @@ from rspinrel.cohft import (
     topological_value,
     witten_degree,
 )
+from rspinrel import oracles
 from rspinrel.oracles import (
+    cyclotomic_polynomial,
     idempotent_check,
     quantum_structure_constants,
     r_forward_entry,
@@ -358,6 +360,10 @@ class TestQuantumProduct:
                         ) == sc.product_index(a, sc.product_index(b, c))
 
 
+def x_power_minus_one(m):
+    return RPoly((-1,) + (0,) * (m - 1) + (1,))
+
+
 class TestIdempotents:
     def test_all_small_r(self):
         for r in range(3, 7):
@@ -370,6 +376,41 @@ class TestIdempotents:
         # f_1 = v_0 - v_1 multiply to zero, squares have coefficient 2.
         report = idempotent_check(RSpinTheory(3))
         assert report.ok
+
+    def test_a_reducible_modulus_fails(self, monkeypatch):
+        # Modulo x^m - 1 the powers of x are not roots of Phi_m, so the
+        # geometric sums stay nonzero.
+        monkeypatch.setattr(oracles, "cyclotomic_polynomial", x_power_minus_one)
+        report = idempotent_check(RSpinTheory(5))
+        assert not report.ok and not report.geometric_sums_ok
+
+
+class TestCyclotomicPolynomial:
+    BY_HAND = {
+        1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 5: (1, 1, 1, 1, 1),
+        6: (1, -1, 1), 7: (1,) * 7, 8: (1, 0, 0, 0, 1), 9: (1, 0, 0, 1, 0, 0, 1),
+        10: (1, -1, 1, -1, 1), 11: (1,) * 11, 12: (1, 0, -1, 0, 1),
+    }
+
+    @pytest.mark.parametrize("m", sorted(BY_HAND))
+    def test_by_hand(self, m):
+        assert cyclotomic_polynomial(m) == RPoly(self.BY_HAND[m])
+
+    def test_divisor_product_is_x_power_minus_one(self):
+        for m in range(1, 41):
+            product = RPoly((1,))
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    product = product * cyclotomic_polynomial(d)
+            assert product == x_power_minus_one(m)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
+    def test_prime_is_the_geometric_sum(self, p):
+        assert cyclotomic_polynomial(p) == RPoly((1,) * p)
+
+    def test_nonpositive_order(self):
+        with pytest.raises(ValueError):
+            cyclotomic_polynomial(0)
 
 
 class TestDegrees:

@@ -324,3 +324,37 @@ def test_detects_a_load_time_rational_import(tmp_path, source, lines):
     module = tmp_path / "sample.py"
     module.write_text("import os\n" + source)
     assert load_time_rational_imports(module) == lines
+
+
+# README's "Library layout" table: one row per library module, the package
+# file and the command line aside, and no row for a module that is gone.
+README = SRC.parent.parent / "README.md"
+
+
+def layout_rows(text):
+    """The first cell of each body row of the "Library layout" table."""
+    section = text.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("|")]
+    return [cell.strip("`") for cell in cells[2:]]
+
+
+def library_modules():
+    return sorted(f"rspinrel.{path.stem}" for path in SRC.glob("*.py")
+                  if path.stem not in ("__init__", "cli"))
+
+
+def test_readme_layout_has_one_row_per_module():
+    assert sorted(layout_rows(README.read_text())) == library_modules()
+
+
+@pytest.mark.parametrize("edit", ["stale", "duplicate", "missing"])
+def test_detects_a_layout_table_out_of_step(edit):
+    text = README.read_text()
+    row = next(line for line in text.splitlines() if line.startswith("| `rspinrel.strata`"))
+    if edit == "stale":
+        text = text.replace(row, row + "\n| `rspinrel.cyclotomic` | cyclotomic polynomials |")
+    elif edit == "duplicate":
+        text = text.replace(row, row + "\n" + row)
+    else:
+        text = text.replace(row + "\n", "")
+    assert sorted(layout_rows(text)) != library_modules()

@@ -79,6 +79,21 @@ def deficient_matrices(draw, max_size=6):
     return rows
 
 
+def polynomial_matrices(max_size=4):
+    """Square matrices of RPoly entries of degree <= 2, at least one of them,
+    mixed with ints; zeros are common, so pivots often need a row swap."""
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    entry = st.one_of(
+        st.integers(min_value=-2, max_value=2),
+        st.lists(small, max_size=3).map(RPoly),
+    )
+    return st.integers(min_value=1, max_value=max_size).flatmap(
+        lambda k: st.lists(
+            st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    ).filter(lambda grid: any(isinstance(x, RPoly) for row in grid for x in row))
+
+
 def naive_gauss_det(grid):
     """Pivot-product oracle: plain rational elimination."""
     m = [list(map(Fraction, row)) for row in grid]
@@ -132,6 +147,23 @@ class TestDeterminant:
         r = RPoly.variable()
         grid = [[r, RPoly((1,))], [RPoly((1,)), r]]
         assert determinant(grid) == r * r - 1
+
+    def test_polynomial_pivot_swap_and_singular(self):
+        r = RPoly.variable()
+        assert determinant([[0, r], [1, 0]]) == -r
+        det = determinant([[r, r + 1], [r, r + 1]])
+        assert det == 0 and isinstance(det, RPoly)
+
+    @given(polynomial_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_polynomial_determinant_matches_evaluations(self, grid):
+        # Entries have degree <= 2, so the determinant has degree <= 2n and
+        # is fixed by its values at 2n + 1 points.
+        det = determinant(grid)
+        assert isinstance(det, RPoly) and det.degree <= 2 * len(grid)
+        for x in range(-len(grid), len(grid) + 1):
+            values = [[p(x) if isinstance(p, RPoly) else p for p in row] for row in grid]
+            assert det(x) == naive_gauss_det(values)
 
     @given(square_matrices(max_size=4))
     @settings(max_examples=30, deadline=None)

@@ -51,10 +51,12 @@ def test_exported_name_is_the_home_module_object(module, name):
 
 # Retired names: the class-keyed relation layer (RelationSet is the only
 # relation type, and it writes no basis of its own), the genus-2 pullback
-# check, and the matrix type and nullspace that only tests read.
+# check, the matrix type and nullspace that only tests read, and the second
+# polynomial type and determinant algorithm (RPoly divides exactly).
 REMOVED = ("Relation", "DenseRelationSet", "assemble_relation", "extract_r_coefficients",
            "pullback_genus2", "_genus2_base", "_extract", "AssemblyError", "RationalMatrix",
-           "rank_and_solve")
+           "rank_and_solve", "CyclotomicField", "_poly_divmod", "_minor_expansion_det",
+           "_bareiss_det")
 
 
 MODULES = ["rspinrel"] + [f"rspinrel.{path.stem}" for path in sorted(

@@ -83,6 +83,59 @@ class TestRPolyRingLaws:
         assert p(x) == naive
 
 
+class TestRPolyHash:
+    def test_constant_and_zero_hash_as_their_scalar(self):
+        assert RPoly((3,)) == 3 and hash(RPoly((3,))) == hash(3)
+        assert RPoly() == 0 and hash(RPoly()) == hash(0)
+        assert len({3, RPoly((3,))}) == 1
+        assert {3: "x"}.get(RPoly((3,))) == "x"
+        assert {Fraction(1, 2): "half"}.get(RPoly((Fraction(1, 2),))) == "half"
+
+    @given(small_polys, st.one_of(st.integers(-5, 5), rationals))
+    def test_equal_means_equal_hash(self, p, x):
+        for poly, scalar in ((p, x), (p, p.coefficient(0)), (RPoly((x,)), x)):
+            if poly == scalar:
+                assert hash(poly) == hash(scalar)
+
+
+nonzero_polys = small_polys.filter(bool)
+
+
+class TestDivision:
+    @given(small_polys, nonzero_polys)
+    def test_divmod(self, a, b):
+        q, s = divmod(a, b)
+        assert a == q * b + s
+        assert s.degree < b.degree
+
+    @given(small_polys, nonzero_polys)
+    def test_exact_quotient(self, a, b):
+        assert (a * b) / b == a
+
+    def test_remainder_raises(self):
+        r = RPoly.variable()
+        with pytest.raises(ValueError):
+            (r * r + 1) / (r - 1)
+        assert divmod(r * r + 1, r - 1) == (r + 1, RPoly((2,)))
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            RPoly((1, 2)) / RPoly()
+        with pytest.raises(ZeroDivisionError):
+            divmod(RPoly((1, 2)), 0)
+
+    def test_scalar_divisor(self):
+        r = RPoly.variable()
+        assert (r * 3 + 1) / Fraction(1, 2) == r * 6 + 2
+        assert divmod(r * 3 + 1, 2) == (r * Fraction(3, 2) + Fraction(1, 2), RPoly())
+        assert RPoly((4,)) / 2 == 2
+
+    def test_lower_degree_dividend(self):
+        r = RPoly.variable()
+        assert divmod(r + 1, r * r) == (RPoly(), r + 1)
+        assert divmod(RPoly(), r) == (RPoly(), RPoly())
+
+
 class TestInterpolation:
     def test_constant_data(self):
         samples = [(0, 1), (1, 1), (2, 1)]
