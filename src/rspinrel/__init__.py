@@ -26,14 +26,15 @@ _EXPORTS = {
         "DivisorClass", "GraphContribution", "GraphTerm", "IdempotentReport",
         "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
         "canonical_divisor", "delta_irr", "delta_sep", "determinant", "divisor_class_of",
-        "divisor_generators", "enumerate_contributing_graphs", "graph_contribution_terms",
-        "idempotent_check", "kappa1", "psi", "quantum_structure_constants",
-        "r_forward_entry", "r_forward_matrix", "r_inverse_matrix", "system_matrix_det",
+        "divisor_generators", "edge_constant_term", "enumerate_contributing_graphs",
+        "graph_contribution_terms", "idempotent_check", "kappa1", "psi",
+        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
+        "r_inverse_matrix", "system_matrix_det",
     ),
     "relations": (
         "BasisMismatchError", "Provenance", "RelationSet", "SpanReport",
         "ac_relations", "admissible_leg_vectors", "assembled_relation_set",
-        "edge_constant_term", "ppz_relation_set", "relation_row", "spans_equal",
+        "ppz_relation_set", "relation_row", "spans_equal",
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),

@@ -8,7 +8,9 @@ module holds everything that is a pure function of r:
 * the coefficient polynomials P_m(r, a) defined by a two-sum recursion,
   numerically and symbolically in r; the numeric table is built bottom up
   by :func:`p_row`, one row of integer numerators over a common denominator
-  per m, at O(r) big-integer operations per row and so O(m r) up to m,
+  per m, at O(r) big-integer operations per row and so O(m r) up to m.
+  ``pm-table``, ``selftest`` and :mod:`rspinrel.oracles` read the recursion;
+  :mod:`rspinrel.relations` reads P_1 in closed form,
 * the entries of the inverse R-matrix of the theory (without the uniform
   scalar factor, which scales a relation as a whole),
 * degree-zero (topological) values of the theory,
@@ -151,9 +153,9 @@ def p_polynomial(m: int, a: int, r: int) -> Fraction:
     """
     from fractions import Fraction
 
-    numerators, den = p_row(m, r)
-    if not 0 <= a <= r - 2:
+    if r >= 3 and m >= 0 and not 0 <= a <= r - 2:  # p_row refuses a bad r or m first
         raise ValueError(f"index a={a} out of range 0..{r - 2}")
+    numerators, den = p_row(m, r)
     return Fraction(numerators[a], den)
 
 

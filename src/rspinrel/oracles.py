@@ -4,12 +4,13 @@ The CLI's ``relations``, ``verify-ac`` and ``pm-table`` never import this
 module.  It holds the divisor classes and the basis they form, with
 :func:`canonical_divisor`; the codimension-1 graph layer (stable graphs and
 their enumeration); :func:`graph_contribution_terms`, the per-graph
-contraction oracle for the assembly; the forward and whole R-matrices; the
-quantum product with its idempotent check in exact cyclotomic arithmetic
-(``RPoly`` remainders modulo :func:`cyclotomic_polynomial`); the determinant,
-by Bareiss over rationals or polynomials in r; and the genus-1 system
-determinant.  Whatever reads P_m(r, a) here looks up ``cohft.p_polynomial``
-when called, so a patched table is seen.
+contraction oracle for the assembly, and :func:`edge_constant_term` read off
+the inverse R-matrix; the forward and whole R-matrices; the quantum product
+with its idempotent check in exact cyclotomic arithmetic (``RPoly``
+remainders modulo :func:`cyclotomic_polynomial`); the determinant, by Bareiss
+over rationals or polynomials in r; and the genus-1 system determinant.
+Whatever reads P_m(r, a) here looks up ``cohft.p_polynomial`` when called, so
+a patched table is seen; the relation path reads P_1 in closed form instead.
 """
 
 from __future__ import annotations
@@ -308,7 +309,8 @@ def graph_contribution_terms(
     :mod:`rspinrel.relations`: it rebuilds the edge constant terms on every
     call, walks every enumerated graph and contracts each one on its own.
     Zero contributions are kept so callers can see each graph vanish
-    individually.  The overall r^(g-1) prefactor is not applied here.
+    individually.  The overall r^(g-1) prefactor is not applied here, and the
+    per-family sums' scale 24 is divided out.
     """
     a_vec = tuple(a_vec)
     edges = _edge_entries(theory)
@@ -339,7 +341,14 @@ def graph_contribution_terms(
             divisor = divisor_class_of(graph, g, n)
             terms.append(GraphTerm(divisor, total))
 
-    return terms
+    return [GraphTerm(divisor, Fraction(total, 24)) for divisor, total in terms]
+
+
+def edge_constant_term(p: int, q: int, theory: RSpinTheory) -> Fraction:
+    """Constant term of the edge factor for the insertion pair (p, q): the
+    first-order inverse-R entry with upper index p and lower index r-2-q,
+    -P_1(r, p+1 mod r-1) when q = r-3-p mod r-1 and 0 otherwise."""
+    return -r_inverse_entry(1, theory.r - 2 - q, p, theory)
 
 
 # ---------------------------------------------------------------------------

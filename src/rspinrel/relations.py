@@ -17,7 +17,11 @@ The codimension-1 part receives contributions from four graph families
 The edge factor enters only through its constant term, in closed form
 -P_1(r, p+1 mod r-1) at the one insertion pair (p, q = r-3-p mod r-1) for
 each p, so node insertions at an edge are summed over those r-1 pairs.  The
-leg vectors that pass the degree gate and the parity condition are also
+per-family sums read P_1(r, a) = a(r-1-a)/2 - (2r-1)(r-2)/24 in closed form
+and a topological vertex value as the integer (r-1)^g or 0, and each term
+has one P_1 factor, so they work in integers at scale 24: each returns 24
+times its sum.  Relations are projective, so the rows are those of scale 1.
+The leg vectors that pass the degree gate and the parity condition are also
 known in closed form: their sum is 0 or 1, so they are the zero vector and
 the unit vectors (in genus 1, exactly the n unit vectors).
 
@@ -58,23 +62,15 @@ index patterns are independent of r): every coefficient is a polynomial in r
 of degree at most 3, recovered by exact interpolation from the table's values
 at six sample r, once per sum(a).  Each power of r is extracted from those
 few key polynomials as a feature row.  Only the code that builds or
-reads such polynomials imports ``rpoly``, so a numeric relation loads none.
-Nor does this module import ``fractions``: the rationals come from
-:mod:`rspinrel.cohft`, whose functions load it when they build one, so a
-genus >= 3 set, which contracts nothing, never loads it.
+reads such polynomials imports ``rpoly``, so a numeric relation, which
+contracts in integers, loads neither it nor ``fractions``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .cohft import (
-    DegreeGateError,
-    RSpinTheory,
-    phi_degree,
-    r_inverse_entry,
-    topological_value,
-)
+from .cohft import DegreeGateError, RSpinTheory, phi_degree
 from .linalg import primitive_int_vector, rref
 from .strata import (
     DELTA_IRR,
@@ -87,11 +83,9 @@ from .strata import (
 )
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     from .rpoly import RPoly
 
-    EdgeEntries = tuple[tuple[tuple[int, int], Fraction], ...]
+    EdgeEntries = tuple[tuple[tuple[int, int], int], ...]
 
 # Sample points for symbolic-in-r interpolation: degree bound 3 for genus-1
 # coefficients, plus consistency samples beyond the 4 needed nodes.
@@ -167,72 +161,65 @@ class RelationSet:
 
 
 # ---------------------------------------------------------------------------
-# Per-family sums, shared by the per-graph oracle and the per-key assembly
+# Per-family sums at scale 24, shared by the per-graph oracle and the assembly
 # ---------------------------------------------------------------------------
 
-def edge_constant_term(p: int, q: int, theory: RSpinTheory) -> Fraction:
-    """Constant term of the edge factor for the insertion pair (p, q), the
-    only part codimension 1 reads: -P_1(r, p+1 mod r-1) when
-    q = r-3-p mod r-1 and 0 otherwise.  It is read as the first-order
-    inverse-R entry with upper index p and lower index r-2-q, which vanishes
-    off that congruence and checks both indices."""
-    return -r_inverse_entry(1, theory.r - 2 - q, p, theory)
+def _first_order(r: int, a: int) -> int:
+    """24 P_1(r, a) = 12a(r-1-a) - (2r-1)(r-2), the first-order inverse-R
+    entry at lower index a, in closed form."""
+    return 12 * a * (r - 1 - a) - (2 * r - 1) * (r - 2)
+
+
+def _vertex(g: int, total: int, r: int) -> int:
+    """Topological value of a stable genus-g vertex whose insertions sum to
+    ``total``: (r-1)^g when g - 1 - total is divisible by r - 1, else 0."""
+    return (r - 1) ** g if (g - 1 - total) % (r - 1) == 0 else 0
 
 
 def _edge_entries(theory: RSpinTheory) -> EdgeEntries:
-    """Nonzero edge constant terms, each with its insertion pair (p, q): only
-    the pair q = r-3-p mod r-1, where the term can be nonzero, for each p."""
+    """24 times each nonzero edge constant term, with its insertion pair
+    (p, q): -24 P_1(r, p+1 mod r-1) at q = r-3-p mod r-1, the one pair for
+    each p where the term can be nonzero."""
     r = theory.r
     entries = []
     for p in range(r - 1):
-        q = (r - 3 - p) % (r - 1)
-        entry = edge_constant_term(p, q, theory)
-        if entry != 0:
-            entries.append(((p, q), entry))
+        entry = -_first_order(r, (p + 1) % (r - 1))
+        if entry:
+            entries.append(((p, (r - 3 - p) % (r - 1)), entry))
     return tuple(entries)
 
 
-def _leg_sum(g: int, insertions: Sequence[int], i: int, theory: RSpinTheory) -> Fraction:
-    """psi_{i+1} coefficient: one psi power on leg i of the smooth graph,
-    which the first-order inverse R-matrix moves to the one index b with
-    b + 1 = a_i mod r-1 (every other entry of its column vanishes)."""
-    moved = list(insertions)
-    moved[i] = (insertions[i] - 1) % (theory.r - 1)
-    entry = r_inverse_entry(1, insertions[i], moved[i], theory)
-    return entry * topological_value(g, moved, theory)
+def _leg_sum(g: int, insertions: Sequence[int], i: int, theory: RSpinTheory) -> int:
+    """24 times the psi_{i+1} coefficient: one psi power on leg i of the
+    smooth graph, which the first-order inverse R-matrix moves to the one
+    index b with b + 1 = a_i mod r-1 (every other entry of its column
+    vanishes), at the entry 24 P_1(r, a_i)."""
+    r = theory.r
+    return _first_order(r, insertions[i]) * _vertex(g, sum(insertions) - 1, r)
 
 
-def _dilaton_sum(g: int, a_vec: Sequence[int], theory: RSpinTheory) -> Fraction:
-    """kappa_1 coefficient: psi^2 on the dilaton leg pushes forward to
-    kappa_1; the dilaton series carries an explicit minus sign and inserts
-    along the unit direction."""
+def _dilaton_sum(g: int, a_vec: Sequence[int], theory: RSpinTheory) -> int:
+    """24 times the kappa_1 coefficient: psi^2 on the dilaton leg pushes
+    forward to kappa_1; the dilaton series carries an explicit minus sign and
+    inserts along the unit direction."""
     return -_leg_sum(g, [*a_vec, 0], len(a_vec), theory)
 
 
-def _loop_sum(
-    g: int, a_vec: Sequence[int], theory: RSpinTheory, edges: EdgeEntries
-) -> Fraction:
-    """delta_irr coefficient: the one-loop graph on a genus g-1 vertex."""
-    total = 0
-    for (p, q), entry in edges:
-        value = topological_value(g - 1, list(a_vec) + [p, q], theory)
-        total += entry * value
-    return total
+def _loop_sum(g: int, a_vec: Sequence[int], theory: RSpinTheory, edges: EdgeEntries) -> int:
+    """24 times the delta_irr coefficient: the one-loop graph on a genus g-1
+    vertex."""
+    total, r = sum(a_vec), theory.r
+    return sum(entry * _vertex(g - 1, total + p + q, r) for (p, q), entry in edges)
 
 
 def _separating_sum(
     g: int, h: int, a0: list[int], a1: list[int], theory: RSpinTheory, edges: EdgeEntries
-) -> Fraction:
-    """delta_{h,S} coefficient: genus-h vertex with insertions a0 joined by
-    one edge to a genus g-h vertex with insertions a1."""
-    total = 0
-    for (p, q), entry in edges:
-        value0 = topological_value(h, a0 + [p], theory)
-        if value0 == 0:
-            continue
-        value1 = topological_value(g - h, a1 + [q], theory)
-        total += entry * value0 * value1
-    return total
+) -> int:
+    """24 times the delta_{h,S} coefficient: genus-h vertex with insertions a0
+    joined by one edge to a genus g-h vertex with insertions a1."""
+    r, total0, total1 = theory.r, sum(a0), sum(a1)
+    return sum(entry * _vertex(h, total0 + p, r) * _vertex(g - h, total1 + q, r)
+               for (p, q), entry in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +227,10 @@ def _separating_sum(
 # ---------------------------------------------------------------------------
 
 def _key_values(g: int, a_vec: tuple[int, ...], theory: RSpinTheory) -> dict:
-    """Each key's coefficient for a zero or unit leg vector, before the
-    r^(g-1) prefactor, contracted on its legs with the unit first: psi at the
-    unit and at a zero leg, kappa_1, delta_irr and, for each h, the smallest
-    stable delta_{h,S} with the unit in S and without it.  A separating key
+    """24 times each key's coefficient for a zero or unit leg vector, before
+    the r^(g-1) prefactor, contracted on its legs with the unit first: psi at
+    the unit and at a zero leg, kappa_1, delta_irr and, for each h, the
+    smallest stable delta_{h,S} with the unit in S and without it.  A separating key
     holds the raw sum of a over S, not its residue."""
     legs = sorted(a_vec, reverse=True)
     total, edges = sum(legs), _edge_entries(theory)
@@ -327,19 +314,19 @@ def _primitive_features(g: int, n: int, a_vec: tuple[int, ...], values: dict) ->
 class _RelationTable:
     """One call's relation data on the (g, n) space: the key values per
     (r, sum(a)) and the key polynomials per sum(a), which every leg vector of
-    that sum shares, since below the gate they have one key set.  Callers
-    never change these dicts.  A table lives for one call, so a patched
-    ``p_polynomial`` is always read afresh."""
+    that sum shares, since below the gate they have one key set, all at the
+    per-family sums' scale 24.  Callers never change these dicts."""
 
     def __init__(self, g: int, n: int):
         self.g, self.n = g, n
         self._values, self._polys = {}, {}
 
     def numeric(self, a_vec: tuple[int, ...], r: int) -> dict:
-        """Each key's coefficient at r: the gate of every relation.  Raises
-        :class:`DegreeGateError` when the degree bookkeeping reports no
-        relation.  No key when sum(a) != g mod r-1: the exponent is then not
-        integral, and every contribution vanishes through the congruences."""
+        """24 times each key's coefficient at r, an integer: the gate of
+        every relation.  Raises :class:`DegreeGateError` when the degree
+        bookkeeping reports no relation.  No key when sum(a) != g mod r-1:
+        the exponent is then not integral, and every contribution vanishes
+        through the congruences."""
         g, n = self.g, self.n
         theory = RSpinTheory(r)
         for a in a_vec:
@@ -357,7 +344,7 @@ class _RelationTable:
         return self._values[cached]
 
     def symbolic(self, a_vec: tuple[int, ...]) -> dict[object, RPoly]:
-        """Each key's coefficient as a polynomial in r (genus 1 only)."""
+        """24 times each key's coefficient as a polynomial in r (genus 1 only)."""
         from .rpoly import poly_interpolate
 
         if self.g != 1:

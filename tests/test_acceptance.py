@@ -104,16 +104,17 @@ class TestMutationSensitivity:
         assert not _criterion_8()[0]
 
     def test_partial_sign_flip_detected_by_golden_span(self, monkeypatch):
-        import rspinrel.cohft as cohft_module
+        # The relation path reads P_1 in closed form, not through p_polynomial.
+        import rspinrel.relations as relations_module
         from rspinrel.selftest import _criterion_1
 
-        original = cohft_module.p_polynomial
+        original = relations_module._first_order
 
-        def corrupted(m, a, r):
-            value = original(m, a, r)
-            return -value if m == 1 and a == 0 else value
+        def corrupted(r, a):
+            value = original(r, a)
+            return -value if a == 0 else value
 
-        self._patch(monkeypatch, corrupted)
+        monkeypatch.setattr(relations_module, "_first_order", corrupted)
         assert not _criterion_1()[0]
 
     def test_partial_sign_flip_detected_by_r_matrix_identities(self, monkeypatch):

@@ -782,13 +782,6 @@ class TestColdImports:
     def test_tables_and_genus_three_sets_load_no_rationals(self, argv):
         assert not self.loaded_modules(argv) & self.RATIONALS
 
-    @pytest.mark.parametrize("argv", [
-        ["relations", "--g", "2", "--n", "3", "--r", "3"],
-        ["relations", "--g", "1", "--n", "3", "--r", "3", "--a", "1,0,0"],
-    ], ids=" ".join)
-    def test_contraction_loads_fractions(self, argv):
-        assert "fractions" in self.loaded_modules(argv)
-
     USAGE_REFUSALS = [
         ["relations", "--g", "1", "--n", "3", "--r", "5", "--a", "7,0,0", "--format", "json"],
         ["relations", "--g", "2", "--n", "3", "--r", "4", "--a", "0,1,0"],
@@ -852,7 +845,14 @@ class TestColdImports:
 
     @pytest.mark.parametrize("argv", SYMBOLIC, ids=" ".join)
     def test_genus_one_sets_load_rpoly(self, argv):
-        assert "rspinrel.rpoly" in self.loaded_modules(argv)
+        # And fractions, since polynomial coefficients are Fractions; only
+        # interpolation in r builds them.
+        assert {"rspinrel.rpoly", "fractions"} <= self.loaded_modules(argv)
+
+    @pytest.mark.parametrize("argv", NUMERIC, ids=" ".join)
+    def test_numeric_contraction_loads_no_rationals(self, argv):
+        # The contraction runs in integers at scale 24.
+        assert not self.loaded_modules(argv) & self.RATIONALS
 
     @pytest.mark.parametrize("argv", COMMANDS[2:])
     def test_relation_commands_load_exactly_their_modules(self, argv):
@@ -1015,6 +1015,56 @@ def _cold_golden_point(argv):
 def _genus(argv):
     """The --g of a grid point, 0 for a command without one."""
     return int(argv[argv.index("--g") + 1]) if "--g" in argv else 0
+
+
+class TestLargeROutputs:
+    """Outputs at large r, where the relation path reads P_1 in closed form
+    and the golden grid, which stops at r = 8, has no point.  The digests
+    (``measure.digest``: exit code and stdout, ``elapsed_ms`` dropped) were
+    recorded when that path still read P_1 through the recursion."""
+
+    @pytest.mark.parametrize("argv,sha256", [
+        ("relations --g 1 --n 4 --r 100",
+         "0a1317a7d150f0e69aad8f15212dc143a25f6c2905a5000598f3056f9f919019"),
+        ("relations --g 1 --n 4 --r 100 --format json",
+         "449e030895f1259ea9296d2db16b08858e4478c789ae3094bba9e5855e7efb52"),
+        ("relations --g 1 --n 5 --r 100 --a 0,1,0,0,0",
+         "ece60974b465b99a53c6e9148b28be1996739b241be2c616d6f11381b3a52b70"),
+        ("relations --g 1 --n 5 --r 100 --a 0,1,0,0,0 --format json",
+         "9c4f965a5c592d57659048f74f5bb6f22b1f2865fe74d76c1eed5d1f791e48a2"),
+        ("verify-ac --g 1 --n 4 --r 100",
+         "8937665d934ace65ca29422ccd6a8878e692266fb1f5344d00e686c80c70c848"),
+        ("verify-ac --g 1 --n 4 --r 100 --format json",
+         "a22902435b1802b201f3e7ff8be081e2316791fc3409889c87d595509f566f12"),
+        ("relations --g 1 --n 4 --r 997",
+         "7b562a9b5479d833947caecef2cb40a38879f28c2c97ef1eee42a109aa1656cc"),
+        ("relations --g 1 --n 4 --r 997 --format json",
+         "108991601c1878b1e08a936be9ffed27d0038df3e2c08925bbddadfdb994f6a8"),
+        ("relations --g 1 --n 5 --r 997 --a 0,1,0,0,0",
+         "d61657dc022680c0d6c64b6aa5db912a44c153de42aab50bc53b82282d60a42e"),
+        ("relations --g 1 --n 5 --r 997 --a 0,1,0,0,0 --format json",
+         "1a1b6eba8146c17f4a361c160524067d06a8f72356dc03697f7a78f2d21781f7"),
+        ("verify-ac --g 1 --n 4 --r 997",
+         "1c43ba3973f87bbd58baedcbbd8101bda3ad2f6570b111e56379f43987c08c46"),
+        ("verify-ac --g 1 --n 4 --r 997 --format json",
+         "e148ad0940cf8dc3cf89301c928b59939dc29daab23e860988e01c8bb1dec566"),
+        ("relations --g 1 --n 4 --r 1000",
+         "571f26de02051df756763b5ac3e7cc8d1e1fbaf0792c0e19e7d5c5e677019b1d"),
+        ("relations --g 1 --n 4 --r 1000 --format json",
+         "db4cc7df94026d73a3f4f9bca26bed23293a9fb876311dd2e61dc5e9a1591361"),
+        ("relations --g 1 --n 5 --r 1000 --a 0,1,0,0,0",
+         "fab953c2c3455f7f24ea1e5a6ac82f836feda66ab2dc1047502c5591ef4e9df8"),
+        ("relations --g 1 --n 5 --r 1000 --a 0,1,0,0,0 --format json",
+         "f85b2acb8f461b8b9ca4ca63dc73e9134c5dd098026c73070fc376b84b36b11d"),
+        ("verify-ac --g 1 --n 4 --r 1000",
+         "900e671ed5b86bf23e9ad49f4905644695e571fb652c5d77fcfbe5a8dbb6504f"),
+        ("verify-ac --g 1 --n 4 --r 1000 --format json",
+         "1ae710afab8b68838c999e484589f1f0af337f85d1c719a10cfb57a6a68e4cfc"),
+    ])
+    def test_stdout_digest(self, capsys, argv, sha256):
+        code, out, err = run(capsys, argv.split())
+        assert (code, err) == (0, "")
+        assert measure.digest(code, out) == sha256, out
 
 
 class TestGoldenOutputs:

@@ -174,6 +174,22 @@ class TestPTableOracle:
         p_polynomial.cache_clear()
         assert p_polynomial(2, 1, 5) == expected
 
+    def test_bad_index_refused_before_any_row(self, monkeypatch):
+        # The index is checked before the row is built, so a bad one neither
+        # pays for rows 1..m nor replaces the stored row.
+        p_row(3, 3)
+        before = dict(cohft._last_rows)
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cohft, "p_row", lambda m, r: built.append((m, r)))
+            for m, a, r in ((5000, -1, 3), (7, 2, 3), (0, 9, 5)):
+                with pytest.raises(ValueError, match=f"index a={a} out of range"):
+                    p_polynomial(m, a, r)
+        assert built == []
+        with pytest.raises(ValueError, match="index a=-1 out of range"):
+            p_polynomial(50, -1, 3)
+        assert cohft._last_rows == before
+
     def test_deep_row_on_cold_cache_returns(self):
         # The recursion overflowed the interpreter stack here.
         p_polynomial.cache_clear()

@@ -25,14 +25,15 @@ EXPORTED = {
         "DivisorClass", "GraphContribution", "GraphTerm", "IdempotentReport",
         "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
         "canonical_divisor", "delta_irr", "delta_sep", "determinant", "divisor_class_of",
-        "divisor_generators", "enumerate_contributing_graphs", "graph_contribution_terms",
-        "idempotent_check", "kappa1", "psi", "quantum_structure_constants",
-        "r_forward_entry", "r_forward_matrix", "r_inverse_matrix", "system_matrix_det",
+        "divisor_generators", "edge_constant_term", "enumerate_contributing_graphs",
+        "graph_contribution_terms", "idempotent_check", "kappa1", "psi",
+        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
+        "r_inverse_matrix", "system_matrix_det",
     ),
     "relations": (
         "BasisMismatchError", "DegreeGateError", "Provenance", "RelationSet",
         "SpanReport", "ac_relations", "admissible_leg_vectors", "assembled_relation_set",
-        "edge_constant_term", "ppz_relation_set", "relation_row", "spans_equal",
+        "ppz_relation_set", "relation_row", "spans_equal",
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),
@@ -83,6 +84,16 @@ def test_class_layer_left_strata():
     moved = ("DivisorClass", "psi", "kappa1", "delta_irr", "delta_sep", "divisor_generators",
              "_divisor_generators")
     assert [name for name in moved if hasattr(strata, name)] == []
+
+
+def test_edge_constant_term_left_relations():
+    # The recursion's edge term is an oracle; the relation path reads P_1 in
+    # closed form and imports no P recursion.
+    relations = importlib.import_module("rspinrel.relations")
+    assert not [name for name in ("edge_constant_term", "r_inverse_entry", "topological_value")
+                if hasattr(relations, name)]
+    from rspinrel import edge_constant_term
+    assert edge_constant_term is importlib.import_module("rspinrel.oracles").edge_constant_term
 
 
 def test_star_import_names_unchanged():

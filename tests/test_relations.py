@@ -7,7 +7,9 @@ from itertools import permutations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rspinrel.cohft import RSpinTheory, phi_degree, r_inverse_entry, topological_value
+from rspinrel.cli import MAX_R
+from rspinrel.cohft import (RSpinTheory, p_polynomial, phi_degree, r_inverse_entry,
+                            topological_value)
 from rspinrel.linalg import primitive_int_vector, rref
 from rspinrel.relations import (
     BasisMismatchError,
@@ -18,6 +20,7 @@ from rspinrel.relations import (
     _edge_entries,
     _expand,
     _feature_row,
+    _first_order,
     _genus_two_lead,
     _leg_sum,
     _loop_sum,
@@ -27,7 +30,6 @@ from rspinrel.relations import (
     ac_relations,
     admissible_leg_vectors,
     assembled_relation_set,
-    edge_constant_term,
     ppz_relation_set,
     relation_row,
     spans_equal,
@@ -37,6 +39,7 @@ from rspinrel.oracles import (
     delta_irr,
     delta_sep,
     divisor_generators,
+    edge_constant_term,
     enumerate_contributing_graphs,
     graph_contribution_terms,
     kappa1,
@@ -73,12 +76,12 @@ def scan_admissible_leg_vectors(g, n, r):
 
 
 def per_graph_coefficients(g, n, a_vec, r):
-    """Oracle for the keyed contraction: r^(g-1) times the per-divisor sum of
-    the per-graph terms, zero coefficients dropped."""
+    """Oracle for the keyed contraction at its scale 24: 24 r^(g-1) times the
+    per-divisor sum of the per-graph terms, zero coefficients dropped."""
     sums = {}
     for term in graph_contribution_terms(g, n, a_vec, RSpinTheory(r)):
         sums[term.divisor] = sums.get(term.divisor, Fraction(0)) + term.coefficient
-    return {d: c * r ** (g - 1) for d, c in sums.items() if c != 0}
+    return {d: 24 * c * r ** (g - 1) for d, c in sums.items() if c != 0}
 
 
 SAMPLE_RS = (3, 4, 5, 6, 7, 8)
@@ -261,15 +264,16 @@ class TestAssemblyGoldens:
 
 class TestSymbolicAssembly:
     def test_coefficients_match_closed_forms(self):
+        # At the contraction's scale 24.
         polys = _RelationTable(1, 2).symbolic((1, 0))
         r = RPoly.variable()
         p1_at = lambda a: Fraction(a, 2) * (r - 1 - a) - (2 * r - 1) * (r - 2) * Fraction(1, 24)
         # The keys of psi_1, psi_2, kappa_1, delta_{0,{1,2}} and delta_irr.
-        assert polys[PSI, 1] == (r - 1) * p1_at(1)
-        assert polys[PSI, 0] == (r - 1) * p1_at(0)
-        assert polys[KAPPA1] == -(r - 1) * p1_at(0)
-        assert polys[DELTA_SEP, 0, 1] == -(r - 1) * p1_at(1)
-        assert polys[DELTA_IRR] == -(r - 1) * (r - 2) * Fraction(1, 24)
+        assert polys[PSI, 1] == 24 * (r - 1) * p1_at(1)
+        assert polys[PSI, 0] == 24 * (r - 1) * p1_at(0)
+        assert polys[KAPPA1] == -24 * (r - 1) * p1_at(0)
+        assert polys[DELTA_SEP, 0, 1] == -24 * (r - 1) * p1_at(1)
+        assert polys[DELTA_IRR] == -(r - 1) * (r - 2)
 
     def test_symbolic_requires_genus_one(self):
         with pytest.raises(UnsupportedGenusError):
@@ -564,6 +568,7 @@ class TestOracleEquivalence:
                         if not phi_degree(g, a_vec, r).relation_exists:
                             continue
                         values = _RelationTable(g, n).numeric(a_vec, r)
+                        assert all(type(value) is int for value in values.values())
                         expected = per_graph_coefficients(g, n, a_vec, r)
                         if g == 2 and expected:  # contracted on the unmarked space
                             unmarked = per_graph_coefficients(2, 0, (), r)
@@ -887,7 +892,7 @@ class TestEdgeFactor:
                 for q in range(r - 1):
                     entry = edge_constant_term(p, q, theory)
                     if entry != 0:
-                        full[(p, q)] = entry
+                        full[(p, q)] = 24 * entry
             assert dict(_edge_entries(theory)) == full, r
 
     def test_constant_term_matches_full_sum(self):
@@ -919,7 +924,7 @@ class TestEdgeFactor:
                 for insertions in product(range(r - 1), repeat=n):
                     for i in range(n):
                         assert _leg_sum(g, insertions, i, theory) == (
-                            loop_leg_sum(g, insertions, i, theory)
+                            24 * loop_leg_sum(g, insertions, i, theory)
                         ), (r, g, insertions, i)
 
     def test_loop_total_closed_form(self):
@@ -940,6 +945,33 @@ class TestEdgeFactor:
                         total += entry * value
                 expected = -Fraction((r - 1) ** (g - 1)) * Fraction((r - 1) * (r - 2), 24)
                 assert total == expected, (g, r)
+
+
+class TestFirstOrderClosedForm:
+    """The relation path reads 24 P_1(r, a) in closed form; the P recursion
+    and the edge term read off it are its oracles, up to the largest r the
+    command line admits."""
+
+    RS = [*range(3, 41), 100, 997, MAX_R]
+
+    @pytest.mark.parametrize("r", RS)
+    def test_closed_form_is_the_recursion(self, r):
+        assert [_first_order(r, a) for a in range(r - 1)] == [
+            24 * p_polynomial(1, a, r) for a in range(r - 1)]
+
+    @pytest.mark.parametrize("r", RS)
+    def test_edge_entries_are_24_times_the_nonzero_oracle_terms(self, r):
+        # Every pair (p, q) up to r = 100.  Above, a full scan takes seconds,
+        # so every row p = 0 mod 25 is scanned in full, and each entry the
+        # library lists is checked against the oracle.
+        theory = RSpinTheory(r)
+        entries = dict(_edge_entries(theory))
+        for p in range(0, r - 1, 1 if r <= 100 else 25):
+            for q in range(r - 1):
+                entry = edge_constant_term(p, q, theory)
+                assert entries.get((p, q), 0) == 24 * entry, (r, p, q)
+        for (p, q), entry in entries.items():
+            assert entry == 24 * edge_constant_term(p, q, theory) != 0, (r, p, q)
 
 
 class TestSystemDeterminant:
@@ -1190,16 +1222,16 @@ class TestExplicitGenusOneRelation:
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_span_identity_in_r(self, n):
-        # The symbolic contraction is the closed form with its prefactor; its
-        # r^1 part is twice the AC kappa_1 row, and its r^0 part is the AC
-        # psi_i row minus that row.
+        # The symbolic contraction, at its scale 24, is the closed form with
+        # 24 times its prefactor; its r^1 part is twice the AC kappa_1 row,
+        # and its r^0 part is the AC psi_i row minus that row.
         r = RPoly.variable()
         *psi_rows, kappa_row = ac_relations(1, n).features
         for i in range(1, n + 1):
             relation = explicit_relation(n, i, r)
             polys = _RelationTable(1, n).symbolic(unit_vector(n, i))
             assert _expand(1, n, _feature_row(1, unit_vector(n, i), polys)) == _expand(
-                1, n, [(r - 1) * (r - 2) * Fraction(1, 24) * x for x in relation]
+                1, n, [(r - 1) * (r - 2) * x for x in relation]
             )
             assert all(x.degree <= 1 for x in relation)
             assert [x.coefficient(1) for x in relation] == [2 * k for k in kappa_row]
