@@ -231,6 +231,8 @@ def phi_degree(g: int, a_vec: Sequence[int], r: int) -> PhiDegreeReport:
     flag (negative value means the degree-1 part vanishes, hence a relation)
     and whether d itself is an integer.
     """
+    if r < 3:
+        raise ValueError("r must be at least 3")
     value = sum(a_vec) + (g - 1) * (r - 2) - r
     return PhiDegreeReport(
         value=value,

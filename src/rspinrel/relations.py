@@ -47,7 +47,7 @@ kappa_1, delta_irr and delta_1 of the unmarked space, whose pullback is the
 relation with markings, so genus 2 is always contracted with no legs.
 Relation sets keep integer rows over the features, take ranks and reduced rows
 there, and write a row over the basis of about 2^n classes only when it is
-read.
+read, with its first nonzero entry positive: the one place a sign is chosen.
 
 In these features the genus-1 relation of e_i is (r-1)(r-2)/24 times
 (13-2r) A_i - (2r-1) B_i - delta_irr, with A_i = psi_i - chi_i and
@@ -104,33 +104,19 @@ class Provenance(NamedTuple):
     r_mode: Union[int, str]  # numeric r, "r^k" or "reference"
 
 
-class RelationSet:
+class RelationSet(NamedTuple):
     """Relations on the (g, n) space ``space`` as integer rows over its
-    features, each with its provenance; ``rows`` writes them out over the
-    divisor basis on first use.  An assembled row is written out primitive
-    with a positive first nonzero entry; a reference row keeps its own scale."""
+    features (primitive when assembled or reference), each with its
+    provenance; ``rows`` writes them out over the divisor basis with
+    :func:`_write_out` each time it is read."""
 
-    def __init__(self, space: tuple[int, int], features: list[tuple[int, ...]],
-                 provenances: list[Provenance]):
-        self.space, self.features, self.provenances = space, features, provenances
-        self._rows = None
+    space: tuple[int, int]
+    features: list[tuple[int, ...]]
+    provenances: list[Provenance]
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
-        if self._rows is None:
-            self._rows = [_expand(*self.space, row) for row in self.features]
-        return self._rows
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.features, self.provenances) == (
-            other.space, other.features, other.provenances
-        )
-
-    def __repr__(self) -> str:
-        return (f"RelationSet(space={self.space!r}, features={self.features!r}, "
-                f"provenances={self.provenances!r})")
+        return [_write_out(*self.space, row) for row in self.features]
 
     def _span_rows(self) -> list:
         """The rows to reduce the span over: the features where they map
@@ -143,10 +129,8 @@ class RelationSet:
         """Row-reduced basis of the span as primitive integer vectors over the
         basis, reduced over the features where they are independent and each
         written out once.  The features meet the basis in their own order, so
-        the rows are reduced there too, except that a genus-2 row whose
-        written-out lead is negative (its pivot on k, read as psi_1 = -k) is
-        negated, and a genus-1 pivot on chi_i or one, which the basis lacks,
-        is reduced again over the basis."""
+        the rows are reduced there too, except that a genus-1 pivot on chi_i
+        or one, which the basis lacks, is reduced again over the basis."""
         rows = self._span_rows()
         reduced, pivots = rref(rows)
         if rows is not self.features:
@@ -154,10 +138,7 @@ class RelationSet:
         g, n = self.space
         if g == 1 and max(pivots, default=0) >= n + 2:
             return rref([_expand(g, n, row) for row in reduced])[0]
-        if g == 2:
-            reduced = [tuple(-x for x in row) if _genus_two_lead(n, row) < 0 else row
-                       for row in reduced]
-        return [_expand(g, n, row) for row in reduced]
+        return [_write_out(g, n, row) for row in reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +269,12 @@ def _expand(g: int, n: int, row: Sequence) -> tuple:
     return (0,) * basis_size(g, n)
 
 
-def _genus_two_lead(n: int, row: Sequence[int]) -> int:
-    """The first nonzero entry of ``_expand(2, n, row)``, 0 for a zero row,
-    read without writing the row out: the pullback leads with -k on each
-    psi_i, then k, irr and d1."""
-    k, irr, d1 = row
-    return (-k if n else k) or irr or d1
-
-
-def _primitive_features(g: int, n: int, a_vec: tuple[int, ...], values: dict) -> tuple[int, ...]:
-    """The feature row of these key values, scaled to be written out as the
-    primitive integer row with a positive first nonzero entry, which in
-    genus 1 is nearly always on psi_i, kappa_1 or delta_irr, the columns the
-    features share with the basis, and in genus 2 is :func:`_genus_two_lead`."""
-    row = primitive_int_vector(_feature_row(g, a_vec, values))
-    if g == 2:
-        lead = _genus_two_lead(n, row)
-    else:
-        lead = next((x for x in row[:n + 2] if x), None)
-        if lead is None and any(row):
-            lead = next(x for x in _expand(g, n, row) if x)
-    return tuple(-x for x in row) if lead and lead < 0 else row
+def _write_out(g: int, n: int, row: Sequence[int]) -> tuple[int, ...]:
+    """The feature row ``row`` written over the (g, n) basis, negated if its
+    first nonzero entry there is negative: the one sign rule of every row a
+    relation set or :func:`relation_row` writes out."""
+    written = _expand(g, n, row)
+    return tuple(-x for x in written) if next((x for x in written if x), 0) < 0 else written
 
 
 class _RelationTable:
@@ -326,8 +292,10 @@ class _RelationTable:
         every relation.  Raises :class:`DegreeGateError` when the degree
         bookkeeping reports no relation.  No key when sum(a) != g mod r-1:
         the exponent is then not integral, and every contribution vanishes
-        through the congruences."""
+        through the congruences.  ``a_vec`` has n entries, or in genus 2 none."""
         g, n = self.g, self.n
+        if len(a_vec) != n and (g != 2 or a_vec):
+            raise ValueError("a_vec length must equal n")
         theory = RSpinTheory(r)
         for a in a_vec:
             theory.check_index(a)
@@ -367,7 +335,7 @@ def relation_row(g: int, n: int, a_vec: tuple[int, ...], r: int) -> tuple[int, .
     gate comes before the basis check."""
     values = _RelationTable(g, n).numeric(a_vec, r)
     check_space(g, n)
-    return _expand(g, n, _primitive_features(g, n, a_vec, values))
+    return _write_out(g, n, primitive_int_vector(_feature_row(g, a_vec, values)))
 
 
 def assembled_relation_set(
@@ -387,7 +355,7 @@ def assembled_relation_set(
         found += [(f"r^{p}", {key: poly.coefficient(p) for key, poly in polys.items()})
                   for p in range(top - 1, -1, -1)]
         for r_mode, values in found:
-            row = _primitive_features(g, n, a_vec, values)
+            row = primitive_int_vector(_feature_row(g, a_vec, values))
             if any(row):
                 rows.append(row)
                 provenances.append(Provenance(g, n, a_vec, r_mode))

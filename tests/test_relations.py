@@ -21,12 +21,11 @@ from rspinrel.relations import (
     _expand,
     _feature_row,
     _first_order,
-    _genus_two_lead,
     _leg_sum,
     _loop_sum,
-    _primitive_features,
     _RelationTable,
     _separating_sum,
+    _write_out,
     ac_relations,
     admissible_leg_vectors,
     assembled_relation_set,
@@ -318,16 +317,18 @@ class TestExtraction:
         assert spans_equal(high, extracted).equal
 
     def test_scale_independence(self):
-        # Each power's row is the primitive one, whatever the scale of the
-        # key polynomials it is read from.
+        # Each power's written row is the primitive one, whatever the scale of
+        # the key polynomials it is read from.
         polys = _RelationTable(1, 2).symbolic((1, 0))
+
+        def written(values):
+            return _write_out(1, 2, primitive_int_vector(_feature_row(1, (1, 0), values)))
+
         for scale in (Fraction(3, 7), Fraction(-2)):
             for power in range(4):
                 values = {key: poly.coefficient(power) for key, poly in polys.items()}
                 scaled = {key: scale * value for key, value in values.items()}
-                assert _primitive_features(1, 2, (1, 0), scaled) == (
-                    _primitive_features(1, 2, (1, 0), values)
-                ), (scale, power)
+                assert written(scaled) == written(values), (scale, power)
 
 
 class TestRecordTypes:
@@ -382,20 +383,13 @@ class TestPullback:
         assert ppz_relation_set(2, 2, 3).rows == [target]
 
     @pytest.mark.parametrize("n", range(15))
-    def test_sign_read_without_writing_the_row_out(self, n):
-        # The written-out row's first nonzero entry, read in closed form, is
-        # positive, and the row is the primitive feature row up to sign.
-        for k, irr, d1 in product(range(-2, 3), repeat=3):
-            values = {KAPPA1: k, DELTA_IRR: irr, (DELTA_SEP, 1, 0): d1}
-            row = _primitive_features(2, n, (), values)
-            assert row in {primitive_int_vector([k, irr, d1]),
-                           tuple(-x for x in primitive_int_vector([k, irr, d1]))}
-            assert next((x for x in _expand(2, n, row) if x), 1) > 0, (n, k, irr, d1)
-
-    def test_sign_at_a_basis_too_large_to_write_out(self):
-        # 2^200 classes: the sign rule is the same for every n > 0.
-        values = {KAPPA1: 5, DELTA_IRR: -1, (DELTA_SEP, 1, 0): -7}
-        assert _primitive_features(2, 200, (), values) == _primitive_features(2, 1, (), values)
+    def test_written_row_leads_positive(self, n):
+        # A row is written out as the pullback of (k, irr, d1) or of its
+        # negative, whichever has a positive first nonzero entry.
+        for row in product(range(-2, 3), repeat=3):
+            written = _write_out(2, n, row)
+            assert written in {_expand(2, n, row), _expand(2, n, [-x for x in row])}
+            assert next((x for x in written if x), 1) > 0, (n, row)
 
     def test_direct_assembly_matches_pullback(self):
         # A marked genus-2 row and the relation set are the one pulled-back row.
@@ -442,7 +436,9 @@ class TestGenusTwoRowOracle:
     def test_ac_rows_match_dict_pullback(self, n):
         pulled = dict_pullback_genus2(MUMFORD, n)
         direct = ac_relations(2, n)
-        assert direct.rows == [tuple(pulled.get(d, 0) for d in divisor_generators(2, n))]
+        assert direct.rows == [
+            primitive_int_vector([pulled.get(d, 0) for d in divisor_generators(2, n)])
+        ]
         assert direct.provenances == [Provenance(2, n, None, REFERENCE)]
 
 
@@ -466,17 +462,6 @@ def genus_two_sets(n):
     return [ppz_relation_set(2, n, 3), ac_relations(2, n)] + hand_made
 
 
-class TestGenusTwoLead:
-    """The one rule both genus-2 sign choices read: the lead of the pullback
-    of (k, irr, d1), without writing it out."""
-
-    @pytest.mark.parametrize("n", range(7))
-    def test_lead_is_the_first_nonzero_written_entry(self, n):
-        for row in product(range(-2, 3), repeat=3):
-            written = _expand(2, n, row)
-            assert _genus_two_lead(n, row) == next((x for x in written if x), 0), row
-
-
 class TestGenusTwoReducedRows:
     """Genus-2 reduced rows are reduced over the three features and written
     out once; the row reduction of the written-out rows is the oracle."""
@@ -498,6 +483,58 @@ class TestGenusTwoReducedRows:
             for relation_set in genus_two_sets(n):
                 relation_set.reduced_rows()
         assert widths and max(widths) == 3
+
+
+class TestWrittenRowSign:
+    """Every row written over the basis is primitive with a positive first
+    nonzero entry: it is its own primitive_int_vector."""
+
+    @staticmethod
+    def assert_written_well(rows, case):
+        for row in rows:
+            assert primitive_int_vector(row) == row, (case, row)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_genus_one(self, n):
+        units = [unit_vector(n, i) for i in range(1, n + 1)]
+        reference = ac_relations(1, n)
+        self.assert_written_well(reference.rows + reference.reduced_rows(), "reference")
+        self.assert_written_well(assembled_relation_set(1, n, units).rows, "symbolic")
+        for r in [*range(3, 41), 997]:
+            relation_set = ppz_relation_set(1, n, r)
+            self.assert_written_well(relation_set.rows + relation_set.reduced_rows(), r)
+            self.assert_written_well([relation_row(1, n, a_vec, r) for a_vec in units], r)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_genus_two(self, n):
+        # The unmarked leg vector () is taken at every n, and gives the same row.
+        rows = [relation_row(2, n, (0,) * n, 3)]
+        assert relation_row(2, n, (), 3) == rows[0]
+        for relation_set in genus_two_sets(n):
+            rows += relation_set.reduced_rows()
+        for relation_set in genus_two_sets(n)[:2]:  # the PPZ and the reference set
+            rows += relation_set.rows
+        self.assert_written_well(rows, n)
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize("call", [
+        lambda: relation_row(1, 3, (1, 0), 3),
+        lambda: relation_row(1, 2, (1, 0, 0), 3),
+        lambda: relation_row(2, 2, (0,), 3),
+        lambda: assembled_relation_set(1, 3, [(1, 0)], 3),
+        lambda: assembled_relation_set(1, 3, [(1, 0)]),
+    ], ids=["short", "long", "genus-two", "set", "symbolic-set"])
+    def test_leg_vector_length_must_be_n(self, call):
+        with pytest.raises(ValueError, match="a_vec length must equal n"):
+            call()
+
+    @pytest.mark.parametrize("r", [-5, 0, 1, 2])
+    def test_r_below_three_is_refused(self, r):
+        for call in (lambda: ppz_relation_set(1, 3, r), lambda: admissible_leg_vectors(2, 3, r),
+                     lambda: phi_degree(1, (), r), lambda: relation_row(1, 1, (1,), r)):
+            with pytest.raises(ValueError, match="r must be at least 3"):
+                call()
 
 
 class TestDegreeGate:
@@ -835,7 +872,7 @@ class TestSpans:
         for n in range(1, 11):
             direct = ac_relations(1, n)
             _, rows, provenances = dict_ac_relations_genus_one(n)
-            assert direct.rows == rows, n
+            assert direct.rows == [primitive_int_vector(row) for row in rows], n
             assert direct.provenances == provenances
             assert direct.reduced_rows() == rref(rows)[0], n
 
@@ -1240,14 +1277,33 @@ class TestExplicitGenusOneRelation:
             ]
 
 
-# A list of integer rows over the genus-1 features at n >= 3: integer
-# combinations of a few random rows, so that dependent rows are common.
-dependent_feature_rows = st.integers(3, 7).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.lists(st.integers(-3, 3), min_size=2 * n + 3, max_size=2 * n + 3),
-             min_size=1, max_size=3),
-    st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=n + 2),
-))
+def dependent_feature_rows(min_n):
+    """(n, rows) with rows over the genus-1 features at min_n <= n <= 7
+    markings: integer combinations of a few random rows, so that dependent
+    rows are common.  About half the random rows vanish on psi_1..psi_n,
+    kappa_1 and delta_irr, so that pivots on chi_i and one are common too."""
+
+    def rows(n):
+        width = 2 * n + 3
+        base = st.tuples(st.booleans(), st.lists(st.integers(-3, 3), min_size=width,
+                                                 max_size=width))
+        base = base.map(lambda case: [0] * (n + 2) + case[1][n + 2:] if case[0] else case[1])
+        return st.tuples(
+            st.lists(base, min_size=1, max_size=3),
+            st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=n + 2),
+        ).map(lambda case: (n, [
+            tuple(sum(c * b[k] for c, b in zip(coeffs, case[0])) for k in range(width))
+            for coeffs in case[1]
+        ]))
+
+    return st.integers(min_n, 7).flatmap(rows)
+
+
+def chi_rows(n, *rows):
+    """Rows over the genus-1 features at n markings, each given as the
+    feature indices it holds 1 at: i - 1 for psi_i, n + 1 + i for chi_i and
+    2n + 2 for one."""
+    return [tuple(int(k in row) for k in range(2 * n + 3)) for row in rows]
 
 
 class TestFeatureCoordinates:
@@ -1271,12 +1327,22 @@ class TestFeatureCoordinates:
         assert [moved(row) for row in rows] == [primitive_int_vector(row) for row in target]
 
     @settings(deadline=None, max_examples=60)
-    @given(dependent_feature_rows)
+    @given(dependent_feature_rows(3))
     def test_feature_rank_is_the_expanded_rank(self, case):
-        n, base, combinations = case
-        rows = [tuple(sum(c * b[k] for c, b in zip(coeffs, base)) for k in range(2 * n + 3))
-                for coeffs in combinations]
+        n, rows = case
         assert len(rref(rows)[1]) == len(rref([_expand(1, n, row) for row in rows])[1])
+
+    @settings(deadline=None, max_examples=100)
+    @given(dependent_feature_rows(1))
+    @example((3, chi_rows(3, {5}, {6})))  # chi_1 and chi_2
+    @example((3, chi_rows(3, {0, 6}, {5})))  # psi_1 + chi_2 and chi_1: one pivot on chi_1
+    @example((4, chi_rows(4, {10})))  # one
+    def test_reduced_rows_are_the_basis_rref(self, case):
+        # A pivot on chi_i or one, which the basis lacks, is reduced again
+        # over the basis; below three markings the basis rows are reduced.
+        n, rows = case
+        relation_set = RelationSet((1, n), rows, [Provenance(1, n, None, REFERENCE)] * len(rows))
+        assert relation_set.reduced_rows() == rref(relation_set.rows)[0]
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(3, 8), wide_r)
