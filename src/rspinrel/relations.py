@@ -59,11 +59,12 @@ Mumford's 5 kappa_1 - delta_irr - 7 delta_1.
 
 Symbolic-in-r relations are supported in genus 1 (where the contributing
 index patterns are independent of r): every coefficient is a polynomial in r
-of degree at most 3, recovered by exact interpolation from the table's values
-at six sample r, once per sum(a).  Each power of r is extracted from those
-few key polynomials as a feature row.  Only the code that builds or
-reads such polynomials imports ``rpoly``, so a numeric relation, which
-contracts in integers, loads neither it nor ``fractions``.
+of degree at most 3, recovered once per sum(a) from the table's integer values
+at the six consecutive sample r = 3..8 by Newton's forward differences, whose
+4th and 5th differences must vanish.  Six times it has integer coefficients,
+so the interpolation too runs in integers.  Each power of r is extracted from
+those few key polynomials as a feature row, whose primitive form drops the
+factor 6.  No relation, numeric or symbolic, loads ``rpoly`` or ``fractions``.
 """
 
 from __future__ import annotations
@@ -83,14 +84,14 @@ from .strata import (
 )
 
 if TYPE_CHECKING:
-    from .rpoly import RPoly
-
     EdgeEntries = tuple[tuple[tuple[int, int], int], ...]
 
-# Sample points for symbolic-in-r interpolation: degree bound 3 for genus-1
-# coefficients, plus consistency samples beyond the 4 needed nodes.
+# Sample points for symbolic-in-r interpolation: consecutive integers, four
+# nodes for the degree bound 3 of genus-1 coefficients and two that check it.
 _SYMBOLIC_SAMPLE_RS = (3, 4, 5, 6, 7, 8)
-_SYMBOLIC_DEGREE_BOUND = 3
+# Row k: 6 C(r-3, k), the Newton basis at those nodes times 6, in powers of r
+# from the lowest.
+_NEWTON_BASIS = ((6, 0, 0, 0), (-18, 6, 0, 0), (36, -21, 3, 0), (-60, 47, -12, 1))
 
 
 class BasisMismatchError(ValueError):
@@ -311,22 +312,32 @@ class _RelationTable:
             self._values[cached] = {key: value * r ** (g - 1) for key, value in values.items()}
         return self._values[cached]
 
-    def symbolic(self, a_vec: tuple[int, ...]) -> dict[object, RPoly]:
-        """24 times each key's coefficient as a polynomial in r (genus 1 only)."""
-        from .rpoly import poly_interpolate
-
+    def symbolic(self, a_vec: tuple[int, ...]) -> dict[object, tuple[int, ...]]:
+        """144 times each key's coefficient as a polynomial in r, 6 times the
+        scale 24: its four integer coefficients, lowest power first (genus 1
+        only)."""
         if self.g != 1:
             raise UnsupportedGenusError("symbolic-in-r assembly is only meaningful in genus 1")
         samples = [self.numeric(a_vec, rr) for rr in _SYMBOLIC_SAMPLE_RS]
         total = sum(a_vec)
         if total not in self._polys:
-            self._polys[total] = {
-                key: poly_interpolate([(rr, sample[key]) for rr, sample in
-                                       zip(_SYMBOLIC_SAMPLE_RS, samples)],
-                                      degree_bound=_SYMBOLIC_DEGREE_BOUND)
-                for key in samples[0]
-            }
+            self._polys[total] = {key: _cubic_through([sample[key] for sample in samples])
+                                  for key in samples[0]}
         return self._polys[total]
+
+
+def _cubic_through(values: Sequence[int]) -> tuple[int, ...]:
+    """6 times the polynomial of degree at most 3 through the integer values
+    at r = 3..8, as its four integer coefficients, lowest power first.  The
+    first four forward differences are its Newton coefficients at the nodes
+    3..6; the six values fit degree 3 exactly when the 4th and 5th vanish."""
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    if any(diffs[4:]):
+        raise ValueError(f"samples exceed degree bound 3: forward differences {diffs}")
+    return tuple(sum(d * c for d, c in zip(diffs, column)) for column in zip(*_NEWTON_BASIS))
 
 
 def relation_row(g: int, n: int, a_vec: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -344,15 +355,17 @@ def assembled_relation_set(
     """The primitive nonzero rows of each leg vector in turn, from one table:
     its assembly at r when r is given, then in genus 1 one per power of r of
     its symbolic assembly, highest first.  The basis is checked after the
-    first leg vector's gate."""
+    first leg vector's gate, or first when there is none."""
+    if not a_vecs:
+        check_space(g, n)
     table = _RelationTable(g, n)
     rows, provenances = [], []
     for a_vec in a_vecs:
         found = [] if r is None else [(r, table.numeric(a_vec, r))]
         polys = table.symbolic(a_vec) if g == 1 else {}
         check_space(g, n)
-        top = max((len(poly.coeffs) for poly in polys.values()), default=0)
-        found += [(f"r^{p}", {key: poly.coefficient(p) for key, poly in polys.items()})
+        top = max(map(len, polys.values()), default=0)
+        found += [(f"r^{p}", {key: poly[p] for key, poly in polys.items()})
                   for p in range(top - 1, -1, -1)]
         for r_mode, values in found:
             row = primitive_int_vector(_feature_row(g, a_vec, values))

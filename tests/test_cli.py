@@ -843,11 +843,10 @@ class TestColdImports:
             f"rspinrel.{name}" for name in ("cohft", "relations", "strata", "linalg")
         }
 
-    @pytest.mark.parametrize("argv", SYMBOLIC, ids=" ".join)
-    def test_genus_one_sets_load_rpoly(self, argv):
-        # And fractions, since polynomial coefficients are Fractions; only
-        # interpolation in r builds them.
-        assert {"rspinrel.rpoly", "fractions"} <= self.loaded_modules(argv)
+    @pytest.mark.parametrize("argv", SYMBOLIC + COMMANDS[3:], ids=" ".join)
+    def test_genus_one_sets_load_neither_rpoly_nor_rationals(self, argv):
+        # Interpolation in r runs in integers too.
+        assert not self.loaded_modules(argv) & ({"rspinrel.rpoly"} | self.RATIONALS)
 
     @pytest.mark.parametrize("argv", NUMERIC, ids=" ".join)
     def test_numeric_contraction_loads_no_rationals(self, argv):
@@ -857,11 +856,10 @@ class TestColdImports:
     @pytest.mark.parametrize("argv", COMMANDS[2:])
     def test_relation_commands_load_exactly_their_modules(self, argv):
         # ``-m`` runs rspinrel.cli as __main__, so the import log lists the
-        # package and the five library modules the command uses.
+        # package and the four library modules the command uses.
         loaded = {m for m in self.loaded_modules(argv) if m.startswith("rspinrel")}
         assert loaded == {"rspinrel"} | {
-            f"rspinrel.{name}"
-            for name in ("cohft", "rpoly", "relations", "strata", "linalg")
+            f"rspinrel.{name}" for name in ("cohft", "relations", "strata", "linalg")
         }
 
     def test_selftest_loads_the_oracles(self):
@@ -1065,6 +1063,40 @@ class TestLargeROutputs:
         code, out, err = run(capsys, argv.split())
         assert (code, err) == (0, "")
         assert measure.digest(code, out) == sha256, out
+
+
+class TestLargeNOutputs:
+    """Genus-1 outputs beyond the golden grid, which stops at n = 8.  The
+    digests (``measure.digest``: exit code and stdout, ``elapsed_ms``
+    dropped) were recorded when the symbolic table was still interpolated
+    over the rationals."""
+
+    @pytest.mark.parametrize("argv,sha256", [
+        ("relations --g 1 --n 12 --symbolic",
+         "3eec4597da4c589d1cbe6de595ca5da6ac37a010630eb4c813289c71a001285d"),
+        ("relations --g 1 --n 12 --symbolic --format json",
+         "9f80cca77f47626fdf31ad067bbe090c4ca0b0559525204b957fe8c1deb71c00"),
+        ("relations --g 1 --n 10 --symbolic --a 1,0,0,0,0,0,0,0,0,0",
+         "45fefbac3a165c9c1cbf62de65e9872193ba11f87a3d0107c8611815b9f0dd48"),
+        ("relations --g 1 --n 10 --symbolic --a 1,0,0,0,0,0,0,0,0,0 --format json",
+         "ef4343b9efe0d5e10bbfc5a74ad7a36cdfe8ae5dc2ce569589b97a3f96f90a13"),
+        ("relations --g 1 --n 12 --symbolic --a 1,0,0,0,0,0,0,0,0,0,0,0",
+         "6cf607b4945ffa1cc4d0e6afab8a403e64c33f059b31e5098e8022be20141e26"),
+        ("relations --g 1 --n 12 --symbolic --a 1,0,0,0,0,0,0,0,0,0,0,0 --format json",
+         "0555881f4198408b2d7d516663d892fea77fe62b8e66395b40a2be961edc1eb9"),
+        ("relations --g 1 --n 10 --r 30",
+         "11821b2a58615eb39252c9f83afa145e1e702ca1d04f6e1ec4cad69ac8511a25"),
+        ("relations --g 1 --n 10 --r 30 --format json",
+         "28b1ba91cb00ec1a64d6eecefc3ac11107140b0d06da829f7e763a491ab42f07"),
+        ("verify-ac --g 1 --n 15 --r 3",
+         "bf9c00eee35bba615004e199a63616c4dde1abb1e72d9ec6fdb67cf967b87ec8"),
+        ("verify-ac --g 1 --n 15 --r 3 --format json",
+         "1073a99c0511a59a6d707f38ad28826dbb52b8d5a76a9c86f3ea996e070a6363"),
+    ])
+    def test_stdout_digest(self, capsys, argv, sha256):
+        code, out, err = run(capsys, argv.split())
+        assert (code, err) == (0, "")
+        assert measure.digest(code, out) == sha256
 
 
 class TestGoldenOutputs:

@@ -96,21 +96,19 @@ def test_detects_an_unused_function_import(tmp_path):
 
 
 def test_detects_a_function_import_left_behind_in_the_package(tmp_path):
-    # Dropping the call that reads polynomials must flag its import: the
-    # poly_interpolate call in _RelationTable.symbolic becomes a tuple call.
-    tree = ast.parse((SRC / "relations.py").read_text())
-    table = next(node for node in tree.body
-                 if isinstance(node, ast.ClassDef) and node.name == "_RelationTable")
-    symbolic = next(node for node in table.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "symbolic")
+    # Dropping the call that builds polynomials must flag its import: the
+    # poly_interpolate call in cohft.p_polynomial_symbolic becomes a tuple call.
+    tree = ast.parse((SRC / "cohft.py").read_text())
+    symbolic = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                    and node.name == "p_polynomial_symbolic")
     calls = [node.func for node in ast.walk(symbolic) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "poly_interpolate"]
     assert len(calls) == 1
     calls[0].id = "tuple"
-    module = tmp_path / "relations.py"
+    module = tmp_path / "cohft.py"
     module.write_text(ast.unparse(tree))
     found = unused_function_imports(module)
-    assert len(found) == 1 and found[0].startswith("symbolic: poly_interpolate (line ")
+    assert len(found) == 1 and found[0].startswith("p_polynomial_symbolic: poly_interpolate (line ")
 
 
 def unreferenced_private_definitions(paths):

@@ -24,6 +24,7 @@ from rspinrel.relations import (
     _leg_sum,
     _loop_sum,
     _RelationTable,
+    _cubic_through,
     _separating_sum,
     _write_out,
     ac_relations,
@@ -46,7 +47,7 @@ from rspinrel.oracles import (
     system_matrix_det,
 )
 from rspinrel import oracles
-from rspinrel.rpoly import RPoly, poly_interpolate
+from rspinrel.rpoly import InterpolationError, RPoly, poly_interpolate
 from rspinrel.strata import (
     DELTA_IRR,
     DELTA_SEP,
@@ -84,6 +85,13 @@ def per_graph_coefficients(g, n, a_vec, r):
 
 
 SAMPLE_RS = (3, 4, 5, 6, 7, 8)
+
+
+def symbolic_polys(table, a_vec):
+    """The table's symbolic key values, integer coefficients at 6 times the
+    contraction's scale 24, read back as polynomials at the scale 24."""
+    return {key: RPoly([Fraction(c, 6) for c in coeffs])
+            for key, coeffs in table.symbolic(a_vec).items()}
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +272,7 @@ class TestAssemblyGoldens:
 class TestSymbolicAssembly:
     def test_coefficients_match_closed_forms(self):
         # At the contraction's scale 24.
-        polys = _RelationTable(1, 2).symbolic((1, 0))
+        polys = symbolic_polys(_RelationTable(1, 2), (1, 0))
         r = RPoly.variable()
         p1_at = lambda a: Fraction(a, 2) * (r - 1 - a) - (2 * r - 1) * (r - 2) * Fraction(1, 24)
         # The keys of psi_1, psi_2, kappa_1, delta_{0,{1,2}} and delta_irr.
@@ -279,10 +287,32 @@ class TestSymbolicAssembly:
             _RelationTable(2, 0).symbolic(())
 
     def test_symbolic_and_numeric_agree(self):
-        polys = _RelationTable(1, 3).symbolic((0, 1, 0))
+        polys = symbolic_polys(_RelationTable(1, 3), (0, 1, 0))
         for r in (3, 4, 5, 9, 11):
             numeric = _RelationTable(1, 3).numeric((0, 1, 0), r)
             assert {key: poly(r) for key, poly in polys.items()} == numeric, r
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4))
+    def test_integer_interpolation_matches_rational_oracle(self, first):
+        # Any integers at r = 3..6 and their cubic's values at 7 and 8.
+        cubic = poly_interpolate(list(zip(SAMPLE_RS, first)), degree_bound=3)
+        values = [cubic(r) for r in SAMPLE_RS]
+        assert all(value.denominator == 1 for value in values)
+        coeffs = _cubic_through([int(value) for value in values])
+        assert all(type(c) is int for c in coeffs)
+        assert coeffs == tuple(6 * c for c in cubic.coeffs) + (0,) * (4 - len(cubic.coeffs))
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+           st.sampled_from([4, 5]), st.integers(-50, 50).filter(bool))
+    def test_integer_interpolation_refuses_degree_above_three(self, cubic, degree, lead):
+        samples = [(r, sum(c * r ** k for k, c in enumerate(cubic)) + lead * r ** degree)
+                   for r in SAMPLE_RS]
+        with pytest.raises(InterpolationError):
+            poly_interpolate(samples, degree_bound=3)
+        with pytest.raises(ValueError, match="samples exceed degree bound 3"):
+            _cubic_through([value for _, value in samples])
 
 
 class TestExtraction:
@@ -319,7 +349,7 @@ class TestExtraction:
     def test_scale_independence(self):
         # Each power's written row is the primitive one, whatever the scale of
         # the key polynomials it is read from.
-        polys = _RelationTable(1, 2).symbolic((1, 0))
+        polys = symbolic_polys(_RelationTable(1, 2), (1, 0))
 
         def written(values):
             return _write_out(1, 2, primitive_int_vector(_feature_row(1, (1, 0), values)))
@@ -529,6 +559,24 @@ class TestInputRefusals:
         with pytest.raises(ValueError, match="a_vec length must equal n"):
             call()
 
+    @pytest.mark.parametrize("g,n", [(1, 100), (1, 16), (0, 1), (1, 0), (2, -1)])
+    @pytest.mark.parametrize("r", [3, None])
+    def test_set_without_leg_vectors_checks_the_space(self, g, n, r):
+        # Refused as the reference and the full set refuse the space.
+        with pytest.raises(ValueError) as reference:
+            ac_relations(g, n)
+        with pytest.raises(ValueError) as full:
+            ppz_relation_set(g, n, 3)
+        with pytest.raises(reference.type) as assembled:
+            assembled_relation_set(g, n, [], r)
+        assert str(assembled.value) == str(reference.value) == str(full.value)
+
+    def test_gate_comes_before_the_basis_check(self):
+        with pytest.raises(DegreeGateError):
+            assembled_relation_set(4, 100, [(0,) * 100], 3)
+        with pytest.raises(ValueError, match="above the limit"):
+            assembled_relation_set(1, 100, [(1,) + (0,) * 99], 3)
+
     @pytest.mark.parametrize("r", [-5, 0, 1, 2])
     def test_r_below_three_is_refused(self, r):
         for call in (lambda: ppz_relation_set(1, 3, r), lambda: admissible_leg_vectors(2, 3, r),
@@ -641,7 +689,7 @@ class TestOracleEquivalence:
             else:
                 assert keyed_classes(g, n, a_vec, values) == per_graph_coefficients(g, n, a_vec, r)
             if g == 1:
-                polys = table.symbolic(a_vec)
+                polys = symbolic_polys(table, a_vec)
                 assert keyed_classes(1, n, a_vec, polys) == per_class_symbolic(n, a_vec)
         assert sorted(contracted) == (sorted({r, *SAMPLE_RS}) if g == 1 else [r])
 
@@ -650,7 +698,7 @@ class TestOracleEquivalence:
             for a_vec in product((0, 1), repeat=n):
                 if not phi_degree(1, a_vec, 3).relation_exists:
                     continue
-                polys = _RelationTable(1, n).symbolic(a_vec)
+                polys = symbolic_polys(_RelationTable(1, n), a_vec)
                 assert keyed_classes(1, n, a_vec, polys) == per_class_symbolic(n, a_vec), (n, a_vec)
 
     @settings(deadline=None, max_examples=40)
@@ -665,7 +713,7 @@ class TestOracleEquivalence:
                 assembled_relation_set(1, n, [a_vec])
             return
         oracle = per_class_symbolic(n, a_vec)
-        assert keyed_classes(1, n, a_vec, _RelationTable(1, n).symbolic(a_vec)) == oracle
+        assert keyed_classes(1, n, a_vec, symbolic_polys(_RelationTable(1, n), a_vec)) == oracle
         expected = [(a_vec, r_mode, row) for r_mode, row in per_class_extract(n, oracle)]
         assert labelled_rows(assembled_relation_set(1, n, [a_vec])) == expected
 
@@ -759,13 +807,15 @@ def relabellings(min_n):
 
 class TestGenusOneProperties:
     @settings(deadline=None)
-    @given(unit_legs, wide_r)
-    def test_symbolic_evaluates_to_numeric(self, leg, r):
+    @given(unit_legs)
+    def test_symbolic_evaluates_to_numeric(self, leg):
+        # At the samples r = 3..8 and beyond them.
         n, i = leg
         a_vec = unit_vector(n, i)
-        symbolic = _RelationTable(1, n).symbolic(a_vec)
-        evaluated = {key: poly(r) for key, poly in symbolic.items()}
-        assert evaluated == _RelationTable(1, n).numeric(a_vec, r)
+        symbolic = symbolic_polys(_RelationTable(1, n), a_vec)
+        for r in range(3, 41):
+            evaluated = {key: poly(r) for key, poly in symbolic.items()}
+            assert evaluated == _RelationTable(1, n).numeric(a_vec, r), r
 
     @settings(deadline=None)
     @given(unit_legs, wide_r)
@@ -1266,7 +1316,7 @@ class TestExplicitGenusOneRelation:
         *psi_rows, kappa_row = ac_relations(1, n).features
         for i in range(1, n + 1):
             relation = explicit_relation(n, i, r)
-            polys = _RelationTable(1, n).symbolic(unit_vector(n, i))
+            polys = symbolic_polys(_RelationTable(1, n), unit_vector(n, i))
             assert _expand(1, n, _feature_row(1, unit_vector(n, i), polys)) == _expand(
                 1, n, [(r - 1) * (r - 2) * x for x in relation]
             )
