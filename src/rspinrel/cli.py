@@ -10,17 +10,17 @@ verification, 2 degree-gate refusal.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import time
 from math import gcd, isqrt, prod
+from types import SimpleNamespace
 
-# The module docstring is the --help text.  A process loads only what its
-# subcommand runs: module level imports no library module and not json, so
-# --help and every usage refusal stop at the parser, and each subcommand
-# imports its modules once its arguments pass.
+# A process loads only what its subcommand runs: module level imports no
+# library module and not json, so --help and every usage refusal stop at the
+# reading of argv, and each subcommand imports its modules once its arguments
+# pass.
 
 SCHEMA_VERSION = 1
 # Largest r any subcommand accepts.  The work and output grow with r (a row of
@@ -36,13 +36,6 @@ JSON_SLICE = 1 << 16
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad arguments; the contract here is 1."""
-
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _format_terms(names: list[str], coeffs: list[int]) -> str:
@@ -387,45 +380,192 @@ def _cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="rspinrel", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's runner and options, in help order: an option's kind (int,
+# str, bool for a flag, or a tuple of choices, the first of them the default)
+# and whether it is required.  An option not given reads as False if it is a
+# flag and as None otherwise.
+_FORMAT = {"--format": (("text", "json"), False)}
+_COMMANDS = {
+    "relations": (_cmd_relations, {"--g": (int, True), "--n": (int, True), "--r": (int, False),
+                                   "--symbolic": (bool, False), "--a": (str, False), **_FORMAT}),
+    "verify-ac": (_cmd_verify_ac, {"--g": (int, True), "--n": (int, True), "--r": (int, True),
+                                   **_FORMAT}),
+    "pm-table": (_cmd_pm_table, {"--m-max": (int, True), "--r": (int, True), **_FORMAT}),
+    "selftest": (_cmd_selftest, {**_FORMAT, "--json": (bool, False)}),
+}
+# Known before and after the subcommand, as options of kind None.
+_HELP_OPTIONS = {"-h": (None, False), "--help": (None, False)}
+_USAGE = "usage: rspinrel [-h] {relations,verify-ac,pm-table,selftest} ..."
+# The help texts by subcommand, None before one is named, laid out for 80
+# columns; the first restates the module docstring.
+_HELP = {
+    None: _USAGE + """
 
-    p_rel = sub.add_parser("relations", help="assemble divisor relations")
-    p_rel.add_argument("--g", type=int, required=True)
-    p_rel.add_argument("--n", type=int, required=True)
-    p_rel.add_argument("--r", type=int)
-    p_rel.add_argument("--symbolic", action="store_true")
-    p_rel.add_argument("--a", type=str, help="comma-separated leg vector")
-    p_rel.add_argument("--format", choices=("text", "json"), default="text")
-    p_rel.set_defaults(fn=_cmd_relations)
+Command-line front end. Subcommands: ``relations`` (assemble and print divisor
+relations), ``verify-ac`` (compare spans against the known complete set),
+``pm-table`` (coefficient polynomial table), ``selftest`` (acceptance suite).
+Exit codes are a stable contract: 0 success, 1 usage error or failed
+verification, 2 degree-gate refusal.
 
-    p_ver = sub.add_parser("verify-ac", help="compare spans with the known set")
-    p_ver.add_argument("--g", type=int, required=True)
-    p_ver.add_argument("--n", type=int, required=True)
-    p_ver.add_argument("--r", type=int, required=True)
-    p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.set_defaults(fn=_cmd_verify_ac)
+positional arguments:
+  {relations,verify-ac,pm-table,selftest}
+    relations           assemble divisor relations
+    verify-ac           compare spans with the known set
+    pm-table            print the coefficient table
+    selftest            run the acceptance suite
 
-    p_tab = sub.add_parser("pm-table", help="print the coefficient table")
-    p_tab.add_argument("--m-max", type=int, required=True)
-    p_tab.add_argument("--r", type=int, required=True)
-    p_tab.add_argument("--format", choices=("text", "json"), default="text")
-    p_tab.set_defaults(fn=_cmd_pm_table)
+options:
+  -h, --help            show this help message and exit
+""",
+    "relations": """\
+usage: rspinrel relations [-h] --g G --n N [--r R] [--symbolic] [--a A]
+                          [--format {text,json}]
 
-    p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.add_argument("--format", choices=("text", "json"), default="text")
-    p_self.add_argument("--json", action="store_true", help="shorthand for --format json")
-    p_self.set_defaults(fn=_cmd_selftest)
+options:
+  -h, --help            show this help message and exit
+  --g G
+  --n N
+  --r R
+  --symbolic
+  --a A                 comma-separated leg vector
+  --format {text,json}
+""",
+    "verify-ac": """\
+usage: rspinrel verify-ac [-h] --g G --n N --r R [--format {text,json}]
 
-    return parser
+options:
+  -h, --help            show this help message and exit
+  --g G
+  --n N
+  --r R
+  --format {text,json}
+""",
+    "pm-table": """\
+usage: rspinrel pm-table [-h] --m-max M_MAX --r R [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --m-max M_MAX
+  --r R
+  --format {text,json}
+""",
+    "selftest": """\
+usage: rspinrel selftest [-h] [--format {text,json}] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --json                shorthand for --format json
+""",
+}
+
+
+def _option(arg: str, names) -> tuple | None:
+    """How ``arg`` reads among the option ``names``: None for a value, else
+    the option it names (None if none does) and the text joined to it, after
+    '=' or after a one-letter option (None if there is none).  A long option
+    may be cut to a unique prefix; a negative number is a value."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    head, eq, joined = arg.partition("=")
+    joined = joined if eq else None
+    if head in names:
+        return head, joined
+    if arg[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+    else:
+        found, joined = [arg[:2]] if arg[:2] in names else [], arg[2:]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {arg} could match {', '.join(found)}")
+    if found:
+        return found[0], joined
+    number = arg[1:-1] if arg.endswith("\n") else arg[1:]
+    whole, dot, fraction = number.partition(".")
+    if number.isdecimal() or dot and fraction.isdecimal() and (whole.isdecimal() or not whole):
+        return None
+    return None if " " in arg else (None, None)
+
+
+def _value(name: str, kind, text: str):
+    """The value of ``text`` for the option or argument ``name``."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _take(argv, command, options: dict, given: dict, extras: list) -> bool:
+    """Read argv's ``options`` into ``given`` in order, so the last of a
+    repeat wins, and the arguments that name none into ``extras``; False
+    once a help option prints ``command``'s help where it stands.  Every
+    argument after the first "--" is a value."""
+    names = {**_HELP_OPTIONS, **options}
+    tokens = [_option(arg, names) for arg in argv[:argv.index("--") if "--" in argv else None]]
+    i = 0
+    while i < len(tokens):
+        token, i = tokens[i], i + 1
+        if token is None or token[0] is None:
+            extras.append(argv[i - 1])
+            continue
+        name, joined = token
+        kind = names[name][0]
+        if kind in (bool, None) and joined is not None:
+            # A one-letter flag reads joined text as more flags; -h is the only one.
+            rest = joined.lstrip("h") if name == "-h" else joined
+            if rest or not joined:
+                label = "-h/--help" if kind is None else name
+                raise UsageError(f"argument {label}: ignored explicit argument {rest!r}")
+        if kind is None:
+            sys.stdout.write(_HELP[command])
+            return False
+        if kind is not bool and joined is None:
+            if i == len(tokens) or tokens[i] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            joined, i = argv[i], i + 1
+        given[name] = True if kind is bool else _value(name, kind, joined)
+    extras += argv[len(tokens):]
+    return True
+
+
+def _read_argv(argv: list):
+    """The arguments of argv's subcommand, with its runner as ``fn``, or None
+    once a help text is printed.  Before the subcommand only the help option
+    is known: the first value names the subcommand, and the arguments after
+    it are its own.  A refusal raises UsageError."""
+    i = 0
+    while i < len(argv) and argv[i] != "--" and _option(argv[i], _HELP_OPTIONS) is not None:
+        i += 1
+    given, extras = {}, []
+    if not _take(argv[:i], None, {}, given, extras):
+        return None
+    if argv[i:] in ([], ["--"]):
+        raise UsageError("the following arguments are required: command")
+    command = argv[i]
+    fn, options = _COMMANDS[_value("command", tuple(_COMMANDS), command)]
+    if not _take(argv[i + 1:], command, options, given, extras):
+        return None
+    args, missing = SimpleNamespace(fn=fn), []
+    for name, (kind, required) in options.items():
+        if required and name not in given:
+            missing.append(name)
+        default = False if kind is bool else kind[0] if isinstance(kind, tuple) else None
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = args.fn(args)
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        code = args.fn(args) if args else 0
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:
@@ -435,7 +575,7 @@ def main(argv=None) -> int:
         return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        print(_USAGE, file=sys.stderr)
         return 1
     except ValueError as exc:  # StabilityError and UnsupportedGenusError too
         # A gate refusal comes from cohft, so a ValueError raised before cohft
@@ -455,11 +595,11 @@ def console_main() -> int:
     try:
         return main()
     finally:
-        # The process exits next, whether main() returned or argparse raised
-        # SystemExit.  The interpreter's shutdown collections skip frozen
-        # objects, some 13k here, most of them from interpreter start-up;
-        # atexit handlers, flushes and the exit code are unaffected.  main()
-        # never freezes, so callers that run it in process keep their heap.
+        # The process exits next, whether main() returned or raised.  The
+        # interpreter's shutdown collections skip frozen objects, some 13k
+        # here, most of them from interpreter start-up; atexit handlers,
+        # flushes and the exit code are unaffected.  main() never freezes, so
+        # callers that run it in process keep their heap.
         gc.freeze()
 
 

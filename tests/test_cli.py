@@ -530,17 +530,14 @@ class TestExitFreeze:
 
     COMMANDS = [
         pytest.param(["relations", "--g", "1", "--n", "3", "--r", "3"], 0, id="relations"),
-        pytest.param(["--help"], 0, id="help"),  # exits through argparse's SystemExit
+        pytest.param(["--help"], 0, id="help"),  # main() returns 0 once help is printed
         pytest.param(["relations", "--g", "1", "--n", "2"], 1, id="usage-error"),
     ]
 
     @pytest.mark.parametrize("argv,expected", COMMANDS)
     def test_main_in_process_leaves_freeze_count(self, capsys, argv, expected):
         before = gc.get_freeze_count()
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         capsys.readouterr()
         assert code == expected
         assert gc.get_freeze_count() == before
@@ -570,6 +567,147 @@ class TestExitFreeze:
         assert "Traceback" not in result.stderr
         frozen = int(re.search(r"^frozen (\d+)$", result.stderr, re.M).group(1))
         assert frozen > 1000
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The top-level usage line, which follows every error message on stderr.
+USAGE = "usage: rspinrel [-h] {relations,verify-ac,pm-table,selftest} ...\n"
+# A decimal numeral past Python's limit on int-from-string conversion.
+DIGITS = "1" * 5000
+# The five help texts, by the subcommand they belong to, as argparse printed
+# them with stdout piped and ``COLUMNS`` unset.
+HELP_SHA256 = {
+    "": "a3d55d99e79b1de333bb94a6d730ee709475e3bc314262c65257d2e13b7bb634",
+    "relations": "d5847366f7445b18dda5707a2c96f45d657c138385bb87537f3808c4ffdd7deb",
+    "verify-ac": "e86fdc341dfdaf5ee673e1f2cc0e25556d956d5992de22903399970b06d37e97",
+    "pm-table": "22e3a0ff9b18abfef9f2cb56c42864df83c838da7b053f71fb3c37f8f15a186a",
+    "selftest": "3db33ce5c06fbb165870473763bd7006debe10bc8e51c40d96e84438c8a229b0",
+}
+
+
+def _argv_id(argv):
+    return " ".join(arg if len(arg) < 20 else f"<{len(arg)} digits>" for arg in argv) or "(none)"
+
+
+class TestArgvReading:
+    """Each argv below keeps the exit code, stdout (without ``elapsed_ms``)
+    and stderr that argparse gave it.  An answer is pinned by its stdout's
+    sha256, a refusal by its error message."""
+
+    HELP, RELATIONS_HELP = HELP_SHA256[""], HELP_SHA256["relations"]
+    CASES = [
+        # Help, answered at the point it is read.
+        (["--help"], 0, HELP),
+        (["-h"], 0, HELP),
+        (["--he", "relations"], 0, HELP),
+        (["-hh"], 0, HELP),
+        (["relations", "--help"], 0, RELATIONS_HELP),
+        (["relations", "--g", "1", "-h"], 0, RELATIONS_HELP),
+        (["relations", "extra", "--help"], 0, RELATIONS_HELP),
+        (["verify-ac", "--he", "--g", "x"], 0, HELP_SHA256["verify-ac"]),
+        (["selftest", "-h"], 0, HELP_SHA256["selftest"]),
+        (["pm-table", "--r", "x", "--help"], 1, "argument --r: invalid int value: 'x'"),
+        (["-hx"], 1, "argument -h/--help: ignored explicit argument 'x'"),
+        (["--help="], 1, "argument -h/--help: ignored explicit argument ''"),
+        # --opt=value, unique prefixes, and the last repeat winning.
+        (["relations", "--g=1", "--n=3", "--r=3"], 0,
+         "ac28cea1b975cf35b4e628aa2228e2bf7de25de96f96a1af0f81cd20fedbef7f"),
+        (["relations", "--g", "1", "--n", "3", "--r", "4", "--r", "3"], 0,
+         "ac28cea1b975cf35b4e628aa2228e2bf7de25de96f96a1af0f81cd20fedbef7f"),
+        (["relations", "--g", "1", "--n", "3", "--a=1,0,0", "--r=3", "--form=json"], 0,
+         "52ad498fe21a9b336a3dd22a36daf2de2a0b0c2473de4856eb7e51140dc6a6cb"),
+        (["relations", "--g", "1", "--n", "3", "--sym"], 0,
+         "67d293a8a75e774074fd61b006165b27da6f1df53901db8b37e444d1ae4a981d"),
+        (["pm-table", "--m", "2", "--r", "3"], 0,
+         "c08c13f8f823626d5deb44b658e4f3f3961c31e874de79f1cfb0aa0925289b91"),
+        (["relations", "--g", "1", "--n", "2", "--r", "3", "--form", "json"], 0,
+         "6e00b239467b16b13c0deda3f37169a324d1f7b5439c3c26599d21ce6d48927e"),
+        (["relations", "--=x"], 1,
+         "ambiguous option: --=x could match --help, --g, --n, --r, --symbolic, --a, --format"),
+        # Negative numbers are values; other arguments that start with '-' are not.
+        (["relations", "--g", "1", "--n", "-1", "--r", "3"], 1, "n must be nonnegative"),
+        (["pm-table", "--m-max", "-.5", "--r", "3"], 1,
+         "argument --m-max: invalid int value: '-.5'"),
+        (["relations", "--g", "1", "--n", "3", "--r", "3", "--a", "-1,0,0"], 1,
+         "argument --a: expected one argument"),
+        (["relations", "--g", "1", "--n", "3", "--r", "3", "--a=-1,0,0"], 1,
+         "leg vector entries must lie in 0..1, the range 0..r-2 at r = 3"),
+        (["relations", "--g", "1", "--n", "3", "--r", "3", "--a", "-1, 0"], 1,
+         "leg vector length 2 != n = 3"),
+        # int() reads the numbers.
+        (["pm-table", "--m-max", "1_0", "--r", "+3"], 0,
+         "bc0c26fcf0b3088eea9e1b5d6284afc38a153861511ee55d537174096213d1dd"),
+        (["relations", "--g", " 1", "--n", "2", "--r", "3"], 0,
+         "312e5e92f5e2275df4775a65d952a5f5772dd618fd4b27ce5829c29f3c6ceaa5"),
+        (["pm-table", "--m-max", DIGITS, "--r", "3"], 1,
+         f"argument --m-max: invalid int value: '{DIGITS}'"),
+        (["relations", "--g", "1", "--n", "3", "--r", "x"], 1,
+         "argument --r: invalid int value: 'x'"),
+        # Refusals.
+        ([], 1, "the following arguments are required: command"),
+        (["-x"], 1, "the following arguments are required: command"),
+        (["nonsense"], 1, "argument command: invalid choice: 'nonsense' (choose from "
+                          "'relations', 'verify-ac', 'pm-table', 'selftest')"),
+        (["--g", "1", "relations"], 1, "argument command: invalid choice: '1' (choose from "
+                                       "'relations', 'verify-ac', 'pm-table', 'selftest')"),
+        (["--", "relations"], 1, "argument command: invalid choice: '--' (choose from "
+                                 "'relations', 'verify-ac', 'pm-table', 'selftest')"),
+        (["relations", "--g", "1", "--n", "3", "--r", "3", "extra"], 1,
+         "unrecognized arguments: extra"),
+        (["relations", "--g", "1", "--n", "3", "--r", "3", "-x"], 1,
+         "unrecognized arguments: -x"),
+        (["-x", "relations", "--g", "1", "--n", "2", "--r", "3"], 1,
+         "unrecognized arguments: -x"),
+        (["relations", "--g", "1", "--n", "2", "--r", "3", "--"], 1,
+         "unrecognized arguments: --"),
+        (["relations", "--g", "1", "--n", "3", "--r", "3", "--format", "xml"], 1,
+         "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+        (["relations", "--g", "1", "--n", "3", "--symbolic=1"], 1,
+         "argument --symbolic: ignored explicit argument '1'"),
+        (["relations", "--", "--g", "1"], 1, "the following arguments are required: --g, --n"),
+        (["verify-ac", "--g", "1", "--n", "3"], 1, "the following arguments are required: --r"),
+        (["relations", "--g", "1", "--n", "3"], 1, "provide --r or --symbolic"),
+        (["relations", "--g"], 1, "argument --g: expected one argument"),
+        (["relations", "--g", "--", "1"], 1, "argument --g: expected one argument"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,expected", CASES, ids=[_argv_id(c[0]) for c in CASES])
+    def test_cold_run(self, argv, code, expected):
+        result = cold_run(argv)
+        out = re.sub(r'"elapsed_ms": [0-9.]+', "", result.stdout)
+        assert result.returncode == code
+        if code == 0:
+            assert sha256(out) == expected and result.stderr == ""
+        else:
+            assert out == "" and result.stderr == f"error: {expected}\n{USAGE}"
+
+    @pytest.mark.parametrize("option,message", [
+        ("--g=--", "argument --g: invalid int value: '--'"),
+        ("--format=--", "argument --format: invalid choice: '--' (choose from 'text', 'json')"),
+    ])
+    def test_joined_double_dash_is_a_value(self, capsys, option, message):
+        # A value joined to its option is read as it stands, "--" too.
+        code, out, err = run(capsys, ["relations", "--g", "1", "--n", "2", "--r", "3", option])
+        assert (code, out, err) == (1, "", f"error: {message}\n{USAGE}")
+
+
+class TestHelpText:
+    """The five help texts, byte for byte; a subcommand's usage line names
+    the options of its table, in order."""
+
+    @pytest.mark.parametrize("command", HELP_SHA256)
+    def test_digest(self, capsys, command):
+        code, out, err = run(capsys, [command, "--help"] if command else ["--help"])
+        assert (code, err) == (0, "")
+        assert sha256(out) == HELP_SHA256[command], out
+
+    @pytest.mark.parametrize("command", cli_module._COMMANDS)
+    def test_usage_line_names_the_table(self, capsys, command):
+        usage = run(capsys, [command, "--help"])[1].split("\n\n")[0]
+        assert re.findall(r"--[\w-]+", usage) == list(cli_module._COMMANDS[command][1])
 
 
 class TestVerifyAcCommand:
@@ -728,9 +866,13 @@ class TestTextOutput:
 class TestColdImports:
     """A cold process loads only the library modules its subcommand uses."""
 
+    # Loaded by no command: ``argparse``, with the ``gettext`` it imports and
+    # the ``locale`` that gettext's first lookup imports; argv is read without
+    # them.
+    PARSER = {"argparse", "gettext", "locale"}
     # Loaded by no relation or table command: the record module ``dataclasses``
-    # (with the ``inspect`` it imports) and the selftest-only oracles.
-    NEVER = {"dataclasses", "rspinrel.oracles"}
+    # (with the ``inspect`` it imports), the selftest-only oracles and PARSER.
+    NEVER = {"dataclasses", "rspinrel.oracles"} | PARSER
     COMMANDS = [
         ["--help"],
         ["pm-table", "--m-max", "3", "--r", "5"],
@@ -759,7 +901,7 @@ class TestColdImports:
         # log's only rspinrel entry; --help loads neither json nor rationals.
         loaded = self.loaded_modules(["--help"])
         assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel"}
-        assert not loaded & {"json", "fractions", "decimal"}
+        assert not loaded & ({"json", "fractions", "decimal"} | self.PARSER)
 
     def test_text_pm_table_loads_cohft_alone(self):
         # No relation module, not rpoly, which only the symbolic coefficients
@@ -797,13 +939,13 @@ class TestColdImports:
     def test_usage_refusals_load_neither_cohft_nor_json(self, argv):
         loaded, stderr = self.cold_imports(argv)
         assert stderr.startswith("error: ") and "usage: rspinrel" in stderr
-        assert not loaded & {"rspinrel.cohft", "json"}
+        assert not loaded & ({"rspinrel.cohft", "json"} | self.PARSER)
 
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
     def test_degree_gate_refusal_loads_cohft_alone(self, fmt):
         loaded, stderr = self.cold_imports(["relations", "--g", "4", "--n", "0", "--r", "3", *fmt])
         assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel", "rspinrel.cohft"}
-        assert "json" not in loaded
+        assert not loaded & ({"json"} | self.PARSER)
         assert stderr == (
             "refused: no relation in codimension D = 1 for (g, n, r) = (4, 0, 3) with "
             "sum(a) = 0: the class has degree 1 and the degree-1 part need not vanish "
@@ -863,8 +1005,9 @@ class TestColdImports:
         }
 
     def test_selftest_loads_the_oracles(self):
-        loaded = self.loaded_modules(["selftest"])
+        loaded = self.loaded_modules(["selftest", "--json"])
         assert {"rspinrel.oracles", "rspinrel.selftest"} <= loaded
+        assert not loaded & self.PARSER
 
 
 class TestNoDivisorBasis:
