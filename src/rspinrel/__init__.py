@@ -17,11 +17,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cohft": (
-        "DegreeGateError", "PhiDegreeReport", "RSpinTheory", "p_polynomial",
-        "p_polynomial_symbolic", "p_row", "phi_degree", "r_inverse_entry",
-        "topological_value", "witten_degree",
-    ),
+    "cohft": ("RSpinTheory", "p_polynomial", "p_polynomial_symbolic", "p_row",
+              "r_inverse_entry", "topological_value"),
     "oracles": (
         "DivisorClass", "GraphContribution", "GraphTerm", "IdempotentReport",
         "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
@@ -38,7 +35,8 @@ _EXPORTS = {
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),
-    "strata": ("StabilityError", "UnsupportedGenusError", "generator_names"),
+    "strata": ("DegreeGateError", "PhiDegreeReport", "StabilityError", "UnsupportedGenusError",
+               "generator_names", "phi_degree", "witten_degree"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -137,7 +137,7 @@ def _cmd_relations(args) -> int:
             # whose only leg vector is ().
             raise UsageError("genus 2 with markings takes only the all-zero leg vector")
 
-    from .cohft import DegreeGateError, phi_degree
+    from .strata import DegreeGateError, check_space, generator_names, phi_degree
 
     if not args.symbolic and a_vec is None:
         # Refuse up front when no leg vector can pass the degree gate; the
@@ -149,7 +149,6 @@ def _cmd_relations(args) -> int:
 
     from .relations import (Provenance, assembled_relation_set, ppz_relation_set,
                             relation_row)
-    from .strata import check_space, generator_names
 
     dumps = _json_dumps(args.format)
     start = time.perf_counter()
@@ -578,9 +577,9 @@ def main(argv=None) -> int:
         print(_USAGE, file=sys.stderr)
         return 1
     except ValueError as exc:  # StabilityError and UnsupportedGenusError too
-        # A gate refusal comes from cohft, so a ValueError raised before cohft
-        # loads is not one, and loading it here changes no answer.
-        from .cohft import DegreeGateError
+        # A gate refusal comes from strata, so a ValueError raised before
+        # strata loads is not one, and loading it here changes no answer.
+        from .strata import DegreeGateError
 
         if isinstance(exc, DegreeGateError):
             print(f"refused: {exc} (target codimension D = 1)", file=sys.stderr)

@@ -13,17 +13,15 @@ module holds everything that is a pure function of r:
   :mod:`rspinrel.relations` reads P_1 in closed form,
 * the entries of the inverse R-matrix of the theory (without the uniform
   scalar factor, which scales a relation as a whole),
-* degree-zero (topological) values of the theory,
-* codimension bookkeeping: the intrinsic class degree and the auxiliary
-  exponent that gates the existence of a divisor relation, and
-  :class:`DegreeGateError`, the refusal raised when that gate is closed.
+* degree-zero (topological) values of the theory.
 
-Every CLI subcommand loads this module once its arguments pass (``--help``
-and usage refusals load no library module), so it loads no other at module
-level: :func:`p_polynomial_symbolic` imports ``rpoly``.  Nor does it load
-``fractions`` (with the ``decimal`` and ``numbers`` it pulls in) there: each
-function that builds a ``Fraction`` imports it, so ``pm-table``, which prints
-from :func:`p_row`'s integer rows, never loads it.
+``pm-table`` and ``selftest`` load this module once their arguments pass, so
+it loads no other at module level: :func:`p_polynomial_symbolic` imports
+``rpoly``.  Nor does it load ``fractions`` (with the ``decimal`` and
+``numbers`` it pulls in) there: each function that builds a ``Fraction``
+imports it, so ``pm-table``, which prints from :func:`p_row`'s integer rows,
+never loads it.  The degree gate's names stay importable from here, but live
+in :mod:`rspinrel.strata`, which loads only when one is first asked for.
 The forward R-matrix and the quantum product live in :mod:`rspinrel.oracles`.
 
 For the record: the Euler field of the underlying Frobenius structure at the
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -86,12 +84,6 @@ class RSpinTheory:
     def metric_matrix(self) -> list[list[Fraction]]:
         d = self.dimension
         return [[self.metric(a, b) for b in range(d)] for a in range(d)]
-
-
-class PhiDegreeReport(NamedTuple):
-    value: int                 # numerator of the exponent times (r - 1)
-    relation_exists: bool      # value < 0, i.e. the class in this degree vanishes
-    d_integral: bool           # value divisible by r - 1
 
 
 # Last table row built for each r, as r -> (m, numerators, denominator) with
@@ -212,42 +204,10 @@ def topological_value(g: int, insertions: Sequence[int], theory: RSpinTheory) ->
     return Fraction(0)
 
 
-def witten_degree(g: int, n: int, a_vec: Sequence[int], r: int) -> Fraction:
-    """Intrinsic complex degree ((r-2)(g-1) + sum a_i) / r of the class."""
-    from fractions import Fraction
+def __getattr__(name):
+    """The degree gate's names, from :mod:`rspinrel.strata` on first use."""
+    if name not in ("DegreeGateError", "PhiDegreeReport", "phi_degree", "witten_degree"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import strata
 
-    if len(a_vec) != n:
-        raise ValueError("a_vec length must equal n")
-    for a in a_vec:
-        if not 0 <= a <= r - 2:
-            raise ValueError(f"insertion {a} out of range 0..{r - 2}")
-    return Fraction((r - 2) * (g - 1) + sum(a_vec), r)
-
-
-def phi_degree(g: int, a_vec: Sequence[int], r: int) -> PhiDegreeReport:
-    """Total-degree bookkeeping for a codimension-1 relation candidate.
-
-    Returns d*(r-1) = sum(a_i) + (g-1)(r-2) - r together with the existence
-    flag (negative value means the degree-1 part vanishes, hence a relation)
-    and whether d itself is an integer.
-    """
-    if r < 3:
-        raise ValueError("r must be at least 3")
-    value = sum(a_vec) + (g - 1) * (r - 2) - r
-    return PhiDegreeReport(
-        value=value,
-        relation_exists=value < 0,
-        d_integral=value % (r - 1) == 0,
-    )
-
-
-class DegreeGateError(ValueError):
-    """No relation exists at this degree: the class degree is not exceeded."""
-
-    def __init__(self, g: int, n: int, a_vec: tuple[int, ...], r: int):
-        self.witten_degree = witten_degree(g, n, a_vec, r)
-        super().__init__(
-            f"no relation in codimension D = 1 for (g, n, r) = ({g}, {n}, {r}) "
-            f"with sum(a) = {sum(a_vec)}: the class has degree "
-            f"{self.witten_degree} and the degree-1 part need not vanish"
-        )
+    return getattr(strata, name)

@@ -313,7 +313,7 @@ def graph_contribution_terms(
     per-family sums' scale 24 is divided out.
     """
     a_vec = tuple(a_vec)
-    edges = _edge_entries(theory)
+    edges = _edge_entries(theory.r)
     terms: list[GraphTerm] = []
 
     for contribution in enumerate_contributing_graphs(g, n):
@@ -322,22 +322,22 @@ def graph_contribution_terms(
 
         if kind == "leg_psi":
             for i in range(n):
-                total = _leg_sum(g, a_vec, i, theory)
+                total = _leg_sum(g, a_vec, i, theory.r)
                 terms.append(GraphTerm(psi(i + 1), total))
 
         elif kind == "dilaton_kappa":
-            total = _dilaton_sum(g, a_vec, theory)
+            total = _dilaton_sum(g, a_vec, theory.r)
             terms.append(GraphTerm(kappa1(), total))
 
         elif kind == "loop_edge":
-            total = _loop_sum(g, a_vec, theory, edges)
+            total = _loop_sum(g, a_vec, theory.r, edges)
             terms.append(GraphTerm(delta_irr(), total))
 
         else:  # "separating_edge"
             v0, v1 = graph.vertices
             a0 = [a_vec[i - 1] for i in sorted(v0.markings)]
             a1 = [a_vec[i - 1] for i in sorted(v1.markings)]
-            total = _separating_sum(g, v0.genus, a0, a1, theory, edges)
+            total = _separating_sum(g, v0.genus, a0, a1, theory.r, edges)
             divisor = divisor_class_of(graph, g, n)
             terms.append(GraphTerm(divisor, total))
 

@@ -3,8 +3,8 @@
 A relation in degree-2 cohomology of the moduli space of genus-g stable
 curves with n markings, for shift data (r, a_1..a_n), is the codimension-1
 part of the reconstructed shifted r-spin class.  It vanishes exactly when the
-auxiliary total degree is negative, which is what
-:meth:`_RelationTable.numeric` gates on.
+auxiliary total degree is negative, which :func:`rspinrel.strata.phi_degree`
+reports to :meth:`_RelationTable.numeric` and :func:`admissible_leg_vectors`.
 
 The codimension-1 part receives contributions from four graph families
 (enumerated in :mod:`rspinrel.oracles`):
@@ -71,17 +71,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
-from .cohft import DegreeGateError, RSpinTheory, phi_degree
 from .linalg import primitive_int_vector, rref
-from .strata import (
-    DELTA_IRR,
-    DELTA_SEP,
-    KAPPA1,
-    PSI,
-    UnsupportedGenusError,
-    basis_size,
-    check_space,
-)
+from .strata import (DELTA_IRR, DELTA_SEP, KAPPA1, PSI, DegreeGateError, UnsupportedGenusError,
+                     basis_size, check_space, phi_degree)
 
 if TYPE_CHECKING:
     EdgeEntries = tuple[tuple[tuple[int, int], int], ...]
@@ -158,11 +150,10 @@ def _vertex(g: int, total: int, r: int) -> int:
     return (r - 1) ** g if (g - 1 - total) % (r - 1) == 0 else 0
 
 
-def _edge_entries(theory: RSpinTheory) -> EdgeEntries:
+def _edge_entries(r: int) -> EdgeEntries:
     """24 times each nonzero edge constant term, with its insertion pair
     (p, q): -24 P_1(r, p+1 mod r-1) at q = r-3-p mod r-1, the one pair for
     each p where the term can be nonzero."""
-    r = theory.r
     entries = []
     for p in range(r - 1):
         entry = -_first_order(r, (p + 1) % (r - 1))
@@ -171,35 +162,34 @@ def _edge_entries(theory: RSpinTheory) -> EdgeEntries:
     return tuple(entries)
 
 
-def _leg_sum(g: int, insertions: Sequence[int], i: int, theory: RSpinTheory) -> int:
+def _leg_sum(g: int, insertions: Sequence[int], i: int, r: int) -> int:
     """24 times the psi_{i+1} coefficient: one psi power on leg i of the
     smooth graph, which the first-order inverse R-matrix moves to the one
     index b with b + 1 = a_i mod r-1 (every other entry of its column
     vanishes), at the entry 24 P_1(r, a_i)."""
-    r = theory.r
     return _first_order(r, insertions[i]) * _vertex(g, sum(insertions) - 1, r)
 
 
-def _dilaton_sum(g: int, a_vec: Sequence[int], theory: RSpinTheory) -> int:
+def _dilaton_sum(g: int, a_vec: Sequence[int], r: int) -> int:
     """24 times the kappa_1 coefficient: psi^2 on the dilaton leg pushes
     forward to kappa_1; the dilaton series carries an explicit minus sign and
     inserts along the unit direction."""
-    return -_leg_sum(g, [*a_vec, 0], len(a_vec), theory)
+    return -_leg_sum(g, [*a_vec, 0], len(a_vec), r)
 
 
-def _loop_sum(g: int, a_vec: Sequence[int], theory: RSpinTheory, edges: EdgeEntries) -> int:
+def _loop_sum(g: int, a_vec: Sequence[int], r: int, edges: EdgeEntries) -> int:
     """24 times the delta_irr coefficient: the one-loop graph on a genus g-1
     vertex."""
-    total, r = sum(a_vec), theory.r
+    total = sum(a_vec)
     return sum(entry * _vertex(g - 1, total + p + q, r) for (p, q), entry in edges)
 
 
 def _separating_sum(
-    g: int, h: int, a0: list[int], a1: list[int], theory: RSpinTheory, edges: EdgeEntries
+    g: int, h: int, a0: list[int], a1: list[int], r: int, edges: EdgeEntries
 ) -> int:
     """24 times the delta_{h,S} coefficient: genus-h vertex with insertions a0
     joined by one edge to a genus g-h vertex with insertions a1."""
-    r, total0, total1 = theory.r, sum(a0), sum(a1)
+    total0, total1 = sum(a0), sum(a1)
     return sum(entry * _vertex(h, total0 + p, r) * _vertex(g - h, total1 + q, r)
                for (p, q), entry in edges)
 
@@ -208,17 +198,17 @@ def _separating_sum(
 # Numeric assembly
 # ---------------------------------------------------------------------------
 
-def _key_values(g: int, a_vec: tuple[int, ...], theory: RSpinTheory) -> dict:
+def _key_values(g: int, a_vec: tuple[int, ...], r: int) -> dict:
     """24 times each key's coefficient for a zero or unit leg vector, before
     the r^(g-1) prefactor, contracted on its legs with the unit first: psi at
     the unit and at a zero leg, kappa_1, delta_irr and, for each h, the
     smallest stable delta_{h,S} with the unit in S and without it.  A separating key
     holds the raw sum of a over S, not its residue."""
     legs = sorted(a_vec, reverse=True)
-    total, edges = sum(legs), _edge_entries(theory)
-    values = {(PSI, a): _leg_sum(g, legs, legs.index(a), theory) for a in set(legs)}
-    values[KAPPA1] = _dilaton_sum(g, legs, theory)
-    values[DELTA_IRR] = _loop_sum(g, legs, theory, edges)
+    total, edges = sum(legs), _edge_entries(r)
+    values = {(PSI, a): _leg_sum(g, legs, legs.index(a), r) for a in set(legs)}
+    values[KAPPA1] = _dilaton_sum(g, legs, r)
+    values[DELTA_IRR] = _loop_sum(g, legs, r, edges)
     for h in range(g // 2 + 1):
         least = 0 if h else 2
         for start, size in {(0, max(least, total)), (total, least)}:  # S with, without the unit
@@ -226,7 +216,7 @@ def _key_values(g: int, a_vec: tuple[int, ...], theory: RSpinTheory) -> dict:
             if len(inside) == size:
                 outside = legs[:start] + legs[start + size:]
                 values[DELTA_SEP, h, sum(inside)] = _separating_sum(
-                    g, h, inside, outside, theory, edges)
+                    g, h, inside, outside, r, edges)
     return values
 
 
@@ -290,17 +280,18 @@ class _RelationTable:
 
     def numeric(self, a_vec: tuple[int, ...], r: int) -> dict:
         """24 times each key's coefficient at r, an integer: the gate of
-        every relation.  Raises :class:`DegreeGateError` when the degree
-        bookkeeping reports no relation.  No key when sum(a) != g mod r-1:
-        the exponent is then not integral, and every contribution vanishes
-        through the congruences.  ``a_vec`` has n entries, or in genus 2 none."""
+        every relation.  Refuses an r below 3, then an entry outside 0..r-2,
+        then with :class:`DegreeGateError` where :func:`phi_degree` reports
+        no relation.  No key when sum(a) != g mod r-1: the exponent is then
+        not integral, and every contribution vanishes through the
+        congruences.  ``a_vec`` has n entries, or in genus 2 none."""
         g, n = self.g, self.n
         if len(a_vec) != n and (g != 2 or a_vec):
             raise ValueError("a_vec length must equal n")
-        theory = RSpinTheory(r)
-        for a in a_vec:
-            theory.check_index(a)
         report = phi_degree(g, a_vec, r)
+        for a in a_vec:
+            if not 0 <= a <= r - 2:
+                raise ValueError(f"basis index {a} out of range 0..{r - 2}")
         if not report.relation_exists:
             raise DegreeGateError(g, n, a_vec, r)
         if not report.d_integral:
@@ -308,7 +299,7 @@ class _RelationTable:
         cached = r, sum(a_vec)
         if cached not in self._values:
             # Genus 2 gets here only with zero legs, whose relation pulls back from no legs.
-            values = _key_values(g, () if g == 2 else a_vec, theory)
+            values = _key_values(g, () if g == 2 else a_vec, r)
             self._values[cached] = {key: value * r ** (g - 1) for key, value in values.items()}
         return self._values[cached]
 
@@ -428,17 +419,18 @@ def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
 
 
 def admissible_leg_vectors(g: int, n: int, r: int) -> list[tuple[int, ...]]:
-    """Leg vectors whose relation is potentially nonzero: the degree gate
-    passes and sum(a) = g mod r - 1.  The gate passes iff
-    sum(a) < r - (g-1)(r-2), a bound of r in genus 1, 2 in genus 2 and at
-    most 1 above, so every allowed sum is 0 or 1: the vectors are the zero
-    vector if sum 0 is allowed, then the unit vectors in lexicographic order
-    if sum 1 is (in genus 1, exactly the n unit vectors)."""
-    bound = -phi_degree(g, (), r).value
+    """Leg vectors whose relation is potentially nonzero: those of a sum that
+    :func:`phi_degree` reports a relation for, with an integral exponent, i.e.
+    sum(a) = g mod r - 1.  The gate passes iff sum(a) < r - (g-1)(r-2), a
+    bound of r in genus 1, 2 in genus 2 and at most 1 above, so every allowed
+    sum is 0 or 1: the vectors are the zero vector if sum 0 is allowed, then
+    the unit vectors in lexicographic order if sum 1 is (in genus 1, exactly
+    the n unit vectors)."""
+    zero, unit = (phi_degree(g, (s,), r) for s in (0, 1))
     vectors = []
-    if 0 < bound and g % (r - 1) == 0:
+    if zero.relation_exists and zero.d_integral:
         vectors.append((0,) * n)
-    if 1 < bound and (1 - g) % (r - 1) == 0:
+    if unit.relation_exists and unit.d_integral:
         vectors += [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in reversed(range(n))]
     return vectors
 

@@ -9,7 +9,9 @@ divisors are listed canonically with respect to the symmetry
 its complement as a sorted tuple.  This module names the basis directly in
 (h, sorted S) order, without canonicalizing or sorting, gives its size in
 closed form and refuses a space too large to print; its kind constants key
-the relation assembly's coefficients.
+the relation assembly's coefficients.  It also holds every relation's degree
+gate, :func:`phi_degree`, the one place its bound and parity are written, and
+:class:`DegreeGateError`, the refusal raised when that gate is closed.
 
 The divisor classes and the basis they form, the decorated graphs whose
 reconstruction term can land in codimension 1, their enumeration and
@@ -19,6 +21,11 @@ contracts coefficient keys and builds no class, and only the oracles,
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PSI = "psi"
 KAPPA1 = "kappa1"
@@ -32,6 +39,49 @@ class StabilityError(ValueError):
 
 class UnsupportedGenusError(ValueError):
     """Genus outside the range this library enumerates."""
+
+
+class PhiDegreeReport(NamedTuple):
+    value: int                 # numerator of the exponent times (r - 1)
+    relation_exists: bool      # value < 0, i.e. the class in this degree vanishes
+    d_integral: bool           # value divisible by r - 1
+
+
+def witten_degree(g: int, n: int, a_vec: Sequence[int], r: int) -> Fraction:
+    """Intrinsic complex degree ((r-2)(g-1) + sum a_i) / r of the class."""
+    from fractions import Fraction
+
+    if len(a_vec) != n:
+        raise ValueError("a_vec length must equal n")
+    for a in a_vec:
+        if not 0 <= a <= r - 2:
+            raise ValueError(f"insertion {a} out of range 0..{r - 2}")
+    return Fraction((r - 2) * (g - 1) + sum(a_vec), r)
+
+
+def phi_degree(g: int, a_vec: Sequence[int], r: int) -> PhiDegreeReport:
+    """Total-degree bookkeeping for a codimension-1 relation candidate.
+
+    Returns d*(r-1) = sum(a_i) + (g-1)(r-2) - r together with the existence
+    flag (negative value means the degree-1 part vanishes, hence a relation)
+    and whether d itself is an integer, which holds iff sum(a) = g mod r-1.
+    """
+    if r < 3:
+        raise ValueError("r must be at least 3")
+    value = sum(a_vec) + (g - 1) * (r - 2) - r
+    return PhiDegreeReport(value, value < 0, value % (r - 1) == 0)
+
+
+class DegreeGateError(ValueError):
+    """No relation exists at this degree: the class degree is not exceeded."""
+
+    def __init__(self, g: int, n: int, a_vec: tuple[int, ...], r: int):
+        self.witten_degree = witten_degree(g, n, a_vec, r)
+        super().__init__(
+            f"no relation in codimension D = 1 for (g, n, r) = ({g}, {n}, {r}) "
+            f"with sum(a) = {sum(a_vec)}: the class has degree "
+            f"{self.witten_degree} and the degree-1 part need not vanish"
+        )
 
 
 # The largest divisor basis a relation command answers on.  Relations are

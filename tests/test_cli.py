@@ -942,9 +942,9 @@ class TestColdImports:
         assert not loaded & ({"rspinrel.cohft", "json"} | self.PARSER)
 
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
-    def test_degree_gate_refusal_loads_cohft_alone(self, fmt):
+    def test_degree_gate_refusal_loads_strata_alone(self, fmt):
         loaded, stderr = self.cold_imports(["relations", "--g", "4", "--n", "0", "--r", "3", *fmt])
-        assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel", "rspinrel.cohft"}
+        assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel", "rspinrel.strata"}
         assert not loaded & ({"json"} | self.PARSER)
         assert stderr == (
             "refused: no relation in codimension D = 1 for (g, n, r) = (4, 0, 3) with "
@@ -982,7 +982,7 @@ class TestColdImports:
     def test_numeric_commands_load_no_rpoly(self, argv):
         loaded = {m for m in self.loaded_modules(argv) if m.startswith("rspinrel")}
         assert loaded == {"rspinrel"} | {
-            f"rspinrel.{name}" for name in ("cohft", "relations", "strata", "linalg")
+            f"rspinrel.{name}" for name in ("relations", "strata", "linalg")
         }
 
     @pytest.mark.parametrize("argv", SYMBOLIC + COMMANDS[3:], ids=" ".join)
@@ -998,10 +998,10 @@ class TestColdImports:
     @pytest.mark.parametrize("argv", COMMANDS[2:])
     def test_relation_commands_load_exactly_their_modules(self, argv):
         # ``-m`` runs rspinrel.cli as __main__, so the import log lists the
-        # package and the four library modules the command uses.
+        # package and the three library modules the command uses.
         loaded = {m for m in self.loaded_modules(argv) if m.startswith("rspinrel")}
         assert loaded == {"rspinrel"} | {
-            f"rspinrel.{name}" for name in ("cohft", "relations", "strata", "linalg")
+            f"rspinrel.{name}" for name in ("relations", "strata", "linalg")
         }
 
     def test_selftest_loads_the_oracles(self):

@@ -18,8 +18,8 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 # to the package shows up as a test change.
 EXPORTED = {
     "cohft": (
-        "PhiDegreeReport", "RSpinTheory", "p_polynomial", "p_polynomial_symbolic",
-        "p_row", "phi_degree", "r_inverse_entry", "topological_value", "witten_degree",
+        "RSpinTheory", "p_polynomial", "p_polynomial_symbolic", "p_row", "r_inverse_entry",
+        "topological_value",
     ),
     "oracles": (
         "DivisorClass", "GraphContribution", "GraphTerm", "IdempotentReport",
@@ -31,13 +31,16 @@ EXPORTED = {
         "r_inverse_matrix", "system_matrix_det",
     ),
     "relations": (
-        "BasisMismatchError", "DegreeGateError", "Provenance", "RelationSet",
+        "BasisMismatchError", "Provenance", "RelationSet",
         "SpanReport", "ac_relations", "admissible_leg_vectors", "assembled_relation_set",
         "ppz_relation_set", "relation_row", "spans_equal",
     ),
     "rpoly": ("InterpolationError", "Rational", "RPoly", "poly_interpolate"),
     "selftest": ("CriterionResult", "run_acceptance"),
-    "strata": ("StabilityError", "UnsupportedGenusError", "generator_names"),
+    "strata": (
+        "DegreeGateError", "PhiDegreeReport", "StabilityError", "UnsupportedGenusError",
+        "generator_names", "phi_degree", "witten_degree",
+    ),
 }
 
 
@@ -68,6 +71,21 @@ MODULES = ["rspinrel"] + [f"rspinrel.{path.stem}" for path in sorted(
 def test_removed_names_exist_in_no_module(module):
     module = importlib.import_module(module)
     assert [name for name in REMOVED if hasattr(module, name)] == []
+
+
+# The degree gate's names, which live in strata and which cohft still exports.
+GATE_NAMES = ("DegreeGateError", "PhiDegreeReport", "phi_degree", "witten_degree")
+
+
+@pytest.mark.parametrize("name", GATE_NAMES)
+def test_cohft_exports_the_gate_from_strata(name):
+    cohft = importlib.import_module("rspinrel.cohft")
+    assert getattr(cohft, name) is getattr(importlib.import_module("rspinrel.strata"), name)
+
+
+def test_cohft_reports_an_unknown_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        importlib.import_module("rspinrel.cohft").no_such_name
 
 
 def test_relation_set_writes_no_basis():
@@ -109,14 +127,24 @@ def test_unknown_attribute_raises_attribute_error():
         from rspinrel import no_such_name  # noqa: F401
 
 
-def test_bare_import_loads_no_submodule():
+def cold_submodules(statement):
+    """The rspinrel submodules a cold process has loaded after ``statement``."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rspinrel; "
+         f"import sys; {statement}; "
          "print(sorted(m for m in sys.modules if m.startswith('rspinrel.')))"],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_bare_import_loads_no_submodule():
+    assert cold_submodules("import rspinrel") == "[]"
+
+
+def test_cohft_alone_loads_no_strata():
+    # The gate's names load strata on first use, not with cohft.
+    assert cold_submodules("import rspinrel.cohft") == "['rspinrel.cohft']"

@@ -7,9 +7,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rspinrel.cli import MAX_R
-from rspinrel.cohft import (RSpinTheory, p_polynomial, phi_degree, r_inverse_entry,
-                            topological_value)
+from rspinrel.cli import MAX_R, main
+from rspinrel.cohft import RSpinTheory, p_polynomial, r_inverse_entry, topological_value
 from rspinrel.linalg import primitive_int_vector, rref
 from rspinrel.relations import (
     BasisMismatchError,
@@ -54,6 +53,7 @@ from rspinrel.strata import (
     KAPPA1,
     PSI,
     UnsupportedGenusError,
+    phi_degree,
 )
 from test_linalg import fraction_rref
 
@@ -62,17 +62,23 @@ from perfbench import workloads  # noqa: E402
 from perfbench.workloads import G1_NR  # noqa: E402
 
 
+def gate_passes(g, a_vec, r):
+    """The degree gate from its definition: a relation exists iff the class
+    degree ((r-2)(g-1) + sum(a)) / r lies below codimension 1."""
+    return Fraction((r - 2) * (g - 1) + sum(a_vec), r) < 1
+
+
+def parity_holds(g, a_vec, r):
+    """The parity condition from its definition: a relation can be nonzero
+    only if sum(a) = g mod r-1."""
+    return (sum(a_vec) - g) % (r - 1) == 0
+
+
 def scan_admissible_leg_vectors(g, n, r):
     """Oracle for admissible_leg_vectors: the full scan of all (r-1)^n
     vectors, each checked against the gate and the parity condition."""
-    out = []
-    for a_vec in product(range(r - 1), repeat=n):
-        if not phi_degree(g, a_vec, r).relation_exists:
-            continue
-        if (sum(a_vec) - g) % (r - 1) != 0:
-            continue
-        out.append(a_vec)
-    return out
+    return [a_vec for a_vec in product(range(r - 1), repeat=n)
+            if gate_passes(g, a_vec, r) and parity_holds(g, a_vec, r)]
 
 
 def per_graph_coefficients(g, n, a_vec, r):
@@ -592,19 +598,46 @@ class TestDegreeGate:
         assert excinfo.value.witten_degree == 1
         assert "degree" in str(excinfo.value)
 
-    def test_gate_matches_phi_degree_exactly(self):
+    def test_gate_matches_the_definition_exactly(self):
         for g in (1, 2, 3):
             for n in range(0, 3):
                 if 2 * g - 2 + n <= 0:
                     continue
                 for r in (3, 4):
                     for a_vec in product(range(r - 1), repeat=n):
-                        expected = phi_degree(g, a_vec, r).relation_exists
-                        if expected:
+                        if gate_passes(g, a_vec, r):
                             relation_row(g, n, a_vec, r)  # must not raise
                         else:
                             with pytest.raises(DegreeGateError):
                                 relation_row(g, n, a_vec, r)
+
+    def test_every_gate_reader_matches_the_definition(self, capsys):
+        # phi_degree's two flags, numeric's refusal and empty dict,
+        # admissible_leg_vectors and the command line's up-front refusal and
+        # note, each checked against the definitions, never against phi_degree.
+        note = "auxiliary degree is not an integer multiple of r-1"
+        for g, n, r in product(range(1, 7), range(4), range(3, 13)):
+            if 2 * g - 2 + n <= 0:
+                continue
+            table, vectors = _RelationTable(g, n), list(product(range(r - 1), repeat=n))
+            for a_vec in vectors:
+                passes, parity = gate_passes(g, a_vec, r), parity_holds(g, a_vec, r)
+                report = phi_degree(g, a_vec, r)
+                assert (report.relation_exists, report.d_integral) == (passes, parity), (
+                    g, a_vec, r)
+                if passes:
+                    assert (table.numeric(a_vec, r) == {}) == (not parity), (g, a_vec, r)
+                else:
+                    with pytest.raises(DegreeGateError):
+                        table.numeric(a_vec, r)
+            admitted = [a for a in vectors if gate_passes(g, a, r) and parity_holds(g, a, r)]
+            assert admissible_leg_vectors(g, n, r) == admitted, (g, n, r)
+            code = main(["relations", "--g", str(g), "--n", str(n), "--r", str(r)])
+            out, err = capsys.readouterr()
+            opened = any(gate_passes(g, a, r) for a in vectors)
+            assert (code, err.startswith("refused: ")) == ((0, False) if opened else (2, True))
+            zero_parity = parity_holds(g, (0,) * n, r)
+            assert (note in out) == (opened and not admitted and not zero_parity), (g, n, r)
 
     def test_admissible_vectors_genus_one(self):
         for n in (1, 2, 3):
@@ -674,9 +707,9 @@ class TestOracleEquivalence:
         contracted = []
         original = relations_module._loop_sum
 
-        def counted(g, a_vec, theory, edges):
-            contracted.append(theory.r)
-            return original(g, a_vec, theory, edges)
+        def counted(g, a_vec, r, edges):
+            contracted.append(r)
+            return original(g, a_vec, r, edges)
 
         monkeypatch.setattr(relations_module, "_loop_sum", counted)
         table = _RelationTable(g, n)
@@ -980,7 +1013,7 @@ class TestEdgeFactor:
                     entry = edge_constant_term(p, q, theory)
                     if entry != 0:
                         full[(p, q)] = 24 * entry
-            assert dict(_edge_entries(theory)) == full, r
+            assert dict(_edge_entries(r)) == full, r
 
     def test_constant_term_matches_full_sum(self):
         # The order-0 divisibility identity: the numerator's (1, 0) and
@@ -1010,7 +1043,7 @@ class TestEdgeFactor:
             for g, n in ((1, 1), (1, 2), (2, 2), (3, 1)):
                 for insertions in product(range(r - 1), repeat=n):
                     for i in range(n):
-                        assert _leg_sum(g, insertions, i, theory) == (
+                        assert _leg_sum(g, insertions, i, r) == (
                             24 * loop_leg_sum(g, insertions, i, theory)
                         ), (r, g, insertions, i)
 
@@ -1052,7 +1085,7 @@ class TestFirstOrderClosedForm:
         # so every row p = 0 mod 25 is scanned in full, and each entry the
         # library lists is checked against the oracle.
         theory = RSpinTheory(r)
-        entries = dict(_edge_entries(theory))
+        entries = dict(_edge_entries(r))
         for p in range(0, r - 1, 1 if r <= 100 else 25):
             for q in range(r - 1):
                 entry = edge_constant_term(p, q, theory)
@@ -1114,18 +1147,18 @@ class TestSystemDeterminant:
 # Feature coordinates against the class-keyed dense path
 # ---------------------------------------------------------------------------
 
-def class_contract(g, a_vec, d, theory, edges):
+def class_contract(g, a_vec, d, r, edges):
     """The coefficient of the class d before the r^(g-1) prefactor, by the
     per-family sum of its kind."""
     if d.kind == PSI:
-        return _leg_sum(g, a_vec, d.index - 1, theory)
+        return _leg_sum(g, a_vec, d.index - 1, r)
     if d.kind == DELTA_SEP:
         a0 = [a_vec[i - 1] for i in sorted(d.markings)]
         a1 = [a for i, a in enumerate(a_vec, 1) if i not in d.markings]
-        return _separating_sum(g, d.h, a0, a1, theory, edges)
+        return _separating_sum(g, d.h, a0, a1, r, edges)
     if d.kind == DELTA_IRR:
-        return _loop_sum(g, a_vec, theory, edges)
-    return _dilaton_sum(g, a_vec, theory)
+        return _loop_sum(g, a_vec, r, edges)
+    return _dilaton_sum(g, a_vec, r)
 
 
 def dense_relation_set(g, n, a_vecs, r=None, extract=True):
@@ -1145,9 +1178,8 @@ def dense_relation_set(g, n, a_vecs, r=None, extract=True):
             first.setdefault(key, d)
 
         def values(rr):
-            theory = RSpinTheory(rr)
-            edges = _edge_entries(theory)
-            return {key: class_contract(g, a_vec, d, theory, edges) * rr ** (g - 1)
+            edges = _edge_entries(rr)
+            return {key: class_contract(g, a_vec, d, rr, edges) * rr ** (g - 1)
                     for key, d in first.items()}
 
         found = []
