@@ -71,16 +71,23 @@ def _json_dumps(fmt: str):
     return None
 
 
-def _emit(record: dict, dumps, text_lines) -> None:
-    """Print ``record`` with ``dumps``, or without it the lines
-    ``text_lines()`` yields.  The record's text is written in slices of at
-    most ``JSON_SLICE`` characters and then a newline: ``dumps`` builds it
-    whole, but stdout then encodes one slice at a time, where ``print``
-    would hold an encoded copy of all of it."""
+def _emit(dumps, command: str, params: dict, start: float, text_lines, **fields) -> None:
+    """Print ``command``'s JSON record with ``dumps``, or without it the lines
+    ``text_lines()`` yields.  Only JSON output builds the record, so its
+    ``params`` add the format json; ``fields`` are its entries that are not
+    empty, and ``elapsed_ms``, unless given, is the time since ``start``.
+    Its text is written in slices of at most ``JSON_SLICE`` characters and
+    then a newline: ``dumps`` builds it whole, but stdout then encodes one
+    slice at a time, where ``print`` would hold an encoded copy of all of it."""
     if dumps:
+        record = {"schema_version": SCHEMA_VERSION, "command": command,
+                  "params": {**params, "format": "json"}, "relations": [], "verdicts": [],
+                  "notes": [], **fields}
+        if "elapsed_ms" not in record:
+            record["elapsed_ms"] = round(1000 * (time.perf_counter() - start), 3)
         text = dumps(record, sort_keys=True)
-        for start in range(0, len(text), JSON_SLICE):
-            sys.stdout.write(text[start:start + JSON_SLICE])
+        for offset in range(0, len(text), JSON_SLICE):
+            sys.stdout.write(text[offset:offset + JSON_SLICE])
         sys.stdout.write("\n")
     else:
         for line in text_lines():
@@ -145,7 +152,7 @@ def _cmd_relations(args) -> int:
         # gated quantity over all leg choices.
         report = phi_degree(g, (), args.r)
         if not report.relation_exists:
-            raise DegreeGateError(g, n, (0,) * n, args.r)
+            raise DegreeGateError(g, n, 0, args.r)
 
     from .relations import (Provenance, assembled_relation_set, ppz_relation_set,
                             relation_row)
@@ -187,22 +194,6 @@ def _cmd_relations(args) -> int:
 
     names = generator_names(g, n)
     payloads = [_relation_record(names, row, prov) for row, prov in zip(rows, provenances)]
-    elapsed_ms = round(1000 * (time.perf_counter() - start), 3)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "relations",
-        "params": {
-            "g": g,
-            "n": n,
-            "r": "symbolic" if args.symbolic else args.r,
-            "a": list(a_vec) if a_vec is not None else None,
-            "format": args.format,
-        },
-        "relations": payloads,
-        "verdicts": [],
-        "notes": notes,
-        "elapsed_ms": elapsed_ms,
-    }
 
     def text_lines():
         yield header
@@ -213,7 +204,9 @@ def _cmd_relations(args) -> int:
         for note in notes:
             yield f"  note: {note}"
 
-    _emit(record, dumps, text_lines)
+    params = {"g": g, "n": n, "r": "symbolic" if args.symbolic else args.r,
+              "a": list(a_vec) if a_vec is not None else None}
+    _emit(dumps, "relations", params, start, text_lines, relations=payloads, notes=notes)
     return 0
 
 
@@ -229,24 +222,6 @@ def _cmd_verify_ac(args) -> int:
     reference = ac_relations(args.g, args.n)
     report = spans_equal(computed, reference)
     verdict = "EQUAL" if report.equal else "DIFFERENT"
-    elapsed_ms = round(1000 * (time.perf_counter() - start), 3)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-ac",
-        "params": {"g": args.g, "n": args.n, "r": args.r, "format": args.format},
-        "relations": [],
-        "verdicts": [
-            {
-                "name": "span-comparison",
-                "verdict": verdict,
-                "rank_computed": report.rank_left,
-                "rank_reference": report.rank_right,
-                "rank_union": report.rank_union,
-            }
-        ],
-        "notes": [],
-        "elapsed_ms": elapsed_ms,
-    }
 
     def text_lines():
         yield (
@@ -255,7 +230,10 @@ def _cmd_verify_ac(args) -> int:
             f"union rank {report.rank_union})"
         )
 
-    _emit(record, dumps, text_lines)
+    _emit(dumps, "verify-ac", {"g": args.g, "n": args.n, "r": args.r}, start, text_lines,
+          verdicts=[{"name": "span-comparison", "verdict": verdict,
+                     "rank_computed": report.rank_left, "rank_reference": report.rank_right,
+                     "rank_union": report.rank_union}])
     return 0 if report.equal else 1
 
 
@@ -319,17 +297,6 @@ def _cmd_pm_table(args) -> int:
                 f"the entries of row m={m} are too long to print in decimal; "
                 f"lower --m-max below {m}"
             ) from None
-    elapsed_ms = round(1000 * (time.perf_counter() - start), 3)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "pm-table",
-        "params": {"m_max": args.m_max, "r": args.r, "format": args.format},
-        "relations": [],
-        "verdicts": [],
-        "table": [{"m": m, "values": row} for m, row in enumerate(rows)],
-        "notes": [],
-        "elapsed_ms": elapsed_ms,
-    }
 
     def text_lines():
         width = max(6, max((len(v) for row in rows for v in row), default=6)) + 1
@@ -340,42 +307,29 @@ def _cmd_pm_table(args) -> int:
         for m, row in enumerate(rows):
             yield f"{m:>5} |" + "".join(f"{v:>{width}}" for v in row)
 
-    _emit(record, dumps, text_lines)
+    _emit(dumps, "pm-table", {"m_max": args.m_max, "r": args.r}, start, text_lines,
+          table=[{"m": m, "values": row} for m, row in enumerate(rows)])
     return 0
 
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_acceptance
 
-    fmt = "json" if args.json else args.format
-    dumps = _json_dumps(fmt)
+    dumps = _json_dumps("json" if args.json else args.format)
     results = run_acceptance()
     passed = sum(res.passed for res in results)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "selftest",
-        "params": {"format": fmt},
-        "relations": [],
-        "verdicts": [
-            {
-                "id": res.id,
-                "title": res.title,
-                "verdict": "PASS" if res.passed else "FAIL",
-                "detail": res.detail,
-                "elapsed_s": round(res.elapsed_s, 3),
-            }
-            for res in results
-        ],
-        "notes": [],
-        "elapsed_ms": round(1000 * sum(res.elapsed_s for res in results), 3),
-    }
 
     def text_lines():
         for res in results:
             yield res.line()
         yield f"{passed}/{len(results)} criteria passed"
 
-    _emit(record, dumps, text_lines)
+    # The record's time is that of the criteria alone.
+    _emit(dumps, "selftest", {}, None, text_lines,
+          verdicts=[{"id": res.id, "title": res.title, "verdict": "PASS" if res.passed else "FAIL",
+                     "detail": res.detail, "elapsed_s": round(res.elapsed_s, 3)}
+                    for res in results],
+          elapsed_ms=round(1000 * sum(res.elapsed_s for res in results), 3))
     return 0 if passed == len(results) else 1
 
 

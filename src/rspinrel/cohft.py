@@ -20,8 +20,7 @@ it loads no other at module level: :func:`p_polynomial_symbolic` imports
 ``rpoly``.  Nor does it load ``fractions`` (with the ``decimal`` and
 ``numbers`` it pulls in) there: each function that builds a ``Fraction``
 imports it, so ``pm-table``, which prints from :func:`p_row`'s integer rows,
-never loads it.  The degree gate's names stay importable from here, but live
-in :mod:`rspinrel.strata`, which loads only when one is first asked for.
+never loads it.
 The forward R-matrix and the quantum product live in :mod:`rspinrel.oracles`.
 
 For the record: the Euler field of the underlying Frobenius structure at the
@@ -202,12 +201,3 @@ def topological_value(g: int, insertions: Sequence[int], theory: RSpinTheory) ->
     if (g - 1 - sum(insertions)) % (r - 1) == 0:
         return Fraction((r - 1) ** g)
     return Fraction(0)
-
-
-def __getattr__(name):
-    """The degree gate's names, from :mod:`rspinrel.strata` on first use."""
-    if name not in ("DegreeGateError", "PhiDegreeReport", "phi_degree", "witten_degree"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import strata
-
-    return getattr(strata, name)

@@ -293,7 +293,7 @@ class _RelationTable:
             if not 0 <= a <= r - 2:
                 raise ValueError(f"basis index {a} out of range 0..{r - 2}")
         if not report.relation_exists:
-            raise DegreeGateError(g, n, a_vec, r)
+            raise DegreeGateError(g, n, sum(a_vec), r)
         if not report.d_integral:
             return {}
         cached = r, sum(a_vec)

@@ -31,13 +31,13 @@ from .oracles import (
     system_matrix_det,
 )
 from .relations import (
-    DegreeGateError,
     ac_relations,
     assembled_relation_set,
     ppz_relation_set,
     relation_row,
     spans_equal,
 )
+from .strata import DegreeGateError
 
 
 class CriterionResult(NamedTuple):

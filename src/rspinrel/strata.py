@@ -73,13 +73,17 @@ def phi_degree(g: int, a_vec: Sequence[int], r: int) -> PhiDegreeReport:
 
 
 class DegreeGateError(ValueError):
-    """No relation exists at this degree: the class degree is not exceeded."""
+    """No relation exists at this degree: the class degree is not exceeded.
+    Built from the leg vector's sum, so a refusal at any n builds no vector;
+    ``witten_degree`` is that of :func:`witten_degree`."""
 
-    def __init__(self, g: int, n: int, a_vec: tuple[int, ...], r: int):
-        self.witten_degree = witten_degree(g, n, a_vec, r)
+    def __init__(self, g: int, n: int, a_sum: int, r: int):
+        from fractions import Fraction
+
+        self.witten_degree = Fraction((r - 2) * (g - 1) + a_sum, r)
         super().__init__(
             f"no relation in codimension D = 1 for (g, n, r) = ({g}, {n}, {r}) "
-            f"with sum(a) = {sum(a_vec)}: the class has degree "
+            f"with sum(a) = {a_sum}: the class has degree "
             f"{self.witten_degree} and the degree-1 part need not vanish"
         )
 

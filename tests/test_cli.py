@@ -333,6 +333,17 @@ class TestBasisSizeGuard:
     def test_degree_gate_refusals_come_first(self, capsys, argv):
         assert run(capsys, argv)[0] == 2
 
+    @pytest.mark.parametrize("g,r", [(4, 3), (3, 4)])
+    def test_degree_gate_refusal_builds_nothing_n_long(self, g, r):
+        # A refusal at n = 10^9 under the memory cap, in the time of one at small n.
+        start = time.perf_counter()
+        result = cold_run(["relations", "--g", str(g), "--n", str(10 ** 9), "--r", str(r)],
+                          preexec_fn=_cap_address_space)
+        assert time.perf_counter() - start < 2.0
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("refused: ") and "sum(a) = 0" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_degree_gate_refusal_message_is_bounded(self):
         result = cold_run(["relations", "--g", "4", "--n", str(10 ** 6), "--r", "3"])
         assert result.returncode == 2 and result.stdout == ""
@@ -486,26 +497,61 @@ class _RecordingStdout:
         return len(text)
 
 
+def _record(command, params, **fields):
+    """The JSON record of ``command`` with ``fields`` as the only entries that
+    are not empty, as ``cli._emit`` builds it."""
+    record = {"schema_version": 1, "command": command, "params": {**params, "format": "json"},
+              "relations": [], "verdicts": [], "notes": []}
+    return {**record, **fields}
+
+
 class TestJsonWriter:
-    """A JSON record is written in slices of at most ``JSON_SLICE``
-    characters, then a newline, and reads back as the whole record."""
+    """``cli._emit`` builds every command's JSON record, and writes it in
+    slices of at most ``JSON_SLICE`` characters, then a newline, so that it
+    reads back as the whole record."""
 
     SLICE = cli_module.JSON_SLICE
+    # Each record's keys, and the one key pm-table adds.
+    SKELETON = {"schema_version", "command", "params", "relations", "verdicts", "notes",
+                "elapsed_ms"}
 
-    # The text of {"x": "..."} is 9 characters longer than its string.
-    @pytest.mark.parametrize("length", [10, SLICE, 3 * SLICE + 17], ids=[
+    @pytest.mark.parametrize("length", [200, SLICE, 3 * SLICE + 17], ids=[
         "below-one-slice", "exactly-one-slice", "several-slices",
     ])
     def test_writes_are_slices_of_the_record(self, monkeypatch, length):
-        record = {"x": "a" * (length - 9)}
+        # A note pads the record's text to ``length`` characters.
+        base = len(json.dumps(_record("x", {}, notes=[""], elapsed_ms=0)))
+        record = _record("x", {}, notes=["a" * (length - base)], elapsed_ms=0)
         text = json.dumps(record, sort_keys=True)
         assert len(text) == length
         stdout = _RecordingStdout()
         monkeypatch.setattr(sys, "stdout", stdout)
-        cli_module._emit(record, json.dumps, None)
+        cli_module._emit(json.dumps, "x", {}, None, None, notes=record["notes"], elapsed_ms=0)
         assert all(len(chunk) <= self.SLICE for chunk in stdout.writes)
         assert "".join(stdout.writes) == text + "\n"
         assert len(stdout.writes) == -(-length // self.SLICE) + 1
+
+    def test_text_output_builds_no_record(self, capsys):
+        # With no start time, building the record would raise.
+        cli_module._emit(None, "x", {}, None, lambda: iter(["one", "two"]))
+        assert capsys.readouterr().out == "one\ntwo\n"
+
+    @pytest.mark.parametrize("argv", [
+        "relations --g 1 --n 2 --r 3",
+        "relations --g 3 --n 0 --r 3",
+        "relations --g 1 --n 2 --symbolic --a 1,0",
+        "verify-ac --g 1 --n 2 --r 3",
+        "pm-table --m-max 2 --r 4",
+        "selftest",
+    ])
+    def test_every_record_has_the_skeleton_keys(self, capsys, argv):
+        argv = argv.split()
+        _, out, _ = run(capsys, [*argv, "--format", "json"])
+        record = json.loads(out)
+        assert set(record) == self.SKELETON | ({"table"} if argv[0] == "pm-table" else set())
+        assert record["schema_version"] == 1 and record["command"] == argv[0]
+        assert record["params"]["format"] == "json"
+        assert isinstance(record["elapsed_ms"], float) and record["elapsed_ms"] >= 0
 
     def test_cold_record_through_a_pipe_is_the_in_process_record(self, capsys):
         argv = ["pm-table", "--m-max", "200", "--r", "24", "--format", "json"]

@@ -2,6 +2,7 @@ import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,8 @@ from rspinrel.cohft import (
     p_polynomial,
     p_polynomial_symbolic,
     p_row,
-    phi_degree,
     r_inverse_entry,
     topological_value,
-    witten_degree,
 )
 from rspinrel import oracles
 from rspinrel.oracles import (
@@ -27,6 +26,7 @@ from rspinrel.oracles import (
     r_inverse_matrix,
 )
 from rspinrel.rpoly import RPoly
+from rspinrel.strata import DegreeGateError, phi_degree, witten_degree
 
 
 def p1_closed(a, r):
@@ -195,6 +195,30 @@ class TestPTableOracle:
         p_polynomial.cache_clear()
         cohft._last_rows.pop(3, None)
         assert isinstance(p_polynomial(1500, 0, 3), Fraction)
+
+
+def three_spin_row(m):
+    """P_m(3, 0) and P_m(3, 1) from PPZ's 3-spin series: (6m)!/((3m)!(2m)!)
+    times (-1/288)^m, and -(6m+1)/(6m-1) times that."""
+    zero = Fraction(factorial(6 * m), factorial(3 * m) * factorial(2 * m)) * Fraction(-1, 288) ** m
+    return [zero, -Fraction(6 * m + 1, 6 * m - 1) * zero]
+
+
+class TestThreeSpinClosedForm:
+    """At r = 3 the table is PPZ's 3-spin series in closed form, an oracle
+    that shares no code with the recursion."""
+
+    M_MAX = 300
+
+    def test_p_row_up_to_m_300(self):
+        for m in range(self.M_MAX + 1):
+            numerators, den = p_row(m, 3)
+            assert [Fraction(x, den) for x in numerators] == three_spin_row(m), m
+
+    def test_p_polynomial_up_to_m_300(self):
+        p_polynomial.cache_clear()
+        for m in range(self.M_MAX + 1):
+            assert [p_polynomial(m, a, 3) for a in (0, 1)] == three_spin_row(m), m
 
 
 class TestPSymbolic:
@@ -440,6 +464,14 @@ class TestDegrees:
             witten_degree(1, 2, (1,), 3)
         with pytest.raises(ValueError):
             witten_degree(1, 1, (5,), 3)
+
+    def test_gate_refusal_carries_the_class_degree(self):
+        # The refusal reads only sum(a), so it builds no n-long vector.
+        for g, r in ((1, 3), (2, 5), (4, 3), (3, 4)):
+            for a_vec in ((), (0,), (1, 0), (r - 2, 1, 0)):
+                error = DegreeGateError(g, len(a_vec), sum(a_vec), r)
+                assert error.witten_degree == witten_degree(g, len(a_vec), a_vec, r)
+                assert f"with sum(a) = {sum(a_vec)}: " in str(error)
 
     def test_phi_degree_examples(self):
         report = phi_degree(1, (1, 0), 3)

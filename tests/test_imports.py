@@ -170,6 +170,29 @@ def test_detects_an_unused_private_definition(tmp_path):
     ]
 
 
+def string_constants(path, text):
+    """How many string constants in the file's AST are ``text``; docstrings
+    and comments that mention it do not count."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sum(isinstance(node, ast.Constant) and node.value == text for node in ast.walk(tree))
+
+
+def test_one_writer_builds_the_json_record():
+    # cli._emit writes the record's skeleton; no subcommand writes its own.
+    assert string_constants(SRC / "cli.py", "schema_version") == 1
+
+
+@pytest.mark.parametrize("statement", [
+    'record = {"schema_version": SCHEMA_VERSION, "command": "relations"}\n',
+    'def f(record):\n    record["schema_version"] = 1\n',
+    'def f():\n    return dict([("schema_version", 1)])\n',
+])
+def test_detects_a_second_record_writer(tmp_path, statement):
+    module = tmp_path / "cli.py"
+    module.write_text((SRC / "cli.py").read_text() + "\n# schema_version\n" + statement)
+    assert string_constants(module, "schema_version") == 2
+
+
 # What the oracles may take from the library's relation assembly: the edge
 # entries and the four per-family sums.  An oracle written from the feature
 # path (_RelationTable, _feature_row, _expand) would check that code against

@@ -73,19 +73,11 @@ def test_removed_names_exist_in_no_module(module):
     assert [name for name in REMOVED if hasattr(module, name)] == []
 
 
-# The degree gate's names, which live in strata and which cohft still exports.
-GATE_NAMES = ("DegreeGateError", "PhiDegreeReport", "phi_degree", "witten_degree")
-
-
-@pytest.mark.parametrize("name", GATE_NAMES)
-def test_cohft_exports_the_gate_from_strata(name):
+def test_cohft_holds_no_gate_name():
+    # The degree gate lives in strata alone.
     cohft = importlib.import_module("rspinrel.cohft")
-    assert getattr(cohft, name) is getattr(importlib.import_module("rspinrel.strata"), name)
-
-
-def test_cohft_reports_an_unknown_name():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        importlib.import_module("rspinrel.cohft").no_such_name
+    gate = ("DegreeGateError", "PhiDegreeReport", "phi_degree", "witten_degree")
+    assert [name for name in gate if hasattr(cohft, name)] == []
 
 
 def test_relation_set_writes_no_basis():
@@ -146,5 +138,5 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_cohft_alone_loads_no_strata():
-    # The gate's names load strata on first use, not with cohft.
+    # pm-table loads cohft alone; the degree gate lives in strata.
     assert cold_submodules("import rspinrel.cohft") == "['rspinrel.cohft']"
