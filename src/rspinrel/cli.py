@@ -333,84 +333,74 @@ def _cmd_selftest(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-# Each subcommand's runner and options, in help order: an option's kind (int,
-# str, bool for a flag, or a tuple of choices, the first of them the default)
-# and whether it is required.  An option not given reads as False if it is a
-# flag and as None otherwise.
-_FORMAT = {"--format": (("text", "json"), False)}
+# Each subcommand's runner, its help line and its options, in help order: an
+# option's kind (int, str, bool for a flag, or a tuple of choices, the first of
+# them the default), whether it is required, and its help text.  An option not
+# given reads as False if it is a flag and as None otherwise.
+_FORMAT = {"--format": (("text", "json"), False, "")}
 _COMMANDS = {
-    "relations": (_cmd_relations, {"--g": (int, True), "--n": (int, True), "--r": (int, False),
-                                   "--symbolic": (bool, False), "--a": (str, False), **_FORMAT}),
-    "verify-ac": (_cmd_verify_ac, {"--g": (int, True), "--n": (int, True), "--r": (int, True),
-                                   **_FORMAT}),
-    "pm-table": (_cmd_pm_table, {"--m-max": (int, True), "--r": (int, True), **_FORMAT}),
-    "selftest": (_cmd_selftest, {**_FORMAT, "--json": (bool, False)}),
+    "relations": (_cmd_relations, "assemble divisor relations", {
+        "--g": (int, True, ""), "--n": (int, True, ""), "--r": (int, False, ""),
+        "--symbolic": (bool, False, ""), "--a": (str, False, "comma-separated leg vector"),
+        **_FORMAT}),
+    "verify-ac": (_cmd_verify_ac, "compare spans with the known set", {
+        "--g": (int, True, ""), "--n": (int, True, ""), "--r": (int, True, ""), **_FORMAT}),
+    "pm-table": (_cmd_pm_table, "print the coefficient table", {
+        "--m-max": (int, True, ""), "--r": (int, True, ""), **_FORMAT}),
+    "selftest": (_cmd_selftest, "run the acceptance suite", {
+        **_FORMAT, "--json": (bool, False, "shorthand for --format json")}),
 }
 # Known before and after the subcommand, as options of kind None.
-_HELP_OPTIONS = {"-h": (None, False), "--help": (None, False)}
-_USAGE = "usage: rspinrel [-h] {relations,verify-ac,pm-table,selftest} ..."
-# The help texts by subcommand, None before one is named, laid out for 80
-# columns; the first restates the module docstring.
-_HELP = {
-    None: _USAGE + """
-
+_HELP_OPTIONS = dict.fromkeys(("-h", "--help"), (None, False, "show this help message and exit"))
+# The top-level help's description, which restates the module docstring.
+_DESCRIPTION = """\
 Command-line front end. Subcommands: ``relations`` (assemble and print divisor
 relations), ``verify-ac`` (compare spans against the known complete set),
 ``pm-table`` (coefficient polynomial table), ``selftest`` (acceptance suite).
 Exit codes are a stable contract: 0 success, 1 usage error or failed
-verification, 2 degree-gate refusal.
+verification, 2 degree-gate refusal."""
 
-positional arguments:
-  {relations,verify-ac,pm-table,selftest}
-    relations           assemble divisor relations
-    verify-ac           compare spans with the known set
-    pm-table            print the coefficient table
-    selftest            run the acceptance suite
 
-options:
-  -h, --help            show this help message and exit
-""",
-    "relations": """\
-usage: rspinrel relations [-h] --g G --n N [--r R] [--symbolic] [--a A]
-                          [--format {text,json}]
+def _invocation(name: str, kind) -> str:
+    """How help names an option: a value's metavar follows its name."""
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return name if kind in (bool, None) else f"{name} {name[2:].upper().replace('-', '_')}"
 
-options:
-  -h, --help            show this help message and exit
-  --g G
-  --n N
-  --r R
-  --symbolic
-  --a A                 comma-separated leg vector
-  --format {text,json}
-""",
-    "verify-ac": """\
-usage: rspinrel verify-ac [-h] --g G --n N --r R [--format {text,json}]
 
-options:
-  -h, --help            show this help message and exit
-  --g G
-  --n N
-  --r R
-  --format {text,json}
-""",
-    "pm-table": """\
-usage: rspinrel pm-table [-h] --m-max M_MAX --r R [--format {text,json}]
+def _usage(command=None) -> str:
+    """The usage line of ``command``, or the top-level one for None, wrapped
+    as argparse wraps it for 80 columns: a part that would pass column 78
+    starts a line under the first part; a required option's metavar is a
+    part of its own."""
+    prefix, parts = "usage: rspinrel", ["{" + ",".join(_COMMANDS) + "}", "..."]
+    if command:
+        prefix, parts = f"{prefix} {command}", []
+        for name, (kind, required, _) in _COMMANDS[command][2].items():
+            invocation = _invocation(name, kind)
+            parts += invocation.split() if required else [f"[{invocation}]"]
+    lines = [prefix]
+    for part in [f"[{next(iter(_HELP_OPTIONS))}]", *parts]:
+        if len(lines[-1]) + 1 + len(part) > 78:
+            lines.append(" " * len(prefix))
+        lines[-1] += " " + part
+    return "\n".join(lines)
 
-options:
-  -h, --help            show this help message and exit
-  --m-max M_MAX
-  --r R
-  --format {text,json}
-""",
-    "selftest": """\
-usage: rspinrel selftest [-h] [--format {text,json}] [--json]
 
-options:
-  -h, --help            show this help message and exit
-  --format {text,json}
-  --json                shorthand for --format json
-""",
-}
+def _help(command) -> str:
+    """The help text of ``command``, or the top-level one for None, laid out
+    from the tables as argparse lays it out for 80 columns: help texts start
+    at column 24 on their row's line, since each table has a row 20 columns
+    wide or more (the subcommand list, ``--format {text,json}``) and none
+    with a help text is wider (18 columns for a subcommand's name)."""
+    options = {", ".join(_HELP_OPTIONS): _HELP_OPTIONS["-h"],
+               **(_COMMANDS[command][2] if command else {})}
+    rows = ["", "options:"] + [f"{'  ' + _invocation(name, kind):<22}  {text}".rstrip()
+                               for name, (kind, _, text) in options.items()]
+    if command is None:
+        rows = ["", _DESCRIPTION, "", "positional arguments:", "  {" + ",".join(_COMMANDS) + "}",
+                *(f"    {name:<18}  {entry[1]}" for name, entry in _COMMANDS.items()), *rows]
+    return "\n".join([_usage(command), *rows, ""])
 
 
 def _option(arg: str, names) -> tuple | None:
@@ -474,7 +464,7 @@ def _take(argv, command, options: dict, given: dict, extras: list) -> bool:
                 label = "-h/--help" if kind is None else name
                 raise UsageError(f"argument {label}: ignored explicit argument {rest!r}")
         if kind is None:
-            sys.stdout.write(_HELP[command])
+            sys.stdout.write(_help(command))
             return False
         if kind is not bool and joined is None:
             if i == len(tokens) or tokens[i] is not None:
@@ -499,11 +489,11 @@ def _read_argv(argv: list):
     if argv[i:] in ([], ["--"]):
         raise UsageError("the following arguments are required: command")
     command = argv[i]
-    fn, options = _COMMANDS[_value("command", tuple(_COMMANDS), command)]
+    fn, _, options = _COMMANDS[_value("command", tuple(_COMMANDS), command)]
     if not _take(argv[i + 1:], command, options, given, extras):
         return None
     args, missing = SimpleNamespace(fn=fn), []
-    for name, (kind, required) in options.items():
+    for name, (kind, required, _) in options.items():
         if required and name not in given:
             missing.append(name)
         default = False if kind is bool else kind[0] if isinstance(kind, tuple) else None
@@ -528,7 +518,7 @@ def main(argv=None) -> int:
         return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(_USAGE, file=sys.stderr)
+        print(_usage(), file=sys.stderr)
         return 1
     except ValueError as exc:  # StabilityError and UnsupportedGenusError too
         # A gate refusal comes from strata, so a ValueError raised before

@@ -22,6 +22,7 @@ contracts coefficient keys and builds no class, and only the oracles,
 
 from __future__ import annotations
 
+from math import gcd
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -75,17 +76,24 @@ def phi_degree(g: int, a_vec: Sequence[int], r: int) -> PhiDegreeReport:
 class DegreeGateError(ValueError):
     """No relation exists at this degree: the class degree is not exceeded.
     Built from the leg vector's sum, so a refusal at any n builds no vector;
-    ``witten_degree`` is that of :func:`witten_degree`."""
+    its message writes the class degree in lowest terms from integers, as
+    str(Fraction) does, and ``witten_degree``, that of :func:`witten_degree`,
+    is built only when read, so a refusal loads no rationals."""
 
     def __init__(self, g: int, n: int, a_sum: int, r: int):
-        from fractions import Fraction
-
-        self.witten_degree = Fraction((r - 2) * (g - 1) + a_sum, r)
+        self._degree = ((r - 2) * (g - 1) + a_sum, r)
+        num, den = (x // gcd(*self._degree) for x in self._degree)
         super().__init__(
             f"no relation in codimension D = 1 for (g, n, r) = ({g}, {n}, {r}) "
-            f"with sum(a) = {a_sum}: the class has degree "
-            f"{self.witten_degree} and the degree-1 part need not vanish"
+            f"with sum(a) = {a_sum}: the class has degree {num}"
+            + (f"/{den}" if den != 1 else "") + " and the degree-1 part need not vanish"
         )
+
+    @property
+    def witten_degree(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(*self._degree)
 
 
 # The largest divisor basis a relation command answers on.  Relations are

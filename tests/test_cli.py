@@ -13,7 +13,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rspinrel.cli as cli_module
 import rspinrel.cohft as cohft_module
@@ -740,9 +740,34 @@ class TestArgvReading:
         assert (code, out, err) == (1, "", f"error: {message}\n{USAGE}")
 
 
+def argparse_parsers(commands):
+    """argparse's parser for the table ``commands``, laid out as cli._COMMANDS,
+    and its subcommands' parsers by name."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="rspinrel", description=cli_module._DESCRIPTION)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for command, (_, line, options) in commands.items():
+        parsers[command] = subparsers.add_parser(command, help=line)
+        for name, (kind, required, text) in options.items():
+            how = ({"action": "store_true"} if kind is bool
+                   else {"choices": kind, "default": kind[0]} if isinstance(kind, tuple)
+                   else {"type": kind})
+            parsers[command].add_argument(name, required=required, help=text or None, **how)
+    return parser, parsers
+
+
+WORD = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8)
+NAME = st.lists(WORD, min_size=1, max_size=3).map("-".join)
+# Help texts that fit one line beside column 24, as cli._help assumes.
+HELP_LINE = st.lists(WORD, min_size=1, max_size=6).map(" ".join).filter(lambda t: len(t) <= 54)
+
+
 class TestHelpText:
     """The five help texts, byte for byte; a subcommand's usage line names
-    the options of its table, in order."""
+    the options of its table, in order; and for other tables the texts are
+    argparse's at 80 columns."""
 
     @pytest.mark.parametrize("command", HELP_SHA256)
     def test_digest(self, capsys, command):
@@ -753,7 +778,47 @@ class TestHelpText:
     @pytest.mark.parametrize("command", cli_module._COMMANDS)
     def test_usage_line_names_the_table(self, capsys, command):
         usage = run(capsys, [command, "--help"])[1].split("\n\n")[0]
-        assert re.findall(r"--[\w-]+", usage) == list(cli_module._COMMANDS[command][1])
+        assert re.findall(r"--[\w-]+", usage) == list(cli_module._COMMANDS[command][2])
+
+    @pytest.mark.parametrize("command", [None, *cli_module._COMMANDS])
+    def test_help_is_argparses_for_the_table(self, command):
+        # So an entry added to the table keeps argparse's layout, or fails here.
+        parser, parsers = argparse_parsers(cli_module._COMMANDS)
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            expected = (parsers[command] if command else parser).format_help()
+            assert cli_module._help(command) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=NAME, options=st.dictionaries(
+        NAME.map("--".__add__).filter(lambda name: name not in ("--help", "--format")),
+        st.tuples(st.one_of(st.sampled_from([int, str, bool]),
+                            st.lists(WORD, min_size=1, max_size=3, unique=True).map(tuple)),
+                  st.booleans(), st.just("") | HELP_LINE),
+        max_size=9), at=st.integers(0, 9))
+    def test_subcommand_help_is_argparses(self, command, options, at):
+        # Tables as cli._help takes them: each holds --format, and no option
+        # with a help text is wider than 20 columns.  Long usage lines wrap,
+        # and a required option's metavar may start the next line.
+        options = list(options.items())
+        options.insert(at, *cli_module._FORMAT.items())
+        assume(all(len(cli_module._invocation(name, kind)) <= 20
+                   for name, (kind, _, text) in options if text))
+        table = {command: (None, "its help", dict(options))}
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+                mock.patch.object(cli_module, "_COMMANDS", table):
+            assert cli_module._help(command) == argparse_parsers(table)[1][command].format_help()
+
+    @settings(max_examples=100, deadline=None)
+    @given(commands=st.dictionaries(NAME.filter(lambda name: len(name) <= 18), HELP_LINE,
+                                    min_size=2, max_size=4))
+    def test_top_level_help_is_argparses(self, commands):
+        table = {command: (None, line, {}) for command, line in commands.items()}
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+                mock.patch.object(cli_module, "_COMMANDS", table):
+            # The subcommand list is 20 columns wide or more, and the usage
+            # line fits one line, as it does for the four subcommands.
+            assume(len(",".join(table)) >= 18 and len(cli_module._usage()) <= 78)
+            assert cli_module._help(None) == argparse_parsers(table)[0].format_help()
 
 
 class TestVerifyAcCommand:
@@ -988,13 +1053,16 @@ class TestColdImports:
         assert not loaded & ({"rspinrel.cohft", "json"} | self.PARSER)
 
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
-    def test_degree_gate_refusal_loads_strata_alone(self, fmt):
-        loaded, stderr = self.cold_imports(["relations", "--g", "4", "--n", "0", "--r", "3", *fmt])
+    @pytest.mark.parametrize("g,n,r,degree", [(4, 0, 3, "1"), (4, 1, 5, "9/5")])
+    def test_degree_gate_refusal_loads_strata_alone(self, fmt, g, n, r, degree):
+        # The message writes the class degree from integers: no rationals load.
+        loaded, stderr = self.cold_imports(["relations", "--g", str(g), "--n", str(n),
+                                            "--r", str(r), *fmt])
         assert {m for m in loaded if m.startswith("rspinrel")} == {"rspinrel", "rspinrel.strata"}
-        assert not loaded & ({"json"} | self.PARSER)
+        assert not loaded & ({"json"} | self.PARSER | self.RATIONALS)
         assert stderr == (
-            "refused: no relation in codimension D = 1 for (g, n, r) = (4, 0, 3) with "
-            "sum(a) = 0: the class has degree 1 and the degree-1 part need not vanish "
+            f"refused: no relation in codimension D = 1 for (g, n, r) = ({g}, {n}, {r}) with "
+            f"sum(a) = 0: the class has degree {degree} and the degree-1 part need not vanish "
             "(target codimension D = 1)\n"
         )
 

@@ -2,7 +2,7 @@ import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +125,13 @@ class TestPTableOracle:
             a %= r - 1
             assert p_polynomial(m, a, r) == p_by_recursion(m, a, r), (m, a, r)
 
+    @pytest.mark.parametrize("r", [3, 4, 7, 24])
+    def test_rows_are_in_lowest_terms(self, r):
+        # Unreduced rows keep their values, so only this sees a skipped gcd.
+        for m in range(61):
+            numerators, den = p_row(m, r)
+            assert gcd(den, *numerators) == 1, m
+
     def test_concurrent_callers_share_the_row_store(self):
         # Threads sweep m in opposite directions over the same r values, so
         # they keep replacing one another's stored rows.
@@ -219,6 +226,34 @@ class TestThreeSpinClosedForm:
         p_polynomial.cache_clear()
         for m in range(self.M_MAX + 1):
             assert [p_polynomial(m, a, 3) for a in (0, 1)] == three_spin_row(m), m
+
+    @staticmethod
+    def closed_form_r_inverse(m):
+        """R^-1_m at r = 3 from the closed form: P_m(3, a) in row b, column
+        a, where b + m = a mod 2, as ``r_inverse_matrix`` lays it out."""
+        row = three_spin_row(m)
+        return [[row[a] if (b + m - a) % 2 == 0 else 0 for a in range(2)] for b in range(2)]
+
+    @pytest.mark.parametrize("source", ["closed form", "r_inverse_matrix"])
+    def test_symplectic_up_to_order_40(self, source):
+        # The sum over j + k = m of (-1)^k R^-1_j eta (R^-1_k)^T vanishes.
+        theory = RSpinTheory(3)
+        eta = theory.metric_matrix()
+        inverse = [self.closed_form_r_inverse(m) if source == "closed form"
+                   else r_inverse_matrix(m, theory) for m in range(41)]
+        for m in range(1, 41):
+            total = [[0, 0], [0, 0]]
+            for k in range(m + 1):
+                product = matmul(matmul(inverse[m - k], eta), [list(c) for c in zip(*inverse[k])])
+                for i in range(2):
+                    for j in range(2):
+                        total[i][j] += (-1) ** k * product[i][j]
+            assert total == [[0, 0], [0, 0]], m
+
+    def test_r_inverse_matrix_is_the_closed_form(self):
+        theory = RSpinTheory(3)
+        for m in range(41):
+            assert r_inverse_matrix(m, theory) == self.closed_form_r_inverse(m), m
 
 
 class TestPSymbolic:
@@ -472,6 +507,19 @@ class TestDegrees:
                 error = DegreeGateError(g, len(a_vec), sum(a_vec), r)
                 assert error.witten_degree == witten_degree(g, len(a_vec), a_vec, r)
                 assert f"with sum(a) = {sum(a_vec)}: " in str(error)
+
+    def test_refusal_writes_the_class_degree_as_a_fraction_would(self):
+        # Every sum the gate refuses, up to 3r, so every residue of the
+        # degree's numerator mod r; each sum is that of a valid leg vector.
+        for g in range(1, 9):
+            for r in range(3, 13):
+                for a_sum in range(3 * r):
+                    a_vec = (r - 2,) * (a_sum // (r - 2)) + (a_sum % (r - 2),)
+                    if phi_degree(g, a_vec, r).relation_exists:
+                        continue
+                    message = str(DegreeGateError(g, len(a_vec), a_sum, r))
+                    degree = message.split(" has degree ")[1].split(" ")[0]
+                    assert degree == str(witten_degree(g, len(a_vec), a_vec, r)), (g, r, a_sum)
 
     def test_phi_degree_examples(self):
         report = phi_degree(1, (1, 0), 3)

@@ -171,10 +171,12 @@ def test_detects_an_unused_private_definition(tmp_path):
 
 
 def string_constants(path, text):
-    """How many string constants in the file's AST are ``text``; docstrings
-    and comments that mention it do not count."""
+    """How many string constants in the file's AST are ``text`` or hold it as
+    a whole line, as a stored help text holds "options:"; comments, and
+    docstrings that mention it within a line, do not count."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return sum(isinstance(node, ast.Constant) and node.value == text for node in ast.walk(tree))
+    return sum(isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and text in node.value.split("\n") for node in ast.walk(tree))
 
 
 def test_one_writer_builds_the_json_record():
@@ -191,6 +193,22 @@ def test_detects_a_second_record_writer(tmp_path, statement):
     module = tmp_path / "cli.py"
     module.write_text((SRC / "cli.py").read_text() + "\n# schema_version\n" + statement)
     assert string_constants(module, "schema_version") == 2
+
+
+def test_one_table_describes_the_cli():
+    # cli._help lays out every help text from the option table; no
+    # subcommand's help is stored as text.
+    assert string_constants(SRC / "cli.py", "options:") == 1
+
+
+@pytest.mark.parametrize("statement", [
+    '_HELP = {"selftest": """usage: rspinrel selftest [-h]\n\noptions:\n"""}\n',
+    'def f(lines):\n    lines.append("options:")\n',
+])
+def test_detects_a_stored_help_text(tmp_path, statement):
+    module = tmp_path / "cli.py"
+    module.write_text((SRC / "cli.py").read_text() + "\n# options:\n" + statement)
+    assert string_constants(module, "options:") == 2
 
 
 # What the oracles may take from the library's relation assembly: the edge
