@@ -9,7 +9,6 @@ library also enforces in its tests.
 from fractions import Fraction
 
 from rspinrel import (
-    RSpinTheory,
     p_polynomial,
     p_polynomial_symbolic,
     phi_degree,
@@ -24,7 +23,6 @@ from rspinrel.oracles import (
 )
 
 r = 5
-theory = RSpinTheory(r)
 print(f"r = {r}: state space indices 0..{r - 2}, metric pairs a with r-2-a")
 
 print("\nP_m(r, a) table:")
@@ -44,12 +42,12 @@ print("\nsum of the m=1 row:", total, "= (r-1)(r-2)/24:",
 
 # The R-matrix and its inverse, order by order.  Multiplying the truncations
 # must give the identity through the truncation order.
-d = theory.dimension
+d = r - 1
 for m in (1, 2):
     residual = [[Fraction(0)] * d for _ in range(d)]
     for k in range(m + 1):
-        left = r_forward_matrix(k, theory)
-        right = r_inverse_matrix(m - k, theory)
+        left = r_forward_matrix(k, r)
+        right = r_inverse_matrix(m - k, r)
         for i in range(d):
             for j in range(d):
                 residual[i][j] += sum(left[i][t] * right[t][j] for t in range(d))
@@ -58,13 +56,13 @@ for m in (1, 2):
 
 # Degree-zero values of the field theory on a vertex.
 print("\ngenus-1 vertex with two unit insertions at r=3:",
-      topological_value(1, (0, 0), RSpinTheory(3)))
+      topological_value(1, (0, 0), 3))
 
 # The quantum product at the shift point is a cyclic group algebra; its
 # discrete-Fourier basis diagonalizes it, checked in cyclotomic arithmetic.
-sc = quantum_structure_constants(theory)
+sc = quantum_structure_constants(r)
 print("\nproduct of basis indices 2 and 3 lands at index:", sc.product_index(2, 3))
-print("idempotent report:", idempotent_check(theory).ok)
+print("idempotent report:", idempotent_check(r).ok)
 
 # Degree bookkeeping that gates relation existence.
 print("\nclass degree (g=2, no markings, r=3):", witten_degree(2, 0, (), 3))

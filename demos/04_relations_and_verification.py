@@ -21,7 +21,6 @@ from rspinrel import (
     spans_equal,
     system_matrix_det,
     DegreeGateError,
-    RSpinTheory,
 )
 
 
@@ -62,7 +61,7 @@ print("pulled back to two markings:")
 show(ppz_relation_set(2, 2, 3).rows[0], generator_names(2, 2))
 
 # --- genus 3 and 4: the gates ----------------------------------------------
-terms = graph_contribution_terms(3, 0, (), RSpinTheory(3))
+terms = graph_contribution_terms(3, 0, (), 3)
 print("\ngenus 3: every graph contribution vanishes:",
       all(t.coefficient == 0 for t in terms), "and the relation is zero:",
       not any(relation_row(3, 0, (), 3)))

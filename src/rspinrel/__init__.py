@@ -17,8 +17,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cohft": ("RSpinTheory", "p_polynomial", "p_polynomial_symbolic", "p_row",
-              "r_inverse_entry", "topological_value"),
+    "cohft": ("p_polynomial", "p_polynomial_symbolic", "p_row", "r_inverse_entry",
+              "topological_value"),
     "oracles": (
         "DivisorClass", "GraphContribution", "GraphTerm", "IdempotentReport",
         "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",

@@ -15,13 +15,18 @@ module holds everything that is a pure function of r:
   scalar factor, which scales a relation as a whole),
 * degree-zero (topological) values of the theory.
 
+Each function of r takes it as a plain int and refuses one below 3 before
+dividing by r - 1; :func:`check_index` refuses r, then a basis index outside
+0..r-2.
+
 ``pm-table`` and ``selftest`` load this module once their arguments pass, so
 it loads no other at module level: :func:`p_polynomial_symbolic` imports
 ``rpoly``.  Nor does it load ``fractions`` (with the ``decimal`` and
 ``numbers`` it pulls in) there: each function that builds a ``Fraction``
 imports it, so ``pm-table``, which prints from :func:`p_row`'s integer rows,
 never loads it.
-The forward R-matrix and the quantum product live in :mod:`rspinrel.oracles`.
+The metric matrix, the forward R-matrix and the quantum product live in
+:mod:`rspinrel.oracles`.
 
 For the record: the Euler field of the underlying Frobenius structure at the
 shift point is (r-1) phi^(r/(r-1)) along the second rescaled basis vector.
@@ -41,48 +46,13 @@ if TYPE_CHECKING:
     from .rpoly import RPoly
 
 
-class RSpinTheory:
-    """The data (r, metric, shifted basis conventions); r >= 3.  Immutable."""
-
-    __slots__ = ("r",)
-
-    def __init__(self, r: int):
-        if r < 3:
-            raise ValueError("r must be at least 3")
-        object.__setattr__(self, "r", r)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"RSpinTheory is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.r == other.r if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.r,))
-
-    def __repr__(self) -> str:
-        return f"RSpinTheory(r={self.r})"
-
-    @property
-    def dimension(self) -> int:
-        return self.r - 1
-
-    def check_index(self, a: int) -> None:
-        if not 0 <= a <= self.r - 2:
-            raise ValueError(f"basis index {a} out of range 0..{self.r - 2}")
-
-    def metric(self, a: int, b: int) -> Fraction:
-        from fractions import Fraction
-
-        self.check_index(a)
-        self.check_index(b)
-        return Fraction(1 if a + b == self.r - 2 else 0)
-
-    def metric_matrix(self) -> list[list[Fraction]]:
-        d = self.dimension
-        return [[self.metric(a, b) for b in range(d)] for a in range(d)]
+def check_index(a: int, r: int) -> None:
+    """Refuse an r below 3, then a basis index a outside 0..r-2; index 0
+    checks r alone."""
+    if r < 3:
+        raise ValueError("r must be at least 3")
+    if not 0 <= a <= r - 2:
+        raise ValueError(f"basis index {a} out of range 0..{r - 2}")
 
 
 # Last table row built for each r, as r -> (m, numerators, denominator) with
@@ -172,7 +142,7 @@ def p_polynomial_symbolic(m: int, a: int) -> RPoly:
     return poly_interpolate(samples, degree_bound=2 * m)
 
 
-def r_inverse_entry(m: int, a: int, b: int, theory: RSpinTheory) -> Fraction:
+def r_inverse_entry(m: int, a: int, b: int, r: int) -> Fraction:
     """Entry of the inverse R-matrix (upper index b, lower index a) at order m.
 
     Equals P_m(r, a) when b + m = a mod r - 1 and 0 otherwise.  The uniform
@@ -180,24 +150,28 @@ def r_inverse_entry(m: int, a: int, b: int, theory: RSpinTheory) -> Fraction:
     """
     from fractions import Fraction
 
-    theory.check_index(a)
-    theory.check_index(b)
-    if (b + m - a) % (theory.r - 1) != 0:
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    check_index(a, r)
+    check_index(b, r)
+    if (b + m - a) % (r - 1) != 0:
         return Fraction(0)
-    return p_polynomial(m, a, theory.r)
+    return p_polynomial(m, a, r)
 
 
-def topological_value(g: int, insertions: Sequence[int], theory: RSpinTheory) -> Fraction:
+def topological_value(g: int, insertions: Sequence[int], r: int) -> Fraction:
     """Degree-zero value of the shifted theory on one vertex: (r-1)^g when
     g - 1 - sum(insertions) is divisible by r - 1, and 0 otherwise."""
     from fractions import Fraction
 
+    check_index(0, r)
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
     n = len(insertions)
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"unstable vertex (g={g}, n={n})")
     for a in insertions:
-        theory.check_index(a)
-    r = theory.r
+        check_index(a, r)
     if (g - 1 - sum(insertions)) % (r - 1) == 0:
         return Fraction((r - 1) ** g)
     return Fraction(0)

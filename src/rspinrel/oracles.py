@@ -5,12 +5,15 @@ module.  It holds the divisor classes and the basis they form, with
 :func:`canonical_divisor`; the codimension-1 graph layer (stable graphs and
 their enumeration); :func:`graph_contribution_terms`, the per-graph
 contraction oracle for the assembly, and :func:`edge_constant_term` read off
-the inverse R-matrix; the forward and whole R-matrices; the quantum product
-with its idempotent check in exact cyclotomic arithmetic (``RPoly``
-remainders modulo :func:`cyclotomic_polynomial`); the determinant, by Bareiss
-over rationals or polynomials in r; and the genus-1 system determinant.
-Whatever reads P_m(r, a) here looks up ``cohft.p_polynomial`` when called, so
-a patched table is seen; the relation path reads P_1 in closed form instead.
+the inverse R-matrix; :func:`metric_matrix`, the forward and whole
+R-matrices; the quantum product with its idempotent check in exact
+cyclotomic arithmetic (``RPoly`` remainders modulo
+:func:`cyclotomic_polynomial`); the determinant, by Bareiss over rationals or
+polynomials in r; and the genus-1 system determinant.  Each function of r
+takes it as a plain int, as ``relation_row`` does, and refuses one below 3
+through ``cohft.check_index``.  Whatever reads P_m(r, a) here looks up
+``cohft.p_polynomial`` when called, so a patched table is seen; the relation
+path reads P_1 in closed form instead.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import combinations
 from typing import NamedTuple, Sequence, Union
 
 from . import cohft
-from .cohft import RSpinTheory, r_inverse_entry
+from .cohft import check_index, r_inverse_entry
 from .relations import _dilaton_sum, _edge_entries, _leg_sum, _loop_sum, _separating_sum
 from .rpoly import RPoly
 from .strata import (DELTA_IRR, DELTA_SEP, KAPPA1, PSI, StabilityError,
@@ -300,9 +303,7 @@ class GraphTerm(NamedTuple):
     coefficient: Fraction
 
 
-def graph_contribution_terms(
-    g: int, n: int, a_vec: Sequence[int], theory: RSpinTheory
-) -> list[GraphTerm]:
+def graph_contribution_terms(g: int, n: int, a_vec: Sequence[int], r: int) -> list[GraphTerm]:
     """Per-graph, per-divisor coefficients of the codimension-1 part.
 
     This is the brute-force oracle for the per-key contraction of
@@ -313,7 +314,11 @@ def graph_contribution_terms(
     per-family sums' scale 24 is divided out.
     """
     a_vec = tuple(a_vec)
-    edges = _edge_entries(theory.r)
+    if len(a_vec) != n:
+        raise ValueError("a_vec length must equal n")
+    for a in (0, *a_vec):
+        check_index(a, r)
+    edges = _edge_entries(r)
     terms: list[GraphTerm] = []
 
     for contribution in enumerate_contributing_graphs(g, n):
@@ -322,63 +327,73 @@ def graph_contribution_terms(
 
         if kind == "leg_psi":
             for i in range(n):
-                total = _leg_sum(g, a_vec, i, theory.r)
+                total = _leg_sum(g, a_vec, i, r)
                 terms.append(GraphTerm(psi(i + 1), total))
 
         elif kind == "dilaton_kappa":
-            total = _dilaton_sum(g, a_vec, theory.r)
+            total = _dilaton_sum(g, a_vec, r)
             terms.append(GraphTerm(kappa1(), total))
 
         elif kind == "loop_edge":
-            total = _loop_sum(g, a_vec, theory.r, edges)
+            total = _loop_sum(g, a_vec, r, edges)
             terms.append(GraphTerm(delta_irr(), total))
 
         else:  # "separating_edge"
             v0, v1 = graph.vertices
             a0 = [a_vec[i - 1] for i in sorted(v0.markings)]
             a1 = [a_vec[i - 1] for i in sorted(v1.markings)]
-            total = _separating_sum(g, v0.genus, a0, a1, theory.r, edges)
+            total = _separating_sum(g, v0.genus, a0, a1, r, edges)
             divisor = divisor_class_of(graph, g, n)
             terms.append(GraphTerm(divisor, total))
 
     return [GraphTerm(divisor, Fraction(total, 24)) for divisor, total in terms]
 
 
-def edge_constant_term(p: int, q: int, theory: RSpinTheory) -> Fraction:
+def edge_constant_term(p: int, q: int, r: int) -> Fraction:
     """Constant term of the edge factor for the insertion pair (p, q): the
     first-order inverse-R entry with upper index p and lower index r-2-q,
-    -P_1(r, p+1 mod r-1) when q = r-3-p mod r-1 and 0 otherwise."""
-    return -r_inverse_entry(1, theory.r - 2 - q, p, theory)
+    -P_1(r, p+1 mod r-1) when q = r-3-p mod r-1 and 0 otherwise.  A bad q
+    is refused as itself, not as the lower index r-2-q."""
+    check_index(q, r)
+    return -r_inverse_entry(1, r - 2 - q, p, r)
 
 
 # ---------------------------------------------------------------------------
-# R-matrices and the quantum product
+# The metric, R-matrices and the quantum product
 # ---------------------------------------------------------------------------
 
 
-def r_forward_entry(m: int, a: int, b: int, theory: RSpinTheory) -> Fraction:
+def metric_matrix(r: int) -> list[list[Fraction]]:
+    """The anti-diagonal pairing eta(a, b) = [a + b == r - 2] on 0..r-2."""
+    check_index(0, r)
+    return [[Fraction(1 if a + b == r - 2 else 0) for b in range(r - 1)] for a in range(r - 1)]
+
+
+def r_forward_entry(m: int, a: int, b: int, r: int) -> Fraction:
     """Entry of the R-matrix itself: (-1)^m P_m(r, r-2-b) under b + m = a mod r-1.
 
     The sign comes from the bracket of the omitted scalar being negated for
     the forward series.
     """
-    theory.check_index(a)
-    theory.check_index(b)
-    if (b + m - a) % (theory.r - 1) != 0:
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    check_index(a, r)
+    check_index(b, r)
+    if (b + m - a) % (r - 1) != 0:
         return Fraction(0)
-    return (-1) ** m * cohft.p_polynomial(m, theory.r - 2 - b, theory.r)
+    return (-1) ** m * cohft.p_polynomial(m, r - 2 - b, r)
 
 
-def r_inverse_matrix(m: int, theory: RSpinTheory) -> list[list[Fraction]]:
+def r_inverse_matrix(m: int, r: int) -> list[list[Fraction]]:
     """Order-m inverse R-matrix; rows are the upper (output) index."""
-    d = theory.dimension
-    return [[r_inverse_entry(m, a, b, theory) for a in range(d)] for b in range(d)]
+    check_index(0, r)
+    return [[r_inverse_entry(m, a, b, r) for a in range(r - 1)] for b in range(r - 1)]
 
 
-def r_forward_matrix(m: int, theory: RSpinTheory) -> list[list[Fraction]]:
+def r_forward_matrix(m: int, r: int) -> list[list[Fraction]]:
     """Order-m R-matrix; rows are the upper (output) index."""
-    d = theory.dimension
-    return [[r_forward_entry(m, a, b, theory) for a in range(d)] for b in range(d)]
+    check_index(0, r)
+    return [[r_forward_entry(m, a, b, r) for a in range(r - 1)] for b in range(r - 1)]
 
 
 class StructureConstants(NamedTuple):
@@ -399,13 +414,11 @@ class StructureConstants(NamedTuple):
         return 1 if self.table[a][b] == i else 0
 
 
-def quantum_structure_constants(theory: RSpinTheory) -> StructureConstants:
+def quantum_structure_constants(r: int) -> StructureConstants:
     """Structure constants of the quantum product at the shift point."""
-    d = theory.dimension
-    table = tuple(
-        tuple((a + b) % (theory.r - 1) for b in range(d)) for a in range(d)
-    )
-    return StructureConstants(r=theory.r, table=table)
+    check_index(0, r)
+    table = tuple(tuple((a + b) % (r - 1) for b in range(r - 1)) for a in range(r - 1))
+    return StructureConstants(r=r, table=table)
 
 
 class IdempotentReport(NamedTuple):
@@ -429,7 +442,7 @@ def cyclotomic_polynomial(m: int) -> RPoly:
     return phi
 
 
-def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
+def idempotent_check(r: int) -> IdempotentReport:
     """Verify the discrete-Fourier basis diagonalizes the quantum product.
 
     With zeta a primitive (r-1)-th root of unity and f_i = sum_a zeta^(a*i) v_a
@@ -438,7 +451,8 @@ def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
     1 + zeta^x + ... + zeta^((r-2)x) = 0 for x != 0 mod r-1 that drives it.
     An element of Q(zeta) is its polynomial in zeta reduced modulo Phi_(r-1).
     """
-    m = theory.r - 1
+    check_index(0, r)
+    m = r - 1
     phi = cyclotomic_polynomial(m)
     powers = [divmod(RPoly((0,) * k + (1,)), phi)[1] for k in range(m)]
     failures: list[str] = []
@@ -462,7 +476,7 @@ def idempotent_check(theory: RSpinTheory) -> IdempotentReport:
                     failures.append(f"product mismatch at i={i} j={j} c={c}")
 
     return IdempotentReport(
-        r=theory.r,
+        r=r,
         ok=geometric_ok and product_ok,
         geometric_sums_ok=geometric_ok,
         idempotent_identity_ok=product_ok,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .cohft import RSpinTheory, p_polynomial
+from .cohft import p_polynomial
 from .linalg import primitive_int_vector, rref
 from .oracles import (
     delta_irr,
@@ -24,6 +24,7 @@ from .oracles import (
     graph_contribution_terms,
     idempotent_check,
     kappa1,
+    metric_matrix,
     psi,
     quantum_structure_constants,
     r_forward_matrix,
@@ -168,7 +169,7 @@ def _criterion_7() -> tuple[bool, str]:
     except DegreeGateError as exc:
         gate_ok = exc.witten_degree == 1
         gate_detail = f"refused with class degree {exc.witten_degree}"
-    terms = graph_contribution_terms(3, 0, (), RSpinTheory(3))
+    terms = graph_contribution_terms(3, 0, (), 3)
     all_zero = all(t.coefficient == 0 for t in terms)
     zero = not any(relation_row(3, 0, (), 3))
     return gate_ok and all_zero and zero, (
@@ -193,9 +194,8 @@ def _criterion_8() -> tuple[bool, str]:
 def _criterion_9() -> tuple[bool, str]:
     """Quantum product structure and idempotents, exactly, for r <= 6."""
     for r in range(3, 7):
-        theory = RSpinTheory(r)
-        sc = quantum_structure_constants(theory)
-        d = theory.dimension
+        sc = quantum_structure_constants(r)
+        d = r - 1
         for a in range(d):
             if sc.product_index(0, a) != a:
                 return False, f"unit axiom fails at r={r}"
@@ -207,7 +207,7 @@ def _criterion_9() -> tuple[bool, str]:
                     right = sc.product_index(a, sc.product_index(b, c))
                     if left != right:
                         return False, f"associativity fails at r={r}"
-        report = idempotent_check(theory)
+        report = idempotent_check(r)
         if not report.ok:
             return False, f"idempotent check fails at r={r}: {report.failures[:3]}"
     return True, "product axioms and idempotent identity hold for r=3..6"
@@ -218,11 +218,10 @@ def _criterion_10() -> tuple[bool, str]:
     # The products skip zeros: each column of an R-matrix or of eta has one
     # nonzero entry.
     for r in range(3, 9):
-        theory = RSpinTheory(r)
-        d = theory.dimension
-        eta = theory.metric_matrix()
-        fwd = {m: r_forward_matrix(m, theory) for m in range(3)}
-        inv = {m: r_inverse_matrix(m, theory) for m in range(3)}
+        d = r - 1
+        eta = metric_matrix(r)
+        fwd = {m: r_forward_matrix(m, r) for m in range(3)}
+        inv = {m: r_inverse_matrix(m, r) for m in range(3)}
         for m in (1, 2):
             total = [[Fraction(0)] * d for _ in range(d)]
             for k in range(m + 1):

@@ -52,6 +52,8 @@ def witten_degree(g: int, n: int, a_vec: Sequence[int], r: int) -> Fraction:
     """Intrinsic complex degree ((r-2)(g-1) + sum a_i) / r of the class."""
     from fractions import Fraction
 
+    if r < 3:
+        raise ValueError("r must be at least 3")
     if len(a_vec) != n:
         raise ValueError("a_vec length must equal n")
     for a in a_vec:
@@ -78,9 +80,11 @@ class DegreeGateError(ValueError):
     Built from the leg vector's sum, so a refusal at any n builds no vector;
     its message writes the class degree in lowest terms from integers, as
     str(Fraction) does, and ``witten_degree``, that of :func:`witten_degree`,
-    is built only when read, so a refusal loads no rationals."""
+    is built only when read, so a refusal loads no rationals.  It pickles and
+    copies as the four integers it is built from."""
 
     def __init__(self, g: int, n: int, a_sum: int, r: int):
+        self._gate = g, n, a_sum, r
         self._degree = ((r - 2) * (g - 1) + a_sum, r)
         num, den = (x // gcd(*self._degree) for x in self._degree)
         super().__init__(
@@ -88,6 +92,9 @@ class DegreeGateError(ValueError):
             f"with sum(a) = {a_sum}: the class has degree {num}"
             + (f"/{den}" if den != 1 else "") + " and the degree-1 part need not vanish"
         )
+
+    def __reduce__(self):
+        return type(self), self._gate
 
     @property
     def witten_degree(self) -> Fraction:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -9,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from rspinrel import cohft
 from rspinrel.cohft import (
-    RSpinTheory,
     p_polynomial,
     p_polynomial_symbolic,
     p_row,
@@ -20,6 +21,7 @@ from rspinrel import oracles
 from rspinrel.oracles import (
     cyclotomic_polynomial,
     idempotent_check,
+    metric_matrix,
     quantum_structure_constants,
     r_forward_entry,
     r_forward_matrix,
@@ -237,10 +239,9 @@ class TestThreeSpinClosedForm:
     @pytest.mark.parametrize("source", ["closed form", "r_inverse_matrix"])
     def test_symplectic_up_to_order_40(self, source):
         # The sum over j + k = m of (-1)^k R^-1_j eta (R^-1_k)^T vanishes.
-        theory = RSpinTheory(3)
-        eta = theory.metric_matrix()
+        eta = metric_matrix(3)
         inverse = [self.closed_form_r_inverse(m) if source == "closed form"
-                   else r_inverse_matrix(m, theory) for m in range(41)]
+                   else r_inverse_matrix(m, 3) for m in range(41)]
         for m in range(1, 41):
             total = [[0, 0], [0, 0]]
             for k in range(m + 1):
@@ -251,9 +252,8 @@ class TestThreeSpinClosedForm:
             assert total == [[0, 0], [0, 0]], m
 
     def test_r_inverse_matrix_is_the_closed_form(self):
-        theory = RSpinTheory(3)
         for m in range(41):
-            assert r_inverse_matrix(m, theory) == self.closed_form_r_inverse(m), m
+            assert r_inverse_matrix(m, 3) == self.closed_form_r_inverse(m), m
 
 
 class TestPSymbolic:
@@ -278,31 +278,27 @@ class TestPSymbolic:
 
 class TestRMatrixEntries:
     def test_order_zero_is_identity(self):
-        theory = RSpinTheory(5)
         for a in range(4):
             for b in range(4):
                 expected = Fraction(1 if a == b else 0)
-                assert r_inverse_entry(0, a, b, theory) == expected
-                assert r_forward_entry(0, a, b, theory) == expected
+                assert r_inverse_entry(0, a, b, 5) == expected
+                assert r_forward_entry(0, a, b, 5) == expected
 
     def test_inverse_entry_values(self):
-        theory = RSpinTheory(3)
-        assert r_inverse_entry(1, 1, 0, theory) == Fraction(7, 24)
-        assert r_inverse_entry(1, 0, 0, theory) == 0  # congruence fails
+        assert r_inverse_entry(1, 1, 0, 3) == Fraction(7, 24)
+        assert r_inverse_entry(1, 0, 0, 3) == 0  # congruence fails
 
     def test_forward_entry_sign(self):
-        theory = RSpinTheory(3)
-        assert r_forward_entry(1, 1, 0, theory) == Fraction(-7, 24)
+        assert r_forward_entry(1, 1, 0, 3) == Fraction(-7, 24)
 
     def test_unit_column_vanishing_used_in_genus_3(self):
         # The entry with both indices 0 at order 1 is zero; this is what
         # kills the genus 1+2 separating graph.
-        assert r_inverse_entry(1, 0, 0, RSpinTheory(3)) == 0
+        assert r_inverse_entry(1, 0, 0, 3) == 0
 
     def test_index_range_checked(self):
-        theory = RSpinTheory(3)
         with pytest.raises(ValueError):
-            r_inverse_entry(1, 2, 0, theory)
+            r_inverse_entry(1, 2, 0, 3)
 
 
 def matmul(a, b):
@@ -319,9 +315,8 @@ class TestRMatrixIdentities:
         # must already satisfy sum_k R_k R^{-1}_{m-k} = 0 for m >= 1 (and
         # the order-0 product is the identity).
         for r in range(3, 9):
-            theory = RSpinTheory(r)
-            d = theory.dimension
-            order_zero = matmul(r_forward_matrix(0, theory), r_inverse_matrix(0, theory))
+            d = r - 1
+            order_zero = matmul(r_forward_matrix(0, r), r_inverse_matrix(0, r))
             assert order_zero == [
                 [Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)
             ]
@@ -329,7 +324,7 @@ class TestRMatrixIdentities:
                 total = [[Fraction(0)] * d for _ in range(d)]
                 for k in range(m + 1):
                     prod = matmul(
-                        r_forward_matrix(k, theory), r_inverse_matrix(m - k, theory)
+                        r_forward_matrix(k, r), r_inverse_matrix(m - k, r)
                     )
                     for i in range(d):
                         for j in range(d):
@@ -338,15 +333,14 @@ class TestRMatrixIdentities:
 
     def test_symplectic_through_order_two(self):
         for r in range(3, 9):
-            theory = RSpinTheory(r)
-            d = theory.dimension
-            eta = theory.metric_matrix()
+            d = r - 1
+            eta = metric_matrix(r)
             for m in (1, 2):
                 total = [[Fraction(0)] * d for _ in range(d)]
                 for k in range(m + 1):
                     sign = (-1) ** (m - k)
-                    left = r_forward_matrix(k, theory)
-                    right = r_forward_matrix(m - k, theory)
+                    left = r_forward_matrix(k, r)
+                    right = r_forward_matrix(m - k, r)
                     for a in range(d):
                         for b in range(d):
                             total[a][b] += sign * sum(
@@ -360,28 +354,25 @@ class TestRMatrixIdentities:
 class TestTopologicalValue:
     def test_genus_zero_triple(self):
         for r in (3, 4, 5):
-            theory = RSpinTheory(r)
-            value = topological_value(0, (1, 0, r - 3), theory)
+            value = topological_value(0, (1, 0, r - 3), r)
             assert value == 1
 
     def test_genus_one_values(self):
-        theory = RSpinTheory(3)
-        assert topological_value(1, (0, 0), theory) == 2
-        assert topological_value(1, (1, 0), theory) == 0
+        assert topological_value(1, (0, 0), 3) == 2
+        assert topological_value(1, (1, 0), 3) == 0
 
     def test_returns_value_only(self):
         # (r-1)^g for an admissible insertion sum, as one exact rational.
-        value = topological_value(2, (1,), RSpinTheory(5))
+        value = topological_value(2, (1,), 5)
         assert type(value) is Fraction and value == 16
 
     def test_unstable_raises(self):
         with pytest.raises(ValueError):
-            topological_value(0, (0, 0), RSpinTheory(3))
+            topological_value(0, (0, 0), 3)
 
     def test_separating_contraction(self):
         # Value of the glued vertex equals the metric contraction of the two pieces.
         for r in (3, 4, 5):
-            theory = RSpinTheory(r)
             cases = [
                 (1, (0,), 1, (0,)),
                 (1, (1, 0), 1, ()),
@@ -390,22 +381,21 @@ class TestTopologicalValue:
             for g1, a1, g2, a2 in cases:
                 if 2 * g1 - 2 + len(a1) + 1 <= 0 or 2 * g2 - 2 + len(a2) + 1 <= 0:
                     continue
-                whole = topological_value(g1 + g2, tuple(a1) + tuple(a2), theory)
+                whole = topological_value(g1 + g2, tuple(a1) + tuple(a2), r)
                 contraction = Fraction(0)
                 for j in range(r - 1):
-                    left = topological_value(g1, tuple(a1) + (j,), theory)
-                    right = topological_value(g2, tuple(a2) + (r - 2 - j,), theory)
+                    left = topological_value(g1, tuple(a1) + (j,), r)
+                    right = topological_value(g2, tuple(a2) + (r - 2 - j,), r)
                     contraction += left * right
                 assert contraction == whole
 
     def test_nonseparating_contraction(self):
         for r in (3, 4):
-            theory = RSpinTheory(r)
             for g, a_vec in ((2, (0,)), (2, (1,)), (3, (0,))):
-                whole = topological_value(g, a_vec, theory)
+                whole = topological_value(g, a_vec, r)
                 contraction = Fraction(0)
                 for j in range(r - 1):
-                    value = topological_value(g - 1, tuple(a_vec) + (j, r - 2 - j), theory)
+                    value = topological_value(g - 1, tuple(a_vec) + (j, r - 2 - j), r)
                     contraction += value
                 assert contraction == whole
 
@@ -413,18 +403,18 @@ class TestTopologicalValue:
 class TestQuantumProduct:
     def test_unit(self):
         for r in range(3, 7):
-            sc = quantum_structure_constants(RSpinTheory(r))
+            sc = quantum_structure_constants(r)
             for b in range(r - 1):
                 assert sc.product_index(0, b) == b
                 assert sc.coefficient(b, 0, b) == 1
 
     def test_r3_square(self):
-        sc = quantum_structure_constants(RSpinTheory(3))
+        sc = quantum_structure_constants(3)
         assert sc.product_index(1, 1) == 0
 
     def test_associative_commutative(self):
         for r in range(3, 7):
-            sc = quantum_structure_constants(RSpinTheory(r))
+            sc = quantum_structure_constants(r)
             d = r - 1
             for a in range(d):
                 for b in range(d):
@@ -442,21 +432,21 @@ def x_power_minus_one(m):
 class TestIdempotents:
     def test_all_small_r(self):
         for r in range(3, 7):
-            report = idempotent_check(RSpinTheory(r))
+            report = idempotent_check(r)
             assert report.ok, report.failures
             assert report.geometric_sums_ok and report.idempotent_identity_ok
 
     def test_r3_by_hand(self):
         # With the primitive square root of unity -1: f_0 = v_0 + v_1 and
         # f_1 = v_0 - v_1 multiply to zero, squares have coefficient 2.
-        report = idempotent_check(RSpinTheory(3))
+        report = idempotent_check(3)
         assert report.ok
 
     def test_a_reducible_modulus_fails(self, monkeypatch):
         # Modulo x^m - 1 the powers of x are not roots of Phi_m, so the
         # geometric sums stay nonzero.
         monkeypatch.setattr(oracles, "cyclotomic_polynomial", x_power_minus_one)
-        report = idempotent_check(RSpinTheory(5))
+        report = idempotent_check(5)
         assert not report.ok and not report.geometric_sums_ok
 
 
@@ -508,6 +498,16 @@ class TestDegrees:
                 assert error.witten_degree == witten_degree(g, len(a_vec), a_vec, r)
                 assert f"with sum(a) = {sum(a_vec)}: " in str(error)
 
+    @pytest.mark.parametrize("clone", [
+        lambda error: pickle.loads(pickle.dumps(error)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_gate_refusal_pickles_and_copies(self, clone):
+        error = DegreeGateError(4, 0, 0, 3)
+        twin = clone(error)
+        assert type(twin) is DegreeGateError and twin is not error
+        assert str(twin) == str(error)
+        assert twin.witten_degree == error.witten_degree == 1
+
     def test_refusal_writes_the_class_degree_as_a_fraction_would(self):
         # Every sum the gate refuses, up to 3r, so every residue of the
         # degree's numerator mod r; each sum is that of a valid leg vector.
@@ -532,24 +532,51 @@ class TestDegrees:
         assert report.value == -1 and report.relation_exists and not report.d_integral
 
 
-class TestDataTypes:
-    def test_theory_validation(self):
-        with pytest.raises(ValueError):
-            RSpinTheory(2)
-        theory = RSpinTheory(4)
-        assert theory.dimension == 3
-        assert theory.metric(0, 2) == 1
-        assert theory.metric(0, 0) == 0
+# One call of each function of r, every other argument valid at r = 3.
+CALLS_OF_R = {
+    "check_index": lambda r: cohft.check_index(0, r),
+    "r_inverse_entry": lambda r: r_inverse_entry(0, 0, 0, r),
+    "topological_value": lambda r: topological_value(2, (), r),
+    "graph_contribution_terms": lambda r: oracles.graph_contribution_terms(2, 0, (), r),
+    "edge_constant_term": lambda r: oracles.edge_constant_term(0, 0, r),
+    "r_forward_entry": lambda r: r_forward_entry(0, 0, 0, r),
+    "r_forward_matrix": lambda r: r_forward_matrix(0, r),
+    "r_inverse_matrix": lambda r: r_inverse_matrix(0, r),
+    "metric_matrix": metric_matrix,
+    "quantum_structure_constants": quantum_structure_constants,
+    "idempotent_check": idempotent_check,
+    "witten_degree": lambda r: witten_degree(1, 0, (), r),
+}
 
-    def test_theory_is_an_immutable_value(self):
-        theory = RSpinTheory(3)
-        with pytest.raises(AttributeError):
-            theory.r = 4
-        with pytest.raises(AttributeError):
-            del theory.r
-        with pytest.raises(AttributeError):
-            theory.extra = 1
-        assert theory.r == 3
-        assert theory == RSpinTheory(3) and theory != RSpinTheory(4)
-        assert hash(theory) == hash(RSpinTheory(3)) == hash((3,))
-        assert repr(theory) == "RSpinTheory(r=3)"
+
+class TestPlainR:
+    # Refused before any division by r - 1 or loop over 0..r-2, so neither a
+    # ZeroDivisionError nor an empty result gets out.
+    @pytest.mark.parametrize("r", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(CALLS_OF_R))
+    def test_refuses_r_below_three(self, name, r):
+        CALLS_OF_R[name](3)
+        with pytest.raises(ValueError, match="^r must be at least 3$"):
+            CALLS_OF_R[name](r)
+
+    def test_check_index_refuses_r_then_the_index(self):
+        with pytest.raises(ValueError, match="^r must be at least 3$"):
+            cohft.check_index(5, 2)
+        with pytest.raises(ValueError, match=r"^basis index 3 out of range 0\.\.2$"):
+            cohft.check_index(3, 4)
+        cohft.check_index(2, 4)
+
+    def test_metric_is_the_anti_diagonal(self):
+        assert metric_matrix(4) == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+    @pytest.mark.parametrize("entry", [r_inverse_entry, r_forward_entry])
+    def test_entry_refuses_negative_order_first(self, entry):
+        # At (m, a, b) = (-1, 0, 0) the congruence fails, so a check made
+        # after it would return 0.
+        with pytest.raises(ValueError, match="^m must be nonnegative$"):
+            entry(-1, 0, 0, 3)
+
+    def test_topological_value_refuses_negative_genus(self):
+        # 2g - 2 + n > 0 alone admits g = -1 with five insertions.
+        with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+            topological_value(-1, (0,) * 5, 3)

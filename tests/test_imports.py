@@ -305,6 +305,44 @@ def test_lex_subsets_takes_only_n():
     assert args.vararg is None and args.kwarg is None
 
 
+def theory_parameters(path):
+    """Each function in the file, at any depth, that takes a parameter named
+    ``theory``: every function of r takes plain r, with no wrapper object."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            if any(param and param.arg == "theory" for param in params):
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_function_takes_a_theory(name):
+    assert theory_parameters(SRC / name) == []
+
+
+def test_detects_a_theory_parameter(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def entry(m, a, b, r):\n"
+        "    return m\n"
+        "def inverse(m, a, b, theory):\n"
+        "    return m\n"
+        "class Table:\n"
+        "    def metric(self, *, theory=None):\n"
+        "        async def inner(x, /, theory):\n"
+        "            return x\n"
+        "def wrapped(*theory):\n"
+        "    return theory\n"
+    )
+    assert theory_parameters(module) == [
+        "inverse (line 3)", "wrapped (line 9)", "metric (line 6)", "inner (line 7)",
+    ]
+
+
 # ``fractions`` and the two modules it imports.  The modules every command
 # loads import them only inside the functions that build a Fraction, so a
 # table, a genus >= 3 set, --help and a usage refusal never load them.

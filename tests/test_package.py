@@ -18,8 +18,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 # to the package shows up as a test change.
 EXPORTED = {
     "cohft": (
-        "RSpinTheory", "p_polynomial", "p_polynomial_symbolic", "p_row", "r_inverse_entry",
-        "topological_value",
+        "p_polynomial", "p_polynomial_symbolic", "p_row", "r_inverse_entry", "topological_value",
     ),
     "oracles": (
         "DivisorClass", "GraphContribution", "GraphTerm", "IdempotentReport",
@@ -56,11 +55,12 @@ def test_exported_name_is_the_home_module_object(module, name):
 # Retired names: the class-keyed relation layer (RelationSet is the only
 # relation type, and it writes no basis of its own), the genus-2 pullback
 # check, the matrix type and nullspace that only tests read, and the second
-# polynomial type and determinant algorithm (RPoly divides exactly).
+# polynomial type and determinant algorithm (RPoly divides exactly), and the
+# theory wrapper (every function of r takes plain r).
 REMOVED = ("Relation", "DenseRelationSet", "assemble_relation", "extract_r_coefficients",
            "pullback_genus2", "_genus2_base", "_extract", "AssemblyError", "RationalMatrix",
            "rank_and_solve", "CyclotomicField", "_poly_divmod", "_minor_expansion_det",
-           "_bareiss_det")
+           "_bareiss_det", "RSpinTheory")
 
 
 MODULES = ["rspinrel"] + [f"rspinrel.{path.stem}" for path in sorted(

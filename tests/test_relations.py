@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rspinrel.cli import MAX_R, main
-from rspinrel.cohft import RSpinTheory, p_polynomial, r_inverse_entry, topological_value
+from rspinrel.cohft import p_polynomial, r_inverse_entry, topological_value
 from rspinrel.linalg import primitive_int_vector, rref
 from rspinrel.relations import (
     BasisMismatchError,
@@ -85,7 +85,7 @@ def per_graph_coefficients(g, n, a_vec, r):
     """Oracle for the keyed contraction at its scale 24: 24 r^(g-1) times the
     per-divisor sum of the per-graph terms, zero coefficients dropped."""
     sums = {}
-    for term in graph_contribution_terms(g, n, a_vec, RSpinTheory(r)):
+    for term in graph_contribution_terms(g, n, a_vec, r):
         sums[term.divisor] = sums.get(term.divisor, Fraction(0)) + term.coefficient
     return {d: 24 * c * r ** (g - 1) for d, c in sums.items() if c != 0}
 
@@ -152,7 +152,7 @@ def labelled_rows(relation_set):
     ]
 
 
-def loop_edge_numerator_coefficient(mp, mq, p, q, theory):
+def loop_edge_numerator_coefficient(mp, mq, p, q, r):
     """Coefficient of psi'^mp psi''^mq in the edge numerator
     eta - (inverse R) eta (inverse R transposed) for the insertion pair
     (p, q), as the full sum over the middle index j: the oracle for
@@ -160,26 +160,26 @@ def loop_edge_numerator_coefficient(mp, mq, p, q, theory):
     if mp == 0 and mq == 0:
         return Fraction(0)
     total = Fraction(0)
-    for j in range(theory.dimension):
-        left = r_inverse_entry(mp, j, p, theory) if mp else Fraction(1 if j == p else 0)
+    for j in range(r - 1):
+        left = r_inverse_entry(mp, j, p, r) if mp else Fraction(1 if j == p else 0)
         if left == 0:
             continue
-        jj = theory.r - 2 - j
-        right = r_inverse_entry(mq, jj, q, theory) if mq else Fraction(1 if jj == q else 0)
+        jj = r - 2 - j
+        right = r_inverse_entry(mq, jj, q, r) if mq else Fraction(1 if jj == q else 0)
         total += left * right
     return -total
 
 
-def loop_leg_sum(g, insertions, i, theory):
+def loop_leg_sum(g, insertions, i, r):
     """Oracle for _leg_sum: the full sum over every index b of leg i."""
     total = Fraction(0)
-    for b in range(theory.dimension):
-        entry = r_inverse_entry(1, insertions[i], b, theory)
+    for b in range(r - 1):
+        entry = r_inverse_entry(1, insertions[i], b, r)
         if entry == 0:
             continue
         moved = list(insertions)
         moved[i] = b
-        total += entry * topological_value(g, moved, theory)
+        total += entry * topological_value(g, moved, r)
     return total
 
 
@@ -264,10 +264,15 @@ class TestAssemblyGoldens:
         assert not any(relation_row(2, 0, (), 5))
 
     def test_genus_three_zero_with_all_terms_zero(self):
-        terms = graph_contribution_terms(3, 0, (), RSpinTheory(3))
+        terms = graph_contribution_terms(3, 0, (), 3)
         assert terms, "expected graph terms to be listed"
         assert all(t.coefficient == 0 for t in terms)
         assert not any(relation_row(3, 0, (), 3))
+
+    def test_oracle_refuses_a_short_leg_vector(self):
+        # As relation_row does, rather than with an IndexError on leg 2.
+        with pytest.raises(ValueError, match="^a_vec length must equal n$"):
+            graph_contribution_terms(1, 2, (0,), 3)
 
     def test_one_marked_genus_one(self):
         # 7 psi + 5 kappa - delta_irr; equivalent to 12 psi = delta_irr
@@ -997,20 +1002,16 @@ class TestIntegerEliminationOracle:
 class TestEdgeFactor:
     def test_constant_term_is_symmetric(self):
         for r in (3, 4, 5):
-            theory = RSpinTheory(r)
             for p in range(r - 1):
                 for q in range(r - 1):
-                    assert edge_constant_term(p, q, theory) == edge_constant_term(
-                        q, p, theory
-                    )
+                    assert edge_constant_term(p, q, r) == edge_constant_term(q, p, r)
 
     def test_entries_are_every_nonzero_constant_term(self):
         for r in range(3, 13):
-            theory = RSpinTheory(r)
             full = {}
             for p in range(r - 1):
                 for q in range(r - 1):
-                    entry = edge_constant_term(p, q, theory)
+                    entry = edge_constant_term(p, q, r)
                     if entry != 0:
                         full[(p, q)] = 24 * entry
             assert dict(_edge_entries(r)) == full, r
@@ -1019,32 +1020,34 @@ class TestEdgeFactor:
         # The order-0 divisibility identity: the numerator's (1, 0) and
         # (0, 1) coefficients agree, and both are the constant term.
         for r in range(3, 41):
-            theory = RSpinTheory(r)
             for p, q in product(range(r - 1), repeat=2):
-                entry = edge_constant_term(p, q, theory)
-                assert entry == loop_edge_numerator_coefficient(1, 0, p, q, theory), (r, p, q)
-                assert entry == loop_edge_numerator_coefficient(0, 1, p, q, theory), (r, p, q)
+                entry = edge_constant_term(p, q, r)
+                assert entry == loop_edge_numerator_coefficient(1, 0, p, q, r), (r, p, q)
+                assert entry == loop_edge_numerator_coefficient(0, 1, p, q, r), (r, p, q)
 
     def test_constant_term_checks_both_indices(self):
         for r in (3, 4, 7):
-            theory = RSpinTheory(r)
             for bad in (-1, r - 1):
                 for good in range(r - 1):
                     with pytest.raises(ValueError):
-                        edge_constant_term(bad, good, theory)
+                        edge_constant_term(bad, good, r)
                     with pytest.raises(ValueError):
-                        edge_constant_term(good, bad, theory)
+                        edge_constant_term(good, bad, r)
                 with pytest.raises(ValueError):
-                    edge_constant_term(bad, bad, theory)
+                    edge_constant_term(bad, bad, r)
+
+    @pytest.mark.parametrize("q", [-1, 2])
+    def test_constant_term_names_the_bad_index(self, q):
+        with pytest.raises(ValueError, match=f"^basis index {q} out of range 0\\.\\.1$"):
+            edge_constant_term(0, q, 3)
 
     def test_leg_sum_single_term_matches_full_sum(self):
         for r in range(3, 13):
-            theory = RSpinTheory(r)
             for g, n in ((1, 1), (1, 2), (2, 2), (3, 1)):
                 for insertions in product(range(r - 1), repeat=n):
                     for i in range(n):
                         assert _leg_sum(g, insertions, i, r) == (
-                            24 * loop_leg_sum(g, insertions, i, theory)
+                            24 * loop_leg_sum(g, insertions, i, r)
                         ), (r, g, insertions, i)
 
     def test_loop_total_closed_form(self):
@@ -1054,14 +1057,13 @@ class TestEdgeFactor:
 
         for g, n, a_vec in ((1, 2, (1, 0)), (2, 0, ())):
             for r in (3,) if g == 2 else (3, 4, 5):
-                theory = RSpinTheory(r)
                 total = Fraction(0)
                 for p in range(r - 1):
                     for q in range(r - 1):
-                        entry = edge_constant_term(p, q, theory)
+                        entry = edge_constant_term(p, q, r)
                         if entry == 0:
                             continue
-                        value = topological_value(g - 1, list(a_vec) + [p, q], theory)
+                        value = topological_value(g - 1, list(a_vec) + [p, q], r)
                         total += entry * value
                 expected = -Fraction((r - 1) ** (g - 1)) * Fraction((r - 1) * (r - 2), 24)
                 assert total == expected, (g, r)
@@ -1084,14 +1086,13 @@ class TestFirstOrderClosedForm:
         # Every pair (p, q) up to r = 100.  Above, a full scan takes seconds,
         # so every row p = 0 mod 25 is scanned in full, and each entry the
         # library lists is checked against the oracle.
-        theory = RSpinTheory(r)
         entries = dict(_edge_entries(r))
         for p in range(0, r - 1, 1 if r <= 100 else 25):
             for q in range(r - 1):
-                entry = edge_constant_term(p, q, theory)
+                entry = edge_constant_term(p, q, r)
                 assert entries.get((p, q), 0) == 24 * entry, (r, p, q)
         for (p, q), entry in entries.items():
-            assert entry == 24 * edge_constant_term(p, q, theory) != 0, (r, p, q)
+            assert entry == 24 * edge_constant_term(p, q, r) != 0, (r, p, q)
 
 
 class TestSystemDeterminant:
