@@ -4,6 +4,10 @@ Subcommands: ``relations`` (assemble and print divisor relations),
 ``verify-ac`` (compare spans against the known complete set), ``pm-table``
 (coefficient polynomial table), ``selftest`` (acceptance suite).
 
+A command's work after its usage checks lives in the module it loads
+(``relations``, ``cohft``, ``selftest``), so a process compiles no other
+command's; no library module imports this one.
+
 Exit codes are a stable contract: 0 success, 1 usage error or failed
 verification, 2 degree-gate refusal.
 """
@@ -14,7 +18,6 @@ import gc
 import os
 import sys
 import time
-from math import gcd, isqrt, prod
 from types import SimpleNamespace
 
 # A process loads only what its subcommand runs: module level imports no
@@ -36,27 +39,6 @@ JSON_SLICE = 1 << 16
 
 class UsageError(Exception):
     pass
-
-
-def _format_terms(names: list[str], coeffs: list[int]) -> str:
-    terms = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{name}"
-                     for c, name in zip(coeffs, names) if c)
-    if not terms:
-        return "0 = 0"
-    return ("-" if terms[0] == "-" else "") + terms[2:] + " = 0"
-
-
-def _relation_record(names: list[str], coeffs, prov) -> dict:
-    """One JSON relation: generator names, primitive integer coefficients and
-    the (g, n, a, r) the relation came from."""
-    return {
-        "generators": names,
-        "coeffs": coeffs,
-        "g": prov.g,
-        "n": prov.n,
-        "a": list(prov.a_vec) if prov.a_vec is not None else None,
-        "r": prov.r_mode,
-    }
 
 
 def _json_dumps(fmt: str):
@@ -144,69 +126,25 @@ def _cmd_relations(args) -> int:
             # whose only leg vector is ().
             raise UsageError("genus 2 with markings takes only the all-zero leg vector")
 
-    from .strata import DegreeGateError, check_space, generator_names, phi_degree
-
     if not args.symbolic and a_vec is None:
+        from .strata import DegreeGateError, phi_degree
+
         # Refuse up front when no leg vector can pass the degree gate; the
         # all-zero vector, whose report is that of no legs, minimizes the
         # gated quantity over all leg choices.
-        report = phi_degree(g, (), args.r)
-        if not report.relation_exists:
+        if not phi_degree(g, (), args.r).relation_exists:
             raise DegreeGateError(g, n, 0, args.r)
 
-    from .relations import (Provenance, assembled_relation_set, ppz_relation_set,
-                            relation_row)
+    from .relations import relation_lines, relation_records
 
     dumps = _json_dumps(args.format)
     start = time.perf_counter()
-    notes: list[str] = []
-    rows, provenances = [], []
-
-    if args.symbolic:
-        if a_vec is None:
-            # Refuse an oversized basis before n leg vectors are built.
-            check_space(g, n)
-        a_choices = [a_vec] if a_vec is not None else [
-            tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-        ]
-        extracted = assembled_relation_set(g, n, a_choices)
-        rows, provenances = extracted.rows, extracted.provenances
-        header = f"relations g={g} n={n} r=symbolic ({len(rows)} extracted)"
-    elif a_vec is not None:
-        row = relation_row(g, n, a_vec, args.r)
-        if any(row):
-            # A genus-2 row is pulled back from the unmarked space, so it has a = ().
-            rows, provenances = [row], [Provenance(g, n, () if g == 2 else a_vec, args.r)]
-        header = f"relations g={g} n={n} r={args.r} a={list(a_vec)}"
-        if not rows:
-            notes.append("zero relation: every graph contribution vanishes")
-            header += ": 0 = 0"
-    else:
-        rows = ppz_relation_set(g, n, args.r).reduced_rows()
-        provenances = [Provenance(g=g, n=n, a_vec=None, r_mode=args.r)] * len(rows)
-        if not rows:
-            notes.append("zero relation: every graph contribution vanishes")
-            if not report.d_integral:
-                notes.append(
-                    "auxiliary degree is not an integer multiple of r-1"
-                )
-        header = f"relations g={g} n={n} r={args.r} ({len(rows)} normalized relations)"
-
-    names = generator_names(g, n)
-    payloads = [_relation_record(names, row, prov) for row, prov in zip(rows, provenances)]
-
-    def text_lines():
-        yield header
-        for payload in payloads:
-            # Symbolic relations carry their power of r and leg vector.
-            label = f"[{payload['r']}, a={payload['a']}] " if args.symbolic else ""
-            yield "  " + label + _format_terms(payload["generators"], payload["coeffs"])
-        for note in notes:
-            yield f"  note: {note}"
-
+    # --r is None exactly under --symbolic.
+    records, notes = relation_records(g, n, args.r, a_vec)
     params = {"g": g, "n": n, "r": "symbolic" if args.symbolic else args.r,
               "a": list(a_vec) if a_vec is not None else None}
-    _emit(dumps, "relations", params, start, text_lines, relations=payloads, notes=notes)
+    _emit(dumps, "relations", params, start, lambda: relation_lines(
+        g, n, args.r, a_vec, records, notes), relations=records, notes=notes)
     return 0
 
 
@@ -214,59 +152,22 @@ def _cmd_verify_ac(args) -> int:
     _check_space(args.g, args.n)
     _check_r(args.r)
 
-    from .relations import ac_relations, ppz_relation_set, spans_equal
+    from .relations import verify_ac
 
     dumps = _json_dumps(args.format)
     start = time.perf_counter()
-    computed = ppz_relation_set(args.g, args.n, args.r)
-    reference = ac_relations(args.g, args.n)
-    report = spans_equal(computed, reference)
-    verdict = "EQUAL" if report.equal else "DIFFERENT"
+    verdict = verify_ac(args.g, args.n, args.r)
 
     def text_lines():
         yield (
-            f"verify-ac g={args.g} n={args.n} r={args.r}: {verdict} "
-            f"(computed rank {report.rank_left}, reference rank {report.rank_right}, "
-            f"union rank {report.rank_union})"
+            f"verify-ac g={args.g} n={args.n} r={args.r}: {verdict['verdict']} "
+            f"(computed rank {verdict['rank_computed']}, reference rank "
+            f"{verdict['rank_reference']}, union rank {verdict['rank_union']})"
         )
 
     _emit(dumps, "verify-ac", {"g": args.g, "n": args.n, "r": args.r}, start, text_lines,
-          verdicts=[{"name": "span-comparison", "verdict": verdict,
-                     "rank_computed": report.rank_left, "rank_reference": report.rank_right,
-                     "rank_union": report.rank_union}])
-    return 0 if report.equal else 1
-
-
-def _primes_to(n: int) -> list[int]:
-    """The primes up to n, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p, is_prime in enumerate(sieve) if is_prime]
-
-
-def _entry_texts(numerators, den: int, primorial: int) -> list[str]:
-    """The text of Fraction(x, den) for each numerator x, where ``primorial``
-    is a product of distinct primes that every prime of den divides.
-
-    Their gcd is the product of den's primes.  An x prime to it is already
-    reduced over den, whose text is then built once; only the other entries
-    take the gcd with den.  The values turned into text are those of the
-    reduced fractions, so Python's digit limit raises ValueError exactly
-    where it always did.
-    """
-    den_primes = gcd(den, primorial)
-    texts, den_text = [], None
-    for x in numerators:
-        if den == 1 or gcd(x, den_primes) != 1:
-            g = gcd(x, den)
-            texts.append(f"{x // g}/{den // g}" if den != g else str(x // g))
-        else:
-            den_text = den_text or str(den)
-            texts.append(f"{x}/{den_text}")
-    return texts
+          verdicts=[verdict])
+    return 0 if verdict["verdict"] == "EQUAL" else 1
 
 
 def _cmd_pm_table(args) -> int:
@@ -280,34 +181,13 @@ def _cmd_pm_table(args) -> int:
             f"above the limit of {MAX_PM_ENTRIES}"
         )
 
-    from .cohft import p_row
+    from .cohft import pm_table, pm_table_lines
 
     dumps = _json_dumps(args.format)
     start = time.perf_counter()
-    # Row m's denominator divides the product of 4k r(r-1) over k <= m, so
-    # its primes are at most max(m-max, r).
-    primorial = prod(_primes_to(max(args.m_max, args.r)))
-    rows = []
-    for m in range(args.m_max + 1):
-        numerators, den = p_row(m, args.r)
-        try:
-            rows.append(_entry_texts(numerators, den, primorial))
-        except ValueError:  # past Python's limit on int-to-decimal conversion
-            raise ValueError(
-                f"the entries of row m={m} are too long to print in decimal; "
-                f"lower --m-max below {m}"
-            ) from None
-
-    def text_lines():
-        width = max(6, max((len(v) for row in rows for v in row), default=6)) + 1
-        header = "m \\ a |" + "".join(f"{a:>{width}}" for a in range(args.r - 1))
-        yield f"P_m(r, a) for r={args.r}"
-        yield header
-        yield "-" * len(header)
-        for m, row in enumerate(rows):
-            yield f"{m:>5} |" + "".join(f"{v:>{width}}" for v in row)
-
-    _emit(dumps, "pm-table", {"m_max": args.m_max, "r": args.r}, start, text_lines,
+    rows = pm_table(args.m_max, args.r)
+    _emit(dumps, "pm-table", {"m_max": args.m_max, "r": args.r}, start,
+          lambda: pm_table_lines(rows, args.r),
           table=[{"m": m, "values": row} for m, row in enumerate(rows)])
     return 0
 
@@ -326,9 +206,7 @@ def _cmd_selftest(args) -> int:
 
     # The record's time is that of the criteria alone.
     _emit(dumps, "selftest", {}, None, text_lines,
-          verdicts=[{"id": res.id, "title": res.title, "verdict": "PASS" if res.passed else "FAIL",
-                     "detail": res.detail, "elapsed_s": round(res.elapsed_s, 3)}
-                    for res in results],
+          verdicts=[res.record() for res in results],
           elapsed_ms=round(1000 * sum(res.elapsed_s for res in results), 3))
     return 0 if passed == len(results) else 1
 

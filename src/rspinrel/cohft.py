@@ -9,7 +9,8 @@ module holds everything that is a pure function of r:
   numerically and symbolically in r; the numeric table is built bottom up
   by :func:`p_row`, one row of integer numerators over a common denominator
   per m, at O(r) big-integer operations per row and so O(m r) up to m.
-  ``pm-table``, ``selftest`` and :mod:`rspinrel.oracles` read the recursion;
+  ``pm-table`` (whose rows and text :func:`pm_table` and :func:`pm_table_lines`
+  build), ``selftest`` and :mod:`rspinrel.oracles` read the recursion;
   :mod:`rspinrel.relations` reads P_1 in closed form,
 * the entries of the inverse R-matrix of the theory (without the uniform
   scalar factor, which scales a relation as a whole),
@@ -37,7 +38,7 @@ recursion it would drive.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -94,6 +95,69 @@ def p_row(m: int, r: int) -> tuple[tuple[int, ...], int]:
         den //= common
     _last_rows[r] = (m, row, den)
     return row, den
+
+
+def _primes_to(n: int) -> list[int]:
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
+
+
+def _entry_texts(numerators, den: int, primorial: int) -> list[str]:
+    """The text of Fraction(x, den) for each numerator x, where ``primorial``
+    is a product of distinct primes that every prime of den divides.
+
+    Their gcd is the product of den's primes.  An x prime to it is already
+    reduced over den, whose text is then built once; only the other entries
+    take the gcd with den.  The values turned into text are those of the
+    reduced fractions, so Python's digit limit raises ValueError exactly
+    where it always did.
+    """
+    den_primes = gcd(den, primorial)
+    texts, den_text = [], None
+    for x in numerators:
+        if den == 1 or gcd(x, den_primes) != 1:
+            g = gcd(x, den)
+            texts.append(f"{x // g}/{den // g}" if den != g else str(x // g))
+        else:
+            den_text = den_text or str(den)
+            texts.append(f"{x}/{den_text}")
+    return texts
+
+
+def pm_table(m_max: int, r: int) -> list[list[str]]:
+    """The ``pm-table`` rows: the text of each P_m(r, a) in lowest terms, for
+    m = 0..m_max and a = 0..r-2.  Row m's denominator divides the product of
+    4k r(r-1) over k <= m, so its primes are at most max(m_max, r)."""
+    primorial = prod(_primes_to(max(m_max, r)))
+    rows = []
+    for m in range(m_max + 1):
+        numerators, den = p_row(m, r)
+        try:
+            rows.append(_entry_texts(numerators, den, primorial))
+        except ValueError:  # past Python's limit on int-to-decimal conversion
+            raise ValueError(
+                f"the entries of row m={m} are too long to print in decimal; "
+                f"lower --m-max below {m}"
+            ) from None
+    return rows
+
+
+def pm_table_lines(rows: list[list[str]], r: int):
+    """The text form of :func:`pm_table`'s rows for r: a title, a header of
+    the indices a, a rule, then one line per m, in columns one wider than the
+    longest entry (at least 6)."""
+    width = max(6, max((len(v) for row in rows for v in row), default=6)) + 1
+    header = "m \\ a |" + "".join(f"{a:>{width}}" for a in range(r - 1))
+    yield f"P_m(r, a) for r={r}"
+    yield header
+    yield "-" * len(header)
+    for m, row in enumerate(rows):
+        yield f"{m:>5} |" + "".join(f"{v:>{width}}" for v in row)
 
 
 @lru_cache(maxsize=1024)

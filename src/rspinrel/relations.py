@@ -73,7 +73,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .linalg import primitive_int_vector, rref
 from .strata import (DELTA_IRR, DELTA_SEP, KAPPA1, PSI, DegreeGateError, UnsupportedGenusError,
-                     basis_size, check_space, phi_degree)
+                     basis_size, check_space, generator_names, phi_degree)
 
 if TYPE_CHECKING:
     EdgeEntries = tuple[tuple[tuple[int, int], int], ...]
@@ -449,3 +449,72 @@ def ppz_relation_set(g: int, n: int, r: int) -> RelationSet:
     """
     check_space(g, n)
     return assembled_relation_set(g, n, admissible_leg_vectors(g, 0 if g == 2 else n, r), r)
+
+
+# ---------------------------------------------------------------------------
+# The relations and verify-ac commands' output, once their arguments pass
+# ---------------------------------------------------------------------------
+
+def relation_records(
+    g: int, n: int, r: int | None, a_vec: tuple[int, ...] | None
+) -> tuple[list[dict], list[str]]:
+    """What ``relations`` prints: one record per relation (the generator
+    names, its primitive integer row, and the leg vector and r it came from)
+    and the notes.  r is None for the symbolic relations, and a_vec None for
+    every leg vector: in genus 1 the n unit vectors, each symbolic, else the
+    reduced set.  The symbolic set checks the basis before it builds them."""
+    if r is None:
+        if a_vec is None:
+            check_space(g, n)
+        extracted = assembled_relation_set(g, n, [a_vec] if a_vec is not None else [
+            tuple(int(j == i) for j in range(n)) for i in range(n)])
+        rows, provenances = extracted.rows, extracted.provenances
+    else:
+        rows = ppz_relation_set(g, n, r).reduced_rows() if a_vec is None else [
+            row for row in [relation_row(g, n, a_vec, r)] if any(row)]
+        # A genus-2 row is pulled back from the unmarked space, so it has a = ().
+        provenances = [Provenance(g, n, () if g == 2 and a_vec else a_vec, r)] * len(rows)
+    notes = []
+    if r is not None and not rows:
+        notes.append("zero relation: every graph contribution vanishes")
+        if a_vec is None and not phi_degree(g, (), r).d_integral:
+            notes.append("auxiliary degree is not an integer multiple of r-1")
+    names = generator_names(g, n)
+    return [{"generators": names, "coeffs": row, "g": g, "n": n, "r": prov.r_mode,
+             "a": list(prov.a_vec) if prov.a_vec is not None else None}
+            for row, prov in zip(rows, provenances)], notes
+
+
+def _format_terms(names: list[str], coeffs: Sequence[int]) -> str:
+    terms = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{name}"
+                     for c, name in zip(coeffs, names) if c)
+    if not terms:
+        return "0 = 0"
+    return ("-" if terms[0] == "-" else "") + terms[2:] + " = 0"
+
+
+def relation_lines(g: int, n: int, r: int | None, a_vec: tuple[int, ...] | None,
+                   records: list[dict], notes: list[str]):
+    """The text form of :func:`relation_records`' output for these arguments:
+    a header, each relation as an equation (a symbolic one labelled with its
+    power of r and leg vector), then each note."""
+    header = f"relations g={g} n={n} r={'symbolic' if r is None else r}"
+    if r is None or a_vec is None:
+        header += f" ({len(records)} {'extracted' if r is None else 'normalized relations'})"
+    else:
+        header += f" a={list(a_vec)}" + ("" if records else ": 0 = 0")
+    yield header
+    for record in records:
+        label = f"[{record['r']}, a={record['a']}] " if r is None else ""
+        yield "  " + label + _format_terms(record["generators"], record["coeffs"])
+    for note in notes:
+        yield f"  note: {note}"
+
+
+def verify_ac(g: int, n: int, r: int) -> dict:
+    """The ``verify-ac`` verdict record: whether :func:`ppz_relation_set` at
+    (g, n, r) spans what :func:`ac_relations` spans, with the three ranks."""
+    report = spans_equal(ppz_relation_set(g, n, r), ac_relations(g, n))
+    return {"name": "span-comparison", "verdict": "EQUAL" if report.equal else "DIFFERENT",
+            "rank_computed": report.rank_left, "rank_reference": report.rank_right,
+            "rank_union": report.rank_union}

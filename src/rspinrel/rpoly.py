@@ -12,6 +12,7 @@ operations there are exact long division, evaluation and interpolation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 # Arbitrary-precision rationals, always in lowest terms with positive
@@ -105,11 +106,15 @@ class RPoly:
             return NotImplemented
         if not self.coeffs or not o.coeffs:
             return RPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
+        # Convolve integer numerators over each factor's common denominator:
+        # one Fraction, so one gcd, per coefficient of the product.
+        (left, left_den), (right, right_den) = _numerators(self.coeffs), _numerators(o.coeffs)
+        out = [0] * (len(left) + len(right) - 1)
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
                 out[i + j] += a * b
-        return RPoly(out)
+        den = left_den * right_den
+        return RPoly(Fraction(c, den) for c in out)
 
     __rmul__ = __mul__
 
@@ -186,6 +191,13 @@ class RPoly:
             else:
                 terms.append(f"{c}*r^{i}")
         return "RPoly(" + " + ".join(terms) + ")"
+
+
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """The integer numerators of ``coeffs`` over their least common
+    denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def poly_interpolate(

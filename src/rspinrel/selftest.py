@@ -52,6 +52,11 @@ class CriterionResult(NamedTuple):
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] criterion {self.id}: {self.title} ({self.elapsed_s:.2f}s) {self.detail}"
 
+    def record(self) -> dict:
+        """The verdict record ``selftest`` prints in JSON."""
+        return {"id": self.id, "title": self.title, "verdict": "PASS" if self.passed else "FAIL",
+                "detail": self.detail, "elapsed_s": round(self.elapsed_s, 3)}
+
 
 def _target(g, n, coeffs) -> tuple[int, ...]:
     """The primitive integer row, first nonzero entry positive, of the

@@ -39,7 +39,7 @@ def run(capsys, argv):
 
 def cli_env(hash_seed=0):
     """The environment of a cold CLI process on the sources in ``src``."""
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONDONTWRITEBYTECODE="1")
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return env
@@ -272,7 +272,7 @@ def pullback_route(n, r):
         return [], [note], [header + ": 0 = 0", f"  note: {note}"]
     # The row is the unmarked relation's, so its record keeps that leg vector.
     record = {"generators": names, "coeffs": coeffs, "g": 2, "n": n, "a": [], "r": r}
-    return [record], [], [header, "  " + cli_module._format_terms(names, coeffs)]
+    return [record], [], [header, "  " + relations_module._format_terms(names, coeffs)]
 
 
 class TestGenusTwoLegVector:

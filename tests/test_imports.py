@@ -255,6 +255,28 @@ def test_detects_an_oracle_written_from_the_feature_path(tmp_path, statement):
     assert found > ORACLE_IMPORTS_FROM_RELATIONS
 
 
+# The command line is the front end and no library module reads it: under
+# ``python -m rspinrel.cli`` it runs as __main__, so importing rspinrel.cli
+# would compile it a second time, with a second UsageError that main() does
+# not catch.
+@pytest.mark.parametrize("path", sorted(path for path in SRC.glob("*.py") if path.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_no_library_module_imports_the_cli(path):
+    assert names_imported_from(path, "cli") == set()
+
+
+@pytest.mark.parametrize("statement,found", [
+    ("from .cli import UsageError\n", {"UsageError"}),
+    ("def f():\n    from rspinrel.cli import main\n", {"main"}),
+    ("from . import cli\n", {"cli"}),
+    ("import rspinrel.cli\n", {"cli"}),
+])
+def test_detects_a_library_module_importing_the_cli(tmp_path, statement, found):
+    module = tmp_path / "relations.py"
+    module.write_text((SRC / "relations.py").read_text() + "\n" + statement)
+    assert names_imported_from(module, "cli") == found
+
+
 # The divisor-class layer, which lives in the oracles: the modules every
 # relation command runs neither define nor read it.
 CLASS_LAYER = {"DivisorClass", "divisor_generators", "psi", "kappa1", "delta_irr", "delta_sep"}

@@ -121,7 +121,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 def cold_submodules(statement):
     """The rspinrel submodules a cold process has loaded after ``statement``."""
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(

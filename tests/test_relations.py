@@ -644,6 +644,34 @@ class TestDegreeGate:
             zero_parity = parity_holds(g, (0,) * n, r)
             assert (note in out) == (opened and not admitted and not zero_parity), (g, n, r)
 
+    def test_the_gate_is_tight(self):
+        # Every leg vector with an integral exponent, its codimension-1 class
+        # read from the per-graph oracle (the gate stops _RelationTable from
+        # building a gated-out one): a vector the gate passes gives a row in
+        # the span of Arbarello-Cornalba's complete set, and one it refuses a
+        # nonzero row outside it, so the gate discards no relation.  In genus
+        # 3 the classes are independent and every such vector is refused.
+        counts = {}
+        for g, ns, rs in ((1, range(1, 5), range(3, 7)), (2, range(1, 5), range(3, 7)),
+                          (3, range(1, 4), range(3, 8))):
+            for n, r in product(ns, rs):
+                basis = divisor_generators(g, n)
+                reference = ac_relations(g, n).rows
+                rank = len(rref(reference)[1])
+                for a_vec in product(range(r - 1), repeat=n):
+                    if not parity_holds(g, a_vec, r):
+                        continue
+                    sums = dict.fromkeys(basis, Fraction(0))
+                    for term in graph_contribution_terms(g, n, a_vec, r):
+                        sums[term.divisor] += term.coefficient
+                    row = primitive_int_vector(list(sums.values()))
+                    passes = gate_passes(g, a_vec, r)
+                    # Outside the span implies nonzero.
+                    assert (len(rref(reference + [row])[1]) == rank) == passes, (g, a_vec, r)
+                    counts[g, passes] = counts.get((g, passes), 0) + 1
+        assert counts == {(1, True): 40, (1, False): 256, (2, True): 4, (2, False): 292,
+                          (3, False): 115}
+
     def test_admissible_vectors_genus_one(self):
         for n in (1, 2, 3):
             for r in (3, 4, 5):

@@ -77,6 +77,21 @@ class TestRPolyRingLaws:
         assert (p * q)(x) == p(x) * q(x)
         assert (p + q)(x) == p(x) + q(x)
 
+    @given(small_polys, st.one_of(small_polys, st.integers(-5, 5), rationals))
+    def test_product_matches_fraction_convolution(self, p, q):
+        # The product convolves integer numerators; the coefficients must be
+        # those of the Fraction-by-Fraction convolution, each in lowest terms.
+        other = q.coeffs if isinstance(q, RPoly) else (Fraction(q),)
+        expected = [Fraction(0)] * max(len(p.coeffs) + len(other) - 1, 0)
+        for i, a in enumerate(p.coeffs):
+            for j, b in enumerate(other):
+                expected[i + j] += a * b
+        while expected and expected[-1] == 0:
+            expected.pop()
+        for product in (p * q, q * p):
+            assert product.coeffs == tuple(expected)
+            assert all(type(c) is Fraction for c in product.coeffs)
+
     @given(small_polys, rationals)
     def test_horner_matches_naive(self, p, x):
         naive = sum((c * x**i for i, c in enumerate(p.coeffs)), Fraction(0))
