@@ -33,7 +33,8 @@ MAX_R = 1000
 # m; within this bound a table prints at most about 11 MB of JSON.
 MAX_PM_ENTRIES = 5000
 # Longest write of a JSON record's text, in characters (bytes: the text is
-# ASCII), so stdout never encodes a copy of the whole record at once.
+# ASCII).  The text is encoded a piece at a time and written in cuts of this
+# size, so no process holds it whole, encoded or not.
 JSON_SLICE = 1 << 16
 
 
@@ -53,24 +54,52 @@ def _json_dumps(fmt: str):
     return None
 
 
+def _json_pieces(dumps, record: dict):
+    """The text of ``dumps(record, sort_keys=True)`` in consecutive pieces:
+    each top-level key with its value, and a list that is not empty one item
+    at a time, so that a piece holds at most one item's text."""
+    for i, key in enumerate(sorted(record)):
+        value = record[key]
+        yield ("{" if i == 0 else ", ") + dumps(key) + ": "
+        if not (isinstance(value, list) and value):
+            yield dumps(value, sort_keys=True)
+            continue
+        for j, item in enumerate(value):
+            yield ("[" if j == 0 else ", ") + dumps(item, sort_keys=True)
+        yield "]"
+    yield "}"
+
+
 def _emit(dumps, command: str, params: dict, start: float, text_lines, **fields) -> None:
     """Print ``command``'s JSON record with ``dumps``, or without it the lines
     ``text_lines()`` yields.  Only JSON output builds the record, so its
     ``params`` add the format json; ``fields`` are its entries that are not
     empty, and ``elapsed_ms``, unless given, is the time since ``start``.
-    Its text is written in slices of at most ``JSON_SLICE`` characters and
-    then a newline: ``dumps`` builds it whole, but stdout then encodes one
-    slice at a time, where ``print`` would hold an encoded copy of all of it."""
+    The record is built whole, its text never: ``_json_pieces`` encodes it
+    piece by piece, and stdout gets the writes of the whole text, its cuts of
+    ``JSON_SLICE`` characters, the rest if any, then a newline."""
     if dumps:
         record = {"schema_version": SCHEMA_VERSION, "command": command,
                   "params": {**params, "format": "json"}, "relations": [], "verdicts": [],
                   "notes": [], **fields}
         if "elapsed_ms" not in record:
             record["elapsed_ms"] = round(1000 * (time.perf_counter() - start), 3)
-        text = dumps(record, sort_keys=True)
-        for offset in range(0, len(text), JSON_SLICE):
-            sys.stdout.write(text[offset:offset + JSON_SLICE])
-        sys.stdout.write("\n")
+        write, pending = sys.stdout.write, ""
+        for piece in _json_pieces(dumps, record):
+            offset = JSON_SLICE - len(pending)
+            if len(piece) < offset:
+                pending += piece
+                continue
+            # A long piece is cut where it lies; the cut across it and what is
+            # pending is formatted whole, not copied from a slice of it.
+            write("%s%.*s" % (pending, offset, piece))
+            while len(piece) - offset >= JSON_SLICE:
+                write(piece[offset:offset + JSON_SLICE])
+                offset += JSON_SLICE
+            pending = piece[offset:]
+        if pending:
+            write(pending)
+        write("\n")
     else:
         for line in text_lines():
             print(line)

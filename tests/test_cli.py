@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from math import gcd
@@ -497,12 +498,45 @@ class _RecordingStdout:
         return len(text)
 
 
+class _CountingStdout:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+
 def _record(command, params, **fields):
     """The JSON record of ``command`` with ``fields`` as the only entries that
     are not empty, as ``cli._emit`` builds it."""
     record = {"schema_version": 1, "command": command, "params": {**params, "format": "json"},
               "relations": [], "verdicts": [], "notes": []}
     return {**record, **fields}
+
+
+# JSON values as records hold them, with strings that need escaping and
+# floats whose text has a sign or an exponent.
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\u2028\u00e9')),
+                     max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT
+    | st.sampled_from([-0.0, 1e16, 1e-7]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=10,
+)
+_JSON_DICTS = st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4)
+# A record's own fields: the skeleton's lists, empty or long (one item
+# repeated), and other keys; none is a parameter name of ``cli._emit``.
+_FIELDS = st.dictionaries(
+    st.sampled_from(["relations", "verdicts", "notes", "table"]) | _JSON_TEXT.filter(
+        lambda key: key not in ("dumps", "command", "params", "start", "text_lines")),
+    _JSON_VALUES | st.builds(lambda item, count: [item] * count, _JSON_VALUES,
+                             st.integers(0, 500)),
+    max_size=5,
+)
 
 
 class TestJsonWriter:
@@ -530,6 +564,58 @@ class TestJsonWriter:
         assert all(len(chunk) <= self.SLICE for chunk in stdout.writes)
         assert "".join(stdout.writes) == text + "\n"
         assert len(stdout.writes) == -(-length // self.SLICE) + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=_JSON_DICTS, fields=_FIELDS, elapsed=_JSON_VALUES, exact=st.booleans())
+    # Every kind of value at once, inside a list item and under unsorted keys.
+    @example(params={"z": {"b": 1, "a": [None, True]}}, elapsed=-0.0, exact=False, fields={
+        "relations": [{"z": 1e16, "a": 1e-7}, {"y": "\u00e9\"\\\x01\u2028", "b": [False, None]}],
+        "notes": [], "verdicts": [-0.0, "\U0001f600"]})
+    # A long list whose text is exactly several slices long.
+    @example(params={}, elapsed=0, exact=True, fields={"table": [{"m": 2, "a": "x" * 99}] * 2000})
+    def test_writes_are_the_cuts_of_json_dumps(self, params, fields, elapsed, exact):
+        # The writes are json.dumps's text of the whole record cut into
+        # slices, ceil(length / slice) of them, then "\n".  Compared as lists,
+        # a failure reports the first write that differs; pytest's diff of
+        # two texts this long can take minutes.
+        fields = {**fields, "elapsed_ms": elapsed}
+        if exact:  # a string field pads the text to a multiple of the slice
+            fields["~pad"] = ""
+            base = len(json.dumps(_record("x", params, **fields), sort_keys=True))
+            fields["~pad"] = "a" * (-base % self.SLICE)
+        text = json.dumps(_record("x", params, **fields), sort_keys=True)
+        assert len(text) % self.SLICE == 0 or not exact
+        stdout = _RecordingStdout()
+        with mock.patch.object(sys, "stdout", stdout):
+            cli_module._emit(json.dumps, "x", params, None, None, **fields)
+        cuts = [text[offset:offset + self.SLICE] for offset in range(0, len(text), self.SLICE)]
+        assert stdout.writes == cuts + ["\n"]
+
+    @pytest.mark.parametrize("command", ["pm-table --m-max 200 --r 24",
+                                         "relations --g 1 --n 12 --symbolic"])
+    def test_encoding_holds_a_fraction_of_the_text(self, command):
+        # The record is built whole, but its text is encoded a piece at a
+        # time into a stdout that keeps nothing: the encoding's peak stays
+        # well below the text it writes.
+        if command.startswith("pm-table"):
+            fields = {"table": [{"m": m, "values": row}
+                                for m, row in enumerate(cohft_module.pm_table(200, 24))]}
+        else:
+            records, notes = relations_module.relation_records(1, 12, None, None)
+            fields = {"relations": records, "notes": notes}
+        fields["elapsed_ms"] = 0
+        length = len(json.dumps(_record("x", {}, **fields), sort_keys=True))
+        assert length > 3_000_000
+        stdout = _CountingStdout()
+        tracemalloc.start()
+        try:
+            with mock.patch.object(sys, "stdout", stdout):
+                cli_module._emit(json.dumps, "x", {}, None, None, **fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stdout.length == length + 1
+        assert peak < length / 4, (peak, length)
 
     def test_text_output_builds_no_record(self, capsys):
         # With no start time, building the record would raise.

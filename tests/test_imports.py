@@ -195,6 +195,45 @@ def test_detects_a_second_record_writer(tmp_path, statement):
     assert string_constants(module, "schema_version") == 2
 
 
+def callers(path, name):
+    """The functions of the file, each by its name ("<lambda>" for a lambda,
+    "<module>" outside any), that call ``name`` or an attribute so named in
+    their own bodies, not in a function nested there."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_one_encoder_writes_the_json_record():
+    # cli._json_pieces encodes every record a piece at a time; no other code
+    # in the front end encodes one, whole or in part.
+    assert callers(SRC / "cli.py", "dumps") == {"_json_pieces"}
+
+
+@pytest.mark.parametrize("statement, caller", [
+    ('def _write_whole(dumps, record):\n'
+     '    sys.stdout.write(dumps(record, sort_keys=True))\n', "_write_whole"),
+    ('def _emit_text(record):\n    import json\n'
+     '    return json.dumps(record, sort_keys=True)\n', "_emit_text"),
+    ('_whole = lambda dumps, record: dumps(record, sort_keys=True)\n', "<lambda>"),
+], ids=["function", "json-attribute", "lambda"])
+def test_detects_a_second_record_encoder(tmp_path, statement, caller):
+    module = tmp_path / "cli.py"
+    module.write_text((SRC / "cli.py").read_text() + "\n" + statement)
+    assert callers(module, "dumps") == {"_json_pieces", caller}
+
+
 def test_one_table_describes_the_cli():
     # cli._help lays out every help text from the option table; no
     # subcommand's help is stored as text.

@@ -483,6 +483,71 @@ class TestGenusTwoRowOracle:
         assert direct.provenances == [Provenance(2, n, None, REFERENCE)]
 
 
+def gluing_pullback(n, coefficients):
+    """xi^* of a class-keyed class on the (2, n) space along the gluing map
+    xi from the (1, n + 2) space that joins x = n + 1 to y = n + 2
+    (Arbarello-Cornalba 1998).  xi^* fixes psi_i and kappa_1; xi^* delta_irr
+    is -psi_x - psi_y + delta_irr + every delta_{0,T} that separates x from
+    y; xi^* delta_{h,S} is delta_{h'-1,T+{x,y}} over the sides (h', T) of its
+    node with h' >= 1.  Each distinct canonical class is added once: at n = 0
+    both sides of delta_1 give delta_{0,{x,y}}."""
+    x, y = n + 1, n + 2
+    separating = {d for d in divisor_generators(1, n + 2)
+                  if d.kind == DELTA_SEP and len(d.markings & {x, y}) == 1}
+    pulled = {}
+
+    def add(classes, value):
+        for d in classes:
+            pulled[d] = pulled.get(d, 0) + value
+
+    for d, value in coefficients.items():
+        if d.kind in (PSI, KAPPA1):
+            add({d}, value)
+        elif d.kind == DELTA_IRR:
+            add({psi(x), psi(y)}, -value)
+            add({delta_irr()} | separating, value)
+        else:
+            sides = [(d.h, d.markings), (2 - d.h, frozenset(range(1, n + 1)) - d.markings)]
+            add({canonical_divisor(delta_sep(h - 1, T | {x, y}), 1, n + 2)
+                 for h, T in sides if h >= 1}, value)
+    return pulled
+
+
+class TestGluingPullback:
+    """The genus-2 relations glue to genus-1 ones: xi^* of each relation on
+    the (2, n) space lies in the span of the relations on the (1, n + 2)
+    space (ROADMAP item 13's gluing check).  It tests the pullback formulas
+    on Arbarello-Cornalba's set first, then the assembled sets at r = 3, the
+    only r with a genus-2 relation.  Unlike the oracle-equivalence tests it
+    reads the genus-2 relation against genus 1, so a fault in the genus-2
+    loop sum shows here."""
+
+    SETS = {"ac": ac_relations, "ppz": lambda g, n: ppz_relation_set(g, n, 3)}
+
+    @staticmethod
+    def glued(n, row):
+        """The basis row over the (1, n + 2) space of xi^* of ``row``."""
+        pulled = gluing_pullback(n, dict(zip(divisor_generators(2, n), row)))
+        basis = divisor_generators(1, n + 2)
+        assert set(pulled) <= set(basis)
+        return [pulled.get(d, 0) for d in basis]
+
+    @pytest.mark.parametrize("source,n", [(s, n) for s in SETS for n in range(5)])
+    def test_pullback_lies_in_the_genus_one_span(self, source, n):
+        relations = self.SETS[source]
+        (row,), genus_one = relations(2, n).rows, relations(1, n + 2).rows
+        glued = self.glued(n, row)
+        assert any(glued)
+        assert len(rref(genus_one + [glued])[1]) == len(rref(genus_one)[1])
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_a_wrong_delta_irr_coefficient_does_not_glue(self, n):
+        # Mumford's relation with its delta_irr coefficient doubled.
+        genus_one = ac_relations(1, n + 2).rows
+        glued = self.glued(n, _expand(2, n, (5, -2, -7)))
+        assert len(rref(genus_one + [glued])[1]) == len(rref(genus_one)[1]) + 1
+
+
 # Hand-made genus-2 feature sets over (k, irr, d1) of two and three rows:
 # rows with k = 0, a negative pivot, dependent rows and a full-rank set.
 GENUS_TWO_FEATURE_SETS = [
