@@ -39,17 +39,21 @@ plain contraction sum; the golden totals pin this convention.
 enumeration as the test oracle; both paths share the per-family sums here.
 
 Every contribution vanishes unless sum(a) = g mod r-1, which below the gate
-leaves the unit vectors in genus 1 and the zero vector in genus 2, so each
-relation lies in a few features: in genus 1 psi_1..psi_n, kappa_1, delta_irr,
-chi_1..chi_n and one (chi_i sums the delta_{0,S} with i in S, one sums them
-all), since for e_i a delta_{0,S} has the key of [i in S]; in genus 2 the
-kappa_1, delta_irr and delta_1 of the unmarked space, whose pullback is the
-relation with markings, so genus 2 is always contracted with no legs.
-Relation sets keep integer rows over the features, take ranks and reduced rows
-there, and write a row over the basis of about 2^n classes only when it is
-read, with its first nonzero entry positive: the one place a sign is chosen.
+leaves the unit vectors in genus 1 and the zero vector in genus 2, whose
+relation is the pullback of the unmarked space's, so genus 2 is always
+contracted with no legs.  A relation is held as its feature row, its
+coefficients at the lex-first basis classes that determine it: in genus 1
+psi_1..psi_n, kappa_1, delta_irr and delta_{0,S} for S = {1,2}, {1,2,3}, ...,
+{1..n}, {1,3}, {2,3} (at n <= 2 the whole basis); in genus 2 psi_1, delta_irr
+and delta_{1,{}}, or at n = 0 kappa_1, delta_irr and delta_1.  Every other
+basis entry is an integer combination of earlier ones, so a feature row is a
+sub-row of its basis row: a primitive row with a positive lead stays one when
+written out, and the reduced feature rows are the reduced basis rows
+restricted to them.  Relation sets take ranks and reduced rows over feature
+rows, and write a row over the basis of about 2^n classes only when read.
 
-In these features the genus-1 relation of e_i is (r-1)(r-2)/24 times
+In chi_i (the sum of the delta_{0,S} with i in S) and one (the sum of them
+all) the genus-1 relation of e_i is (r-1)(r-2)/24 times
 (13-2r) A_i - (2r-1) B_i - delta_irr, with A_i = psi_i - chi_i and
 B_i = sum_{j != i} psi_j - kappa_1 - one + chi_i.  Its r^1 part -2(A_i + B_i)
 is twice the Arbarello-Cornalba kappa_1 relation, and its r^0 part
@@ -69,6 +73,7 @@ factor 6.  No relation, numeric or symbolic, loads ``rpoly`` or ``fractions``.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .linalg import primitive_int_vector, rref
@@ -98,10 +103,10 @@ class Provenance(NamedTuple):
 
 
 class RelationSet(NamedTuple):
-    """Relations on the (g, n) space ``space`` as integer rows over its
-    features (primitive when assembled or reference), each with its
-    provenance; ``rows`` writes them out over the divisor basis with
-    :func:`_write_out` each time it is read."""
+    """Relations on the (g, n) space ``space`` as integer feature rows
+    (primitive with a positive lead when assembled or reference), each with
+    its provenance; ``rows`` writes them out over the divisor basis with
+    :func:`_expand` each time it is read."""
 
     space: tuple[int, int]
     features: list[tuple[int, ...]]
@@ -109,29 +114,12 @@ class RelationSet(NamedTuple):
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
-        return [_write_out(*self.space, row) for row in self.features]
-
-    def _span_rows(self) -> list:
-        """The rows to reduce the span over: the features where they map
-        injectively to the basis (all but genus 1 with n <= 2, where
-        chi_1 = ... = one), else the basis rows."""
-        g, n = self.space
-        return self.features if g > 1 or n >= 3 else self.rows
+        return [_expand(*self.space, row) for row in self.features]
 
     def reduced_rows(self) -> list[tuple[int, ...]]:
         """Row-reduced basis of the span as primitive integer vectors over the
-        basis, reduced over the features where they are independent and each
-        written out once.  The features meet the basis in their own order, so
-        the rows are reduced there too, except that a genus-1 pivot on chi_i
-        or one, which the basis lacks, is reduced again over the basis."""
-        rows = self._span_rows()
-        reduced, pivots = rref(rows)
-        if rows is not self.features:
-            return reduced
-        g, n = self.space
-        if g == 1 and max(pivots, default=0) >= n + 2:
-            return rref([_expand(g, n, row) for row in reduced])[0]
-        return [_write_out(g, n, row) for row in reduced]
+        basis: the reduced feature rows, each written out once."""
+        return [_expand(*self.space, row) for row in rref(self.features)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +208,21 @@ def _key_values(g: int, a_vec: tuple[int, ...], r: int) -> dict:
     return values
 
 
-def _feature_row(g: int, a_vec: tuple[int, ...], values: dict) -> list:
-    """The relation with these key values over its genus's features, a key no
-    class holds read as 0.  For e_i in genus 1, delta_{0,S} holds ``inside``
-    when i is in S, else ``outside``: (inside - outside) chi_i + outside one.
-    In genus 2 the values are those of the unmarked space."""
+def _feature_row(g: int, n: int, a_vec: tuple[int, ...], values: dict) -> list:
+    """The relation with these key values on the (g, n) space at its
+    features, a key no class holds read as 0: in genus 1 a delta_{0,S} holds
+    the key of the sum of a over S; in genus 2 the values are those of the
+    unmarked space, whose kappa_1 pulls back to -kappa_1 on psi_1."""
     if g == 1:
-        inside, outside = (values.get((DELTA_SEP, 0, s), 0) for s in (1, 0))
+        sums = list(accumulate(a_vec))[1:]  # over S = {1,2}, ..., {1..n}
+        if n >= 3:
+            sums += [a_vec[0] + a_vec[2], a_vec[1] + a_vec[2]]  # over {1,3} and {2,3}
         return ([values.get((PSI, a), 0) for a in a_vec]
                 + [values.get(KAPPA1, 0), values.get(DELTA_IRR, 0)]
-                + [inside - outside if a else 0 for a in a_vec] + [outside])
+                + [values.get((DELTA_SEP, 0, s), 0) for s in sums])
     if g == 2:
-        return [values.get(KAPPA1, 0), values.get(DELTA_IRR, 0), values.get((DELTA_SEP, 1, 0), 0)]
+        k = values.get(KAPPA1, 0)
+        return [-k if n else k, values.get(DELTA_IRR, 0), values.get((DELTA_SEP, 1, 0), 0)]
     return []
 
 
@@ -249,23 +240,24 @@ def _separating_entries(chi: Sequence[int], one: int) -> list[int]:
 
 
 def _expand(g: int, n: int, row: Sequence) -> tuple:
-    """A feature row written over the (g, n) basis.  Where the map is
-    injective it keeps the gcd of the entries: each feature is an integer
-    combination of basis entries, chi_i = delta_{0,{i,j,k}} - delta_{0,{j,k}}."""
+    """A feature row written over the (g, n) basis, which extends it.  In
+    genus 1 with n >= 3 each delta_{0,S} entry is one + the sum of chi_i over
+    S, for the chi_i and one the coordinates determine:
+    chi_k = delta_{0,{1..k}} - delta_{0,{1..k-1}} for k >= 3, then chi_1,
+    chi_2 and one from delta_{0,{1,2}}, delta_{0,{1,3}} and delta_{0,{2,3}}."""
     if g == 1:
-        return tuple(row[:n + 2]) + tuple(_separating_entries(row[n + 2:-1], row[-1]))
+        if n < 3:
+            return tuple(row)
+        *prefix, d13, d23 = row[n + 2:]
+        tail = [b - a for a, b in zip(prefix, prefix[1:])]  # chi_3..chi_n
+        chi = [prefix[0] - d23 + tail[0], prefix[0] - d13 + tail[0]] + tail
+        one = prefix[0] - chi[0] - chi[1]
+        return tuple(row[:n + 2]) + tuple(_separating_entries(chi, one))
     if g == 2:  # the pullback of k kappa_1 + irr delta_irr + d1 delta_1
-        k, irr, d1 = row
+        first, irr, d1 = row
+        k = -first if n else first
         return (-k,) * n + (k, irr) + (k,) * (2 ** n - n - 1) + (d1,) * (2 ** (n - 1) if n else 1)
     return (0,) * basis_size(g, n)
-
-
-def _write_out(g: int, n: int, row: Sequence[int]) -> tuple[int, ...]:
-    """The feature row ``row`` written over the (g, n) basis, negated if its
-    first nonzero entry there is negative: the one sign rule of every row a
-    relation set or :func:`relation_row` writes out."""
-    written = _expand(g, n, row)
-    return tuple(-x for x in written) if next((x for x in written if x), 0) < 0 else written
 
 
 class _RelationTable:
@@ -337,7 +329,7 @@ def relation_row(g: int, n: int, a_vec: tuple[int, ...], r: int) -> tuple[int, .
     gate comes before the basis check."""
     values = _RelationTable(g, n).numeric(a_vec, r)
     check_space(g, n)
-    return _write_out(g, n, primitive_int_vector(_feature_row(g, a_vec, values)))
+    return _expand(g, n, primitive_int_vector(_feature_row(g, n, a_vec, values)))
 
 
 def assembled_relation_set(
@@ -359,7 +351,7 @@ def assembled_relation_set(
         found += [(f"r^{p}", {key: poly[p] for key, poly in polys.items()})
                   for p in range(top - 1, -1, -1)]
         for r_mode, values in found:
-            row = primitive_int_vector(_feature_row(g, a_vec, values))
+            row = primitive_int_vector(_feature_row(g, n, a_vec, values))
             if any(row):
                 rows.append(row)
                 provenances.append(Provenance(g, n, a_vec, r_mode))
@@ -371,26 +363,27 @@ def assembled_relation_set(
 # ---------------------------------------------------------------------------
 
 def ac_relations(g: int, n: int) -> RelationSet:
-    """The known complete set of degree-2 relations (Arbarello-Cornalba).
+    """The known complete set of degree-2 relations (Arbarello-Cornalba), as
+    primitive feature rows with a positive lead.
 
     Genus 1: 12 psi_i = delta_irr + 12 sum over subsets containing i, for
     each i, plus kappa_1 = sum(psi) - sum over all subsets.  Genus 2: the
     single pulled-back relation 5 kappa_1 = delta_irr + 7 (genus 1+1 sum)
     corrected by markings.  Genus 3 and above: empty, since the generators
-    are independent for every g >= 3.
+    are independent for every g >= 3.  Each is written as the key values of a
+    leg vector, read as the assembly reads them: the psi_i relation at e_i,
+    where a delta_{0,S} has key sum 1 exactly when i is in S, and the kappa_1
+    relation at the zero vector.
     """
     check_space(g, n)
-    rows = []
+    tables = []
     if g == 1:
-        # Over psi_1..psi_n, kappa_1, delta_irr, chi_1..chi_n and one:
-        # 12 psi_i - delta_irr - 12 chi_i, and kappa_1 - sum(psi) + one.
-        for i in range(n):
-            row = [0] * (2 * n + 3)
-            row[i], row[n + 1], row[n + 2 + i] = 12, -1, -12
-            rows.append(tuple(row))
-        rows.append((-1,) * n + (1, 0) + (0,) * n + (1,))
+        tables = [(tuple(int(j == i) for j in range(n)),
+                   {(PSI, 1): 12, DELTA_IRR: -1, (DELTA_SEP, 0, 1): -12}) for i in range(n)]
+        tables.append(((0,) * n, {(PSI, 0): -1, KAPPA1: 1, (DELTA_SEP, 0, 0): 1}))
     elif g == 2:
-        rows.append((5, -1, -7))
+        tables = [((), {KAPPA1: 5, DELTA_IRR: -1, (DELTA_SEP, 1, 0): -7})]
+    rows = [primitive_int_vector(_feature_row(g, n, a_vec, values)) for a_vec, values in tables]
     provenance = Provenance(g=g, n=n, a_vec=None, r_mode="reference")
     return RelationSet((g, n), rows, [provenance] * len(rows))
 
@@ -407,7 +400,7 @@ def spans_equal(a: RelationSet, b: RelationSet) -> SpanReport:
     over the rationals, compared over their features."""
     if a.space != b.space:
         raise BasisMismatchError(f"relation sets on different spaces {a.space} and {b.space}")
-    left, right = rref(a._span_rows())[0], rref(b._span_rows())[0]
+    left, right = rref(a.features)[0], rref(b.features)[0]
     rank_left, rank_right = len(left), len(right)
     rank_union = len(rref(left + right)[1])
     return SpanReport(

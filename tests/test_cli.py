@@ -908,7 +908,7 @@ class TestHelpText:
 
 
 class TestVerifyAcCommand:
-    # n = 1, 2 in genus 1 rank over the basis, since their features are dependent.
+    # At n = 1, 2 in genus 1 the features are the whole basis.
     @pytest.mark.parametrize("g,n,expected_rank", [(1, 4, 5), (2, 0, 1), (3, 0, 0),
                                                    (1, 1, 2), (1, 2, 3)])
     def test_equal_cases(self, capsys, g, n, expected_rank):

@@ -1,8 +1,10 @@
+import math
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +27,6 @@ from rspinrel.relations import (
     _RelationTable,
     _cubic_through,
     _separating_sum,
-    _write_out,
     ac_relations,
     admissible_leg_vectors,
     assembled_relation_set,
@@ -53,6 +54,7 @@ from rspinrel.strata import (
     KAPPA1,
     PSI,
     UnsupportedGenusError,
+    generator_names,
     phi_degree,
 )
 from test_linalg import fraction_rref
@@ -363,7 +365,7 @@ class TestExtraction:
         polys = symbolic_polys(_RelationTable(1, 2), (1, 0))
 
         def written(values):
-            return _write_out(1, 2, primitive_int_vector(_feature_row(1, (1, 0), values)))
+            return _expand(1, 2, primitive_int_vector(_feature_row(1, 2, (1, 0), values)))
 
         for scale in (Fraction(3, 7), Fraction(-2)):
             for power in range(4):
@@ -425,11 +427,11 @@ class TestPullback:
 
     @pytest.mark.parametrize("n", range(15))
     def test_written_row_leads_positive(self, n):
-        # A row is written out as the pullback of (k, irr, d1) or of its
-        # negative, whichever has a positive first nonzero entry.
-        for row in product(range(-2, 3), repeat=3):
-            written = _write_out(2, n, row)
-            assert written in {_expand(2, n, row), _expand(2, n, [-x for x in row])}
+        # A primitive feature row with a positive lead writes out to a row
+        # with the same gcd and lead.
+        for row in map(primitive_int_vector, product(range(-2, 3), repeat=3)):
+            written = _expand(2, n, row)
+            assert math.gcd(*written) == math.gcd(*row), (n, row)
             assert next((x for x in written if x), 1) > 0, (n, row)
 
     def test_direct_assembly_matches_pullback(self):
@@ -544,12 +546,12 @@ class TestGluingPullback:
     def test_a_wrong_delta_irr_coefficient_does_not_glue(self, n):
         # Mumford's relation with its delta_irr coefficient doubled.
         genus_one = ac_relations(1, n + 2).rows
-        glued = self.glued(n, _expand(2, n, (5, -2, -7)))
+        glued = self.glued(n, class_row(2, n, dict_pullback_genus2({**MUMFORD, delta_irr(): -2}, n)))
         assert len(rref(genus_one + [glued])[1]) == len(rref(genus_one)[1]) + 1
 
 
-# Hand-made genus-2 feature sets over (k, irr, d1) of two and three rows:
-# rows with k = 0, a negative pivot, dependent rows and a full-rank set.
+# Hand-made genus-2 feature sets of two and three rows: rows with a zero
+# first entry, a negative pivot, dependent rows and a full-rank set.
 GENUS_TWO_FEATURE_SETS = [
     [(5, -1, -7), (0, 1, 2)],
     [(0, 3, -1), (0, -2, 5)],
@@ -1005,7 +1007,7 @@ class TestSpans:
     def test_rank_matches_fraction_rref(self):
         for g, n in ((1, 1), (1, 3), (1, 4), (2, 2), (3, 0)):
             relation_set = ppz_relation_set(g, n, 3)
-            rank = len(rref(relation_set._span_rows())[1])
+            rank = len(rref(relation_set.features)[1])
             assert rank == len(fraction_rref(relation_set.rows)[1]), (g, n)
 
     def test_equivalence_genus_two(self):
@@ -1071,7 +1073,7 @@ class TestIntegerEliminationOracle:
         left, right = computed.rows, reference_set.rows
         oracle_rows, oracle_pivots = fraction_rref(left)
         assert computed.reduced_rows() == [primitive_int_vector(row) for row in oracle_rows]
-        assert len(rref(computed._span_rows())[1]) == len(oracle_pivots)
+        assert len(rref(computed.features)[1]) == len(oracle_pivots)
         report = spans_equal(computed, reference_set)
         expected = tuple(len(fraction_rref(rows)[1]) for rows in (left, right, left + right))
         assert (report.rank_left, report.rank_right, report.rank_union) == expected
@@ -1392,23 +1394,35 @@ class TestClosedFormReducedRows:
         assert rref(dense_ppz_relation_set(1, n, 3)[1])[0] == closed_form_reduced_rows(n)
 
 
+def marking_sets(names):
+    """The marking set S of each delta_{0,S} among the class names, keyed by
+    the name."""
+    prefix = "delta_{0,{"
+    return {name: {int(m) for m in name[len(prefix):-2].split(",")}
+            for name in names if name.startswith(prefix)}
+
+
+@lru_cache(maxsize=None)
 def genus_one_features(n, i):
     """A_i = psi_i - chi_i, B_i = sum_{j != i} psi_j - kappa_1 - one + chi_i and
-    delta_irr as rows over the genus-1 features psi_1..psi_n, kappa_1,
-    delta_irr, chi_1..chi_n and one."""
-    A, B, irr = ([0] * (2 * n + 3) for _ in range(3))
-    A[i - 1], A[n + 1 + i] = 1, -1
-    for j in range(1, n + 1):
-        B[j - 1] = int(j != i)
-    B[n], B[-1], B[n + 1 + i] = -1, -1, 1
-    irr[n + 1] = 1
-    return A, B, irr
+    delta_irr as rows over the (1, n) basis, each class located by its name:
+    chi_i sums the delta_{0,S} with i in S and one sums them all, so B_i holds
+    -1 at each delta_{0,S} without i."""
+    names = generator_names(1, n)
+    seps, psis = marking_sets(names), {f"psi_{j}" for j in range(1, n + 1)}
+    A = [int(name == f"psi_{i}") - (i in seps.get(name, ())) for name in names]
+    B = [int(name in psis and name != f"psi_{i}") - (name == "kappa_1")
+         - (name in seps and i not in seps[name]) for name in names]
+    irr = [int(name == "delta_irr") for name in names]
+    return tuple(A), tuple(B), tuple(irr)
 
 
 def explicit_relation(n, i, r):
-    """(13 - 2r) A_i - (2r - 1) B_i - delta_irr over the genus-1 features; r is
-    an integer or the variable of RPoly."""
-    return [(13 - 2 * r) * a - (2 * r - 1) * b - d for a, b, d in zip(*genus_one_features(n, i))]
+    """(13 - 2r) A_i - (2r - 1) B_i - delta_irr over the (1, n) basis; r is an
+    integer or the variable of RPoly, evaluated once per distinct column."""
+    columns = list(zip(*genus_one_features(n, i)))
+    value = {(a, b, d): (13 - 2 * r) * a - (2 * r - 1) * b - d for a, b, d in set(columns)}
+    return [value[column] for column in columns]
 
 
 class TestExplicitGenusOneRelation:
@@ -1421,7 +1435,7 @@ class TestExplicitGenusOneRelation:
     def test_relation_row_is_the_closed_form(self, n):
         for r in range(3, 61):
             for i in range(1, n + 1):
-                expected = primitive_int_vector(_expand(1, n, explicit_relation(n, i, r)))
+                expected = primitive_int_vector(explicit_relation(n, i, r))
                 assert relation_row(1, n, unit_vector(n, i), r) == expected, (n, i, r)
 
     @settings(deadline=None, max_examples=40)
@@ -1430,7 +1444,7 @@ class TestExplicitGenusOneRelation:
     @example((11, 11), 400)
     def test_relation_row_is_the_closed_form_anywhere(self, leg, r):
         n, i = leg
-        expected = primitive_int_vector(_expand(1, n, explicit_relation(n, i, r)))
+        expected = primitive_int_vector(explicit_relation(n, i, r))
         assert relation_row(1, n, unit_vector(n, i), r) == expected
 
     @pytest.mark.parametrize("n", range(1, 12))
@@ -1439,13 +1453,13 @@ class TestExplicitGenusOneRelation:
         # 24 times its prefactor; its r^1 part is twice the AC kappa_1 row,
         # and its r^0 part is the AC psi_i row minus that row.
         r = RPoly.variable()
-        *psi_rows, kappa_row = ac_relations(1, n).features
+        _, (*psi_rows, kappa_row), _ = dict_ac_relations_genus_one(n)
         for i in range(1, n + 1):
             relation = explicit_relation(n, i, r)
+            scaled = {x: (r - 1) * (r - 2) * x for x in set(relation)}
             polys = symbolic_polys(_RelationTable(1, n), unit_vector(n, i))
-            assert _expand(1, n, _feature_row(1, unit_vector(n, i), polys)) == _expand(
-                1, n, [(r - 1) * (r - 2) * x for x in relation]
-            )
+            assert _expand(1, n, _feature_row(1, n, unit_vector(n, i), polys)) == tuple(
+                scaled[x] for x in relation)
             assert all(x.degree <= 1 for x in relation)
             assert [x.coefficient(1) for x in relation] == [2 * k for k in kappa_row]
             assert [x.coefficient(0) for x in relation] == [
@@ -1453,88 +1467,286 @@ class TestExplicitGenusOneRelation:
             ]
 
 
-def dependent_feature_rows(min_n):
-    """(n, rows) with rows over the genus-1 features at min_n <= n <= 7
-    markings: integer combinations of a few random rows, so that dependent
-    rows are common.  About half the random rows vanish on psi_1..psi_n,
-    kappa_1 and delta_irr, so that pivots on chi_i and one are common too."""
+def coordinate_names(g, n):
+    """The names of the basis classes a feature row holds, in its order: in
+    genus 1 every psi_i, kappa_1, delta_irr, then delta_{0,S} for
+    S = {1,2}, {1,2,3}, ..., {1..n}, {1,3}, {2,3}; in genus 2 psi_1 (kappa_1
+    when n = 0), delta_irr and delta_{1,{}}."""
+    if g == 2:
+        return ["psi_1" if n else "kappa_1", "delta_irr", "delta_{1,{}}"]
+    subsets = [list(range(1, k + 1)) for k in range(2, n + 1)] + ([[1, 3], [2, 3]] if n >= 3 else [])
+    return ([f"psi_{i}" for i in range(1, n + 1)] + ["kappa_1", "delta_irr"]
+            + ["delta_{0,{" + ",".join(map(str, S)) + "}}" for S in subsets])
+
+
+def coordinate_columns(g, n):
+    """The basis columns of the feature coordinates, located by name."""
+    names = generator_names(g, n)
+    return [names.index(name) for name in coordinate_names(g, n)]
+
+
+# (g, n) of the genus-1 spaces with n = 1..8 and the genus-2 ones with n = 0..7.
+COORDINATE_SPACES = [(1, n) for n in range(1, 9)] + [(2, n) for n in range(8)]
+
+
+def feature_rows(g, n):
+    """(n, rows) with integer rows over the genus-g features at n markings, or
+    at 1 <= n <= 7 when n is None: integer combinations of a few random rows, so
+    that dependent rows are common.  About half the random rows vanish on
+    every coordinate before the first delta_{0,S} or delta_{1,{}}, so that
+    pivots there are common too; n = 1 and 2 are drawn as often as the rest."""
 
     def rows(n):
-        width = 2 * n + 3
+        width = len(coordinate_names(g, n))
+        head = n + 2 if g == 1 else 2
         base = st.tuples(st.booleans(), st.lists(st.integers(-3, 3), min_size=width,
                                                  max_size=width))
-        base = base.map(lambda case: [0] * (n + 2) + case[1][n + 2:] if case[0] else case[1])
+        base = base.map(lambda case: [0] * head + case[1][head:] if case[0] else case[1])
         return st.tuples(
             st.lists(base, min_size=1, max_size=3),
-            st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=n + 2),
+            st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), max_size=width),
         ).map(lambda case: (n, [
             tuple(sum(c * b[k] for c, b in zip(coeffs, case[0])) for k in range(width))
             for coeffs in case[1]
         ]))
 
-    return st.integers(min_n, 7).flatmap(rows)
+    return (st.integers(1, 7) if n is None else st.just(n)).flatmap(rows)
 
 
-def chi_rows(n, *rows):
-    """Rows over the genus-1 features at n markings, each given as the
-    feature indices it holds 1 at: i - 1 for psi_i, n + 1 + i for chi_i and
-    2n + 2 for one."""
-    return [tuple(int(k in row) for k in range(2 * n + 3)) for row in rows]
+def named_rows(g, n, *rows):
+    """Rows over the genus-g features at n markings, each given as the names
+    of the coordinates it holds 1 at."""
+    names = coordinate_names(g, n)
+    return [tuple(int(name in row) for name in names) for row in rows]
+
+
+def reference_set(g, n, rows):
+    return RelationSet((g, n), rows, [Provenance(g, n, None, REFERENCE)] * len(rows))
 
 
 class TestFeatureCoordinates:
     @settings(deadline=None, max_examples=40)
     @given(relabellings(1), st.integers(3, 12), st.data())
-    def test_permuting_markings_permutes_feature_rows(self, relabelling, r, data):
-        # Relabelling the markings by sigma sends the rows of e_i to those of
-        # e_sigma(i), with psi_j and chi_j moved to psi_sigma(j) and
-        # chi_sigma(j); rows are compared in their primitive form.
+    def test_permuting_markings_permutes_written_rows(self, relabelling, r, data):
+        # Relabelling the markings by sigma sends the numeric and extracted
+        # rows of e_i to those of e_sigma(i), class by class.
         n, sigma = relabelling
         i = data.draw(st.integers(1, n))
-
-        def moved(row):
-            out = list(row)
-            for j in range(1, n + 1):
-                out[sigma[j] - 1], out[n + 1 + sigma[j]] = row[j - 1], row[n + 1 + j]
-            return primitive_int_vector(out)
-
-        rows = assembled_relation_set(1, n, [unit_vector(n, i)], r).features
-        target = assembled_relation_set(1, n, [unit_vector(n, sigma[i])], r).features
-        assert [moved(row) for row in rows] == [primitive_int_vector(row) for row in target]
+        basis = divisor_generators(1, n)
+        rows = assembled_relation_set(1, n, [unit_vector(n, i)], r).rows
+        target = assembled_relation_set(1, n, [unit_vector(n, sigma[i])], r).rows
+        assert [class_row(1, n, {permute_class(d, sigma, 1, n): c for d, c in zip(basis, row)})
+                for row in rows] == target
 
     @settings(deadline=None, max_examples=60)
-    @given(dependent_feature_rows(3))
+    @given(feature_rows(1, None))
     def test_feature_rank_is_the_expanded_rank(self, case):
         n, rows = case
         assert len(rref(rows)[1]) == len(rref([_expand(1, n, row) for row in rows])[1])
 
     @settings(deadline=None, max_examples=100)
-    @given(dependent_feature_rows(1))
-    @example((3, chi_rows(3, {5}, {6})))  # chi_1 and chi_2
-    @example((3, chi_rows(3, {0, 6}, {5})))  # psi_1 + chi_2 and chi_1: one pivot on chi_1
-    @example((4, chi_rows(4, {10})))  # one
+    @given(feature_rows(1, None))
+    @example((3, named_rows(1, 3, {"delta_{0,{1,3}}"}, {"delta_{0,{2,3}}"})))
+    @example((3, named_rows(1, 3, {"psi_1", "delta_{0,{2,3}}"}, {"delta_{0,{1,3}}"})))
+    @example((4, named_rows(1, 4, {"delta_{0,{1,2,3,4}}", "delta_{0,{1,3}}"})))
+    @example((2, named_rows(1, 2, {"delta_{0,{1,2}}"}, {"psi_2", "delta_{0,{1,2}}"})))
     def test_reduced_rows_are_the_basis_rref(self, case):
-        # A pivot on chi_i or one, which the basis lacks, is reduced again
-        # over the basis; below three markings the basis rows are reduced.
+        # The oracle for the reduction over the features alone: a pivot on a
+        # delta_{0,S} coordinate, and any pivot at one or two markings, is the
+        # basis rref's pivot too.
         n, rows = case
-        relation_set = RelationSet((1, n), rows, [Provenance(1, n, None, REFERENCE)] * len(rows))
+        relation_set = reference_set(1, n, rows)
         assert relation_set.reduced_rows() == rref(relation_set.rows)[0]
 
     @settings(deadline=None, max_examples=30)
-    @given(st.integers(3, 8), wide_r)
+    @given(st.integers(1, 8), wide_r)
     def test_set_rank_is_the_expanded_rank(self, n, r):
         for relation_set in (ppz_relation_set(1, n, r), ac_relations(1, n)):
-            rank = len(rref(relation_set._span_rows())[1])
+            rank = len(rref(relation_set.features)[1])
             assert rank == len(rref(relation_set.rows)[1]) == n + 1
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(1, 2), wide_r)
-    def test_dependent_features_fall_back_to_the_basis(self, n, r):
+    def test_spans_at_one_and_two_markings(self, n, r):
         report = spans_equal(ppz_relation_set(1, n, r), ac_relations(1, n))
         assert report == (True, n + 1, n + 1, n + 1)
 
-    def test_fallback_is_needed_at_two_markings(self):
-        # At n = 2, chi_1 = chi_2 = one: the feature rank overcounts.
-        computed = ppz_relation_set(1, 2, 3)
-        assert len(rref(computed.features)[1]) == 4
-        assert len(rref(computed._span_rows())[1]) == 3
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+    def test_no_row_reduction_over_basis_columns(self, monkeypatch, n):
+        widths = []
+
+        def spy(rows):
+            widths.extend(len(row) for row in rows)
+            return rref(rows)
+
+        monkeypatch.setattr("rspinrel.relations.rref", spy)
+        # The hand-made set pivots on the last coordinate.
+        last = reference_set(1, n, named_rows(1, n, {coordinate_names(1, n)[-1]}))
+        for relation_set in (ppz_relation_set(1, n, 3), ac_relations(1, n), last):
+            relation_set.reduced_rows()
+            spans_equal(relation_set, relation_set)
+        assert widths and max(widths) == len(coordinate_names(1, n))
+
+
+def coordinate_cases(g, n):
+    """Every feature row of the PPZ sets at r in {3, 4, 5, 7}, the symbolic
+    genus-1 set and the Arbarello-Cornalba set on the (g, n) space."""
+    sets = [ppz_relation_set(g, n, r) for r in (3, 4, 5, 7)] + [ac_relations(g, n)]
+    if g == 1:
+        sets.append(assembled_relation_set(1, n, [unit_vector(n, i) for i in range(1, n + 1)]))
+    return sets
+
+
+class TestFeatureRowsAreSubRows:
+    """A feature row is its written row restricted to the coordinate classes,
+    located by name, and the written rows of any set have their rref pivots
+    on coordinate columns: what makes the sign and the reduced rows over the
+    features those over the basis."""
+
+    @staticmethod
+    def assert_sub_rows(g, n, features):
+        columns = coordinate_columns(g, n)
+        written = [_expand(g, n, row) for row in features]
+        for row, full in zip(features, written):
+            assert len(full) == len(generator_names(g, n))
+            assert [full[c] for c in columns] == list(row), (g, n, row)
+        assert set(rref(written)[1]) <= set(columns), (g, n)
+
+    @pytest.mark.parametrize("g,n", COORDINATE_SPACES)
+    def test_relation_sets(self, g, n):
+        for relation_set in coordinate_cases(g, n):
+            self.assert_sub_rows(g, n, relation_set.features)
+
+    @pytest.mark.parametrize("g,n", COORDINATE_SPACES)
+    def test_coordinates_are_the_lex_first_independent_columns(self, g, n):
+        # Written out, the unit feature rows have their pivots on exactly the
+        # coordinate columns.
+        width = len(coordinate_names(g, n))
+        units = [tuple(int(j == k) for j in range(width)) for k in range(width)]
+        self.assert_sub_rows(g, n, units)
+        assert rref([_expand(g, n, row) for row in units])[1] == coordinate_columns(g, n)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(COORDINATE_SPACES).flatmap(lambda space: st.tuples(
+        st.just(space[0]), feature_rows(*space))))
+    def test_random_rows(self, case):
+        g, (n, rows) = case
+        self.assert_sub_rows(g, n, rows)
+
+
+class TestFeatureRowSign:
+    """Every feature row of a reference or assembled set is primitive with a
+    positive lead, so its written row is too: primitive_int_vector is the
+    one place a row's sign is chosen."""
+
+    @pytest.mark.parametrize("g,n", COORDINATE_SPACES + [(3, 0), (3, 2)])
+    def test_features_are_their_own_primitive_vectors(self, g, n):
+        for relation_set in coordinate_cases(g, n):
+            for row in relation_set.features:
+                assert primitive_int_vector(row) == row, (g, n, relation_set.provenances)
+
+
+class TestSpanWritesNoBasisRow:
+    """verify-ac compares spans over the feature rows at every n: neither
+    verify_ac nor spans_equal writes a row out over the basis."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_verify_ac_never_expands(self, g):
+        import rspinrel.relations as relations_module
+
+        with mock.patch.object(relations_module, "_expand", wraps=relations_module._expand) as expand:
+            for n, r in product((0, 1, 2, 3, 5), (3, 4)):
+                if 2 * g - 2 + n > 0:
+                    assert relations_module.verify_ac(g, n, r)["verdict"] == (
+                        "EQUAL" if g != 2 or r == 3 else "DIFFERENT"), (g, n, r)
+                    spans_equal(ppz_relation_set(g, n, r), ac_relations(g, n))
+        assert not expand.called
+
+
+def forgetful_pullback(g, n, coefficients):
+    """pi^* of a class-keyed class on the (g, n) space along the forgetful map
+    pi from the (g, n + 1) space (Arbarello-Cornalba 1998):
+    pi^* psi_i = psi_i - delta_{0,{i,n+1}}, pi^* kappa_1 = kappa_1 - psi_{n+1},
+    pi^* delta_irr = delta_irr and pi^* delta_{h,S} = delta_{h,S} +
+    delta_{h,S+{n+1}}.  Each distinct canonical class is added once: at n = 0
+    in genus 2 both terms of delta_1 are the one class delta_{1,{}}."""
+    m = n + 1
+    pulled = {}
+
+    def add(classes, value):
+        for d in classes:
+            pulled[d] = pulled.get(d, 0) + value
+
+    for d, value in coefficients.items():
+        if d.kind == PSI:
+            add({d}, value)
+            add({canonical_divisor(delta_sep(0, {d.index, m}), g, m)}, -value)
+        elif d.kind == KAPPA1:
+            add({d}, value)
+            add({psi(m)}, -value)
+        elif d.kind == DELTA_IRR:
+            add({d}, value)
+        else:
+            add({canonical_divisor(delta_sep(d.h, T), g, m) for T in (d.markings, d.markings | {m})},
+                value)
+    return pulled
+
+
+def fibre_degree(d, g, n):
+    """The degree on a fibre of the forgetful map from the (g, n + 1) space of
+    its class d: 2g - 2 + n for psi_{n+1} and kappa_1, 1 for psi_i with
+    i <= n and for delta_{0,{i,n+1}}, and 0 for every other class."""
+    m = n + 1
+    if d.kind == KAPPA1 or (d.kind == PSI and d.index == m):
+        return 2 * g - 2 + n
+    if d.kind == PSI or (d.kind == DELTA_SEP and d.h == 0 and m in d.markings
+                         and len(d.markings) == 2):
+        return 1
+    return 0
+
+
+# (g, n) with (g, n) stable and n + 1 <= 7: the forgetful map from the
+# (g, n + 1) space to the (g, n) space.
+FORGETFUL_SPACES = [(1, n) for n in range(1, 7)] + [(2, n) for n in range(7)]
+FORGETFUL_SETS = {"ac": ac_relations,
+                  **{f"ppz-r{r}": partial(ppz_relation_set, r=r) for r in (3, 4, 5, 7)}}
+
+
+class TestForgetfulPullback:
+    """The relations are compatible with the forgetful map pi from the
+    (g, n + 1) space to the (g, n) space (ROADMAP item 13): pi_* of each
+    relation upstairs has fibre degree 0, and pi^* of each relation
+    downstairs lies in the span upstairs.  Arbarello-Cornalba's set runs
+    first, as a test of the formulas, then the assembled sets."""
+
+    @pytest.mark.parametrize("source", FORGETFUL_SETS)
+    @pytest.mark.parametrize("g,n", FORGETFUL_SPACES)
+    def test_fibre_degree_vanishes(self, source, g, n):
+        basis = divisor_generators(g, n + 1)
+        degrees = [fibre_degree(d, g, n) for d in basis]
+        for row in FORGETFUL_SETS[source](g, n + 1).rows:
+            assert sum(c * e for c, e in zip(row, degrees)) == 0, (g, n, row)
+
+    @pytest.mark.parametrize("source", FORGETFUL_SETS)
+    @pytest.mark.parametrize("g,n", FORGETFUL_SPACES)
+    def test_pullback_lies_in_the_span_upstairs(self, source, g, n):
+        relations = FORGETFUL_SETS[source]
+        upstairs = relations(g, n + 1).rows
+        rank = len(rref(upstairs)[1])
+        basis, target = divisor_generators(g, n), divisor_generators(g, n + 1)
+        for row in relations(g, n).rows:
+            pulled = forgetful_pullback(g, n, dict(zip(basis, row)))
+            assert set(pulled) <= set(target)
+            pulled_row = [pulled.get(d, 0) for d in target]
+            assert any(pulled_row)
+            assert len(rref(upstairs + [pulled_row])[1]) == rank, (g, n, row)
+
+    def test_a_wrong_delta_irr_coefficient_does_not_pull_back(self):
+        # Mumford's relation on the (2, 1) space with its delta_irr
+        # coefficient doubled: its pullback leaves the span upstairs.
+        wrong = dict_pullback_genus2({**MUMFORD, delta_irr(): -2}, 1)
+        pulled = forgetful_pullback(2, 1, wrong)
+        upstairs = ac_relations(2, 2).rows
+        target = divisor_generators(2, 2)
+        assert len(rref(upstairs + [[pulled.get(d, 0) for d in target]])[1]) == len(
+            rref(upstairs)[1]) + 1
