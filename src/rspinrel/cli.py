@@ -36,6 +36,8 @@ MAX_PM_ENTRIES = 5000
 # ASCII).  The text is encoded a piece at a time and written in cuts of this
 # size, so no process holds it whole, encoded or not.
 JSON_SLICE = 1 << 16
+# Longest list below a record's top-level lists that is encoded in one piece.
+JSON_RUN = 1 << 10
 
 
 class UsageError(Exception):
@@ -54,20 +56,33 @@ def _json_dumps(fmt: str):
     return None
 
 
-def _json_pieces(dumps, record: dict):
-    """The text of ``dumps(record, sort_keys=True)`` in consecutive pieces:
-    each top-level key with its value, and a list that is not empty one item
-    at a time, so that a piece holds at most one item's text."""
-    for i, key in enumerate(sorted(record)):
-        value = record[key]
-        yield ("{" if i == 0 else ", ") + dumps(key) + ": "
-        if not (isinstance(value, list) and value):
-            yield dumps(value, sort_keys=True)
-            continue
+def _long(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) > JSON_RUN
+
+
+def _json_pieces(dumps, value, depth=0, lead=""):
+    """The text of ``lead + dumps(value, sort_keys=True)`` in pieces, for
+    ``value`` at ``depth`` in the record: the record key by key and its lists
+    item by item; below them a dict with a ``_long`` value key by key (if its
+    keys are all str: ``dumps(1)`` is ``1``, not ``"1"``) and a ``_long``
+    list in runs of ``JSON_RUN`` items; all else in one call."""
+    if isinstance(value, dict) and value and (not depth or any(map(_long, value.values()))) \
+            and all(isinstance(key, str) for key in value):
+        for i, key in enumerate(sorted(value)):
+            yield from _json_pieces(dumps, value[key], depth + 1,
+                                    (lead + "{" if i == 0 else ", ") + dumps(key) + ": ")
+        yield "}"
+    elif depth == 1 and isinstance(value, (list, tuple)) and value:
         for j, item in enumerate(value):
-            yield ("[" if j == 0 else ", ") + dumps(item, sort_keys=True)
+            yield from _json_pieces(dumps, item, 2, lead + "[" if j == 0 else ", ")
         yield "]"
-    yield "}"
+    elif depth > 1 and _long(value):
+        for j in range(0, len(value), JSON_RUN):
+            run = dumps(value[j:j + JSON_RUN], sort_keys=True)[1:-1]
+            yield (lead + "[" if j == 0 else ", ") + run
+        yield "]"
+    else:
+        yield lead + dumps(value, sort_keys=True)
 
 
 def _emit(dumps, command: str, params: dict, start: float, text_lines, **fields) -> None:
@@ -76,8 +91,8 @@ def _emit(dumps, command: str, params: dict, start: float, text_lines, **fields)
     ``params`` add the format json; ``fields`` are its entries that are not
     empty, and ``elapsed_ms``, unless given, is the time since ``start``.
     The record is built whole, its text never: ``_json_pieces`` encodes it
-    piece by piece, and stdout gets the writes of the whole text, its cuts of
-    ``JSON_SLICE`` characters, the rest if any, then a newline."""
+    an item or a run of a long row at a time, and stdout gets the writes of
+    its text, cuts of ``JSON_SLICE`` characters, the rest if any, a newline."""
     if dumps:
         record = {"schema_version": SCHEMA_VERSION, "command": command,
                   "params": {**params, "format": "json"}, "relations": [], "verdicts": [],

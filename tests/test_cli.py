@@ -539,6 +539,19 @@ _FIELDS = st.dictionaries(
 )
 
 
+# Long lists below a record's top-level lists, which ``cli._json_pieces``
+# encodes in runs of ``cli.JSON_RUN`` items: a genus-2-shaped relation (6,145
+# generators and a coefficient tuple), a list of dicts and a list of scalars
+# with a dict whose keys are unsorted.
+_CLASSES = 6145
+_GENUS_TWO_RECORD = {"generators": [f"delta_{{0,{{{i}}}}}" for i in range(_CLASSES)],
+                     "coeffs": tuple((-1) ** i * (i % 97) for i in range(_CLASSES)),
+                     "g": 2, "n": 12, "r": 3, "a": None}
+_LONG_DICTS = [{"z": i, "a": [i, "\u00e9"]} for i in range(3000)]
+_LONG_MIXED = [1, "x", None, {"z": -0.0, "b": {"y": 1e16, "a": []}}, 1e-7, True] * 400
+_LONG = [0] * (cli_module.JSON_RUN + 1)
+
+
 class TestJsonWriter:
     """``cli._emit`` builds every command's JSON record, and writes it in
     slices of at most ``JSON_SLICE`` characters, then a newline, so that it
@@ -573,6 +586,19 @@ class TestJsonWriter:
         "notes": [], "verdicts": [-0.0, "\U0001f600"]})
     # A long list whose text is exactly several slices long.
     @example(params={}, elapsed=0, exact=True, fields={"table": [{"m": 2, "a": "x" * 99}] * 2000})
+    # Long lists encoded in runs, the relation's whole text exactly several
+    # slices long or not.
+    @example(params={}, elapsed=0, exact=False, fields={"relations": [_GENUS_TWO_RECORD]})
+    @example(params={}, elapsed=0, exact=True, fields={"relations": [_GENUS_TWO_RECORD] * 2})
+    @example(params={}, elapsed=1.5, exact=False, fields={"relations": [
+        {"rows": _LONG_DICTS, "m": 1}, {"rows": tuple(_LONG_MIXED)}], "notes": [_LONG_MIXED]})
+    # Empty lists, dicts and tuples at depths 2 and 3, beside a long list.
+    @example(params={"e": {}}, elapsed=0, exact=False, fields={
+        "relations": [[], {}, (), {"long": _LONG, "b": [], "a": {}, "c": ()}],
+        "verdicts": [{"long": tuple(_LONG), "x": [[], {}, ()]}]})
+    # Dicts whose keys are not str, which json.dumps writes as strings.
+    @example(params={}, elapsed=0, exact=False, fields={"relations": [
+        {1: 2}, {1: _LONG}, {"long": _LONG, "x": {1: 2}, "y": {2: _LONG, 1.5: None}}]})
     def test_writes_are_the_cuts_of_json_dumps(self, params, fields, elapsed, exact):
         # The writes are json.dumps's text of the whole record cut into
         # slices, ceil(length / slice) of them, then "\n".  Compared as lists,
@@ -616,6 +642,77 @@ class TestJsonWriter:
             tracemalloc.stop()
         assert stdout.length == length + 1
         assert peak < length / 4, (peak, length)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=_JSON_DICTS, fields=_FIELDS, run=st.integers(1, 3))
+    def test_short_runs_are_the_cuts_of_json_dumps(self, params, fields, run):
+        # With runs of 1 to 3 items, the lists of up to 4 that the
+        # strategies build below the top level are encoded in runs too.
+        fields = {**fields, "elapsed_ms": 0}
+        text = json.dumps(_record("x", params, **fields), sort_keys=True)
+        stdout = _RecordingStdout()
+        with mock.patch.object(sys, "stdout", stdout), \
+                mock.patch.object(cli_module, "JSON_RUN", run):
+            cli_module._emit(json.dumps, "x", params, None, None, **fields)
+        cuts = [text[offset:offset + self.SLICE] for offset in range(0, len(text), self.SLICE)]
+        assert stdout.writes == cuts + ["\n"]
+
+    @pytest.mark.parametrize("value", [
+        {}, {1: 2}, {"a": {1: 2}}, {"a": [{1: 2}]}, {"a": [{1: _LONG}]}, {"a": [{"b": {1: _LONG}}]},
+        {"a": [{"b": _LONG, "c": {True: 1, 3: 2}}]}, {"a": [], "b": [[], {}, ()]},
+    ], ids=["empty", "int-key", "nested-int-key", "int-key-item", "int-key-long-item",
+            "int-key-long-value", "non-str-keys-beside-a-long-list", "empty-values"])
+    def test_pieces_join_to_json_dumps(self, value):
+        # json.dumps writes every key as a string; the record's pieces cut
+        # only dicts whose keys are all str.
+        text = "".join(cli_module._json_pieces(json.dumps, value))
+        assert text == json.dumps(value, sort_keys=True)
+
+    @pytest.mark.parametrize("g, n, r, bound", [(2, 12, 3, 2), (1, 12, 3, 1 / 4)],
+                             ids=["genus-2-n12", "genus-1-n12"])
+    def test_encoding_holds_about_one_run(self, g, n, r, bound):
+        # A row longer than JSON_RUN is encoded a run at a time: the traced
+        # peak of the genus-2 relation's 0.2 MB of text stays below twice
+        # its text, and that of 13 genus-1 relations below a quarter of it.
+        records, notes = relations_module.relation_records(g, n, r, None)
+        assert len(records[0]["coeffs"]) > 4 * cli_module.JSON_RUN
+        fields = {"relations": records, "notes": notes, "elapsed_ms": 0}
+        length = len(json.dumps(_record("x", {}, **fields), sort_keys=True))
+        stdout = _CountingStdout()
+        tracemalloc.start()
+        try:
+            with mock.patch.object(sys, "stdout", stdout):
+                cli_module._emit(json.dumps, "x", {}, None, None, **fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stdout.length == length + 1
+        assert peak < bound * length, (peak, length)
+
+    @pytest.mark.parametrize("command", ["pm-table --m-max 200 --r 24",
+                                         "relations --g 1 --n 8 --symbolic"])
+    def test_short_items_are_encoded_whole(self, command):
+        # Items with no list longer than JSON_RUN take one dumps call each,
+        # so pm-deep and g1-relations records are not cut any finer: one
+        # call per key, per table row or relation record, and per other value.
+        if command.startswith("pm-table"):
+            fields = {"table": [{"m": m, "values": row}
+                                for m, row in enumerate(cohft_module.pm_table(200, 24))]}
+        else:
+            records, notes = relations_module.relation_records(1, 8, None, None)
+            fields = {"relations": records, "notes": notes}
+        fields["elapsed_ms"] = 0
+        record = _record("x", {}, **fields)
+        calls = []
+
+        def dumps(value, **kwargs):
+            calls.append(value)
+            return json.dumps(value, **kwargs)
+
+        with mock.patch.object(sys, "stdout", _CountingStdout()):
+            cli_module._emit(dumps, "x", {}, None, None, **fields)
+        assert len(calls) == len(record) + sum(
+            len(value) if isinstance(value, list) and value else 1 for value in record.values())
 
     def test_text_output_builds_no_record(self, capsys):
         # With no start time, building the record would raise.
