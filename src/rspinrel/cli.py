@@ -30,11 +30,11 @@ SCHEMA_VERSION = 1
 # the P_m table has r - 1 entries), and near r = 10^9 one row exhausts memory.
 MAX_R = 1000
 # Largest P_m table in entries, m-max + 1 rows of r - 1.  Entries lengthen with
-# m; within this bound a table prints at most about 11 MB of JSON.
+# m; the most JSON within this bound is about 14 MB (``--m-max 793 --r 7``).
 MAX_PM_ENTRIES = 5000
-# Longest write of a JSON record's text, in characters (bytes: the text is
-# ASCII).  The text is encoded a piece at a time and written in cuts of this
-# size, so no process holds it whole, encoded or not.
+# Least length of every write of a JSON record's text but the last, in
+# characters (bytes: the text is ASCII).  The text is encoded a piece at a
+# time and written in batches, so no process holds it whole, encoded or not.
 JSON_SLICE = 1 << 16
 # Longest list below a record's top-level lists that is encoded in one piece.
 JSON_RUN = 1 << 10
@@ -45,14 +45,14 @@ class UsageError(Exception):
 
 
 def _json_dumps(fmt: str):
-    """``json.dumps`` if the command prints its JSON record, else None.  A
-    command asks once its arguments pass and before its work, so json loads
-    only for JSON output, and not on top of the finished record, where its
-    import would raise the command's peak memory."""
+    """``json.JSONEncoder(sort_keys=True).encode`` if the command prints its
+    JSON record, else None.  A command asks once its arguments pass and
+    before its work, so json loads only for JSON output, and not on top of the
+    finished record, where its import would raise the command's peak memory."""
     if fmt == "json":
         import json
 
-        return json.dumps
+        return json.JSONEncoder(sort_keys=True).encode
     return None
 
 
@@ -61,11 +61,11 @@ def _long(value) -> bool:
 
 
 def _json_pieces(dumps, value, depth=0, lead=""):
-    """The text of ``lead + dumps(value, sort_keys=True)`` in pieces, for
-    ``value`` at ``depth`` in the record: the record key by key and its lists
-    item by item; below them a dict with a ``_long`` value key by key (if its
-    keys are all str: ``dumps(1)`` is ``1``, not ``"1"``) and a ``_long``
-    list in runs of ``JSON_RUN`` items; all else in one call."""
+    """The text of ``lead + dumps(value)`` in pieces, for ``value`` at
+    ``depth`` in the record: the record key by key and its lists item by
+    item; below them a dict with a ``_long`` value key by key (if its keys are
+    all str: ``dumps(1)`` is ``1``, not ``"1"``) and a ``_long`` list in runs
+    of ``JSON_RUN`` items; all else in one call."""
     if isinstance(value, dict) and value and (not depth or any(map(_long, value.values()))) \
             and all(isinstance(key, str) for key in value):
         for i, key in enumerate(sorted(value)):
@@ -78,11 +78,11 @@ def _json_pieces(dumps, value, depth=0, lead=""):
         yield "]"
     elif depth > 1 and _long(value):
         for j in range(0, len(value), JSON_RUN):
-            run = dumps(value[j:j + JSON_RUN], sort_keys=True)[1:-1]
+            run = dumps(value[j:j + JSON_RUN])[1:-1]
             yield (lead + "[" if j == 0 else ", ") + run
         yield "]"
     else:
-        yield lead + dumps(value, sort_keys=True)
+        yield lead + dumps(value)
 
 
 def _emit(dumps, command: str, params: dict, start: float, text_lines, **fields) -> None:
@@ -91,8 +91,9 @@ def _emit(dumps, command: str, params: dict, start: float, text_lines, **fields)
     ``params`` add the format json; ``fields`` are its entries that are not
     empty, and ``elapsed_ms``, unless given, is the time since ``start``.
     The record is built whole, its text never: ``_json_pieces`` encodes it
-    an item or a run of a long row at a time, and stdout gets the writes of
-    its text, cuts of ``JSON_SLICE`` characters, the rest if any, a newline."""
+    an item or a run of a long row at a time, and stdout gets the pieces in
+    writes of ``JSON_SLICE`` characters or more, then the rest and a newline;
+    a write per piece raised a cold command's peak memory."""
     if dumps:
         record = {"schema_version": SCHEMA_VERSION, "command": command,
                   "params": {**params, "format": "json"}, "relations": [], "verdicts": [],
@@ -101,20 +102,11 @@ def _emit(dumps, command: str, params: dict, start: float, text_lines, **fields)
             record["elapsed_ms"] = round(1000 * (time.perf_counter() - start), 3)
         write, pending = sys.stdout.write, ""
         for piece in _json_pieces(dumps, record):
-            offset = JSON_SLICE - len(pending)
-            if len(piece) < offset:
-                pending += piece
-                continue
-            # A long piece is cut where it lies; the cut across it and what is
-            # pending is formatted whole, not copied from a slice of it.
-            write("%s%.*s" % (pending, offset, piece))
-            while len(piece) - offset >= JSON_SLICE:
-                write(piece[offset:offset + JSON_SLICE])
-                offset += JSON_SLICE
-            pending = piece[offset:]
-        if pending:
-            write(pending)
-        write("\n")
+            pending += piece
+            if len(pending) >= JSON_SLICE:
+                write(pending)
+                pending = ""
+        write(pending + "\n")
     else:
         for line in text_lines():
             print(line)

@@ -553,69 +553,52 @@ _LONG = [0] * (cli_module.JSON_RUN + 1)
 
 
 class TestJsonWriter:
-    """``cli._emit`` builds every command's JSON record, and writes it in
-    slices of at most ``JSON_SLICE`` characters, then a newline, so that it
-    reads back as the whole record."""
+    """``cli._emit`` builds every command's JSON record, and writes its text
+    in batches of at least ``JSON_SLICE`` characters, then the rest and a
+    newline, so that it reads back as the whole record."""
 
     SLICE = cli_module.JSON_SLICE
     # Each record's keys, and the one key pm-table adds.
     SKELETON = {"schema_version", "command", "params", "relations", "verdicts", "notes",
                 "elapsed_ms"}
 
-    @pytest.mark.parametrize("length", [200, SLICE, 3 * SLICE + 17], ids=[
-        "below-one-slice", "exactly-one-slice", "several-slices",
-    ])
-    def test_writes_are_slices_of_the_record(self, monkeypatch, length):
-        # A note pads the record's text to ``length`` characters.
-        base = len(json.dumps(_record("x", {}, notes=[""], elapsed_ms=0)))
-        record = _record("x", {}, notes=["a" * (length - base)], elapsed_ms=0)
-        text = json.dumps(record, sort_keys=True)
-        assert len(text) == length
-        stdout = _RecordingStdout()
-        monkeypatch.setattr(sys, "stdout", stdout)
-        cli_module._emit(json.dumps, "x", {}, None, None, notes=record["notes"], elapsed_ms=0)
-        assert all(len(chunk) <= self.SLICE for chunk in stdout.writes)
-        assert "".join(stdout.writes) == text + "\n"
-        assert len(stdout.writes) == -(-length // self.SLICE) + 1
+    def assert_joins(self, writes, text):
+        """Assert that ``writes`` join to ``text``.  Compared as lists of
+        slices, a failure reports the first slice that differs; pytest's diff
+        of two texts this long can take minutes."""
+        def cuts(string):
+            return [string[i:i + self.SLICE] for i in range(0, len(string), self.SLICE)]
+
+        assert cuts("".join(writes)) == cuts(text)
 
     @settings(max_examples=60, deadline=None)
-    @given(params=_JSON_DICTS, fields=_FIELDS, elapsed=_JSON_VALUES, exact=st.booleans())
+    @given(params=_JSON_DICTS, fields=_FIELDS, elapsed=_JSON_VALUES)
     # Every kind of value at once, inside a list item and under unsorted keys.
-    @example(params={"z": {"b": 1, "a": [None, True]}}, elapsed=-0.0, exact=False, fields={
+    @example(params={"z": {"b": 1, "a": [None, True]}}, elapsed=-0.0, fields={
         "relations": [{"z": 1e16, "a": 1e-7}, {"y": "\u00e9\"\\\x01\u2028", "b": [False, None]}],
         "notes": [], "verdicts": [-0.0, "\U0001f600"]})
-    # A long list whose text is exactly several slices long.
-    @example(params={}, elapsed=0, exact=True, fields={"table": [{"m": 2, "a": "x" * 99}] * 2000})
-    # Long lists encoded in runs, the relation's whole text exactly several
-    # slices long or not.
-    @example(params={}, elapsed=0, exact=False, fields={"relations": [_GENUS_TWO_RECORD]})
-    @example(params={}, elapsed=0, exact=True, fields={"relations": [_GENUS_TWO_RECORD] * 2})
-    @example(params={}, elapsed=1.5, exact=False, fields={"relations": [
+    # A long list whose text is several slices long.
+    @example(params={}, elapsed=0, fields={"table": [{"m": 2, "a": "x" * 99}] * 2000})
+    # Long lists encoded in runs.
+    @example(params={}, elapsed=0, fields={"relations": [_GENUS_TWO_RECORD]})
+    @example(params={}, elapsed=0, fields={"relations": [_GENUS_TWO_RECORD] * 2})
+    @example(params={}, elapsed=1.5, fields={"relations": [
         {"rows": _LONG_DICTS, "m": 1}, {"rows": tuple(_LONG_MIXED)}], "notes": [_LONG_MIXED]})
     # Empty lists, dicts and tuples at depths 2 and 3, beside a long list.
-    @example(params={"e": {}}, elapsed=0, exact=False, fields={
+    @example(params={"e": {}}, elapsed=0, fields={
         "relations": [[], {}, (), {"long": _LONG, "b": [], "a": {}, "c": ()}],
         "verdicts": [{"long": tuple(_LONG), "x": [[], {}, ()]}]})
     # Dicts whose keys are not str, which json.dumps writes as strings.
-    @example(params={}, elapsed=0, exact=False, fields={"relations": [
+    @example(params={}, elapsed=0, fields={"relations": [
         {1: 2}, {1: _LONG}, {"long": _LONG, "x": {1: 2}, "y": {2: _LONG, 1.5: None}}]})
-    def test_writes_are_the_cuts_of_json_dumps(self, params, fields, elapsed, exact):
-        # The writes are json.dumps's text of the whole record cut into
-        # slices, ceil(length / slice) of them, then "\n".  Compared as lists,
-        # a failure reports the first write that differs; pytest's diff of
-        # two texts this long can take minutes.
+    def test_writes_join_to_json_dumps(self, params, fields, elapsed):
+        # The writes join to json.dumps's text of the whole record, then "\n".
         fields = {**fields, "elapsed_ms": elapsed}
-        if exact:  # a string field pads the text to a multiple of the slice
-            fields["~pad"] = ""
-            base = len(json.dumps(_record("x", params, **fields), sort_keys=True))
-            fields["~pad"] = "a" * (-base % self.SLICE)
         text = json.dumps(_record("x", params, **fields), sort_keys=True)
-        assert len(text) % self.SLICE == 0 or not exact
         stdout = _RecordingStdout()
         with mock.patch.object(sys, "stdout", stdout):
-            cli_module._emit(json.dumps, "x", params, None, None, **fields)
-        cuts = [text[offset:offset + self.SLICE] for offset in range(0, len(text), self.SLICE)]
-        assert stdout.writes == cuts + ["\n"]
+            cli_module._emit(cli_module._json_dumps("json"), "x", params, None, None, **fields)
+        self.assert_joins(stdout.writes, text + "\n")
 
     @pytest.mark.parametrize("command", ["pm-table --m-max 200 --r 24",
                                          "relations --g 1 --n 12 --symbolic"])
@@ -645,7 +628,7 @@ class TestJsonWriter:
 
     @settings(max_examples=60, deadline=None)
     @given(params=_JSON_DICTS, fields=_FIELDS, run=st.integers(1, 3))
-    def test_short_runs_are_the_cuts_of_json_dumps(self, params, fields, run):
+    def test_short_runs_join_to_json_dumps(self, params, fields, run):
         # With runs of 1 to 3 items, the lists of up to 4 that the
         # strategies build below the top level are encoded in runs too.
         fields = {**fields, "elapsed_ms": 0}
@@ -653,9 +636,8 @@ class TestJsonWriter:
         stdout = _RecordingStdout()
         with mock.patch.object(sys, "stdout", stdout), \
                 mock.patch.object(cli_module, "JSON_RUN", run):
-            cli_module._emit(json.dumps, "x", params, None, None, **fields)
-        cuts = [text[offset:offset + self.SLICE] for offset in range(0, len(text), self.SLICE)]
-        assert stdout.writes == cuts + ["\n"]
+            cli_module._emit(cli_module._json_dumps("json"), "x", params, None, None, **fields)
+        self.assert_joins(stdout.writes, text + "\n")
 
     @pytest.mark.parametrize("value", [
         {}, {1: 2}, {"a": {1: 2}}, {"a": [{1: 2}]}, {"a": [{1: _LONG}]}, {"a": [{"b": {1: _LONG}}]},
@@ -703,16 +685,58 @@ class TestJsonWriter:
             fields = {"relations": records, "notes": notes}
         fields["elapsed_ms"] = 0
         record = _record("x", {}, **fields)
-        calls = []
+        calls, encode = [], cli_module._json_dumps("json")
 
-        def dumps(value, **kwargs):
+        def dumps(value):
             calls.append(value)
-            return json.dumps(value, **kwargs)
+            return encode(value)
 
         with mock.patch.object(sys, "stdout", _CountingStdout()):
             cli_module._emit(dumps, "x", {}, None, None, **fields)
         assert len(calls) == len(record) + sum(
             len(value) if isinstance(value, list) and value else 1 for value in record.values())
+
+    @pytest.mark.parametrize("command, args", [
+        ("pm-table", (200, 24)), ("pm-table", (49, 100)), ("pm-table", (12, 385)),
+        ("relations", (2, 12, 3, None)), ("relations", (1, 12, 3, None)),
+    ], ids=["pm-200-24", "pm-49-100", "pm-12-385", "genus-2-n12", "genus-1-n12-r3"])
+    def test_writes_are_few_and_bounded(self, command, args):
+        # Every piece of a record the CLI prints is shorter than a slice (the
+        # longest, a pm-table row at r = 385 and m = 12, is 46 KB), so every
+        # write but the last holds a slice or more and less than two.
+        if command == "pm-table":
+            fields = {"table": [{"m": m, "values": row}
+                                for m, row in enumerate(cohft_module.pm_table(*args))]}
+        else:
+            records, notes = relations_module.relation_records(*args)
+            fields = {"relations": records, "notes": notes}
+        fields["elapsed_ms"] = 0
+        text = json.dumps(_record("x", {}, **fields), sort_keys=True)
+        assert len(text) > 2 * self.SLICE
+        stdout = _RecordingStdout()
+        with mock.patch.object(sys, "stdout", stdout):
+            cli_module._emit(cli_module._json_dumps("json"), "x", {}, None, None, **fields)
+        *batches, last = stdout.writes
+        assert all(self.SLICE <= len(write) < 2 * self.SLICE for write in batches)
+        assert len(last) <= self.SLICE
+        self.assert_joins(stdout.writes, text + "\n")
+
+    def test_emit_builds_no_encoder(self):
+        # One encoder, built before the record, encodes every piece; with
+        # json.dumps(..., sort_keys=True) each piece built its own, 188 here.
+        records, notes = relations_module.relation_records(1, 12, 3, None)
+        encode, built = cli_module._json_dumps("json"), []
+        init = json.JSONEncoder.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        with mock.patch.object(json.JSONEncoder, "__init__", counting_init), \
+                mock.patch.object(sys, "stdout", _CountingStdout()):
+            cli_module._emit(encode, "x", {}, None, None, relations=records, notes=notes,
+                             elapsed_ms=0)
+        assert built == []
 
     def test_text_output_builds_no_record(self, capsys):
         # With no start time, building the record would raise.
