@@ -148,9 +148,8 @@ def _cmd_relations(args) -> int:
             raise UsageError(f"cannot parse leg vector {args.a!r}")
         if len(a_vec) != n:
             raise UsageError(f"leg vector length {len(a_vec)} != n = {n}")
-        # A leg entry is a basis index 0..r-2, under --symbolic at every
-        # sampled r, and the samples (relations._SYMBOLIC_SAMPLE_RS) start at
-        # r = 3.
+        # A leg entry is a basis index 0..r-2; under --symbolic, that of
+        # r = 3, the smallest r, where the symbolic assembly applies its gate.
         r = 3 if args.symbolic else args.r
         if not all(0 <= a <= r - 2 for a in a_vec):
             sample = "the first r sample, " if args.symbolic else ""

@@ -1,19 +1,24 @@
 """Independent oracles and structural checks, run by ``selftest`` and the tests.
 
 The CLI's ``relations``, ``verify-ac`` and ``pm-table`` never import this
-module.  It holds the divisor classes and the basis they form, with
+module, and it imports nothing from :mod:`rspinrel.relations`, whose closed
+form it checks.  It holds the divisor classes and the basis they form, with
 :func:`canonical_divisor`; the codimension-1 graph layer (stable graphs and
-their enumeration); :func:`graph_contribution_terms`, the per-graph
-contraction oracle for the assembly, and :func:`edge_constant_term` read off
-the inverse R-matrix; :func:`metric_matrix`, the forward and whole
-R-matrices; the quantum product with its idempotent check in exact
-cyclotomic arithmetic (``RPoly`` remainders modulo
+their enumeration); the contraction: the per-family sums over node
+insertions, in integers at scale 24 (the first-order entry
+24 P_1(r, a) = 12a(r-1-a) - (2r-1)(r-2) in closed form, a topological vertex
+value the integer (r-1)^g or 0, and the edge factor's constant term), and
+:func:`graph_contribution_terms`, the per-graph oracle built from them, with
+:func:`edge_constant_term` read off the inverse R-matrix; :func:`metric_matrix`,
+the forward and whole R-matrices; the quantum product with its idempotent
+check in exact cyclotomic arithmetic (``RPoly`` remainders modulo
 :func:`cyclotomic_polynomial`); the determinant, by Bareiss over rationals or
 polynomials in r; and the genus-1 system determinant.  Each function of r
 takes it as a plain int, as ``relation_row`` does, and refuses one below 3
 through ``cohft.check_index``.  Whatever reads P_m(r, a) here looks up
-``cohft.p_polynomial`` when called, so a patched table is seen; the relation
-path reads P_1 in closed form instead.
+``cohft.p_polynomial`` when called, so a patched table is seen; the
+per-family sums read P_1 in closed form instead, and the tests check that
+form against the recursion.
 """
 
 from __future__ import annotations
@@ -21,14 +26,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from . import cohft
 from .cohft import check_index, r_inverse_entry
-from .relations import _dilaton_sum, _edge_entries, _leg_sum, _loop_sum, _separating_sum
 from .rpoly import RPoly
 from .strata import (DELTA_IRR, DELTA_SEP, KAPPA1, PSI, StabilityError,
                      UnsupportedGenusError, _balanced, _lex_subsets, check_space)
+
+if TYPE_CHECKING:
+    EdgeEntries = tuple[tuple[tuple[int, int], int], ...]
 
 Coefficient = Union[Fraction, RPoly]
 SYMBOLIC = "symbolic"
@@ -292,8 +299,64 @@ def divisor_class_of(
 
 
 # ---------------------------------------------------------------------------
-# The per-graph contraction oracle
+# The contraction: per-family sums at scale 24, and the per-graph oracle
 # ---------------------------------------------------------------------------
+
+
+def _first_order(r: int, a: int) -> int:
+    """24 P_1(r, a) = 12a(r-1-a) - (2r-1)(r-2), the first-order inverse-R
+    entry at lower index a, in closed form."""
+    return 12 * a * (r - 1 - a) - (2 * r - 1) * (r - 2)
+
+
+def _vertex(g: int, total: int, r: int) -> int:
+    """Topological value of a stable genus-g vertex whose insertions sum to
+    ``total``: (r-1)^g when g - 1 - total is divisible by r - 1, else 0."""
+    return (r - 1) ** g if (g - 1 - total) % (r - 1) == 0 else 0
+
+
+def _edge_entries(r: int) -> EdgeEntries:
+    """24 times each nonzero edge constant term, with its insertion pair
+    (p, q): -24 P_1(r, p+1 mod r-1) at q = r-3-p mod r-1, the one pair for
+    each p where the term can be nonzero."""
+    entries = []
+    for p in range(r - 1):
+        entry = -_first_order(r, (p + 1) % (r - 1))
+        if entry:
+            entries.append(((p, (r - 3 - p) % (r - 1)), entry))
+    return tuple(entries)
+
+
+def _leg_sum(g: int, insertions: Sequence[int], i: int, r: int) -> int:
+    """24 times the psi_{i+1} coefficient: one psi power on leg i of the
+    smooth graph, which the first-order inverse R-matrix moves to the one
+    index b with b + 1 = a_i mod r-1 (every other entry of its column
+    vanishes), at the entry 24 P_1(r, a_i)."""
+    return _first_order(r, insertions[i]) * _vertex(g, sum(insertions) - 1, r)
+
+
+def _dilaton_sum(g: int, a_vec: Sequence[int], r: int) -> int:
+    """24 times the kappa_1 coefficient: psi^2 on the dilaton leg pushes
+    forward to kappa_1; the dilaton series carries an explicit minus sign and
+    inserts along the unit direction."""
+    return -_leg_sum(g, [*a_vec, 0], len(a_vec), r)
+
+
+def _loop_sum(g: int, a_vec: Sequence[int], r: int, edges: EdgeEntries) -> int:
+    """24 times the delta_irr coefficient: the one-loop graph on a genus g-1
+    vertex."""
+    total = sum(a_vec)
+    return sum(entry * _vertex(g - 1, total + p + q, r) for (p, q), entry in edges)
+
+
+def _separating_sum(
+    g: int, h: int, a0: list[int], a1: list[int], r: int, edges: EdgeEntries
+) -> int:
+    """24 times the delta_{h,S} coefficient: genus-h vertex with insertions a0
+    joined by one edge to a genus g-h vertex with insertions a1."""
+    total0, total1 = sum(a0), sum(a1)
+    return sum(entry * _vertex(h, total0 + p, r) * _vertex(g - h, total1 + q, r)
+               for (p, q), entry in edges)
 
 
 class GraphTerm(NamedTuple):
@@ -306,12 +369,12 @@ class GraphTerm(NamedTuple):
 def graph_contribution_terms(g: int, n: int, a_vec: Sequence[int], r: int) -> list[GraphTerm]:
     """Per-graph, per-divisor coefficients of the codimension-1 part.
 
-    This is the brute-force oracle for the per-key contraction of
+    This is the brute-force oracle for the closed-form key values of
     :mod:`rspinrel.relations`: it rebuilds the edge constant terms on every
-    call, walks every enumerated graph and contracts each one on its own.
-    Zero contributions are kept so callers can see each graph vanish
-    individually.  The overall r^(g-1) prefactor is not applied here, and the
-    per-family sums' scale 24 is divided out.
+    call, walks every enumerated graph and contracts each one on its own
+    with the per-family sums.  Zero contributions are kept so callers can
+    see each graph vanish individually.  The overall r^(g-1) prefactor is not
+    applied here, and the per-family sums' scale 24 is divided out.
     """
     a_vec = tuple(a_vec)
     if len(a_vec) != n:

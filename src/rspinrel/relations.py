@@ -4,53 +4,40 @@ A relation in degree-2 cohomology of the moduli space of genus-g stable
 curves with n markings, for shift data (r, a_1..a_n), is the codimension-1
 part of the reconstructed shifted r-spin class.  It vanishes exactly when the
 auxiliary total degree is negative, which :func:`rspinrel.strata.phi_degree`
-reports to :meth:`_RelationTable.numeric` and :func:`admissible_leg_vectors`.
+reports to :func:`_numeric_keys` and :func:`admissible_leg_vectors`.
 
-The codimension-1 part receives contributions from four graph families
-(enumerated in :mod:`rspinrel.oracles`):
+The leg vectors that pass the degree gate and the parity condition
+sum(a) = g mod r-1 are known in closed form: their sum is 0 or 1, so they are
+the zero vector and the unit vectors (in genus 1, exactly the n unit
+vectors; in genus 2, the zero vector at r = 3 alone; above, none).  A class's
+coefficient depends on the leg vector only through sum(a) and the class's
+key: (psi, a_i) for psi_i, kappa_1, delta_irr, and (delta_sep, h, sum of a_i
+over S) for delta_{h,S}.  So the relation is assembled from a few key values
+in closed form, the explicit PPZ relation:
 
-* smooth graph, one psi power on one leg:     (r-1)^g-weighted leg entries,
-* smooth graph, one dilaton leg:              the kappa_1 term,
-* the one-loop graph:                         the irreducible boundary term,
-* one-edge separating graphs:                 the delta_{h,S} terms.
+* genus 1, a unit leg vector: 24 times each key's coefficient is
+  (r-1)(r-2)(c + k r), with (c, k) in :data:`_GENUS_ONE`;
+* genus 2 at r = 3: 12 times Mumford's 5 kappa_1 - delta_irr - 7 delta_1 on
+  the unmarked space, the relation every marked space pulls back.
 
-The edge factor enters only through its constant term, in closed form
--P_1(r, p+1 mod r-1) at the one insertion pair (p, q = r-3-p mod r-1) for
-each p, so node insertions at an edge are summed over those r-1 pairs.  The
-per-family sums read P_1(r, a) = a(r-1-a)/2 - (2r-1)(r-2)/24 in closed form
-and a topological vertex value as the integer (r-1)^g or 0, and each term
-has one P_1 factor, so they work in integers at scale 24: each returns 24
-times its sum.  Relations are projective, so the rows are those of scale 1.
-The leg vectors that pass the degree gate and the parity condition are also
-known in closed form: their sum is 0 or 1, so they are the zero vector and
-the unit vectors (in genus 1, exactly the n unit vectors).
+Each is 24 r^(g-1) times the codimension-1 part, the scale 24 of the
+per-family contraction sums in :mod:`rspinrel.oracles`, which the tests pin
+it against; relations are projective, so the rows are those of scale 1.
+Symbolic-in-r relations (genus 1 only) read the expanded cubic
+6 (r-1)(r-2)(c + k r), at scale 144, and extract each power of r as a
+feature row, whose primitive form drops the scale.  No relation, numeric or
+symbolic, loads ``rpoly`` or ``fractions``.
 
-A topological vertex value depends only on the vertex genus and on its
-insertion sum mod r-1, so a class's coefficient depends on the leg vector a
-only through sum(a) and the class's key: (psi, a_i) for psi_i,
-kappa_1, delta_irr, and (delta_sep, h, sum of a_i over S) for delta_{h,S}.
-Below the gate every vector of one sum has the same keys, so a per-call
-table contracts every key once per (r, sum(a)), each on a representative
-insertion list, instead of once per class or graph.  For one-edge graphs the
-gluing map onto the boundary divisor has degree equal to the automorphism
-order of the graph, so the two cancel and the divisor coefficient is the
-plain contraction sum; the golden totals pin this convention.
-:func:`rspinrel.oracles.graph_contribution_terms` keeps the per-graph
-enumeration as the test oracle; both paths share the per-family sums here.
-
-Every contribution vanishes unless sum(a) = g mod r-1, which below the gate
-leaves the unit vectors in genus 1 and the zero vector in genus 2, whose
-relation is the pullback of the unmarked space's, so genus 2 is always
-contracted with no legs.  A relation is held as its feature row, its
-coefficients at the lex-first basis classes that determine it: in genus 1
-psi_1..psi_n, kappa_1, delta_irr and delta_{0,S} for S = {1,2}, {1,2,3}, ...,
-{1..n}, {1,3}, {2,3} (at n <= 2 the whole basis); in genus 2 psi_1, delta_irr
-and delta_{1,{}}, or at n = 0 kappa_1, delta_irr and delta_1.  Every other
-basis entry is an integer combination of earlier ones, so a feature row is a
-sub-row of its basis row: a primitive row with a positive lead stays one when
-written out, and the reduced feature rows are the reduced basis rows
-restricted to them.  Relation sets take ranks and reduced rows over feature
-rows, and write a row over the basis of about 2^n classes only when read.
+A relation is held as its feature row, its coefficients at the lex-first
+basis classes that determine it: in genus 1 psi_1..psi_n, kappa_1, delta_irr
+and delta_{0,S} for S = {1,2}, {1,2,3}, ..., {1..n}, {1,3}, {2,3} (at n <= 2
+the whole basis); in genus 2 psi_1, delta_irr and delta_{1,{}}, or at n = 0
+kappa_1, delta_irr and delta_1.  Every other basis entry is an integer
+combination of earlier ones, so a feature row is a sub-row of its basis row:
+a primitive row with a positive lead stays one when written out, and the
+reduced feature rows are the reduced basis rows restricted to them.
+Relation sets take ranks and reduced rows over feature rows, and write a row
+over the basis of about 2^n classes only when read.
 
 In chi_i (the sum of the delta_{0,S} with i in S) and one (the sum of them
 all) the genus-1 relation of e_i is (r-1)(r-2)/24 times
@@ -58,37 +45,25 @@ all) the genus-1 relation of e_i is (r-1)(r-2)/24 times
 B_i = sum_{j != i} psi_j - kappa_1 - one + chi_i.  Its r^1 part -2(A_i + B_i)
 is twice the Arbarello-Cornalba kappa_1 relation, and its r^0 part
 13 A_i + B_i - delta_irr is their psi_i relation minus that one, so the span
-equals theirs for every n >= 1 and r >= 3.  In genus 2 the one relation is
-Mumford's 5 kappa_1 - delta_irr - 7 delta_1.
-
-Symbolic-in-r relations are supported in genus 1 (where the contributing
-index patterns are independent of r): every coefficient is a polynomial in r
-of degree at most 3, recovered once per sum(a) from the table's integer values
-at the six consecutive sample r = 3..8 by Newton's forward differences, whose
-4th and 5th differences must vanish.  Six times it has integer coefficients,
-so the interpolation too runs in integers.  Each power of r is extracted from
-those few key polynomials as a feature row, whose primitive form drops the
-factor 6.  No relation, numeric or symbolic, loads ``rpoly`` or ``fractions``.
+equals theirs for every n >= 1 and r >= 3.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .linalg import primitive_int_vector, rref
 from .strata import (DELTA_IRR, DELTA_SEP, KAPPA1, PSI, DegreeGateError, UnsupportedGenusError,
                      basis_size, check_space, generator_names, phi_degree)
 
-if TYPE_CHECKING:
-    EdgeEntries = tuple[tuple[tuple[int, int], int], ...]
-
-# Sample points for symbolic-in-r interpolation: consecutive integers, four
-# nodes for the degree bound 3 of genus-1 coefficients and two that check it.
-_SYMBOLIC_SAMPLE_RS = (3, 4, 5, 6, 7, 8)
-# Row k: 6 C(r-3, k), the Newton basis at those nodes times 6, in powers of r
-# from the lowest.
-_NEWTON_BASIS = ((6, 0, 0, 0), (-18, 6, 0, 0), (36, -21, 3, 0), (-60, 47, -12, 1))
+# Genus 1 at the unit leg vector: (c, k) with 24 times the key's coefficient
+# (r-1)(r-2)(c + k r).  psi at the unit and at a zero leg, kappa_1, delta_irr,
+# and delta_{0,S} with the unit in S and without it.
+_GENUS_ONE = {(PSI, 1): (13, -2), (PSI, 0): (1, -2), KAPPA1: (-1, 2), DELTA_IRR: (-1, 0),
+              (DELTA_SEP, 0, 1): (-13, 2), (DELTA_SEP, 0, 0): (-1, 2)}
+# Genus 2 at r = 3 with no legs: 24 r times each coefficient, 12 times Mumford's relation.
+_GENUS_TWO = {KAPPA1: 60, DELTA_IRR: -12, (DELTA_SEP, 1, 0): -84}
 
 
 class BasisMismatchError(ValueError):
@@ -123,89 +98,44 @@ class RelationSet(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Per-family sums at scale 24, shared by the per-graph oracle and the assembly
+# Numeric and symbolic assembly
 # ---------------------------------------------------------------------------
 
-def _first_order(r: int, a: int) -> int:
-    """24 P_1(r, a) = 12a(r-1-a) - (2r-1)(r-2), the first-order inverse-R
-    entry at lower index a, in closed form."""
-    return 12 * a * (r - 1 - a) - (2 * r - 1) * (r - 2)
+def _numeric_keys(g: int, n: int, a_vec: tuple[int, ...], r: int) -> dict:
+    """24 r^(g-1) times each key's coefficient at r, an integer: the gate of
+    every relation.  Refuses an r below 3, then an entry outside 0..r-2,
+    then with :class:`DegreeGateError` where :func:`phi_degree` reports
+    no relation.  No key when sum(a) != g mod r-1: the exponent is then
+    not integral, and every contribution vanishes through the congruences.
+    Past those, a genus-1 leg vector is a unit vector, and a genus-2 one is
+    zero at r = 3.  ``a_vec`` has n entries, or in genus 2 none."""
+    if len(a_vec) != n and (g != 2 or a_vec):
+        raise ValueError("a_vec length must equal n")
+    report = phi_degree(g, a_vec, r)
+    for a in a_vec:
+        if not 0 <= a <= r - 2:
+            raise ValueError(f"basis index {a} out of range 0..{r - 2}")
+    if not report.relation_exists:
+        raise DegreeGateError(g, n, sum(a_vec), r)
+    if not report.d_integral:
+        return {}
+    if g == 1:
+        return {key: (r - 1) * (r - 2) * (c + k * r) for key, (c, k) in _GENUS_ONE.items()}
+    return dict(_GENUS_TWO)
 
 
-def _vertex(g: int, total: int, r: int) -> int:
-    """Topological value of a stable genus-g vertex whose insertions sum to
-    ``total``: (r-1)^g when g - 1 - total is divisible by r - 1, else 0."""
-    return (r - 1) ** g if (g - 1 - total) % (r - 1) == 0 else 0
-
-
-def _edge_entries(r: int) -> EdgeEntries:
-    """24 times each nonzero edge constant term, with its insertion pair
-    (p, q): -24 P_1(r, p+1 mod r-1) at q = r-3-p mod r-1, the one pair for
-    each p where the term can be nonzero."""
-    entries = []
-    for p in range(r - 1):
-        entry = -_first_order(r, (p + 1) % (r - 1))
-        if entry:
-            entries.append(((p, (r - 3 - p) % (r - 1)), entry))
-    return tuple(entries)
-
-
-def _leg_sum(g: int, insertions: Sequence[int], i: int, r: int) -> int:
-    """24 times the psi_{i+1} coefficient: one psi power on leg i of the
-    smooth graph, which the first-order inverse R-matrix moves to the one
-    index b with b + 1 = a_i mod r-1 (every other entry of its column
-    vanishes), at the entry 24 P_1(r, a_i)."""
-    return _first_order(r, insertions[i]) * _vertex(g, sum(insertions) - 1, r)
-
-
-def _dilaton_sum(g: int, a_vec: Sequence[int], r: int) -> int:
-    """24 times the kappa_1 coefficient: psi^2 on the dilaton leg pushes
-    forward to kappa_1; the dilaton series carries an explicit minus sign and
-    inserts along the unit direction."""
-    return -_leg_sum(g, [*a_vec, 0], len(a_vec), r)
-
-
-def _loop_sum(g: int, a_vec: Sequence[int], r: int, edges: EdgeEntries) -> int:
-    """24 times the delta_irr coefficient: the one-loop graph on a genus g-1
-    vertex."""
-    total = sum(a_vec)
-    return sum(entry * _vertex(g - 1, total + p + q, r) for (p, q), entry in edges)
-
-
-def _separating_sum(
-    g: int, h: int, a0: list[int], a1: list[int], r: int, edges: EdgeEntries
-) -> int:
-    """24 times the delta_{h,S} coefficient: genus-h vertex with insertions a0
-    joined by one edge to a genus g-h vertex with insertions a1."""
-    total0, total1 = sum(a0), sum(a1)
-    return sum(entry * _vertex(h, total0 + p, r) * _vertex(g - h, total1 + q, r)
-               for (p, q), entry in edges)
-
-
-# ---------------------------------------------------------------------------
-# Numeric assembly
-# ---------------------------------------------------------------------------
-
-def _key_values(g: int, a_vec: tuple[int, ...], r: int) -> dict:
-    """24 times each key's coefficient for a zero or unit leg vector, before
-    the r^(g-1) prefactor, contracted on its legs with the unit first: psi at
-    the unit and at a zero leg, kappa_1, delta_irr and, for each h, the
-    smallest stable delta_{h,S} with the unit in S and without it.  A separating key
-    holds the raw sum of a over S, not its residue."""
-    legs = sorted(a_vec, reverse=True)
-    total, edges = sum(legs), _edge_entries(r)
-    values = {(PSI, a): _leg_sum(g, legs, legs.index(a), r) for a in set(legs)}
-    values[KAPPA1] = _dilaton_sum(g, legs, r)
-    values[DELTA_IRR] = _loop_sum(g, legs, r, edges)
-    for h in range(g // 2 + 1):
-        least = 0 if h else 2
-        for start, size in {(0, max(least, total)), (total, least)}:  # S with, without the unit
-            inside = legs[start:start + size]
-            if len(inside) == size:
-                outside = legs[:start] + legs[start + size:]
-                values[DELTA_SEP, h, sum(inside)] = _separating_sum(
-                    g, h, inside, outside, r, edges)
-    return values
+def _symbolic_keys(g: int, n: int, a_vec: tuple[int, ...]) -> dict[object, tuple[int, ...]]:
+    """144 times each key's coefficient as a polynomial in r, 6 times the
+    scale 24: 6 (r-1)(r-2)(c + k r) expanded, its four integer coefficients
+    lowest power first (genus 1 only).  The gate is that of r = 3: its bound
+    sum(a) < r only grows with r, so r = 3 admits exactly the leg vectors
+    every r admits."""
+    if g != 1:
+        raise UnsupportedGenusError("symbolic-in-r assembly is only meaningful in genus 1")
+    if not _numeric_keys(g, n, a_vec, 3):
+        return {}
+    return {key: (12 * c, 6 * (2 * k - 3 * c), 6 * (c - 3 * k), 6 * k)
+            for key, (c, k) in _GENUS_ONE.items()}
 
 
 def _feature_row(g: int, n: int, a_vec: tuple[int, ...], values: dict) -> list:
@@ -260,74 +190,11 @@ def _expand(g: int, n: int, row: Sequence) -> tuple:
     return (0,) * basis_size(g, n)
 
 
-class _RelationTable:
-    """One call's relation data on the (g, n) space: the key values per
-    (r, sum(a)) and the key polynomials per sum(a), which every leg vector of
-    that sum shares, since below the gate they have one key set, all at the
-    per-family sums' scale 24.  Callers never change these dicts."""
-
-    def __init__(self, g: int, n: int):
-        self.g, self.n = g, n
-        self._values, self._polys = {}, {}
-
-    def numeric(self, a_vec: tuple[int, ...], r: int) -> dict:
-        """24 times each key's coefficient at r, an integer: the gate of
-        every relation.  Refuses an r below 3, then an entry outside 0..r-2,
-        then with :class:`DegreeGateError` where :func:`phi_degree` reports
-        no relation.  No key when sum(a) != g mod r-1: the exponent is then
-        not integral, and every contribution vanishes through the
-        congruences.  ``a_vec`` has n entries, or in genus 2 none."""
-        g, n = self.g, self.n
-        if len(a_vec) != n and (g != 2 or a_vec):
-            raise ValueError("a_vec length must equal n")
-        report = phi_degree(g, a_vec, r)
-        for a in a_vec:
-            if not 0 <= a <= r - 2:
-                raise ValueError(f"basis index {a} out of range 0..{r - 2}")
-        if not report.relation_exists:
-            raise DegreeGateError(g, n, sum(a_vec), r)
-        if not report.d_integral:
-            return {}
-        cached = r, sum(a_vec)
-        if cached not in self._values:
-            # Genus 2 gets here only with zero legs, whose relation pulls back from no legs.
-            values = _key_values(g, () if g == 2 else a_vec, r)
-            self._values[cached] = {key: value * r ** (g - 1) for key, value in values.items()}
-        return self._values[cached]
-
-    def symbolic(self, a_vec: tuple[int, ...]) -> dict[object, tuple[int, ...]]:
-        """144 times each key's coefficient as a polynomial in r, 6 times the
-        scale 24: its four integer coefficients, lowest power first (genus 1
-        only)."""
-        if self.g != 1:
-            raise UnsupportedGenusError("symbolic-in-r assembly is only meaningful in genus 1")
-        samples = [self.numeric(a_vec, rr) for rr in _SYMBOLIC_SAMPLE_RS]
-        total = sum(a_vec)
-        if total not in self._polys:
-            self._polys[total] = {key: _cubic_through([sample[key] for sample in samples])
-                                  for key in samples[0]}
-        return self._polys[total]
-
-
-def _cubic_through(values: Sequence[int]) -> tuple[int, ...]:
-    """6 times the polynomial of degree at most 3 through the integer values
-    at r = 3..8, as its four integer coefficients, lowest power first.  The
-    first four forward differences are its Newton coefficients at the nodes
-    3..6; the six values fit degree 3 exactly when the 4th and 5th vanish."""
-    diffs = []
-    while values:
-        diffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    if any(diffs[4:]):
-        raise ValueError(f"samples exceed degree bound 3: forward differences {diffs}")
-    return tuple(sum(d * c for d, c in zip(diffs, column)) for column in zip(*_NEWTON_BASIS))
-
-
 def relation_row(g: int, n: int, a_vec: tuple[int, ...], r: int) -> tuple[int, ...]:
     """The primitive integer row of the relation for (g, n, a_vec, r) over the
     basis, first nonzero entry positive, written from its feature row; the
     gate comes before the basis check."""
-    values = _RelationTable(g, n).numeric(a_vec, r)
+    values = _numeric_keys(g, n, a_vec, r)
     check_space(g, n)
     return _expand(g, n, primitive_int_vector(_feature_row(g, n, a_vec, values)))
 
@@ -335,17 +202,16 @@ def relation_row(g: int, n: int, a_vec: tuple[int, ...], r: int) -> tuple[int, .
 def assembled_relation_set(
     g: int, n: int, a_vecs: Sequence[tuple[int, ...]], r: int | None = None
 ) -> RelationSet:
-    """The primitive nonzero rows of each leg vector in turn, from one table:
-    its assembly at r when r is given, then in genus 1 one per power of r of
-    its symbolic assembly, highest first.  The basis is checked after the
-    first leg vector's gate, or first when there is none."""
+    """The primitive nonzero rows of each leg vector in turn: its assembly at
+    r when r is given, then in genus 1 one per power of r of its symbolic
+    assembly, highest first.  The basis is checked after the first leg
+    vector's gate, or first when there is none."""
     if not a_vecs:
         check_space(g, n)
-    table = _RelationTable(g, n)
     rows, provenances = [], []
     for a_vec in a_vecs:
-        found = [] if r is None else [(r, table.numeric(a_vec, r))]
-        polys = table.symbolic(a_vec) if g == 1 else {}
+        found = [] if r is None else [(r, _numeric_keys(g, n, a_vec, r))]
+        polys = _symbolic_keys(g, n, a_vec) if g == 1 else {}
         check_space(g, n)
         top = max(map(len, polys.values()), default=0)
         found += [(f"r^{p}", {key: poly[p] for key, poly in polys.items()})

@@ -16,7 +16,7 @@ gate, :func:`phi_degree`, the one place its bound and parity are written, and
 The divisor classes and the basis they form, the decorated graphs whose
 reconstruction term can land in codimension 1, their enumeration and
 ``canonical_divisor`` live in :mod:`rspinrel.oracles`: the relation assembly
-contracts coefficient keys and builds no class, and only the oracles,
+reads coefficient keys and builds no class, and only the oracles,
 ``selftest``, the demos and the tests build one.
 """
 

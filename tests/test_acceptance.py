@@ -104,17 +104,14 @@ class TestMutationSensitivity:
         assert not _criterion_8()[0]
 
     def test_partial_sign_flip_detected_by_golden_span(self, monkeypatch):
-        # The relation path reads P_1 in closed form, not through p_polynomial.
+        # The relation path reads its key values in closed form, not through
+        # p_polynomial: flip the sign of the factor of psi at a zero leg.
         import rspinrel.relations as relations_module
         from rspinrel.selftest import _criterion_1
+        from rspinrel.strata import PSI
 
-        original = relations_module._first_order
-
-        def corrupted(r, a):
-            value = original(r, a)
-            return -value if a == 0 else value
-
-        monkeypatch.setattr(relations_module, "_first_order", corrupted)
+        c, k = relations_module._GENUS_ONE[PSI, 0]
+        monkeypatch.setitem(relations_module._GENUS_ONE, (PSI, 0), (-c, -k))
         assert not _criterion_1()[0]
 
     def test_partial_sign_flip_detected_by_r_matrix_identities(self, monkeypatch):

@@ -250,13 +250,11 @@ def test_detects_a_stored_help_text(tmp_path, statement):
     assert string_constants(module, "options:") == 2
 
 
-# What the oracles may take from the library's relation assembly: the edge
-# entries and the four per-family sums.  An oracle written from the feature
-# path (_RelationTable, _feature_row, _expand) would check that code against
-# itself.
-ORACLE_IMPORTS_FROM_RELATIONS = {
-    "_edge_entries", "_leg_sum", "_dilaton_sum", "_loop_sum", "_separating_sum",
-}
+# What the oracles may take from the library's relation assembly: nothing.
+# The contraction lives in the oracles, and an oracle written from the
+# assembly (_numeric_keys, _feature_row, _expand) would check that code
+# against itself.
+ORACLE_IMPORTS_FROM_RELATIONS = set()
 
 
 def names_imported_from(path, module):
@@ -275,7 +273,7 @@ def names_imported_from(path, module):
     return names
 
 
-def test_oracles_import_only_the_per_family_sums_from_relations():
+def test_oracles_import_nothing_from_relations():
     assert names_imported_from(SRC / "oracles.py", "relations") == ORACLE_IMPORTS_FROM_RELATIONS
 
 

@@ -17,16 +17,10 @@ from rspinrel.relations import (
     DegreeGateError,
     RelationSet,
     Provenance,
-    _dilaton_sum,
-    _edge_entries,
     _expand,
     _feature_row,
-    _first_order,
-    _leg_sum,
-    _loop_sum,
-    _RelationTable,
-    _cubic_through,
-    _separating_sum,
+    _numeric_keys,
+    _symbolic_keys,
     ac_relations,
     admissible_leg_vectors,
     assembled_relation_set,
@@ -35,6 +29,12 @@ from rspinrel.relations import (
     spans_equal,
 )
 from rspinrel.oracles import (
+    _dilaton_sum,
+    _edge_entries,
+    _first_order,
+    _leg_sum,
+    _loop_sum,
+    _separating_sum,
     canonical_divisor,
     delta_irr,
     delta_sep,
@@ -47,7 +47,7 @@ from rspinrel.oracles import (
     system_matrix_det,
 )
 from rspinrel import oracles
-from rspinrel.rpoly import InterpolationError, RPoly, poly_interpolate
+from rspinrel.rpoly import RPoly, poly_interpolate
 from rspinrel.strata import (
     DELTA_IRR,
     DELTA_SEP,
@@ -95,11 +95,11 @@ def per_graph_coefficients(g, n, a_vec, r):
 SAMPLE_RS = (3, 4, 5, 6, 7, 8)
 
 
-def symbolic_polys(table, a_vec):
-    """The table's symbolic key values, integer coefficients at 6 times the
+def symbolic_polys(n, a_vec):
+    """The symbolic key values, integer coefficients at 6 times the
     contraction's scale 24, read back as polynomials at the scale 24."""
     return {key: RPoly([Fraction(c, 6) for c in coeffs])
-            for key, coeffs in table.symbolic(a_vec).items()}
+            for key, coeffs in _symbolic_keys(1, n, a_vec).items()}
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +285,7 @@ class TestAssemblyGoldens:
 class TestSymbolicAssembly:
     def test_coefficients_match_closed_forms(self):
         # At the contraction's scale 24.
-        polys = symbolic_polys(_RelationTable(1, 2), (1, 0))
+        polys = symbolic_polys(2, (1, 0))
         r = RPoly.variable()
         p1_at = lambda a: Fraction(a, 2) * (r - 1 - a) - (2 * r - 1) * (r - 2) * Fraction(1, 24)
         # The keys of psi_1, psi_2, kappa_1, delta_{0,{1,2}} and delta_irr.
@@ -297,35 +297,13 @@ class TestSymbolicAssembly:
 
     def test_symbolic_requires_genus_one(self):
         with pytest.raises(UnsupportedGenusError):
-            _RelationTable(2, 0).symbolic(())
+            _symbolic_keys(2, 0, ())
 
     def test_symbolic_and_numeric_agree(self):
-        polys = symbolic_polys(_RelationTable(1, 3), (0, 1, 0))
+        polys = symbolic_polys(3, (0, 1, 0))
         for r in (3, 4, 5, 9, 11):
-            numeric = _RelationTable(1, 3).numeric((0, 1, 0), r)
+            numeric = _numeric_keys(1, 3, (0, 1, 0), r)
             assert {key: poly(r) for key, poly in polys.items()} == numeric, r
-
-    @settings(deadline=None)
-    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4))
-    def test_integer_interpolation_matches_rational_oracle(self, first):
-        # Any integers at r = 3..6 and their cubic's values at 7 and 8.
-        cubic = poly_interpolate(list(zip(SAMPLE_RS, first)), degree_bound=3)
-        values = [cubic(r) for r in SAMPLE_RS]
-        assert all(value.denominator == 1 for value in values)
-        coeffs = _cubic_through([int(value) for value in values])
-        assert all(type(c) is int for c in coeffs)
-        assert coeffs == tuple(6 * c for c in cubic.coeffs) + (0,) * (4 - len(cubic.coeffs))
-
-    @settings(deadline=None)
-    @given(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
-           st.sampled_from([4, 5]), st.integers(-50, 50).filter(bool))
-    def test_integer_interpolation_refuses_degree_above_three(self, cubic, degree, lead):
-        samples = [(r, sum(c * r ** k for k, c in enumerate(cubic)) + lead * r ** degree)
-                   for r in SAMPLE_RS]
-        with pytest.raises(InterpolationError):
-            poly_interpolate(samples, degree_bound=3)
-        with pytest.raises(ValueError, match="samples exceed degree bound 3"):
-            _cubic_through([value for _, value in samples])
 
 
 class TestExtraction:
@@ -362,7 +340,7 @@ class TestExtraction:
     def test_scale_independence(self):
         # Each power's written row is the primitive one, whatever the scale of
         # the key polynomials it is read from.
-        polys = symbolic_polys(_RelationTable(1, 2), (1, 0))
+        polys = symbolic_polys(2, (1, 0))
 
         def written(values):
             return _expand(1, 2, primitive_int_vector(_feature_row(1, 2, (1, 0), values)))
@@ -691,17 +669,17 @@ class TestDegreeGate:
         for g, n, r in product(range(1, 7), range(4), range(3, 13)):
             if 2 * g - 2 + n <= 0:
                 continue
-            table, vectors = _RelationTable(g, n), list(product(range(r - 1), repeat=n))
+            vectors = list(product(range(r - 1), repeat=n))
             for a_vec in vectors:
                 passes, parity = gate_passes(g, a_vec, r), parity_holds(g, a_vec, r)
                 report = phi_degree(g, a_vec, r)
                 assert (report.relation_exists, report.d_integral) == (passes, parity), (
                     g, a_vec, r)
                 if passes:
-                    assert (table.numeric(a_vec, r) == {}) == (not parity), (g, a_vec, r)
+                    assert (_numeric_keys(g, n, a_vec, r) == {}) == (not parity), (g, a_vec, r)
                 else:
                     with pytest.raises(DegreeGateError):
-                        table.numeric(a_vec, r)
+                        _numeric_keys(g, n, a_vec, r)
             admitted = [a for a in vectors if gate_passes(g, a, r) and parity_holds(g, a, r)]
             assert admissible_leg_vectors(g, n, r) == admitted, (g, n, r)
             code = main(["relations", "--g", str(g), "--n", str(n), "--r", str(r)])
@@ -713,7 +691,7 @@ class TestDegreeGate:
 
     def test_the_gate_is_tight(self):
         # Every leg vector with an integral exponent, its codimension-1 class
-        # read from the per-graph oracle (the gate stops _RelationTable from
+        # read from the per-graph oracle (the gate stops the assembly from
         # building a gated-out one): a vector the gate passes gives a row in
         # the span of Arbarello-Cornalba's complete set, and one it refuses a
         # nonzero row outside it, so the gate discards no relation.  In genus
@@ -785,7 +763,7 @@ class TestOracleEquivalence:
                     for a_vec in product(range(r - 1), repeat=n):
                         if not phi_degree(g, a_vec, r).relation_exists:
                             continue
-                        values = _RelationTable(g, n).numeric(a_vec, r)
+                        values = _numeric_keys(g, n, a_vec, r)
                         assert all(type(value) is int for value in values.values())
                         expected = per_graph_coefficients(g, n, a_vec, r)
                         if g == 2 and expected:  # contracted on the unmarked space
@@ -798,40 +776,44 @@ class TestOracleEquivalence:
                         seen_nonzero += bool(expected)
         assert seen_zero and seen_nonzero
 
-    @pytest.mark.parametrize("g,n,r", [(1, 4, 3), (1, 5, 10), (2, 3, 3)])
-    def test_one_table_serves_every_admissible_vector(self, monkeypatch, g, n, r):
-        # The loop sum is contracted once per sample r for the whole table,
-        # not once per leg vector.
+    @pytest.mark.parametrize("r", [59, 1000])
+    def test_numeric_assembly_matches_per_graph_sum_at_large_r(self, r):
+        for n in range(1, 5):
+            for a_vec in admissible_leg_vectors(1, n, r):
+                values = _numeric_keys(1, n, a_vec, r)
+                expected = per_graph_coefficients(1, n, a_vec, r)
+                assert keyed_classes(1, n, a_vec, values) == expected, (n, a_vec, r)
+
+    @pytest.mark.parametrize("r", [3, 10, 1000])
+    def test_relation_path_makes_no_contraction_call(self, monkeypatch, r):
+        # The closed form is the assembly: with every piece of the
+        # contraction made to raise, the relation commands' work still runs.
         import rspinrel.relations as relations_module
 
-        contracted = []
-        original = relations_module._loop_sum
+        def refused(*args):
+            raise AssertionError("the relation path contracted")
 
-        def counted(g, a_vec, r, edges):
-            contracted.append(r)
-            return original(g, a_vec, r, edges)
-
-        monkeypatch.setattr(relations_module, "_loop_sum", counted)
-        table = _RelationTable(g, n)
-        a_vecs = admissible_leg_vectors(g, n, r)
-        assert len(a_vecs) == (n if g == 1 else 1)
-        for a_vec in a_vecs:
-            values = table.numeric(a_vec, r)
-            if g == 2:  # contracted on the unmarked space
-                assert keyed_classes(2, 0, (), values) == per_graph_coefficients(2, 0, (), r)
-            else:
-                assert keyed_classes(g, n, a_vec, values) == per_graph_coefficients(g, n, a_vec, r)
+        for name in ("_first_order", "_vertex", "_edge_entries", "_leg_sum", "_dilaton_sum",
+                     "_loop_sum", "_separating_sum"):
+            monkeypatch.setattr(oracles, name, refused)
+        with pytest.raises(AssertionError, match="contracted"):
+            graph_contribution_terms(1, 2, (1, 0), r)
+        for g, n in product((1, 2, 3), (0, 1, 2, 5)):
+            if 2 * g - 2 + n <= 0:
+                continue
+            relations_module.relation_records(g, n, r, None)
             if g == 1:
-                polys = symbolic_polys(table, a_vec)
-                assert keyed_classes(1, n, a_vec, polys) == per_class_symbolic(n, a_vec)
-        assert sorted(contracted) == (sorted({r, *SAMPLE_RS}) if g == 1 else [r])
+                relations_module.relation_records(g, n, None, None)
+                relations_module.relation_records(g, n, r, unit_vector(n, 1))
+            assert relations_module.verify_ac(g, n, r)["verdict"] == (
+                "EQUAL" if g != 2 or r == 3 else "DIFFERENT"), (g, n, r)
 
     def test_symbolic_matches_per_divisor_interpolation(self):
         for n in range(1, 6):
             for a_vec in product((0, 1), repeat=n):
                 if not phi_degree(1, a_vec, 3).relation_exists:
                     continue
-                polys = symbolic_polys(_RelationTable(1, n), a_vec)
+                polys = symbolic_polys(n, a_vec)
                 assert keyed_classes(1, n, a_vec, polys) == per_class_symbolic(n, a_vec), (n, a_vec)
 
     @settings(deadline=None, max_examples=40)
@@ -846,7 +828,7 @@ class TestOracleEquivalence:
                 assembled_relation_set(1, n, [a_vec])
             return
         oracle = per_class_symbolic(n, a_vec)
-        assert keyed_classes(1, n, a_vec, symbolic_polys(_RelationTable(1, n), a_vec)) == oracle
+        assert keyed_classes(1, n, a_vec, symbolic_polys(n, a_vec)) == oracle
         expected = [(a_vec, r_mode, row) for r_mode, row in per_class_extract(n, oracle)]
         assert labelled_rows(assembled_relation_set(1, n, [a_vec])) == expected
 
@@ -945,10 +927,10 @@ class TestGenusOneProperties:
         # At the samples r = 3..8 and beyond them.
         n, i = leg
         a_vec = unit_vector(n, i)
-        symbolic = symbolic_polys(_RelationTable(1, n), a_vec)
+        symbolic = symbolic_polys(n, a_vec)
         for r in range(3, 41):
             evaluated = {key: poly(r) for key, poly in symbolic.items()}
-            assert evaluated == _RelationTable(1, n).numeric(a_vec, r), r
+            assert evaluated == _numeric_keys(1, n, a_vec, r), r
 
     @settings(deadline=None)
     @given(unit_legs, wide_r)
@@ -1457,7 +1439,7 @@ class TestExplicitGenusOneRelation:
         for i in range(1, n + 1):
             relation = explicit_relation(n, i, r)
             scaled = {x: (r - 1) * (r - 2) * x for x in set(relation)}
-            polys = symbolic_polys(_RelationTable(1, n), unit_vector(n, i))
+            polys = symbolic_polys(n, unit_vector(n, i))
             assert _expand(1, n, _feature_row(1, n, unit_vector(n, i), polys)) == tuple(
                 scaled[x] for x in relation)
             assert all(x.degree <= 1 for x in relation)
@@ -1750,3 +1732,56 @@ class TestForgetfulPullback:
         target = divisor_generators(2, 2)
         assert len(rref(upstairs + [[pulled.get(d, 0) for d in target]])[1]) == len(
             rref(upstairs)[1]) + 1
+
+
+# Test curves (Arbarello-Cornalba 1987; Harris-Morrison): a family of curves
+# over a base curve, given by its degrees on the generators of the (g, n)
+# space in basis order.  Every relation pairs to zero with every test curve,
+# and since the generators span degree-2 cohomology, curves whose degree
+# matrix has rank #generators - rank(AC) leave no room for a relation outside
+# Arbarello-Cornalba's span: their set is complete.
+TEST_CURVES = {
+    # A fibre of the forgetful map to the (1, 1) space, and the pencil of
+    # plane cubics glued to a fixed rational tail that holds both markings.
+    (1, 2): (["psi_1", "psi_2", "kappa_1", "delta_irr", "delta_{0,{1,2}}"],
+             [(1, 1, 1, 0, 1), (0, 0, 1, 12, -1)]),
+    # That fibre glued into delta_irr, and the pencil glued into delta_1.
+    (2, 0): (["kappa_1", "delta_irr", "delta_{1,{}}"], [(1, -2, 1), (1, 12, -1)]),
+}
+TEST_CURVE_SETS = {"ac": ac_relations,
+                   **{f"ppz-r{r}": partial(ppz_relation_set, r=r) for r in (3, 4, 5, 7, 10, 1000)}}
+
+
+def pairings(curves, rows):
+    return [sum(c * x for c, x in zip(curve, row)) for curve in curves for row in rows]
+
+
+class TestTestCurves:
+    """The test-curve check of the reference set and of the assembled sets,
+    on the (1, 2) and (2, 0) spaces.  In genus 2 the assembly's one input is
+    the closed-form constant for Mumford's relation, which this checks."""
+
+    @pytest.mark.parametrize("source", TEST_CURVE_SETS)
+    @pytest.mark.parametrize("g,n", TEST_CURVES)
+    def test_every_relation_pairs_to_zero(self, source, g, n):
+        rows = TEST_CURVE_SETS[source](g, n).rows
+        assert rows or (g == 2 and source != "ppz-r3")
+        assert not any(pairings(TEST_CURVES[g, n][1], rows)), (g, n, rows)
+
+    @pytest.mark.parametrize("g,n", TEST_CURVES)
+    def test_curves_prove_the_reference_set_complete(self, g, n):
+        names, curves = TEST_CURVES[g, n]
+        assert generator_names(g, n) == names
+        rank = len(rref(ac_relations(g, n).rows)[1])
+        assert len(rref(curves)[1]) == len(names) - rank
+
+    def test_a_wrong_coefficient_fails_the_pairing(self):
+        # Mumford's 7 as 6, and a genus-1 psi_1 relation's 12 as 11.
+        assert any(pairings(TEST_CURVES[2, 0][1], [(5, -1, -6)]))
+        assert any(pairings(TEST_CURVES[1, 2][1], [(11, 0, 0, -1, -12)]))
+
+    @pytest.mark.parametrize("g,n", TEST_CURVES)
+    def test_a_dropped_relation_fails_the_rank(self, g, n):
+        names, curves = TEST_CURVES[g, n]
+        kept = ac_relations(g, n).rows[1:]
+        assert len(rref(curves)[1]) < len(names) - len(rref(kept)[1])
