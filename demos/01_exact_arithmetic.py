@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from rspinrel import InterpolationError, RPoly, poly_interpolate
 from rspinrel.linalg import rref
-from rspinrel.oracles import determinant
+from rspinrel.matrix_oracles import determinant
 
 # Rationals are plain fractions.Fraction: always reduced, exact.
 print("1/2 + 1/3 =", Fraction(1, 2) + Fraction(1, 3))

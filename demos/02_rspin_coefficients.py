@@ -15,7 +15,7 @@ from rspinrel import (
     topological_value,
     witten_degree,
 )
-from rspinrel.oracles import (
+from rspinrel.matrix_oracles import (
     idempotent_check,
     quantum_structure_constants,
     r_forward_matrix,

@@ -10,7 +10,7 @@ module holds everything that is a pure function of r:
   by :func:`p_row`, one row of integer numerators over a common denominator
   per m, at O(r) big-integer operations per row and so O(m r) up to m.
   ``pm-table`` (whose rows and text :func:`pm_table` and :func:`pm_table_lines`
-  build), ``selftest`` and :mod:`rspinrel.oracles` read the recursion;
+  build), ``selftest`` and the oracle modules read the recursion;
   :mod:`rspinrel.relations` reads P_1 in closed form,
 * the entries of the inverse R-matrix of the theory (without the uniform
   scalar factor, which scales a relation as a whole),
@@ -27,7 +27,7 @@ it loads no other at module level: :func:`p_polynomial_symbolic` imports
 imports it, so ``pm-table``, which prints from :func:`p_row`'s integer rows,
 never loads it.
 The metric matrix, the forward R-matrix and the quantum product live in
-:mod:`rspinrel.oracles`.
+:mod:`rspinrel.matrix_oracles`.
 
 For the record: the Euler field of the underlying Frobenius structure at the
 shift point is (r-1) phi^(r/(r-1)) along the second rescaled basis vector.

@@ -7,7 +7,7 @@ updated row is divided by its content again, so entries stay as small as the
 reduced rows themselves.  This is what compares the spans of divisor
 relations, over a few features or with one column per divisor class
 (thousands of columns for 12 markings).  Row reduction refuses polynomial
-entries; the determinants live in :mod:`rspinrel.oracles`.
+entries; the determinants live in :mod:`rspinrel.matrix_oracles`.
 """
 
 from __future__ import annotations

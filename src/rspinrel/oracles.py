@@ -9,16 +9,14 @@ insertions, in integers at scale 24 (the first-order entry
 24 P_1(r, a) = 12a(r-1-a) - (2r-1)(r-2) in closed form, a topological vertex
 value the integer (r-1)^g or 0, and the edge factor's constant term), and
 :func:`graph_contribution_terms`, the per-graph oracle built from them, with
-:func:`edge_constant_term` read off the inverse R-matrix; :func:`metric_matrix`,
-the forward and whole R-matrices; the quantum product with its idempotent
-check in exact cyclotomic arithmetic (``RPoly`` remainders modulo
-:func:`cyclotomic_polynomial`); the determinant, by Bareiss over rationals or
-polynomials in r; and the genus-1 system determinant.  Each function of r
-takes it as a plain int, as ``relation_row`` does, and refuses one below 3
-through ``cohft.check_index``.  Whatever reads P_m(r, a) here looks up
-``cohft.p_polynomial`` when called, so a patched table is seen; the
-per-family sums read P_1 in closed form instead, and the tests check that
-form against the recursion.
+:func:`edge_constant_term` read off the inverse R-matrix.  The metric, the
+R-matrices, the quantum product and the determinants live in
+:mod:`rspinrel.matrix_oracles`.  Each function of r takes it as a plain int,
+as ``relation_row`` does, and refuses one below 3 through
+``cohft.check_index``.  :func:`edge_constant_term` reads P_1 through
+``cohft.r_inverse_entry``, which looks up ``cohft.p_polynomial`` when called,
+so a patched table is seen; the per-family sums read P_1 in closed form
+instead, and the tests check that form against the recursion.
 """
 
 from __future__ import annotations
@@ -26,19 +24,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import cohft
 from .cohft import check_index, r_inverse_entry
-from .rpoly import RPoly
 from .strata import (DELTA_IRR, DELTA_SEP, KAPPA1, PSI, StabilityError,
                      UnsupportedGenusError, _balanced, _lex_subsets, check_space)
 
 if TYPE_CHECKING:
     EdgeEntries = tuple[tuple[tuple[int, int], int], ...]
-
-Coefficient = Union[Fraction, RPoly]
-SYMBOLIC = "symbolic"
 
 
 # ---------------------------------------------------------------------------
@@ -419,213 +412,3 @@ def edge_constant_term(p: int, q: int, r: int) -> Fraction:
     is refused as itself, not as the lower index r-2-q."""
     check_index(q, r)
     return -r_inverse_entry(1, r - 2 - q, p, r)
-
-
-# ---------------------------------------------------------------------------
-# The metric, R-matrices and the quantum product
-# ---------------------------------------------------------------------------
-
-
-def metric_matrix(r: int) -> list[list[Fraction]]:
-    """The anti-diagonal pairing eta(a, b) = [a + b == r - 2] on 0..r-2."""
-    check_index(0, r)
-    return [[Fraction(1 if a + b == r - 2 else 0) for b in range(r - 1)] for a in range(r - 1)]
-
-
-def r_forward_entry(m: int, a: int, b: int, r: int) -> Fraction:
-    """Entry of the R-matrix itself: (-1)^m P_m(r, r-2-b) under b + m = a mod r-1.
-
-    The sign comes from the bracket of the omitted scalar being negated for
-    the forward series.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    check_index(a, r)
-    check_index(b, r)
-    if (b + m - a) % (r - 1) != 0:
-        return Fraction(0)
-    return (-1) ** m * cohft.p_polynomial(m, r - 2 - b, r)
-
-
-def r_inverse_matrix(m: int, r: int) -> list[list[Fraction]]:
-    """Order-m inverse R-matrix; rows are the upper (output) index."""
-    check_index(0, r)
-    return [[r_inverse_entry(m, a, b, r) for a in range(r - 1)] for b in range(r - 1)]
-
-
-def r_forward_matrix(m: int, r: int) -> list[list[Fraction]]:
-    """Order-m R-matrix; rows are the upper (output) index."""
-    check_index(0, r)
-    return [[r_forward_entry(m, a, b, r) for a in range(r - 1)] for b in range(r - 1)]
-
-
-class StructureConstants(NamedTuple):
-    """Quantum product at the shift point in the rescaled basis.
-
-    The product of basis vectors a and b is the single basis vector with
-    index a + b mod r - 1, so the table stores that index; the structure
-    constant c^i_ab is 1 when i equals table[a][b] and 0 otherwise.
-    """
-
-    r: int
-    table: tuple[tuple[int, ...], ...]
-
-    def product_index(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def coefficient(self, i: int, a: int, b: int) -> int:
-        return 1 if self.table[a][b] == i else 0
-
-
-def quantum_structure_constants(r: int) -> StructureConstants:
-    """Structure constants of the quantum product at the shift point."""
-    check_index(0, r)
-    table = tuple(tuple((a + b) % (r - 1) for b in range(r - 1)) for a in range(r - 1))
-    return StructureConstants(r=r, table=table)
-
-
-class IdempotentReport(NamedTuple):
-    r: int
-    ok: bool
-    geometric_sums_ok: bool
-    idempotent_identity_ok: bool
-    failures: tuple[str, ...]
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> RPoly:
-    """The m-th cyclotomic polynomial: x^m - 1 over the Phi_d of m's proper
-    divisors, each division exact."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    phi = RPoly((-1,) + (0,) * (m - 1) + (1,))
-    for d in range(1, m):
-        if m % d == 0:
-            phi = phi / cyclotomic_polynomial(d)
-    return phi
-
-
-def idempotent_check(r: int) -> IdempotentReport:
-    """Verify the discrete-Fourier basis diagonalizes the quantum product.
-
-    With zeta a primitive (r-1)-th root of unity and f_i = sum_a zeta^(a*i) v_a
-    over the rescaled basis v_a, checks f_i . f_j = (r-1) delta_ij f_j in exact
-    cyclotomic arithmetic, along with the geometric-sum identity
-    1 + zeta^x + ... + zeta^((r-2)x) = 0 for x != 0 mod r-1 that drives it.
-    An element of Q(zeta) is its polynomial in zeta reduced modulo Phi_(r-1).
-    """
-    check_index(0, r)
-    m = r - 1
-    phi = cyclotomic_polynomial(m)
-    powers = [divmod(RPoly((0,) * k + (1,)), phi)[1] for k in range(m)]
-    failures: list[str] = []
-
-    geometric_ok = True
-    for x in range(1, m):
-        if sum((powers[k * x % m] for k in range(m)), RPoly()):
-            geometric_ok = False
-            failures.append(f"geometric sum nonzero for x={x}")
-
-    product_ok = True
-    for i in range(m):
-        for j in range(m):
-            for c in range(m):
-                # Coefficient of v_c in f_i . f_j: sum over a+b = c mod r-1
-                # of zeta^(a i + b j).
-                coeff = sum((powers[(a * i + (c - a) * j) % m] for a in range(m)), RPoly())
-                expected = powers[c * j % m] * m if i == j else RPoly()
-                if coeff != expected:
-                    product_ok = False
-                    failures.append(f"product mismatch at i={i} j={j} c={c}")
-
-    return IdempotentReport(
-        r=r,
-        ok=geometric_ok and product_ok,
-        geometric_sums_ok=geometric_ok,
-        idempotent_identity_ok=product_ok,
-        failures=tuple(failures),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Determinants, and the genus-1 leg/kappa system determinant
-# ---------------------------------------------------------------------------
-
-
-def determinant(rows):
-    """Exact determinant of a square matrix given as rows, by Bareiss
-    elimination.  Entries are lifted to RPoly when any entry is one, else to
-    Fractions; every Bareiss division is exact in Q[r] as in Q, so the result
-    is an RPoly or a Fraction to match."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant of a non-square matrix")
-    lift = RPoly.constant if any(isinstance(x, RPoly) for row in rows for x in row) else Fraction
-    m = [[x if isinstance(x, RPoly) else lift(x) for x in row] for row in rows]
-    sign, prev = 1, lift(1)
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return lift(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: exact division by the previous pivot.
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else lift(1)
-
-
-class SystemDetReport(NamedTuple):
-    """Determinant of the (n+1)x(n+1) genus-1 system matrix and comparisons.
-
-    reference_value is the closed form -(1-r)^n (2-r)^2 / 4; product_form is
-    -((r-1)(r-2)/2)^n, which is what elimination actually yields.  The two
-    agree only at n = 2 (and for even n at r = 4).
-    """
-
-    n: int
-    r_mode: int | str
-    det: Coefficient
-    reference_value: Coefficient
-    residual: Coefficient
-    matches_reference: bool
-    product_form_value: Coefficient
-    matches_product_form: bool
-
-
-def system_matrix_det(
-    n: int, r: int | None = None, *, symbolic: bool = False
-) -> SystemDetReport:
-    """Determinant of the genus-1 system expressing each psi and kappa_1 in
-    boundary terms: rows i = 1..n carry (r-1) P_1(r,1) on the diagonal,
-    (r-1) P_1(r,0) off it and minus that in the kappa column; the last row is
-    (1, ..., 1, -1).  With ``symbolic=True`` every entry is a polynomial in r."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if symbolic:
-        x, r_mode = RPoly.variable(), SYMBOLIC
-        p1_1, p1_0 = cohft.p_polynomial_symbolic(1, 1), cohft.p_polynomial_symbolic(1, 0)
-    else:
-        if r is None or r < 3:
-            raise ValueError("numeric mode needs r >= 3")
-        x, r_mode = Fraction(r), r
-        p1_1, p1_0 = cohft.p_polynomial(1, 1, r), cohft.p_polynomial(1, 0, r)
-    diag, off = (x - 1) * p1_1, (x - 1) * p1_0
-    rows = [[diag if j == i else off for j in range(n)] + [-off] for i in range(n)]
-    det = determinant(rows + [[1] * n + [-1]])
-    reference = (1 - x) ** n * (2 - x) ** 2 * Fraction(-1, 4)
-    product_form = -(((x - 1) * (x - 2) * Fraction(1, 2)) ** n)
-    residual = det - reference
-    return SystemDetReport(
-        n=n,
-        r_mode=r_mode,
-        det=det,
-        reference_value=reference,
-        residual=residual,
-        matches_reference=not residual,
-        product_form_value=product_form,
-        matches_product_form=not (det - product_form),
-    )

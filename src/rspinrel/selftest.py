@@ -15,6 +15,14 @@ from typing import NamedTuple
 
 from .cohft import p_polynomial
 from .linalg import primitive_int_vector, rref
+from .matrix_oracles import (
+    idempotent_check,
+    metric_matrix,
+    quantum_structure_constants,
+    r_forward_matrix,
+    r_inverse_matrix,
+    system_matrix_det,
+)
 from .oracles import (
     delta_irr,
     delta_sep,
@@ -22,14 +30,8 @@ from .oracles import (
     divisor_generators,
     enumerate_contributing_graphs,
     graph_contribution_terms,
-    idempotent_check,
     kappa1,
-    metric_matrix,
     psi,
-    quantum_structure_constants,
-    r_forward_matrix,
-    r_inverse_matrix,
-    system_matrix_det,
 )
 from .relations import (
     ac_relations,

@@ -90,7 +90,7 @@ class TestMutationSensitivity:
         # first-order value rescales them invisibly; the determinant check
         # and the sum identity are the detectors for this fault.
         import rspinrel.cohft as cohft_module
-        from rspinrel.oracles import system_matrix_det
+        from rspinrel.matrix_oracles import system_matrix_det
         from rspinrel.selftest import _criterion_8
 
         original = cohft_module.p_polynomial

@@ -1190,9 +1190,11 @@ class TestColdImports:
     # the ``locale`` that gettext's first lookup imports; argv is read without
     # them.
     PARSER = {"argparse", "gettext", "locale"}
+    # The two selftest-only oracle modules.
+    ORACLES = {"rspinrel.oracles", "rspinrel.matrix_oracles"}
     # Loaded by no relation or table command: the record module ``dataclasses``
-    # (with the ``inspect`` it imports), the selftest-only oracles and PARSER.
-    NEVER = {"dataclasses", "rspinrel.oracles"} | PARSER
+    # (with the ``inspect`` it imports), the oracles and PARSER.
+    NEVER = {"dataclasses"} | ORACLES | PARSER
     COMMANDS = [
         ["--help"],
         ["pm-table", "--m-max", "3", "--r", "5"],
@@ -1279,7 +1281,7 @@ class TestColdImports:
     def test_relation_commands_skip_selftest_and_oracles(self, argv):
         loaded = self.loaded_modules(argv)
         assert "rspinrel.relations" in loaded
-        assert not loaded & {"rspinrel.selftest", "rspinrel.oracles"}
+        assert not loaded & ({"rspinrel.selftest"} | self.ORACLES)
 
     # Numeric commands: genus 2 and 3 never interpolate in r, and one genus-1
     # leg vector at a given r is assembled without polynomials.
@@ -1329,7 +1331,7 @@ class TestColdImports:
 
     def test_selftest_loads_the_oracles(self):
         loaded = self.loaded_modules(["selftest", "--json"])
-        assert {"rspinrel.oracles", "rspinrel.selftest"} <= loaded
+        assert {"rspinrel.selftest"} | self.ORACLES <= loaded
         assert not loaded & self.PARSER
 
 

@@ -17,8 +17,8 @@ from rspinrel.cohft import (
     r_inverse_entry,
     topological_value,
 )
-from rspinrel import oracles
-from rspinrel.oracles import (
+from rspinrel import matrix_oracles, oracles
+from rspinrel.matrix_oracles import (
     cyclotomic_polynomial,
     idempotent_check,
     metric_matrix,
@@ -445,7 +445,7 @@ class TestIdempotents:
     def test_a_reducible_modulus_fails(self, monkeypatch):
         # Modulo x^m - 1 the powers of x are not roots of Phi_m, so the
         # geometric sums stay nonzero.
-        monkeypatch.setattr(oracles, "cyclotomic_polynomial", x_power_minus_one)
+        monkeypatch.setattr(matrix_oracles, "cyclotomic_polynomial", x_power_minus_one)
         report = idempotent_check(5)
         assert not report.ok and not report.geometric_sums_ok
 

@@ -7,6 +7,7 @@ library only: deleting code must not leave its imports or helpers behind.
 """
 
 import ast
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -250,11 +251,12 @@ def test_detects_a_stored_help_text(tmp_path, statement):
     assert string_constants(module, "options:") == 2
 
 
-# What the oracles may take from the library's relation assembly: nothing.
-# The contraction lives in the oracles, and an oracle written from the
-# assembly (_numeric_keys, _feature_row, _expand) would check that code
+# What either oracle module may take from the library's relation assembly:
+# nothing.  The contraction lives in the oracles, and an oracle written from
+# the assembly (_numeric_keys, _feature_row, _expand) would check that code
 # against itself.
 ORACLE_IMPORTS_FROM_RELATIONS = set()
+ORACLE_MODULES = ["oracles.py", "matrix_oracles.py"]
 
 
 def names_imported_from(path, module):
@@ -273,10 +275,12 @@ def names_imported_from(path, module):
     return names
 
 
-def test_oracles_import_nothing_from_relations():
-    assert names_imported_from(SRC / "oracles.py", "relations") == ORACLE_IMPORTS_FROM_RELATIONS
+@pytest.mark.parametrize("name", ORACLE_MODULES)
+def test_oracles_import_nothing_from_relations(name):
+    assert names_imported_from(SRC / name, "relations") == ORACLE_IMPORTS_FROM_RELATIONS
 
 
+@pytest.mark.parametrize("name", ORACLE_MODULES)
 @pytest.mark.parametrize("statement", [
     "from .relations import _expand\n",
     "from rspinrel.relations import _RelationTable\n",
@@ -284,9 +288,9 @@ def test_oracles_import_nothing_from_relations():
     "from . import relations\n",
     "import rspinrel.relations\n",
 ])
-def test_detects_an_oracle_written_from_the_feature_path(tmp_path, statement):
-    source = (SRC / "oracles.py").read_text()
-    module = tmp_path / "oracles.py"
+def test_detects_an_oracle_written_from_the_feature_path(tmp_path, statement, name):
+    source = (SRC / name).read_text()
+    module = tmp_path / name
     module.write_text(source + "\n" + statement)
     found = names_imported_from(module, "relations")
     assert found > ORACLE_IMPORTS_FROM_RELATIONS
@@ -494,3 +498,35 @@ def test_detects_a_layout_table_out_of_step(edit):
     else:
         text = text.replace(row + "\n", "")
     assert sorted(layout_rows(text)) != library_modules()
+
+
+# Compiling a module costs a step of memory once it passes 4,096 tokens,
+# counted as below.  Measured with tracemalloc around compile() on CPython
+# 3.11, on oracles.py padded with assignments: 4,093 and 4,096 tokens peak at
+# 1.50 MB, 4,097 and 4,102 at 1.68 MB.  A cold process compiles every module
+# it loads, so each one stays below the step.
+TOKEN_STEP = 4096
+
+
+def token_count(path):
+    """The file's tokens, less comments and non-logical newlines."""
+    with tokenize.open(path) as source:
+        return sum(token.type not in (tokenize.COMMENT, tokenize.NL)
+                   for token in tokenize.generate_tokens(source.readline))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_stays_below_the_compile_step(path):
+    assert token_count(path) < TOKEN_STEP
+
+
+def test_detects_a_module_past_the_compile_step(tmp_path):
+    source = (SRC / "oracles.py").read_text()
+    base = token_count(SRC / "oracles.py")
+    module = tmp_path / "oracles.py"
+    # Comments and blank lines do not count; each assignment is four tokens.
+    module.write_text(source + "# padding\n\n" * 2000)
+    assert token_count(module) == base
+    pads = (TOKEN_STEP - base) // 4 + 1
+    module.write_text(source + "".join(f"_pad{i} = {i}\n" for i in range(pads)))
+    assert TOKEN_STEP <= token_count(module) == base + 4 * pads

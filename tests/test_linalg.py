@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rspinrel.linalg import primitive_int_vector, rref
-from rspinrel.oracles import determinant
+from rspinrel.matrix_oracles import determinant
 from rspinrel.rpoly import RPoly
 
 entries = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -94,6 +94,17 @@ def polynomial_matrices(max_size=4):
     ).filter(lambda grid: any(isinstance(x, RPoly) for row in grid for x in row))
 
 
+def sparse_square_matrices(max_size=6):
+    """Square rational matrices from 0x0 up, about two entries in three zero,
+    so that pivots often need a row swap and many grids are singular."""
+    entry = st.one_of(st.just(Fraction(0)), st.just(0), entries)
+    return st.integers(min_value=0, max_value=max_size).flatmap(
+        lambda k: st.lists(
+            st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k
+        )
+    )
+
+
 def naive_gauss_det(grid):
     """Pivot-product oracle: plain rational elimination."""
     m = [list(map(Fraction, row)) for row in grid]
@@ -138,10 +149,32 @@ class TestDeterminant:
         assert det == 1 and isinstance(det, Fraction)
         assert determinant([(0, 1), (1, 0)]) == -1
 
-    @given(square_matrices())
-    @settings(max_examples=60, deadline=None)
+    @given(square_matrices() | sparse_square_matrices())
+    @settings(max_examples=150, deadline=None)
     def test_matches_pivot_product(self, grid):
-        assert determinant(grid) == naive_gauss_det(grid)
+        det = determinant(grid)
+        assert det == naive_gauss_det(grid) and type(det) is Fraction
+
+    # Rational rows run in integers, each scaled by the lcm of its
+    # denominators; the result is still an exact Fraction.
+    @pytest.mark.parametrize("grid", [
+        [],
+        [[Fraction(-3, 7)]],
+        [[0]],
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]],
+        [[0, Fraction(2, 3), 0], [0, 0, Fraction(5, 4)], [Fraction(-1, 6), 0, 0]],
+        [[0, 0, 1], [0, Fraction(1, 2), 3], [Fraction(2, 9), 7, 1]],
+        [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, Fraction(3, 2), 0]],
+        [[Fraction(1, 2), 1, 0], [Fraction(1, 3), Fraction(2, 3), 0], [0, 0, Fraction(1, 5)]],
+        [[0, Fraction(1, 2), 1], [0, Fraction(1, 3), 4], [0, 5, Fraction(7, 8)]],
+        [[2, 3, 5, 7], [11, 13, 17, 19], [23, 29, 31, 37], [41, 43, 47, 53]],
+        [[Fraction(3, 2), Fraction(5, 3), 1], [Fraction(7, 4), 2, Fraction(9, 5)],
+         [Fraction(11, 6), Fraction(13, 7), Fraction(15, 8)]],
+    ], ids=["empty", "1x1", "1x1-zero", "2x2", "cyclic-swaps", "anti-triangular",
+            "permutation", "singular-block", "zero-column", "primes", "dense-fractions"])
+    def test_rational_grid_is_an_exact_fraction(self, grid):
+        det = determinant(grid)
+        assert det == naive_gauss_det(grid) and type(det) is Fraction
 
     def test_polynomial_determinant(self):
         r = RPoly.variable()

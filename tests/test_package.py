@@ -20,14 +20,16 @@ EXPORTED = {
     "cohft": (
         "p_polynomial", "p_polynomial_symbolic", "p_row", "r_inverse_entry", "topological_value",
     ),
+    "matrix_oracles": (
+        "IdempotentReport", "StructureConstants", "SystemDetReport", "determinant",
+        "idempotent_check", "quantum_structure_constants", "r_forward_entry",
+        "r_forward_matrix", "r_inverse_matrix", "system_matrix_det",
+    ),
     "oracles": (
-        "DivisorClass", "GraphContribution", "GraphTerm", "IdempotentReport",
-        "StableGraph", "StructureConstants", "SystemDetReport", "Vertex",
-        "canonical_divisor", "delta_irr", "delta_sep", "determinant", "divisor_class_of",
+        "DivisorClass", "GraphContribution", "GraphTerm", "StableGraph", "Vertex",
+        "canonical_divisor", "delta_irr", "delta_sep", "divisor_class_of",
         "divisor_generators", "edge_constant_term", "enumerate_contributing_graphs",
-        "graph_contribution_terms", "idempotent_check", "kappa1", "psi",
-        "quantum_structure_constants", "r_forward_entry", "r_forward_matrix",
-        "r_inverse_matrix", "system_matrix_det",
+        "graph_contribution_terms", "kappa1", "psi",
     ),
     "relations": (
         "BasisMismatchError", "Provenance", "RelationSet",

@@ -28,6 +28,7 @@ from rspinrel.relations import (
     relation_row,
     spans_equal,
 )
+from rspinrel.matrix_oracles import system_matrix_det
 from rspinrel.oracles import (
     _dilaton_sum,
     _edge_entries,
@@ -44,7 +45,6 @@ from rspinrel.oracles import (
     graph_contribution_terms,
     kappa1,
     psi,
-    system_matrix_det,
 )
 from rspinrel import oracles
 from rspinrel.rpoly import RPoly, poly_interpolate
